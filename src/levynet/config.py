@@ -9,6 +9,7 @@ product), a u value, a u list, a regime, and a simulation block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -223,13 +224,30 @@ RUN_SCHEMA = {
     },
 }
 
+_SCHEMAS = {
+    "network document": NETWORK_SCHEMA,
+    "input block": INPUT_SCHEMA,
+    "omega block": OMEGA_SCHEMA,
+    "run config": RUN_SCHEMA,
+}
 
-def _validated(doc, schema, what: str):
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"invalid {what} at {where}: {exc.message}") from exc
+
+@functools.cache
+def _validator(what: str):
+    """The validator for one of _SCHEMAS, its schema checked against the
+    meta-schema once per process rather than on every document."""
+    schema = _SCHEMAS[what]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validated(doc, what: str):
+    """doc, or ConfigError naming the best-matching violation as jsonschema.validate would."""
+    error = jsonschema.exceptions.best_match(_validator(what).iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigError(f"invalid {what} at {where}: {error.message}") from error
     return doc
 
 
@@ -244,7 +262,7 @@ def _load_json(path: Path, what: str) -> dict:
 
 
 def network_from_dict(doc: dict) -> NetworkSpec:
-    _validated(doc, NETWORK_SCHEMA, "network document")
+    _validated(doc, "network document")
     n = doc["n"]
     edges = [(e["from"], e["to"], e["p"]) for e in doc["edges"]]
     routing = RoutingMatrix.from_edges(n, edges)
@@ -270,7 +288,7 @@ def load_network(path) -> NetworkSpec:
 
 
 def model_from_dict(block: dict) -> LevyModel:
-    _validated(block, INPUT_SCHEMA, "input block")
+    _validated(block, "input block")
     kind = block["kind"]
     try:
         if kind == "brownian":
@@ -293,7 +311,7 @@ def model_from_dict(block: dict) -> LevyModel:
 
 def omega_vectors(block: dict, n: int) -> list[np.ndarray]:
     """Expand a frequency spec into explicit nonnegative vectors of length n."""
-    _validated(block, OMEGA_SCHEMA, "omega block")
+    _validated(block, "omega block")
     if "list" in block:
         out = []
         for row in block["list"]:
@@ -335,7 +353,7 @@ class RunConfig:
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    doc = _validated(_load_json(path, "run config"), RUN_SCHEMA, "run config")
+    doc = _validated(_load_json(path, "run config"), "run config")
     network_path = Path(doc["network"])
     if not network_path.is_absolute():
         network_path = path.parent / network_path

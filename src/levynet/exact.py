@@ -12,6 +12,13 @@ each factor is evaluated through the difference quotient of psi_j between
 Phi_j(x) and y; the point x = psi_j(y) is removable with value 1/psi_j'(y).
 Frequencies with zero entries are therefore handled by continuous extension
 instead of special cases.
+
+Cost of one evaluation: O(n^2) array work plus n - 1 scalar root solves.  The
+front structure is built once by network.build_network (NetworkSpec.front_matrix);
+per call the rates are evaluated once, all front sums come from one matrix
+product, every kappa from one reverse cumulative sum over them, and the
+exponents at delta and delta_hat from one array call each.  Only the inversion
+Phi_j(kappa_{j+1}) stays per factor.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from .models import LevyModel
 from .roots import invert_increasing
 
 KAPPA_FORMS = ("sum-over-s", "max-ancestor")
-_SINGULAR_RTOL = 1e-9
+_BAND_RTOL = 1e-6
+_MIDPOINT_RTOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 def as_omega(omega, n: int) -> np.ndarray:
@@ -48,23 +57,22 @@ def psi(spec: NetworkSpec, model: LevyModel, j: int, s: float, u: float) -> floa
     return spec.rate(j, u) * s + float(model.laplace_exponent(spec.phat[j - 1] * s))
 
 
-def psi_deriv(spec: NetworkSpec, model: LevyModel, j: int, s: float, u: float) -> float:
-    ph = spec.phat[j - 1]
-    return spec.rate(j, u) + ph * float(model.laplace_exponent_deriv(ph * s))
+def _psi_inverse(model: LevyModel, r: float, ph: float, x: float, tol: float) -> float:
+    """Inverse at x of s -> r * s + phi(ph * s), the exponent of a node with rate r and phat ph."""
+    return invert_increasing(
+        lambda s: r * s + float(model.laplace_exponent(ph * s)),
+        x,
+        deriv=lambda s: r + ph * float(model.laplace_exponent_deriv(ph * s)),
+        hi_hint=x / r,
+        tol=tol,
+    )
 
 
 def phi_inverse(
     spec: NetworkSpec, model: LevyModel, j: int, x: float, u: float, tol: float = 1e-12
 ) -> float:
     """Inverse of psi_j at x >= 0 by bracketed bisection with Newton polish."""
-    r = spec.rate(j, u)
-    return invert_increasing(
-        lambda s: psi(spec, model, j, s, u),
-        x,
-        deriv=lambda s: psi_deriv(spec, model, j, s, u),
-        hi_hint=x / r,
-        tol=tol,
-    )
+    return _psi_inverse(model, spec.rate(j, u), float(spec.phat[j - 1]), x, tol)
 
 
 def delta(spec: NetworkSpec, omega: np.ndarray, j: int) -> float:
@@ -77,6 +85,17 @@ def delta_hat(spec: NetworkSpec, omega: np.ndarray, j: int) -> float:
     """Like delta but over fronts[j+1]; defined for j < n."""
     ph = spec.phat
     return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j + 1]) / ph[j - 1]
+
+
+def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:
+    """Entry j-1: the sum of phat_l * w_l over l in fronts[j], for every node j."""
+    return spec.front_matrix @ (spec.phat * w)
+
+
+def _kappas(ratios: np.ndarray, front_sums: np.ndarray) -> np.ndarray:
+    """Entry j-1: kappa_j = sum over l > j of (ratios[l-2] - ratios[l-1]) * front_sums[l-1]."""
+    terms = (ratios[:-1] - ratios[1:]) * front_sums[1:]
+    return np.cumsum(terms[::-1])[::-1]
 
 
 def kappa(spec: NetworkSpec, omega, j: int, u: float, form: str = "sum-over-s") -> float:
@@ -96,11 +115,7 @@ def kappa(spec: NetworkSpec, omega, j: int, u: float, form: str = "sum-over-s") 
     ratios = spec.rate_vector(u) / ph
 
     if form == "sum-over-s":
-        total = 0.0
-        for l in range(j + 1, n + 1):
-            front_sum = sum(ph[i - 1] * w[i - 1] for i in spec.fronts[l])
-            total += (ratios[l - 2] - ratios[l - 1]) * front_sum
-        return total
+        return float(_kappas(ratios, _front_sums(spec, w))[j - 1])
 
     total = 0.0
     for i in range(j + 1, n + 1):
@@ -136,27 +151,46 @@ class LstEvaluation:
     max_root_residual: float
 
 
-def _diffq_inv(s: float, y: float, psi_s: float, psi_y: float, dpsi_mid, j: int) -> float:
-    """(s - y) / (psi(s) - psi(y)) with the removable point s = y handled.
+def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
+    """(s - y) / (psi(s) - psi(y)) elementwise, with the removable point s = y handled.
 
-    dpsi_mid is called with the midpoint only when both gap and
-    exponent gap are below the singular tolerance; a denominator near zero
-    without a matching small numerator is reported as a singular factor.
+    psi_s and psi_y are psi evaluated at s and y, dpsi evaluates psi'
+    elementwise and j holds the factor index of each entry.  psi is
+    increasing and convex, so the exact quotient lies between
+    1/psi'(max(s, y)) and 1/psi'(min(s, y)).  It is computed in whichever of
+    two ways has the smaller error estimate, both relative and so free of the
+    units of u and omega:
+    - from the gaps, (s - y) / (psi_s - psi_y): rounding error about
+      4 eps * max(|psi_s|, |psi_y|) / |psi_s - psi_y|, and usable only when
+      the gap quotient lies in the band psi' allows (outside it the exponent
+      gap is lost to rounding, as at s = y);
+    - as 1 / psi'((s + y) / 2), the midpoint rule: error about
+      |psi'(lo) + psi'(hi) - 2 psi'(mid)| / (6 psi'(mid)), zero for quadratic
+      psi and at s = y.
+    A factor with neither a usable gap quotient nor a midpoint value good to
+    _MIDPOINT_RTOL is reported singular.
     """
     num = s - y
     den = psi_s - psi_y
-    den_scale = max(abs(psi_s), abs(psi_y), 1.0)
-    num_scale = max(abs(s), abs(y), 1.0)
-    if abs(den) > _SINGULAR_RTOL * max(abs(num), abs(den), 1.0) and abs(den) > 1e-300:
-        return num / den
-    if abs(num) <= 1e-6 * num_scale or abs(den) <= _SINGULAR_RTOL * den_scale:
-        d = dpsi_mid(0.5 * (s + y))
-        if d > 0.0:
-            return 1.0 / d
-    raise SingularFactorError(
-        f"factor {j}: denominator {den:.3e} vanishes while numerator {num:.3e} does not",
-        factor_index=j,
-    )
+    d_lo = dpsi(np.minimum(s, y))
+    d_mid = dpsi(0.5 * (s + y))
+    d_hi = dpsi(np.maximum(s, y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = den / num
+        in_band = (slope >= d_lo * (1.0 - _BAND_RTOL)) & (slope <= d_hi * (1.0 + _BAND_RTOL))
+        gap_err = 4.0 * _EPS * np.maximum(np.abs(psi_s), np.abs(psi_y)) / np.abs(den)
+        mid_err = np.abs(d_lo + d_hi - 2.0 * d_mid) / (6.0 * d_mid)
+        use_gap = in_band & (gap_err < mid_err)
+        bad = np.flatnonzero(~(use_gap | (mid_err <= _MIDPOINT_RTOL)))
+        if bad.size:
+            i = bad[0]
+            raise SingularFactorError(
+                f"factor {j[i]}: exponent gap {den[i]:.3e} outside the range "
+                f"[{d_lo[i] * num[i]:.3e}, {d_hi[i] * num[i]:.3e}] that psi' allows "
+                f"for the frequency gap {num[i]:.3e}",
+                factor_index=int(j[i]),
+            )
+        return np.where(use_gap, num / den, 1.0 / d_mid)
 
 
 def joint_lst_exact(
@@ -175,42 +209,60 @@ def joint_lst_exact(
     if u <= 0.0:
         raise ValueError("u must be positive")
 
-    r_n = spec.rate(n, u)
+    r = spec.rate_vector(u)
+    ph = spec.phat
     w_n = float(w[n - 1])
     if w_n == 0.0:
         prefactor = 1.0  # centering makes psi_n'(0) = r_n, so w/psi(w) -> 1/r_n
     else:
-        prefactor = r_n * w_n / psi(spec, model, n, w_n, u)
+        r_n = float(r[n - 1])
+        prefactor = r_n * w_n / (r_n * w_n + float(model.laplace_exponent(ph[n - 1] * w_n)))
+
+    # entry j-1 of every array below belongs to the factor of node j < n
+    sums = _front_sums(spec, w)
+    kap = _kappas(r / ph, sums)
+    r_j, ph_j = r[:-1], ph[:-1]
+    d = sums[:-1] / ph_j
+    dh = sums[1:] / ph_j
+    psi_d = r_j * d + model.laplace_exponent(ph_j * d)
+    psi_dh = r_j * dh + model.laplace_exponent(ph_j * dh)
+
+    roots = np.array(
+        [
+            _psi_inverse(model, rj, pj, x, tol)
+            for rj, pj, x in zip(r_j.tolist(), ph_j.tolist(), kap.tolist())
+        ]
+    )
+    # the factor quotients use psi at the computed roots rather than kappa, so
+    # the root residual does not enter them
+    psi_roots = r_j * roots + model.laplace_exponent(ph_j * roots)
+    max_residual = float(np.abs(psi_roots - kap).max(initial=0.0))
+
+    def dpsi(s):
+        return r_j + ph_j * model.laplace_exponent_deriv(ph_j * s)
+
+    j = np.arange(1, n)
+    values = _diffq_inv(roots, d, psi_roots, psi_d, dpsi, j) / _diffq_inv(
+        roots, dh, psi_roots, psi_dh, dpsi, j
+    )
 
     factors: list[FactorBreakdown] = []
     value = prefactor
-    root_calls = 0
-    max_residual = 0.0
-    for j in range(1, n):
-        kap = kappa(spec, w, j, u)
-        d_j = delta(spec, w, j)
-        dh_j = delta_hat(spec, w, j)
-        psi_d = psi(spec, model, j, d_j, u)
-        psi_dh = psi(spec, model, j, dh_j, u)
-        s_j = phi_inverse(spec, model, j, kap, u, tol=tol)
-        root_calls += 1
-        max_residual = max(max_residual, abs(psi(spec, model, j, s_j, u) - kap))
-
-        dpsi = lambda s, j=j: psi_deriv(spec, model, j, s, u)
-        factor_value = _diffq_inv(s_j, d_j, kap, psi_d, dpsi, j) / _diffq_inv(
-            s_j, dh_j, kap, psi_dh, dpsi, j
-        )
+    for jj, kap_j, d_j, dh_j, s_j, psi_d_j, psi_dh_j, factor_value in zip(
+        j.tolist(), kap.tolist(), d.tolist(), dh.tolist(), roots.tolist(),
+        psi_d.tolist(), psi_dh.tolist(), values.tolist(),
+    ):
         factors.append(
             FactorBreakdown(
-                j=j,
-                kappa=kap,
+                j=jj,
+                kappa=kap_j,
                 delta=d_j,
                 delta_hat=dh_j,
                 phi_at_kappa=s_j,
                 phi_minus_delta=s_j - d_j,
                 phi_minus_delta_hat=s_j - dh_j,
-                kappa_minus_psi_delta_hat=kap - psi_dh,
-                kappa_minus_psi_delta=kap - psi_d,
+                kappa_minus_psi_delta_hat=kap_j - psi_dh_j,
+                kappa_minus_psi_delta=kap_j - psi_d_j,
                 value=factor_value,
             )
         )
@@ -220,4 +272,4 @@ def joint_lst_exact(
         raise SingularFactorError(
             f"assembled transform value {value} outside (0, 1]", factor_index=0
         )
-    return LstEvaluation(min(value, 1.0), prefactor, tuple(factors), root_calls, max_residual)
+    return LstEvaluation(min(value, 1.0), prefactor, tuple(factors), n - 1, max_residual)

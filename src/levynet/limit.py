@@ -16,6 +16,13 @@ deterministic epsilon-perturbation sequence with an agreement check.
 
 Both regimes share the formula; the regime enters only through the tail pair
 (alpha, coeff) of the input process and the direction of the u-sweep.
+
+Cost of one evaluation: O(n^2) array work plus one scalar root solve per
+inverse argument.  The front and child structure is built once by
+network.build_network (NetworkSpec.front_matrix, child_matrix); per call the
+within-class weighted fronts and child sums of all nodes come from one matrix
+product each, with the matrix masked to same-class pairs, and every class reads
+its constants from those arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from .errors import SingularFactorError, SingularityResolutionError, StructuralError
 from .models import TailPair
 from .network import NetworkSpec
-from .partition import RateClassPartition, starred_sets
+from .partition import RateClassPartition, starred_sets  # starred_sets: scaling_coefficients only
 from .roots import invert_increasing
 
 _SINGULAR_RTOL = 1e-9
@@ -68,6 +75,8 @@ class ClassConstants:
     ratio_denominator_scales: tuple[float, ...]
 
     def is_singular(self, rtol: float = _SINGULAR_RTOL) -> bool:
+        """True when a denominator vanishes relative to the terms it is made
+        of, or the last-node frequency is zero; no absolute scale enters."""
         if abs(self.class_denominator) <= rtol * self.class_denominator_scale:
             return True
         if self.numerator == 0.0:
@@ -107,67 +116,73 @@ class LimitLst:
         return tuple(f.k for f in self.class_factors if f.singular)
 
 
-def _weighted_front(spec, partition, w, j: int) -> float:
-    """sum over the within-class front of node j of phat_i * w_i."""
-    star, _ = starred_sets(spec, partition, j)
-    return sum(spec.phat[i - 1] * w[i - 1] for i in star)
+def _within_class_sums(
+    spec: NetworkSpec, partition: RateClassPartition, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entry j-1: the sums of phat_i * w_i over the within-class front of node j
+    and over its within-class children, for every node j."""
+    cls = np.asarray(partition.class_of)
+    same = cls[:, None] == cls[None, :]
+    x = spec.phat * w
+    return np.where(same, spec.front_matrix, 0.0) @ x, np.where(same, spec.child_matrix, 0.0) @ x
 
 
 def _class_constants(
-    spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, w: np.ndarray, k: int
+    spec: NetworkSpec,
+    partition: RateClassPartition,
+    tail: TailPair,
+    w: np.ndarray,
+    sums: tuple[np.ndarray, np.ndarray],
+    k: int,
 ) -> ClassConstants:
+    """Constants of class k at w; sums is _within_class_sums(spec, partition, w)."""
     alpha, c = tail.alpha, tail.coeff
-    fr = partition.fractions
-    ph = spec.phat
+    fronts, kids = sums
     members = partition.members(k)
     q, last = members[0], members[-1]
+    cut = slice(q - 1, last)  # classes are intervals of the node order
+    fr = partition.fractions[cut]
+    ph = spec.phat[cut]
+    g = fr / ph
 
-    t_children = 0.0
-    t_rates = 0.0
-    for l in members:
-        _, dstar = starred_sets(spec, partition, l)
-        t_children += fr[l - 1] / ph[l - 1] * sum(ph[m - 1] * w[m - 1] for m in dstar)
-        t_rates += w[l - 1] * fr[l - 1]
-    t_tail = c * _weighted_front(spec, partition, w, q) ** alpha
+    t_children = float(g @ kids[cut])
+    t_rates = float(w[cut] @ fr)
+    t_tail = c * float(fronts[q - 1]) ** alpha
     a_const = t_children - t_rates - t_tail
     a_scale = max(abs(t_children), abs(t_rates), abs(t_tail), 1e-300)
 
-    args, invs, nums, dens, den_scales = [], [], [], [], []
-    for j in range(q, last):
-        arg = 0.0
-        for l in range(j + 1, last + 1):
-            arg += (fr[l - 2] / ph[l - 2] - fr[l - 1] / ph[l - 1]) * _weighted_front(
-                spec, partition, w, l
-            )
+    # inverse argument of node j: sum over l = j+1..last of (g_{l-1} - g_l) * front_l,
+    # a reverse running sum within the class
+    args = np.cumsum(((g[:-1] - g[1:]) * fronts[q:last])[::-1])[::-1]
+    w_total = float(np.abs(w).sum())
+    invs = []
+    rows = zip(args.tolist(), g.tolist(), fr.tolist(), ph.tolist())
+    for off, (arg, g_j, fr_j, ph_j) in enumerate(rows):
         if arg < 0.0:
-            scale = max(fr[j - 1] / ph[j - 1] * sum(abs(x) for x in w), 1e-300)
+            scale = max(g_j * w_total, 1e-300)
             if arg < -1e-9 * scale:
                 raise StructuralError(
-                    f"negative inverse argument {arg} at node {j}: "
+                    f"negative inverse argument {arg} at node {q + off}: "
                     "rate ordering violated within class"
                 )
-            arg = 0.0
-        inv = psi_limit_inverse(alpha, c, fr[j - 1], ph[j - 1], arg)
-        front_own = _weighted_front(spec, partition, w, j) / ph[j - 1]
-        front_next = _weighted_front(spec, partition, w, j + 1) / ph[j - 1]
-        args.append(arg)
-        invs.append(inv)
-        nums.append(inv - front_own)
-        dens.append(inv - front_next)
-        den_scales.append(max(abs(inv), abs(front_next), 1e-300))
+            args[off] = arg = 0.0
+        invs.append(psi_limit_inverse(alpha, c, fr_j, ph_j, arg))
+    inv = np.array(invs)
+    front_own = fronts[q - 1 : last - 1] / ph[:-1]
+    front_next = fronts[q:last] / ph[:-1]
+    den_scales = np.maximum(np.maximum(np.abs(inv), np.abs(front_next)), 1e-300)
 
-    numerator = w[last - 1] * fr[last - 1]
     return ClassConstants(
         k=k,
         members=members,
-        numerator=numerator,
+        numerator=float(w[last - 1] * fr[-1]),
         class_denominator=a_const,
         class_denominator_scale=a_scale,
-        inverse_arguments=tuple(args),
+        inverse_arguments=tuple(args.tolist()),
         inverse_values=tuple(invs),
-        ratio_numerators=tuple(nums),
-        ratio_denominators=tuple(dens),
-        ratio_denominator_scales=tuple(den_scales),
+        ratio_numerators=tuple((inv - front_own).tolist()),
+        ratio_denominators=tuple((inv - front_next).tolist()),
+        ratio_denominator_scales=tuple(den_scales.tolist()),
     )
 
 
@@ -188,8 +203,9 @@ def limit_constants(
         raise ValueError(f"frequency vector must have length {spec.n}")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("frequencies must be finite and nonnegative")
+    sums = _within_class_sums(spec, partition, w)
     per_class = tuple(
-        _class_constants(spec, partition, tail, w, k) for k in range(1, partition.m + 1)
+        _class_constants(spec, partition, tail, w, sums, k) for k in range(1, partition.m + 1)
     )
     return LimitConstants(tail, per_class)
 
@@ -215,6 +231,7 @@ def joint_lst_limit(
         raise ValueError("frequencies must be finite and nonnegative")
 
     scaled = _scaled_omega(partition, tail, w)
+    sums = _within_class_sums(spec, partition, scaled)
     factors: list[ClassFactor] = []
     value = 1.0
     for k in range(1, partition.m + 1):
@@ -222,7 +239,7 @@ def joint_lst_limit(
         if all(scaled[i - 1] == 0.0 for i in members):
             factors.append(ClassFactor(k, 1.0, False))
             continue
-        constants = _class_constants(spec, partition, tail, scaled, k)
+        constants = _class_constants(spec, partition, tail, scaled, sums, k)
         if constants.is_singular():
             fk = singular_limit(spec, partition, tail, w, k, rng=rng)
             factors.append(ClassFactor(k, fk, True))
@@ -265,7 +282,9 @@ def singular_limit(
         pert = scaled.copy()
         for idx, i in enumerate(members):
             pert[i - 1] += eps * direction[idx]
-        constants = _class_constants(spec, partition, tail, pert, k)
+        constants = _class_constants(
+            spec, partition, tail, pert, _within_class_sums(spec, partition, pert), k
+        )
         if constants.is_singular():
             raise SingularityResolutionError(
                 f"class {k}: perturbed point at eps={eps} is still degenerate"

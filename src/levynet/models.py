@@ -47,6 +47,10 @@ class TailPair:
 
 
 def _check_s(s):
+    if isinstance(s, float):  # Python and NumPy floats: the scalar call of a root solve
+        if s < 0.0:
+            raise ValueError("Laplace exponent is defined for s >= 0")
+        return np.float64(s)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("Laplace exponent is defined for s >= 0")

@@ -176,7 +176,10 @@ class NetworkSpec:
     phat[j-1] is the cumulative routing fraction from the root into node j
     (first column of (I - P^T)^-1).  fronts[j] collects the nodes with index
     >= j whose parent, if any, has index < j; children[j] are the direct
-    offspring of j.  Immutable after construction and safe to share.
+    offspring of j.  front_matrix and child_matrix hold the same sets as
+    read-only 0/1 arrays: entry [j-1, l-1] is 1.0 exactly when l is in
+    fronts[j] (children[j]), so every front sum of a vector is one matrix
+    product.  Immutable after construction and safe to share.
     """
 
     routing: RoutingMatrix
@@ -185,6 +188,8 @@ class NetworkSpec:
     parent: dict[int, int]
     fronts: dict[int, frozenset[int]]
     children: dict[int, frozenset[int]]
+    front_matrix: np.ndarray
+    child_matrix: np.ndarray
 
     @property
     def n(self) -> int:
@@ -252,13 +257,24 @@ def build_network(routing: RoutingMatrix, rates) -> NetworkSpec:
         phat[j - 1] = routing.fraction(jp, j) * phat[jp - 1]
     phat.setflags(write=False)
 
-    fronts: dict[int, frozenset[int]] = {}
-    children: dict[int, frozenset[int]] = {}
-    for j in range(1, n + 1):
-        fronts[j] = frozenset({j} | {i for i in range(j + 1, n + 1) if parent[i] < j})
-        children[j] = frozenset(i for i in range(1, n + 1) if routing.fraction(j, i) > 0.0)
+    # fronts[j]: j itself and every later node whose parent precedes j (the root's parent is 0)
+    node = np.arange(1, n + 1)
+    parent_of = np.array([0] + [parent[i] for i in range(2, n + 1)])
+    front_matrix = (
+        (node[None, :] == node[:, None])
+        | ((node[None, :] > node[:, None]) & (parent_of[None, :] < node[:, None]))
+    ).astype(float)
+    child_matrix = (routing.p > 0.0).astype(float)
+    front_matrix.setflags(write=False)
+    child_matrix.setflags(write=False)
 
-    return NetworkSpec(routing, rates, phat, parent, fronts, children)
+    def row_sets(matrix):
+        return {j: frozenset((np.flatnonzero(matrix[j - 1]) + 1).tolist()) for j in range(1, n + 1)}
+
+    return NetworkSpec(
+        routing, rates, phat, parent, row_sets(front_matrix), row_sets(child_matrix),
+        front_matrix, child_matrix,
+    )
 
 
 def structural_sets(spec: NetworkSpec, j: int) -> tuple[frozenset[int], frozenset[int]]:

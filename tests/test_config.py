@@ -1,0 +1,72 @@
+import json
+
+import jsonschema
+import pytest
+
+from levynet import config
+from levynet.errors import ConfigError
+
+NETWORK = {
+    "n": 2,
+    "edges": [{"from": 1, "to": 2, "p": 1.0}],
+    "rates": [
+        {"node": 1, "terms": [{"c": 2, "e": 0}]},
+        {"node": 2, "terms": [{"c": 1, "e": 0}]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {**NETWORK, "edges": [{"from": 1, "to": 2, "p": "half"}]},
+            "invalid network document at edges/0/p: 'half' is not of type 'number'",
+        ),
+        (
+            {**NETWORK, "extra": True},
+            "invalid network document at (top level): "
+            "Additional properties are not allowed ('extra' was unexpected)",
+        ),
+    ],
+)
+def test_invalid_network_document_message(doc, message):
+    with pytest.raises(ConfigError) as info:
+        config.network_from_dict(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"u": "fast"}, "invalid run config at u: 'fast' is not of type 'number'"),
+        ({"sim": {"n_rep": 0}}, "invalid run config at sim/n_rep: 0 is less than the minimum of 1"),
+    ],
+)
+def test_invalid_run_config_message(tmp_path, overrides, message):
+    (tmp_path / "net.json").write_text(json.dumps(NETWORK))
+    run = {"network": "net.json", "input": {"kind": "brownian", "sigma2": 1.0}, **overrides}
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    # twice: the second load reuses the compiled validators
+    for _ in range(2):
+        with pytest.raises(ConfigError) as info:
+            config.load_run_config(tmp_path / "run.json")
+        assert str(info.value) == message
+
+
+def test_schemas_checked_once(monkeypatch):
+    calls = []
+    original = jsonschema.validators.validator_for
+
+    def counted(schema, *args, **kwargs):
+        calls.append(schema)
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.validators, "validator_for", counted)
+    config._validator.cache_clear()
+    try:
+        for _ in range(3):
+            config.network_from_dict(NETWORK)
+        assert sum(schema is config.NETWORK_SCHEMA for schema in calls) == 1
+    finally:
+        config._validator.cache_clear()

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,17 @@ from levynet import (
     ExponentialJob,
     RateFunction,
     joint_lst_exact,
+    joint_lst_limit,
     kappa,
+    limit,
+    partition,
+    partition_rates,
     phi_inverse,
     psi,
 )
 from levynet.exact import delta, delta_hat
 
-from conftest import random_model, random_spec, tandem_spec
+from conftest import random_model, random_spec, random_tail, tandem_spec
 
 
 def brownian_single(rate=1.0, sigma2=1.0):
@@ -204,3 +210,100 @@ def test_omega_validation():
         joint_lst_exact(spec, model, [1.0, np.inf], 1.0)
     with pytest.raises(ValueError):
         joint_lst_exact(spec, model, [1.0, 1.0], -2.0)
+
+
+def test_breakdown_matches_scalar_kappa_and_deltas_on_deep_trees():
+    # the factors take kappa, delta and delta_hat from one matrix product and a
+    # reverse cumulative sum; the scalar forms sum over the front sets instead
+    rng = np.random.default_rng(107)
+    for _ in range(10):
+        spec = random_spec(rng, int(rng.integers(2, 101)))
+        u = rng.uniform(1.0, 4.0)  # rate/phat falls by 0.4-0.9 per node: tens of decades at n = 100
+        w = rng.uniform(0.05, 3.0, spec.n) * (rng.random(spec.n) < 0.3)
+        ev = joint_lst_exact(spec, Brownian(rng.uniform(0.5, 2.0)), w, u)
+        assert len(ev.factors) == spec.n - 1
+        for f in ev.factors:
+            for got, want in (
+                (f.kappa, kappa(spec, w, f.j, u, form="max-ancestor")),
+                (f.delta, delta(spec, w, f.j)),
+                (f.delta_hat, delta_hat(spec, w, f.j)),
+            ):
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
+
+
+def _benchmark_tree(n: int, seed: int):
+    """The tree perfbench/trees.py builds for (n, seed)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trees.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_trees", path)
+    trees = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(trees)
+    return trees.random_tree(np.random.default_rng([n, seed]), n)
+
+
+def test_deep_node_marginal_without_spurious_singular_factor():
+    # node 80 of the benchmark tree T80 has phat 7.2e-6 and rate 7e-22 at u = 2:
+    # psi' is near 1e-9 along its path, so regular factors have exponent gaps
+    # near 1e-9 against frequency gaps of order one
+    spec = _benchmark_tree(80, 3)
+    node = int(np.argmin(spec.phat))
+    assert node == 79 and spec.phat[node] == pytest.approx(7.16e-6, rel=1e-3)
+    values = []
+    for x in np.linspace(5.0, 25.0, 401):
+        w = np.zeros(spec.n)
+        w[node] = x
+        values.append(joint_lst_exact(spec, Brownian(1.0), w, 2.0).value)
+    values = np.array(values)
+    assert np.all((values > 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=100), st.integers(min_value=0, max_value=2**32 - 1))
+def test_deep_trees_have_no_spurious_singular_factor(n, seed):
+    # rates fall by 0.4-0.9 per node (and phat with them), so deep trees span
+    # up to tens of decades; for Brownian input every factor is finite
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, n)
+    sigma2 = rng.uniform(0.5, 2.0)
+    model = Brownian(sigma2)
+    u = rng.uniform(1.0, 4.0)
+    x = rng.uniform(0.05, 10.0)
+    w = np.zeros(n)
+    w[0] = x
+    root = joint_lst_exact(spec, model, w, u).value
+    assert root == pytest.approx(1.0 / (1.0 + sigma2 * x / (2.0 * spec.rate(1, u))), rel=1e-12)
+    for _ in range(3):
+        w = np.zeros(n)
+        picks = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        w[picks] = rng.uniform(0.05, 20.0, len(picks))
+        ev = joint_lst_exact(spec, model, w, u)
+        assert 0.0 < ev.value <= 1.0
+        assert all(np.isfinite(f.value) and f.value > 0.0 for f in ev.factors)
+
+
+def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):
+    rng = np.random.default_rng(113)
+    spec = random_spec(rng, 50)
+    part = partition_rates(spec)
+    w = rng.uniform(0.05, 2.0, spec.n)
+    calls = {"rate": 0, "starred": 0}
+
+    rate_call = RateFunction.__call__
+
+    def counted_rate(self, u):
+        calls["rate"] += 1
+        return rate_call(self, u)
+
+    starred_sets = partition.starred_sets
+
+    def counted_starred(*args):
+        calls["starred"] += 1
+        return starred_sets(*args)
+
+    monkeypatch.setattr(RateFunction, "__call__", counted_rate)
+    monkeypatch.setattr(partition, "starred_sets", counted_starred)
+    monkeypatch.setattr(limit, "starred_sets", counted_starred)
+    joint_lst_exact(spec, Brownian(1.0), w, 2.0)
+    assert 0 < calls["rate"] <= spec.n
+    joint_lst_limit(spec, part, random_tail(rng), w)
+    assert calls["starred"] == 0

@@ -317,10 +317,23 @@ def test_telescoping_identity_smoke():
             assert abs(sc.downstream_gap[j] - a_next) <= 1e-12 * max(abs(a_next), 1e-300)
 
 
-def test_scaling_coefficients_match_class_constants():
-    rng = np.random.default_rng(103)
+def _class_constant_cases(rng):
+    """20 small trees, then 5 deep trees with more than one rate class."""
     for _ in range(20):
-        spec = random_spec(rng, int(rng.integers(2, 9)))
+        yield random_spec(rng, int(rng.integers(2, 9)))
+    deep = 0
+    while deep < 5:
+        spec = random_spec(rng, int(rng.integers(30, 101)))
+        if partition_rates(spec).m > 1:
+            deep += 1
+            yield spec
+
+
+def test_scaling_coefficients_match_class_constants():
+    # scaling_coefficients sums over starred sets, so it is an independent
+    # check on the class constants built from the front arrays
+    rng = np.random.default_rng(103)
+    for spec in _class_constant_cases(rng):
         part = partition_rates(spec)
         tail = random_tail(rng)
         w = rng.uniform(0.05, 2.5, spec.n)

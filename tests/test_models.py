@@ -68,8 +68,20 @@ def test_exponent_derivative_matches_finite_difference(model):
 
 
 def test_negative_s_rejected():
-    with pytest.raises(ValueError):
-        laplace_exponent(Brownian(1.0), -0.1)
+    for s in (-0.1, np.float64(-0.1), np.array([0.5, -0.1])):
+        with pytest.raises(ValueError):
+            laplace_exponent(Brownian(1.0), s)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_scalar_and_array_exponents_agree(model):
+    # Python and NumPy float arguments take a shortcut past the array check
+    s = np.array([0.0, 1e-9, 0.3, 2.5])
+    for method in (model.laplace_exponent, model.laplace_exponent_deriv):
+        batch = method(s)
+        for x, want in zip(s.tolist(), batch.tolist()):
+            assert method(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert method(np.float64(x)) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_tail_pairs_heavy():
