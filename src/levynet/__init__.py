@@ -28,9 +28,6 @@ from .models import (
     LevyModel,
     StableSum,
     TailPair,
-    laplace_exponent,
-    sample_increment,
-    tail_pair,
 )
 from .partition import RateClassPartition, partition_rates, starred_sets
 from .exact import (

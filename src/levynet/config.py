@@ -201,10 +201,8 @@ SIM_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "horizon": {"type": "number"},
-        "step": {"type": "number"},
         "n_rep": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer"},
-        "supremum_mode": {"enum": ["auto", "bridge", "grid"]},
         "n_workers": {"type": "integer", "minimum": 1},
     },
 }

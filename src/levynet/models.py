@@ -57,6 +57,14 @@ def _check_s(s):
     return s
 
 
+def _increment_shape(dt, size):
+    """dt as an array, and the shape of the draws: dt's shape broadcast with size."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0.0):
+        raise ValueError("dt must be positive")
+    return dt, np.broadcast_shapes(dt.shape, () if size is None else size)
+
+
 class JobSize:
     """Job-size law with a closed-form transform b(s) = E[exp(-s B)]."""
 
@@ -167,8 +175,13 @@ class LevyModel:
     def tail_pair(self, regime: str) -> TailPair:
         raise NotImplementedError
 
-    def sample_increment(self, dt: float, rng: np.random.Generator, size=None):
-        """One draw (or `size` draws) of J(t + dt) - J(t); mean zero."""
+    def sample_increment(self, dt, rng: np.random.Generator, size=None):
+        """Independent draws of J(t + dt) - J(t), mean zero.
+
+        dt is a length or an array of lengths, which may differ; the draws
+        have dt's shape broadcast with `size`, and a scalar dt without size
+        gives one float.
+        """
         raise NotImplementedError
 
 
@@ -203,21 +216,10 @@ class CompoundPoisson(LevyModel):
         raise ValueError(f"unknown regime {regime!r}")
 
     def sample_increment(self, dt, rng, size=None):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        counts = rng.poisson(self.lam * dt, size=size)
-        total = self.job.sample_total(counts, rng)
-        out = total - self.lam * dt * self.job.mean
-        return float(out) if size is None else out
-
-    def sample_jump_path(self, horizon: float, rng: np.random.Generator):
-        """Sorted jump epochs and sizes on [0, horizon] (exact event sampling)."""
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        count = rng.poisson(self.lam * horizon)
-        times = np.sort(rng.uniform(0.0, horizon, count))
-        sizes = self.job.sample_total(np.ones(count, dtype=int), rng)
-        return times, sizes
+        dt, shape = _increment_shape(dt, size)
+        counts = rng.poisson(self.lam * dt, shape)
+        out = self.job.sample_total(counts, rng) - self.lam * dt * self.job.mean
+        return out if shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -250,10 +252,9 @@ class CenteredGamma(LevyModel):
         raise ValueError(f"unknown regime {regime!r}")
 
     def sample_increment(self, dt, rng, size=None):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        out = rng.gamma(self.shape * dt, 1.0 / self.rate, size=size) - dt * self.shape / self.rate
-        return float(out) if size is None else out
+        dt, shape = _increment_shape(dt, size)
+        out = rng.gamma(self.shape * dt, 1.0 / self.rate, shape) - dt * self.shape / self.rate
+        return out if shape else float(out)
 
 
 def _standard_skewed_stable(alpha: float, rng: np.random.Generator, size):
@@ -314,17 +315,15 @@ class StableSum(LevyModel):
         return TailPair(alpha, coeff, regime)
 
     def sample_increment(self, dt, rng, size=None):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        shape = () if size is None else size
+        dt, shape = _increment_shape(dt, size)
         out = np.zeros(shape)
         for a, c in self.components:
             if a == 2.0:
-                out = out + rng.normal(0.0, math.sqrt(2.0 * c * dt), size=shape)
+                out += rng.standard_normal(shape) * np.sqrt(2.0 * c * dt)
             else:
                 sigma = (dt * c * abs(math.cos(0.5 * math.pi * a))) ** (1.0 / a)
-                out = out + sigma * _standard_skewed_stable(a, rng, shape)
-        return float(out) if size is None else out
+                out += sigma * _standard_skewed_stable(a, rng, shape)
+        return out if shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -351,22 +350,6 @@ class Brownian(LevyModel):
         return TailPair(2.0, self.sigma2 / 2.0, regime)
 
     def sample_increment(self, dt, rng, size=None):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        out = rng.normal(0.0, math.sqrt(self.sigma2 * dt), size=size)
-        return float(out) if size is None else out
-
-
-def laplace_exponent(model: LevyModel, s):
-    """Module-level convenience wrapper around model.laplace_exponent."""
-    return model.laplace_exponent(s)
-
-
-def tail_pair(model: LevyModel, regime: str) -> TailPair:
-    """Module-level convenience wrapper around model.tail_pair."""
-    return model.tail_pair(regime)
-
-
-def sample_increment(model: LevyModel, dt: float, rng: np.random.Generator, size=None):
-    """Module-level convenience wrapper around model.sample_increment."""
-    return model.sample_increment(dt, rng, size)
+        dt, shape = _increment_shape(dt, size)
+        out = rng.standard_normal(shape) * np.sqrt(self.sigma2 * dt)
+        return out if shape else float(out)

@@ -1,21 +1,14 @@
 """Monte Carlo estimation of the stationary workload vector.
 
-Sampling goes through the all-time-supremum representation truncated at a
-finite horizon: per replication one input path J on [0, T], the per-node
-running suprema of phat_j * J(s) - r_j * s, then the workload vector through
-the routing matrix.  Compound Poisson paths are piecewise linear with
-negative drift, so their suprema are taken exactly over the jump epochs.
-The other families are sampled on a time grid, geometric by default so that
-every node is resolved on its own relaxation scale (see _time_grid).
-Brownian paths add exact in-step maxima drawn from the endpoint-conditioned
-bridge (one shared uniform per step across nodes, which preserves the strong
-positive coupling of the per-node maxima); gamma and stable paths use plain
-grid suprema, which underestimate the continuous supremum so the transform
-estimate is biased upward, shrinking as the step shrinks.
-
-Replications are independent: work is split into chunks with generators
-spawned from one seed sequence, so results are bit-identical for a given
-(seed, config) regardless of worker count.
+The workload vector is (I - P^T) applied to the per-node all-time suprema
+sup_t (phat_j J(t) - r_j t), truncated at a horizon T.  One concave majorant
+of J on [0, T] gives all n of them (Pitman & Uribe Bravo, Ann. Probab. 2012):
+cut [0, T] by uniform stick-breaking into lengths l_k and draw independent
+increments xi_k ~ J(l_k); then, jointly over the nodes and in law, the
+suprema are sum_k (phat_j xi_k - r_j l_k)^+.  Breaking stops once every
+remaining length of a chunk is below _FACE_FLOOR relaxation times of the
+fastest node, and that remainder is kept as one last face: the faces sum to
+J(T), and each supremum misses at most the supremum over that last piece.
 """
 
 from __future__ import annotations
@@ -23,44 +16,42 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exact import joint_lst_exact
 from .limit import joint_lst_limit
-from .models import HEAVY, LIGHT, Brownian, CompoundPoisson, LevyModel
-from .errors import UnsupportedRegimeError
+from .models import HEAVY, CompoundPoisson, LevyModel, TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition
 
-_GRID_BUDGET = 4_000_000  # floats per chunk for grid engines
-_EVENT_CHUNK = 20_000  # replications per chunk for the event engine
+_CHUNK = 1024  # replications per generator
+_BREAKS = 32  # stick breaks drawn per block
+# Remainder length, in fastest relaxation times, kept as one face; for
+# Brownian input it misses about sqrt(1e-9) of that node's workload scale.
+_FACE_FLOOR = 1e-9
+# Heavy-tailed (alpha < 2) input: target chance of a supremum after T.
+_LATE_SUPREMUM = 1e-4
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; horizon and step fall back to model-aware defaults."""
+    """Simulation parameters; the horizon falls back to default_horizon."""
 
     u: float
     horizon: float | None = None
-    step: float | None = None
     n_rep: int = 10_000
     seed: int = 0
-    supremum_mode: str = "auto"  # auto | bridge | grid (event engine ignores it)
     n_workers: int | None = None
 
     def __post_init__(self):
         if self.u <= 0.0:
             raise ValueError("u must be positive")
-        if self.horizon is not None and self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.n_rep < 1:
             raise ValueError("replication count must be >= 1")
-        if self.supremum_mode not in ("auto", "bridge", "grid"):
-            raise ValueError(f"unknown supremum mode {self.supremum_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -75,76 +66,65 @@ class EmpiricalLst:
     n: int
 
 
-def _fluctuation_coeff(model: LevyModel) -> float:
-    try:
-        return model.tail_pair(HEAVY).coeff
-    except UnsupportedRegimeError:
-        return model.tail_pair(LIGHT).coeff
+def _relaxation_time(tail: TailPair, phat, r):
+    """Time t at which the input's fluctuation phat (coeff t)**(1/alpha) equals r t."""
+    return (tail.coeff * (phat / r) ** tail.alpha) ** tail.beta
 
 
 def default_horizon(spec: NetworkSpec, model: LevyModel, u: float) -> float:
-    """50 relaxation times of the slowest node: 50 * max(phat)^2 * c / min(r)^2."""
-    coeff = _fluctuation_coeff(model)
-    r_min = float(np.min(spec.rate_vector(u)))
-    return 50.0 * float(np.max(spec.phat)) ** 2 * coeff / r_min**2
+    """Truncation horizon T from the heavy-traffic tail pair (alpha, coeff).
 
-
-_STEPS_PER_SCALE = 500
-_MAX_GRID_POINTS = 400_000
-
-
-def _time_grid(spec: NetworkSpec, model: LevyModel, cfg: SimConfig, horizon: float) -> np.ndarray:
-    """Grid points 0 < t_1 < ... < t_K = horizon for the path engines.
-
-    An explicit step gives a uniform grid.  The default is geometric: step
-    sizes grow proportionally to elapsed time, so every node gets on the
-    order of _STEPS_PER_SCALE points per its own relaxation time.  Nodes of
-    a multiscale network fluctuate on scales as far apart as the squared
-    rate ratios, where a uniform grid fine enough for the fastest node would
-    be astronomically long.
+    tau, the relaxation time at max(phat) and min(r), bounds every node's.
+    For alpha = 2 (Brownian, gamma, compound Poisson) the chance of a
+    supremum after T decays exponentially and T = 50 tau = 50 max(phat)^2
+    coeff / min(r)^2.  With alpha < 2 the jumps have a power tail and that
+    chance is about (tau / T)**(alpha - 1) / Gamma(2 - alpha), so T = tau *
+    1e-4**(-1 / (alpha - 1)) keeps it near 1e-4.
     """
-    if cfg.step is not None:
-        n_steps = max(1, int(math.ceil(horizon / cfg.step)))
-        if n_steps > _MAX_GRID_POINTS:
-            raise ValueError(
-                f"uniform grid needs {n_steps} points; enlarge the step or set it to None "
-                "for the geometric default"
-            )
-        return horizon / n_steps * np.arange(1, n_steps + 1)
-    coeff = _fluctuation_coeff(model)
-    tau_min = float(np.min(spec.phat**2 * coeff / spec.rate_vector(cfg.u) ** 2))
-    h0 = min(tau_min / _STEPS_PER_SCALE, horizon)
-    growth = 1.0 + 1.0 / _STEPS_PER_SCALE
-    n_steps = max(1, int(math.ceil(math.log(horizon / h0) / math.log(growth))) + 1)
-    if n_steps > _MAX_GRID_POINTS:
-        raise ValueError(
-            "geometric grid would exceed the point budget; set horizon or step explicitly"
-        )
-    times = h0 * growth ** np.arange(n_steps, dtype=float)
-    times[-1] = horizon
-    return np.minimum(times, horizon)
+    tail = model.tail_pair(HEAVY)
+    tau = _relaxation_time(tail, float(np.max(spec.phat)), float(np.min(spec.rate_vector(u))))
+    if tail.alpha == 2.0:
+        return 50.0 * tau
+    horizon = tau * _LATE_SUPREMUM ** -tail.beta
+    if not math.isfinite(horizon):
+        raise ValueError(f"default horizon overflows at alpha = {tail.alpha}; set it explicitly")
+    return horizon
 
 
-def _increment_matrix(model: LevyModel, dts: np.ndarray, rng, n_rep: int) -> np.ndarray:
-    """Increments over consecutive steps of possibly unequal lengths."""
-    shape = (n_rep, len(dts))
-    if isinstance(model, Brownian):
-        return rng.normal(0.0, 1.0, shape) * np.sqrt(model.sigma2 * dts)
-    from .models import CenteredGamma, StableSum, _standard_skewed_stable
+def _path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
+    """Rates, horizon and the length below which the remainder is one face."""
+    r = spec.rate_vector(cfg.u)
+    if np.any(r <= 0.0):
+        raise ValueError("all service rates must be positive at the chosen u")
+    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, cfg.u)
+    if isinstance(model, CompoundPoisson) and model.lam == 0.0:
+        return r, horizon, math.inf  # no input: one face, every supremum is 0
+    tau = _relaxation_time(model.tail_pair(HEAVY), spec.phat, r)
+    return r, horizon, _FACE_FLOOR * float(np.min(tau))
 
-    if isinstance(model, CenteredGamma):
-        shapes = np.broadcast_to(model.shape * dts, shape)
-        return rng.gamma(shapes, 1.0 / model.rate) - dts * model.shape / model.rate
-    if isinstance(model, StableSum):
-        out = np.zeros(shape)
-        for a, c in model.components:
-            if a == 2.0:
-                out += rng.normal(0.0, 1.0, shape) * np.sqrt(2.0 * c * dts)
-            else:
-                sigma = (dts * c * abs(math.cos(0.5 * math.pi * a))) ** (1.0 / a)
-                out += sigma * _standard_skewed_stable(a, rng, shape)
-        return out
-    raise TypeError(f"no grid increment sampler for {type(model).__name__}")
+
+def _stick_lengths(horizon: float, floor: float, rng, m: int) -> np.ndarray:
+    """Uniform stick-breaking of [0, horizon] for m replications, shape (m, k + 1):
+    the k pieces broken off in turn, then the remainder, with k the first
+    break count that leaves every row's remainder below floor."""
+    breaks = np.empty((m, 0))
+    left = np.full((m, 1), horizon)  # left[:, i]: length remaining after i breaks
+    while left[:, -1].max() >= floor:
+        u = rng.random((m, _BREAKS))
+        breaks = np.hstack([breaks, u])
+        left = np.hstack([left, left[:, -1:] * np.cumprod(1.0 - u, axis=1)])
+    k = int(np.argmax(left.max(axis=0) < floor))
+    return np.hstack([left[:, :k] * breaks[:, :k], left[:, k : k + 1]])
+
+
+def _suprema(spec, model, r, horizon, floor, rng, m):
+    """Per-node suprema over [0, horizon] of m replications, shape (m, n), and J(horizon)."""
+    lengths = _stick_lengths(horizon, floor, rng, m)
+    faces = model.sample_increment(lengths, rng)
+    xbar = np.empty((m, spec.n))
+    for j in range(spec.n):
+        xbar[:, j] = np.maximum(spec.phat[j] * faces - r[j] * lengths, 0.0).sum(axis=1)
+    return xbar, faces.sum(axis=1)
 
 
 def _worker_count(cfg: SimConfig) -> int:
@@ -155,113 +135,19 @@ def _worker_count(cfg: SimConfig) -> int:
     return max(1, workers)
 
 
-def _segment_max(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-segment max of consecutive slices; -inf for empty segments."""
-    out = np.full(len(counts), -np.inf)
-    valid = counts > 0
-    if values.size and np.any(valid):
-        out[valid] = np.maximum.reduceat(values, starts[valid])
-    return out
-
-
-def _xbar_events(spec, model: CompoundPoisson, r, horizon, rng, n_rep, checkpoint=None):
-    """Exact supremum sampling for compound Poisson input over jump epochs."""
-    n = spec.n
-    lam, job = model.lam, model.job
-    rates = np.asarray(r)
-    counts = rng.poisson(lam * horizon, n_rep)
-    total = int(counts.sum())
-    starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-
-    xbar = np.zeros((n_rep, n))
-    xbar_half = np.zeros((n_rep, n)) if checkpoint is not None else None
-    if total == 0:
-        return (xbar, xbar_half) if checkpoint is not None else xbar
-
-    rep_ids = np.repeat(np.arange(n_rep), counts)
-    times = rng.uniform(0.0, horizon, total)
-    order = np.lexsort((times, rep_ids))
-    times = times[order]
-    jobs = job.sample_total(np.ones(total, dtype=np.int64), rng)
-    cum = np.cumsum(jobs)
-    base = np.repeat(np.concatenate([[0.0], cum])[starts], counts)
-    j_at_epoch = (cum - base) - lam * job.mean * times
-
-    for node in range(n):
-        x = spec.phat[node] * j_at_epoch - rates[node] * times
-        xbar[:, node] = np.maximum(_segment_max(x, starts, counts), 0.0)
-        if checkpoint is not None:
-            masked = np.where(times <= checkpoint, x, -np.inf)
-            xbar_half[:, node] = np.maximum(_segment_max(masked, starts, counts), 0.0)
-    return (xbar, xbar_half) if checkpoint is not None else xbar
-
-
-def _xbar_grid(spec, model, r, times, rng, n_rep, bridge_var=None, checkpoint=None):
-    """Grid-based supremum sampling; bridge_var enables exact Brownian step maxima."""
-    n = spec.n
-    rates = np.asarray(r)
-    n_steps = len(times)
-    dts = np.diff(times, prepend=0.0)
-    path = np.cumsum(_increment_matrix(model, dts, rng, n_rep), axis=1)
-    # log1p(-U) for U in [0, 1) stays bounded, unlike log(U) at a zero draw
-    log_u = np.log1p(-rng.uniform(size=(n_rep, n_steps))) if bridge_var is not None else None
-    k_half = int(np.searchsorted(times, checkpoint) + 1) if checkpoint is not None else None
-    k_half = min(k_half, n_steps) if checkpoint is not None else None
-
-    xbar = np.empty((n_rep, n))
-    xbar_half = np.empty((n_rep, n)) if checkpoint is not None else None
-    for node in range(n):
-        x = spec.phat[node] * path - rates[node] * times
-        if bridge_var is None:
-            cand = x
-        else:
-            left = np.concatenate([np.zeros((n_rep, 1)), x[:, :-1]], axis=1)
-            var = spec.phat[node] ** 2 * bridge_var * dts
-            cand = 0.5 * (left + x + np.sqrt((x - left) ** 2 - 2.0 * var * log_u))
-        xbar[:, node] = np.maximum(cand.max(axis=1), 0.0)
-        if checkpoint is not None:
-            xbar_half[:, node] = np.maximum(cand[:, :k_half].max(axis=1), 0.0)
-    return (xbar, xbar_half) if checkpoint is not None else xbar
-
-
-def _simulate_xbar(spec, model, cfg: SimConfig, checkpoint=None) -> np.ndarray:
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, cfg.u)
-    r = spec.rate_vector(cfg.u)
-    if np.any(r <= 0.0):
-        raise ValueError("all service rates must be positive at the chosen u")
-
-    if isinstance(model, CompoundPoisson):
-        engine = lambda rng, m: _xbar_events(spec, model, r, horizon, rng, m, checkpoint)
-        chunk = _EVENT_CHUNK
-    else:
-        bridge_var = None
-        if isinstance(model, Brownian) and cfg.supremum_mode in ("auto", "bridge"):
-            bridge_var = model.sigma2
-        elif cfg.supremum_mode == "bridge" and not isinstance(model, Brownian):
-            raise ValueError("bridge supremum mode is only available for Brownian input")
-        times = _time_grid(spec, model, cfg, horizon)
-        engine = lambda rng, m: _xbar_grid(
-            spec, model, r, times, rng, m, bridge_var, checkpoint
-        )
-        chunk = max(1, _GRID_BUDGET // len(times))
-
-    sizes = [chunk] * (cfg.n_rep // chunk)
-    if cfg.n_rep % chunk:
-        sizes.append(cfg.n_rep % chunk)
+def _run_chunks(cfg: SimConfig, draw) -> np.ndarray:
+    """Rows of draw(rng, m) over chunks of _CHUNK replications, each with its own
+    generator spawned from cfg.seed: bit-identical whatever the worker count."""
+    sizes = np.diff([*range(0, cfg.n_rep, _CHUNK), cfg.n_rep])
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
-    tasks = [(np.random.default_rng(s), m) for s, m in zip(seeds, sizes)]
+    tasks = [(np.random.default_rng(s), int(m)) for s, m in zip(seeds, sizes)]
 
     workers = _worker_count(cfg)
     if workers == 1 or len(tasks) == 1:
-        parts = [engine(rng, m) for rng, m in tasks]
+        parts = [draw(rng, m) for rng, m in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda t: engine(*t), tasks))
-
-    if checkpoint is not None:
-        full = np.concatenate([p[0] for p in parts])
-        half = np.concatenate([p[1] for p in parts])
-        return full, half
+            parts = list(pool.map(lambda t: draw(*t), tasks))
     return np.concatenate(parts)
 
 
@@ -272,7 +158,9 @@ def workload_from_suprema(spec: NetworkSpec, xbar: np.ndarray) -> np.ndarray:
 
 def simulate_workload(spec: NetworkSpec, model: LevyModel, cfg: SimConfig) -> np.ndarray:
     """Stationary workload samples, shape (n_rep, n); deterministic in (seed, cfg)."""
-    return workload_from_suprema(spec, _simulate_xbar(spec, model, cfg))
+    r, horizon, floor = _path_scales(spec, model, cfg)
+    xbar = _run_chunks(cfg, lambda rng, m: _suprema(spec, model, r, horizon, floor, rng, m)[0])
+    return workload_from_suprema(spec, xbar)
 
 
 def empirical_lst(samples: np.ndarray, omegas) -> list[EmpiricalLst]:
@@ -297,23 +185,23 @@ def horizon_diagnostic(
 ) -> list[dict]:
     """Truncation check: estimates at horizon T versus 2T on common paths.
 
-    Simulates over [0, 2T] once and reads off both suprema, so the difference
-    per omega is a paired estimate whose standard error reflects only the
-    mass beyond T.
+    [0, T] and [T, 2T] are two independent stick sets, joined at J(T), the
+    sum of the first set's faces: per node sup over [0, 2T] = max(sup over
+    [0, T], phat J(T) - r T + sup over [T, 2T] of the path restarted at T).
+    The difference per omega is then a paired estimate whose standard error
+    reflects only the mass beyond T.
     """
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, cfg.u)
-    doubled = SimConfig(
-        u=cfg.u,
-        horizon=2.0 * horizon,
-        step=cfg.step,
-        n_rep=cfg.n_rep,
-        seed=cfg.seed,
-        supremum_mode=cfg.supremum_mode,
-        n_workers=cfg.n_workers,
-    )
-    xbar_full, xbar_half = _simulate_xbar(spec, model, doubled, checkpoint=horizon)
-    q_full = workload_from_suprema(spec, xbar_full)
-    q_half = workload_from_suprema(spec, xbar_half)
+    r, horizon, floor = _path_scales(spec, model, cfg)
+
+    def draw(rng, m):
+        xbar, j_end = _suprema(spec, model, r, horizon, floor, rng, m)
+        later, _ = _suprema(spec, model, r, horizon, floor, rng, m)
+        doubled = np.maximum(xbar, np.outer(j_end, spec.phat) - r * horizon + later)
+        return np.hstack([xbar, doubled])
+
+    both = _run_chunks(cfg, draw)
+    q_half = workload_from_suprema(spec, both[:, : spec.n])
+    q_full = workload_from_suprema(spec, both[:, spec.n :])
     rows = []
     for omega in omegas:
         w = np.asarray(omega, dtype=float)
@@ -359,15 +247,7 @@ def convergence_study(
         r_beta = spec.rate_vector(u) ** beta
         samples = None
         if sim is not None:
-            cfg = SimConfig(
-                u=u,
-                horizon=sim.horizon,
-                step=sim.step,
-                n_rep=sim.n_rep,
-                seed=sim.seed + iu,
-                supremum_mode=sim.supremum_mode,
-                n_workers=sim.n_workers,
-            )
+            cfg = replace(sim, u=u, seed=sim.seed + iu)
             samples = simulate_workload(spec, model, cfg)
         for w, lim in zip(omegas, limit_vals):
             scaled = w * r_beta

@@ -41,6 +41,10 @@ def test_invalid_network_document_message(doc, message):
     [
         ({"u": "fast"}, "invalid run config at u: 'fast' is not of type 'number'"),
         ({"sim": {"n_rep": 0}}, "invalid run config at sim/n_rep: 0 is less than the minimum of 1"),
+        (
+            {"sim": {"n_rep": 10, "step": 0.01}},
+            "invalid run config at sim: Additional properties are not allowed ('step' was unexpected)",
+        ),
     ],
 )
 def test_invalid_run_config_message(tmp_path, overrides, message):

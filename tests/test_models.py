@@ -13,9 +13,6 @@ from levynet import (
     StableSum,
     TailPair,
     UnsupportedRegimeError,
-    laplace_exponent,
-    sample_increment,
-    tail_pair,
 )
 
 ALL_MODELS = [
@@ -32,28 +29,28 @@ def test_gamma_exponent_closed_form():
     model = CenteredGamma(2.0, 3.0)
     for s in (0.1, 1.0, 4.0):
         expected = 2.0 * math.log(3.0 / (3.0 + s)) + s * 2.0 / 3.0
-        assert laplace_exponent(model, s) == pytest.approx(expected, rel=1e-15)
+        assert model.laplace_exponent(s) == pytest.approx(expected, rel=1e-15)
 
 
 def test_compound_poisson_deterministic_exponent():
     model = CompoundPoisson(1.0, DeterministicJob(1.0))
     for s in (0.2, 1.0, 3.0):
-        assert laplace_exponent(model, s) == pytest.approx(math.exp(-s) - 1 + s, rel=1e-14)
+        assert model.laplace_exponent(s) == pytest.approx(math.exp(-s) - 1 + s, rel=1e-14)
 
 
 def test_brownian_exponent_value():
-    assert laplace_exponent(Brownian(1.0), 2.0) == 2.0
+    assert Brownian(1.0).laplace_exponent(2.0) == 2.0
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
 def test_exponent_zero_centered_convex(model):
-    assert laplace_exponent(model, 0.0) == 0.0
+    assert model.laplace_exponent(0.0) == 0.0
     # centering: phi(s)/s -> 0 as s -> 0 (rate s**(alpha-1), slowest at alpha=1.5)
-    ratios = [abs(laplace_exponent(model, s)) / s for s in (1e-4, 1e-6)]
+    ratios = [abs(model.laplace_exponent(s)) / s for s in (1e-4, 1e-6)]
     assert ratios[1] < ratios[0] and ratios[1] < 1e-2
     # convexity by second differences on a grid, and positivity
     grid = np.linspace(0.0, 5.0, 41)
-    vals = np.array([laplace_exponent(model, s) for s in grid])
+    vals = np.array([model.laplace_exponent(s) for s in grid])
     assert np.all(vals[1:] > 0.0)
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     assert np.all(second > -1e-12)
@@ -63,14 +60,14 @@ def test_exponent_zero_centered_convex(model):
 def test_exponent_derivative_matches_finite_difference(model):
     for s in (0.3, 1.0, 2.5):
         h = 1e-6
-        fd = (laplace_exponent(model, s + h) - laplace_exponent(model, s - h)) / (2 * h)
+        fd = (model.laplace_exponent(s + h) - model.laplace_exponent(s - h)) / (2 * h)
         assert model.laplace_exponent_deriv(s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_negative_s_rejected():
     for s in (-0.1, np.float64(-0.1), np.array([0.5, -0.1])):
         with pytest.raises(ValueError):
-            laplace_exponent(Brownian(1.0), s)
+            Brownian(1.0).laplace_exponent(s)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
@@ -86,25 +83,25 @@ def test_scalar_and_array_exponents_agree(model):
 
 def test_tail_pairs_heavy():
     cp = CompoundPoisson(1.5, ExponentialJob(2.0))
-    pair = tail_pair(cp, "heavy")
+    pair = cp.tail_pair("heavy")
     assert pair.alpha == 2.0
     assert pair.coeff == pytest.approx(1.5 * (2.0 / 4.0) / 2.0)
     gamma = CenteredGamma(2.0, 3.0)
-    assert tail_pair(gamma, "heavy").coeff == pytest.approx(2.0 / (2 * 9.0))
+    assert gamma.tail_pair("heavy").coeff == pytest.approx(2.0 / (2 * 9.0))
     stable = StableSum(((1.5, 1.0), (2.0, 3.0)))
-    heavy = tail_pair(stable, "heavy")
+    heavy = stable.tail_pair("heavy")
     assert (heavy.alpha, heavy.coeff) == (1.5, 1.0)
-    light = tail_pair(stable, "light")
+    light = stable.tail_pair("light")
     assert (light.alpha, light.coeff) == (2.0, 3.0)
-    bm = tail_pair(Brownian(1.0), "heavy")
+    bm = Brownian(1.0).tail_pair("heavy")
     assert (bm.alpha, bm.coeff) == (2.0, 0.5)
 
 
 def test_light_regime_unsupported_for_bounded_variation_families():
     with pytest.raises(UnsupportedRegimeError):
-        tail_pair(CompoundPoisson(1.0, ExponentialJob(1.0)), "light")
+        CompoundPoisson(1.0, ExponentialJob(1.0)).tail_pair("light")
     with pytest.raises(UnsupportedRegimeError):
-        tail_pair(CenteredGamma(1.0, 1.0), "light")
+        CenteredGamma(1.0, 1.0).tail_pair("light")
 
 
 def test_tail_pair_beta_identity():
@@ -126,21 +123,28 @@ def test_increment_moments(model, var):
     rng = np.random.default_rng(123)
     n = 10**6
     dt = 1.0
-    x = sample_increment(model, dt, rng, size=n)
+    x = model.sample_increment(dt, rng, size=n)
     se_mean = math.sqrt(var / n)
     assert abs(x.mean()) < 4 * se_mean
     assert x.var() == pytest.approx(var, rel=0.02)
+    # an array of unequal lengths: column k has variance var * dts[k]
+    dts = np.array([0.5, 1.0, 4.0])
+    x = model.sample_increment(np.tile(dts, (n // 4, 1)), rng)
+    assert x.shape == (n // 4, 3)
+    se_means = np.sqrt(var * dts / (n // 4))
+    assert np.all(np.abs(x.mean(axis=0)) < 4 * se_means)
+    assert x.var(axis=0) == pytest.approx(var * dts, rel=0.03)
 
 
 def test_tail_pair_asymptote():
     # phi(s)/s^alpha -> coeff along the regime's direction
     stable = StableSum(((1.5, 0.7), (2.0, 0.4)))
-    heavy = tail_pair(stable, "heavy")
-    ratios = [laplace_exponent(stable, s) / s**heavy.alpha for s in (1e-2, 1e-4, 1e-6)]
+    heavy = stable.tail_pair("heavy")
+    ratios = [stable.laplace_exponent(s) / s**heavy.alpha for s in (1e-2, 1e-4, 1e-6)]
     errs = [abs(r - heavy.coeff) for r in ratios]
     assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-3
-    light = tail_pair(stable, "light")
-    ratios = [laplace_exponent(stable, s) / s**light.alpha for s in (1e2, 1e4, 1e6)]
+    light = stable.tail_pair("light")
+    ratios = [stable.laplace_exponent(s) / s**light.alpha for s in (1e2, 1e4, 1e6)]
     errs = [abs(r - light.coeff) for r in ratios]
     assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-3
 
@@ -151,11 +155,11 @@ def test_sampler_exponent_agreement(model):
     rng = np.random.default_rng(7)
     dt = 0.5
     n = 400_000
-    x = sample_increment(model, dt, rng, size=n)
+    x = model.sample_increment(dt, rng, size=n)
     for s in (0.5, 1.0):
         vals = np.exp(-s * x)
         mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
-        expected = math.exp(dt * laplace_exponent(model, s))
+        expected = math.exp(dt * model.laplace_exponent(s))
         assert abs(mean - expected) < 4 * se + 1e-12
 
 
@@ -163,21 +167,10 @@ def test_stable_sampler_laplace_transform():
     model = StableSum(((1.5, 0.9),))
     rng = np.random.default_rng(21)
     dt = 0.7
-    x = sample_increment(model, dt, rng, size=500_000)
+    x = model.sample_increment(dt, rng, size=500_000)
     for s in (0.5, 1.0):
         emp = math.log(np.mean(np.exp(-s * x)))
         assert emp == pytest.approx(dt * 0.9 * s**1.5, rel=0.02)
-
-
-def test_jump_path_sampling():
-    model = CompoundPoisson(2.0, ExponentialJob(1.0))
-    rng = np.random.default_rng(3)
-    times, sizes = model.sample_jump_path(50.0, rng)
-    assert np.all(np.diff(times) >= 0.0)
-    assert np.all((times >= 0.0) & (times <= 50.0))
-    assert len(times) == len(sizes) and np.all(sizes > 0.0)
-    counts = [len(model.sample_jump_path(50.0, rng)[0]) for _ in range(200)]
-    assert np.mean(counts) == pytest.approx(100.0, rel=0.05)
 
 
 def test_invalid_parameters_rejected():
@@ -190,4 +183,6 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         CenteredGamma(1.0, -2.0)
     with pytest.raises(ValueError):
-        sample_increment(Brownian(1.0), 0.0, np.random.default_rng(0))
+        Brownian(1.0).sample_increment(0.0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        Brownian(1.0).sample_increment(np.array([0.5, 0.0]), np.random.default_rng(0))

@@ -6,6 +6,7 @@ from scipy import stats
 
 from levynet import (
     Brownian,
+    CenteredGamma,
     CompoundPoisson,
     DeterministicJob,
     ExponentialJob,
@@ -21,7 +22,16 @@ from levynet import (
     simulate_workload,
 )
 
+from levynet import simulate
 from conftest import tandem_spec
+
+# (model, figure-1 frequency scale) for the four input families
+FAMILIES = {
+    "brownian": (Brownian(1.0), 0.3),
+    "gamma": (CenteredGamma(2.0, 2.0), 1.0),
+    "compound-poisson": (CompoundPoisson(1.0, ExponentialJob(1.0)), 1.0),
+    "stable": (StableSum(((1.5, 0.5),)), 10.0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +82,18 @@ def test_workload_nonnegative_and_seed_deterministic(brownian_tandem):
 
 
 def test_worker_count_does_not_change_results(brownian_tandem, monkeypatch):
-    spec, model = brownian_tandem
+    spec, _ = brownian_tandem
     base = SimConfig(u=1.0, n_rep=4000, seed=5, n_workers=1)
     multi = SimConfig(u=1.0, n_rep=4000, seed=5, n_workers=3)
-    q1 = simulate_workload(spec, model, base)
-    q2 = simulate_workload(spec, model, multi)
-    assert np.array_equal(q1, q2)
-    monkeypatch.setenv("LEVYNET_THREADS", "1")
-    q3 = simulate_workload(spec, model, multi)
-    assert np.array_equal(q1, q3)
+    assert base.n_rep > 3 * simulate._CHUNK  # several chunks to share out
+    for model, _ in FAMILIES.values():
+        q1 = simulate_workload(spec, model, base)
+        q2 = simulate_workload(spec, model, multi)
+        assert np.array_equal(q1, q2)
+        with monkeypatch.context() as m:
+            m.setenv("LEVYNET_THREADS", "1")
+            q3 = simulate_workload(spec, model, multi)
+        assert np.array_equal(q1, q3)
 
 
 def test_empirical_lst_basics(brownian_tandem):
@@ -113,8 +126,7 @@ def test_tandem_agrees_with_exact(brownian_tandem):
 
 
 def test_branched_network_compound_poisson_agrees_with_exact():
-    # event-driven paths are exact, so this pins the transform's front/child
-    # handling on a branching tree without any discretization slack
+    # pins the transform's front/child handling on a branching tree
     from levynet import RoutingMatrix, build_network
 
     routing = RoutingMatrix.from_edges(
@@ -160,9 +172,8 @@ def test_limit_matches_simulation_at_large_u():
 
 
 def test_deep_multiscale_tree_agrees_with_exact():
-    # 12 nodes with rate scales thousands apart: the geometric default grid
-    # must resolve every node's own relaxation scale (a uniform grid sized to
-    # the slowest node visibly biases the joint estimates here)
+    # 12 nodes with rate scales thousands apart: the sticks must reach below
+    # the fastest node's relaxation time while the horizon covers the slowest
     from conftest import random_spec
 
     rng = np.random.default_rng(2025)
@@ -181,34 +192,26 @@ def test_deep_multiscale_tree_agrees_with_exact():
     assert hits >= total - 1
 
 
-def test_stable_input_grid_consistency():
-    # stable paths only get plain grid suprema: the estimate sits above the
-    # exact transform by a bias that shrinks with the step
-    spec = tandem_spec([RateFunction.monomial(1.0, 0.0)])
-    model = StableSum(((1.6, 0.5),))
-    w = [np.array([0.8])]
-    exact = joint_lst_exact(spec, model, [0.8], 1.0).value
-    ests = []
-    for step in (0.2, 0.02):
-        cfg = SimConfig(u=1.0, n_rep=20_000, seed=31, horizon=40.0, step=step)
-        ests.append(empirical_lst(simulate_workload(spec, model, cfg), w)[0])
-    assert ests[0].mean + 3 * ests[0].se > ests[1].mean > exact - 3 * ests[1].se
-    assert abs(ests[1].mean - exact) < abs(ests[0].mean - exact) + 3 * ests[1].se
-
-
-def test_grid_bias_direction_brownian():
-    # without bridge maxima, coarser grids under-sample the supremum, so the
-    # transform estimate is biased upward and decreases as the step halves
-    spec = tandem_spec([RateFunction.monomial(1.0, 0.0)])
-    model = Brownian(1.0)
-    w = [np.array([1.0])]
-    means = []
-    for step in (0.4, 0.1):
-        cfg = SimConfig(u=1.0, n_rep=30_000, seed=17, horizon=25.0, step=step, supremum_mode="grid")
-        means.append(empirical_lst(simulate_workload(spec, model, cfg), w)[0])
-    exact = joint_lst_exact(spec, model, [1.0], 1.0).value
-    assert means[0].mean > means[1].mean > exact
-    assert means[0].mean - means[1].mean > 2.0 * (means[0].se + means[1].se)
+@pytest.mark.parametrize("network", ["tandem", "figure1"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_monte_carlo_matches_exact_for_every_family(family, network, brownian_tandem, figure1_spec):
+    # two-sided: 24 of 25 frequencies within 3 SE of the exact transform
+    model, fig1_scale = FAMILIES[family]
+    if network == "tandem":
+        spec, u = brownian_tandem[0], 1.0
+        axis = np.logspace(np.log10(0.1), np.log10(2.0), 5)
+        omegas = [np.array([a, b]) for a in axis for b in axis]
+    else:
+        spec, u = figure1_spec, 4.0
+        coeff = model.tail_pair("heavy").coeff
+        scale = fig1_scale * spec.rate_vector(u) / (spec.phat**2 * coeff)
+        omegas = list(np.random.default_rng(41).uniform(0.1, 2.0, (25, spec.n)) * scale)
+    q = simulate_workload(spec, model, SimConfig(u=u, n_rep=20_000, seed=43))
+    z = [
+        abs(est.mean - joint_lst_exact(spec, model, est.omega, u).value) / est.se
+        for est in empirical_lst(q, omegas)
+    ]
+    assert sum(x <= 3.0 for x in z) >= 24, max(z)
 
 
 def test_horizon_doubling_diagnostic(brownian_tandem):
@@ -219,10 +222,25 @@ def test_horizon_doubling_diagnostic(brownian_tandem):
         assert abs(row["diff"]) <= max(row["se"], 3.0 * row["se_diff"] + 1e-9)
 
 
+def test_horizon_diagnostic_stable_input(brownian_tandem):
+    spec, _ = brownian_tandem
+    model = StableSum(((1.5, 0.5),))
+    omegas = [np.array([0.5, 0.5]), np.array([1.0, 1.0])]
+    cfg = SimConfig(u=1.0, n_rep=20_000, seed=37)
+    for row in horizon_diagnostic(spec, model, cfg, omegas):
+        assert abs(row["diff"]) <= 3.0 * row["se_diff"]
+    # control: at 1e4 relaxation times the power tail still shows
+    short = SimConfig(u=1.0, n_rep=20_000, seed=37, horizon=2.5e3)
+    for row in horizon_diagnostic(spec, model, short, omegas):
+        assert row["diff"] > 3.0 * row["se_diff"]
+
+
 def test_default_horizon_formula(brownian_tandem):
     spec, model = brownian_tandem
     # 50 * max(phat)^2 * tail coeff / min rate^2 = 50 * 1 * 0.5 / 1
     assert default_horizon(spec, model, 1.0) == pytest.approx(25.0)
+    # alpha = 1.5: relaxation time (0.5 * (1 / 1)^1.5)^2 = 0.25, times 1e-4^-2
+    assert default_horizon(spec, StableSum(((1.5, 0.5),)), 1.0) == pytest.approx(0.25e8)
 
 
 def test_large_omega_estimates_atom_at_zero():
@@ -285,11 +303,6 @@ def test_sim_config_validation():
         SimConfig(u=-1.0)
     with pytest.raises(ValueError):
         SimConfig(u=1.0, n_rep=0)
-    with pytest.raises(ValueError):
-        SimConfig(u=1.0, supremum_mode="exactly")
-    spec = tandem_spec([RateFunction.monomial(1.0, 0.0)])
-    from levynet import CenteredGamma
-
-    with pytest.raises(ValueError):
-        simulate_workload(spec, CenteredGamma(1.0, 1.0),
-                          SimConfig(u=1.0, supremum_mode="bridge", n_rep=10, horizon=5.0))
+    for horizon in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(u=1.0, horizon=horizon)
