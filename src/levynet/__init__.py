@@ -15,7 +15,6 @@ from .network import (
     RoutingMatrix,
     ValidationReport,
     build_network,
-    structural_sets,
     validate_assumptions,
 )
 from .models import (
@@ -35,7 +34,6 @@ from .exact import (
     joint_lst_exact,
     kappa,
     phi_inverse,
-    psi,
 )
 from .limit import (
     LimitConstants,

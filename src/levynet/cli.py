@@ -140,14 +140,15 @@ def cmd_lst_exact(args) -> int:
         ev = joint_lst_exact(cfg.spec, cfg.model, w, u)
         row = [float(x) for x in w] + [ev.value]
         if args.diagnostics:
-            row.append(ev.prefactor)
-            for f in ev.factors:
-                row += [
-                    f.phi_minus_delta,
-                    f.phi_minus_delta_hat,
-                    f.kappa_minus_psi_delta_hat,
-                    f.kappa_minus_psi_delta,
+            columns = np.column_stack(
+                [
+                    ev.phi_at_kappa - ev.delta,
+                    ev.phi_at_kappa - ev.delta_hat,
+                    ev.kappa - ev.psi_delta_hat,
+                    ev.kappa - ev.psi_delta,
                 ]
+            )
+            row += [ev.prefactor, *columns.ravel().tolist()]
         rows.append(row)
     _write_csv(args, header, rows)
     return 0
@@ -165,7 +166,7 @@ def cmd_lst_limit(args) -> int:
     rows = []
     for w in omegas:
         res = joint_lst_limit(spec, partition, tail, w, rng=rng)
-        rows.append([float(x) for x in w] + [res.value] + [f.value for f in res.class_factors])
+        rows.append([float(x) for x in w] + [res.value] + res.factor_values.tolist())
     _write_csv(args, header, rows)
     return 0
 

@@ -23,6 +23,7 @@ Phi_j(kappa_{j+1}) stays per factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ KAPPA_FORMS = ("sum-over-s", "max-ancestor")
 _BAND_RTOL = 1e-6
 _MIDPOINT_RTOL = 1e-6
 _EPS = float(np.finfo(float).eps)
+_ROOT_TOL = 1e-12
 
 
 def as_omega(omega, n: int) -> np.ndarray:
@@ -50,41 +52,20 @@ def as_omega(omega, n: int) -> np.ndarray:
     return w
 
 
-def psi(spec: NetworkSpec, model: LevyModel, j: int, s: float, u: float) -> float:
-    """Drifted-input exponent of node j: r_j(u) * s + phi(phat_j * s)."""
-    if s < 0.0:
-        raise ValueError("psi is defined for s >= 0")
-    return spec.rate(j, u) * s + float(model.laplace_exponent(spec.phat[j - 1] * s))
-
-
-def _psi_inverse(model: LevyModel, r: float, ph: float, x: float, tol: float) -> float:
+def _psi_inverse(model: LevyModel, r: float, ph: float, x: float) -> float:
     """Inverse at x of s -> r * s + phi(ph * s), the exponent of a node with rate r and phat ph."""
     return invert_increasing(
         lambda s: r * s + float(model.laplace_exponent(ph * s)),
         x,
         deriv=lambda s: r + ph * float(model.laplace_exponent_deriv(ph * s)),
         hi_hint=x / r,
-        tol=tol,
+        tol=_ROOT_TOL,
     )
 
 
-def phi_inverse(
-    spec: NetworkSpec, model: LevyModel, j: int, x: float, u: float, tol: float = 1e-12
-) -> float:
+def phi_inverse(spec: NetworkSpec, model: LevyModel, j: int, x: float, u: float) -> float:
     """Inverse of psi_j at x >= 0 by bracketed bisection with Newton polish."""
-    return _psi_inverse(model, spec.rate(j, u), float(spec.phat[j - 1]), x, tol)
-
-
-def delta(spec: NetworkSpec, omega: np.ndarray, j: int) -> float:
-    """Front-weighted frequency sum over fronts[j], normalized by phat_j."""
-    ph = spec.phat
-    return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j]) / ph[j - 1]
-
-
-def delta_hat(spec: NetworkSpec, omega: np.ndarray, j: int) -> float:
-    """Like delta but over fronts[j+1]; defined for j < n."""
-    ph = spec.phat
-    return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j + 1]) / ph[j - 1]
+    return _psi_inverse(model, spec.rate(j, u), float(spec.phat[j - 1]), x)
 
 
 def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:
@@ -125,30 +106,24 @@ def kappa(spec: NetworkSpec, omega, j: int, u: float, form: str = "sum-over-s") 
 
 
 @dataclass(frozen=True)
-class FactorBreakdown:
-    """Raw constituents of one transform factor (node j < n)."""
-
-    j: int
-    kappa: float
-    delta: float
-    delta_hat: float
-    phi_at_kappa: float
-    phi_minus_delta: float
-    phi_minus_delta_hat: float
-    kappa_minus_psi_delta_hat: float
-    kappa_minus_psi_delta: float
-    value: float
-
-
-@dataclass(frozen=True)
 class LstEvaluation:
-    """Value and per-factor breakdown of one exact-transform evaluation."""
+    """Value and per-factor constituents of one exact-transform evaluation.
+
+    Entry j-1 of every array belongs to the factor of node j < n: kappa_{j+1},
+    delta_j, delta_hat_j, the root Phi_j(kappa_{j+1}), psi_j at delta_j and
+    at delta_hat_j, and the factor value.
+    """
 
     value: float
     prefactor: float
-    factors: tuple[FactorBreakdown, ...]
-    root_calls: int
     max_root_residual: float
+    kappa: np.ndarray
+    delta: np.ndarray
+    delta_hat: np.ndarray
+    phi_at_kappa: np.ndarray
+    psi_delta: np.ndarray
+    psi_delta_hat: np.ndarray
+    factor_values: np.ndarray
 
 
 def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
@@ -193,9 +168,7 @@ def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
         return np.where(use_gap, num / den, 1.0 / d_mid)
 
 
-def joint_lst_exact(
-    spec: NetworkSpec, model: LevyModel, omega, u: float, tol: float = 1e-12
-) -> LstEvaluation:
+def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> LstEvaluation:
     """Exact stationary-workload transform E[exp(-<omega, Q>)] at parameter u.
 
     Preconditions: omega >= 0 and the network assumptions hold at u (the rate
@@ -229,7 +202,7 @@ def joint_lst_exact(
 
     roots = np.array(
         [
-            _psi_inverse(model, rj, pj, x, tol)
+            _psi_inverse(model, rj, pj, x)
             for rj, pj, x in zip(r_j.tolist(), ph_j.tolist(), kap.tolist())
         ]
     )
@@ -246,30 +219,11 @@ def joint_lst_exact(
         roots, dh, psi_roots, psi_dh, dpsi, j
     )
 
-    factors: list[FactorBreakdown] = []
-    value = prefactor
-    for jj, kap_j, d_j, dh_j, s_j, psi_d_j, psi_dh_j, factor_value in zip(
-        j.tolist(), kap.tolist(), d.tolist(), dh.tolist(), roots.tolist(),
-        psi_d.tolist(), psi_dh.tolist(), values.tolist(),
-    ):
-        factors.append(
-            FactorBreakdown(
-                j=jj,
-                kappa=kap_j,
-                delta=d_j,
-                delta_hat=dh_j,
-                phi_at_kappa=s_j,
-                phi_minus_delta=s_j - d_j,
-                phi_minus_delta_hat=s_j - dh_j,
-                kappa_minus_psi_delta_hat=kap_j - psi_dh_j,
-                kappa_minus_psi_delta=kap_j - psi_d_j,
-                value=factor_value,
-            )
-        )
-        value *= factor_value
-
+    value = math.prod([prefactor, *values.tolist()])
     if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(
             f"assembled transform value {value} outside (0, 1]", factor_index=0
         )
-    return LstEvaluation(min(value, 1.0), prefactor, tuple(factors), n - 1, max_residual)
+    return LstEvaluation(
+        min(value, 1.0), prefactor, max_residual, kap, d, dh, roots, psi_d, psi_dh, values
+    )

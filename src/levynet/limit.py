@@ -27,11 +27,13 @@ its constants from those arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularFactorError, SingularityResolutionError, StructuralError
+from .exact import _kappas, as_omega
 from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: scaling_coefficients only
@@ -40,11 +42,10 @@ from .roots import invert_increasing
 _SINGULAR_RTOL = 1e-9
 _EPS_SEQ = (1e-3, 1e-4, 1e-5)
 _AGREE_RTOL = 1e-4
+_ROOT_TOL = 1e-12
 
 
-def psi_limit_inverse(
-    alpha: float, coeff: float, frak_r: float, phat: float, x: float, tol: float = 1e-12
-) -> float:
+def psi_limit_inverse(alpha: float, coeff: float, frak_r: float, phat: float, x: float) -> float:
     """Inverse of s -> frak_r * s + coeff * phat**alpha * s**alpha at x >= 0."""
     if frak_r <= 0.0 or coeff <= 0.0 or alpha <= 1.0 or phat <= 0.0:
         raise ValueError("need frak_r > 0, coeff > 0, alpha > 1, phat > 0")
@@ -55,42 +56,42 @@ def psi_limit_inverse(
         x,
         deriv=lambda s: frak_r + cp * alpha * s ** (alpha - 1.0) if s > 0.0 else frak_r,
         hi_hint=hint,
-        tol=tol,
+        tol=_ROOT_TOL,
     )
 
 
 @dataclass(frozen=True)
 class ClassConstants:
-    """Constants of one class factor, evaluated at the supplied frequencies."""
+    """Constants of one class factor, evaluated at the supplied frequencies.
+
+    The arrays have one entry per class member but the last, in node order.
+    """
 
     k: int
     members: tuple[int, ...]
     numerator: float
     class_denominator: float
     class_denominator_scale: float
-    inverse_arguments: tuple[float, ...]
-    inverse_values: tuple[float, ...]
-    ratio_numerators: tuple[float, ...]
-    ratio_denominators: tuple[float, ...]
-    ratio_denominator_scales: tuple[float, ...]
+    inverse_arguments: np.ndarray
+    inverse_values: np.ndarray
+    ratio_numerators: np.ndarray
+    ratio_denominators: np.ndarray
+    ratio_denominator_scales: np.ndarray
 
-    def is_singular(self, rtol: float = _SINGULAR_RTOL) -> bool:
+    def is_singular(self) -> bool:
         """True when a denominator vanishes relative to the terms it is made
         of, or the last-node frequency is zero; no absolute scale enters."""
-        if abs(self.class_denominator) <= rtol * self.class_denominator_scale:
-            return True
-        if self.numerator == 0.0:
-            return True
-        for d, scale in zip(self.ratio_denominators, self.ratio_denominator_scales):
-            if abs(d) <= rtol * scale:
-                return True
-        return False
+        return bool(
+            abs(self.class_denominator) <= _SINGULAR_RTOL * self.class_denominator_scale
+            or self.numerator == 0.0
+            or np.any(
+                np.abs(self.ratio_denominators) <= _SINGULAR_RTOL * self.ratio_denominator_scales
+            )
+        )
 
     def assemble(self) -> float:
-        value = self.numerator / abs(self.class_denominator)
-        for c, d in zip(self.ratio_numerators, self.ratio_denominators):
-            value *= abs(c) / abs(d)
-        return value
+        ratios = np.abs(self.ratio_numerators) / np.abs(self.ratio_denominators)
+        return math.prod([self.numerator / abs(self.class_denominator), *ratios.tolist()])
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,17 @@ class LimitConstants:
 
 
 @dataclass(frozen=True)
-class ClassFactor:
-    k: int
-    value: float
-    singular: bool
-
-
-@dataclass(frozen=True)
 class LimitLst:
+    """Limit value with one entry per rate class k in entry k-1: the class
+    factor, and whether it was resolved through singular_limit."""
+
     value: float
-    class_factors: tuple[ClassFactor, ...]
+    factor_values: np.ndarray
+    singular: np.ndarray
 
     @property
     def singular_flags(self) -> tuple[int, ...]:
-        return tuple(f.k for f in self.class_factors if f.singular)
+        return tuple((np.flatnonzero(self.singular) + 1).tolist())
 
 
 def _within_class_sums(
@@ -153,21 +151,20 @@ def _class_constants(
 
     # inverse argument of node j: sum over l = j+1..last of (g_{l-1} - g_l) * front_l,
     # a reverse running sum within the class
-    args = np.cumsum(((g[:-1] - g[1:]) * fronts[q:last])[::-1])[::-1]
-    w_total = float(np.abs(w).sum())
-    invs = []
-    rows = zip(args.tolist(), g.tolist(), fr.tolist(), ph.tolist())
-    for off, (arg, g_j, fr_j, ph_j) in enumerate(rows):
-        if arg < 0.0:
-            scale = max(g_j * w_total, 1e-300)
-            if arg < -1e-9 * scale:
-                raise StructuralError(
-                    f"negative inverse argument {arg} at node {q + off}: "
-                    "rate ordering violated within class"
-                )
-            args[off] = arg = 0.0
-        invs.append(psi_limit_inverse(alpha, c, fr_j, ph_j, arg))
-    inv = np.array(invs)
+    args = _kappas(g, fronts[q - 1 : last])
+    bad = np.flatnonzero(args < -1e-9 * np.maximum(g[:-1] * float(np.abs(w).sum()), 1e-300))
+    if bad.size:
+        raise StructuralError(
+            f"negative inverse argument {float(args[bad[0]])} at node {q + int(bad[0])}: "
+            "rate ordering violated within class"
+        )
+    args = np.maximum(args, 0.0)
+    inv = np.array(
+        [
+            psi_limit_inverse(alpha, c, fr_j, ph_j, arg)
+            for fr_j, ph_j, arg in zip(fr.tolist(), ph.tolist(), args.tolist())
+        ]
+    )
     front_own = fronts[q - 1 : last - 1] / ph[:-1]
     front_next = fronts[q:last] / ph[:-1]
     den_scales = np.maximum(np.maximum(np.abs(inv), np.abs(front_next)), 1e-300)
@@ -178,11 +175,11 @@ def _class_constants(
         numerator=float(w[last - 1] * fr[-1]),
         class_denominator=a_const,
         class_denominator_scale=a_scale,
-        inverse_arguments=tuple(args.tolist()),
-        inverse_values=tuple(invs),
-        ratio_numerators=tuple((inv - front_own).tolist()),
-        ratio_denominators=tuple((inv - front_next).tolist()),
-        ratio_denominator_scales=tuple(den_scales.tolist()),
+        inverse_arguments=args,
+        inverse_values=inv,
+        ratio_numerators=inv - front_own,
+        ratio_denominators=inv - front_next,
+        ratio_denominator_scales=den_scales,
     )
 
 
@@ -198,11 +195,7 @@ def limit_constants(
     No fraction rescaling is applied here: callers assembling the limit value
     pass the fraction-scaled frequencies (joint_lst_limit does so itself).
     """
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (spec.n,):
-        raise ValueError(f"frequency vector must have length {spec.n}")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("frequencies must be finite and nonnegative")
+    w = as_omega(omega, spec.n)
     sums = _within_class_sums(spec, partition, w)
     per_class = tuple(
         _class_constants(spec, partition, tail, w, sums, k) for k in range(1, partition.m + 1)
@@ -224,33 +217,27 @@ def joint_lst_limit(
     ratio denominator, or last-node frequency) is resolved through
     singular_limit; rng seeds its perturbation direction.
     """
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (spec.n,):
-        raise ValueError(f"frequency vector must have length {spec.n}")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("frequencies must be finite and nonnegative")
+    w = as_omega(omega, spec.n)
 
     scaled = _scaled_omega(partition, tail, w)
     sums = _within_class_sums(spec, partition, scaled)
-    factors: list[ClassFactor] = []
-    value = 1.0
+    factors = np.ones(partition.m)
+    singular = np.zeros(partition.m, dtype=bool)
     for k in range(1, partition.m + 1):
         members = partition.members(k)
         if all(scaled[i - 1] == 0.0 for i in members):
-            factors.append(ClassFactor(k, 1.0, False))
             continue
         constants = _class_constants(spec, partition, tail, scaled, sums, k)
-        if constants.is_singular():
-            fk = singular_limit(spec, partition, tail, w, k, rng=rng)
-            factors.append(ClassFactor(k, fk, True))
+        singular[k - 1] = constants.is_singular()
+        if singular[k - 1]:
+            factors[k - 1] = singular_limit(spec, partition, tail, w, k, rng=rng)
         else:
-            fk = constants.assemble()
-            factors.append(ClassFactor(k, fk, False))
-        value *= factors[-1].value
+            factors[k - 1] = constants.assemble()
 
+    value = math.prod(factors.tolist())
     if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(f"assembled limit value {value} outside (0, 1]")
-    return LimitLst(min(value, 1.0), tuple(factors))
+    return LimitLst(min(value, 1.0), factors, singular)
 
 
 def singular_limit(

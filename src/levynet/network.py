@@ -277,13 +277,6 @@ def build_network(routing: RoutingMatrix, rates) -> NetworkSpec:
     )
 
 
-def structural_sets(spec: NetworkSpec, j: int) -> tuple[frozenset[int], frozenset[int]]:
-    """(fronts[j], children[j]) for a 1-based node index."""
-    if not 1 <= j <= spec.n:
-        raise IndexError(f"node index {j} outside 1..{spec.n}")
-    return spec.fronts[j], spec.children[j]
-
-
 def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationReport:
     """Check the routing-shape, rate-ordering and ratio-limit requirements.
 

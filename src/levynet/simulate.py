@@ -96,9 +96,10 @@ def _path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
     r = spec.rate_vector(cfg.u)
     if np.any(r <= 0.0):
         raise ValueError("all service rates must be positive at the chosen u")
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, cfg.u)
     if isinstance(model, CompoundPoisson) and model.lam == 0.0:
-        return r, horizon, math.inf  # no input: one face, every supremum is 0
+        # no input: one face, every supremum is 0 whatever the horizon
+        return r, cfg.horizon or 1.0, math.inf
+    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, cfg.u)
     tau = _relaxation_time(model.tail_pair(HEAVY), spec.phat, r)
     return r, horizon, _FACE_FLOOR * float(np.min(tau))
 

@@ -5,6 +5,10 @@ construction for every u >= 1: parents precede children, per-parent routing
 fractions sum below one, rate/phat ratios are generated strictly decreasing
 in the node index, and leading exponents are non-increasing with equal
 exponents exactly within each class.
+
+psi, delta and delta_hat are scalar restatements of the exact transform's
+ingredients, one sum per set; the library computes them as arrays, and the
+tests use these as oracles.
 """
 
 from collections import defaultdict
@@ -24,6 +28,25 @@ from levynet import (
     build_network,
     partition_rates,
 )
+
+
+def psi(spec, model, j: int, s: float, u: float) -> float:
+    """Drifted-input exponent of node j: r_j(u) * s + phi(phat_j * s)."""
+    if s < 0.0:
+        raise ValueError("psi is defined for s >= 0")
+    return spec.rate(j, u) * s + float(model.laplace_exponent(spec.phat[j - 1] * s))
+
+
+def delta(spec, omega, j: int) -> float:
+    """Front-weighted frequency sum over fronts[j], normalized by phat_j."""
+    ph = spec.phat
+    return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j]) / ph[j - 1]
+
+
+def delta_hat(spec, omega, j: int) -> float:
+    """Like delta but over fronts[j+1]; defined for j < n."""
+    ph = spec.phat
+    return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j + 1]) / ph[j - 1]
 
 
 def random_tree_routing(rng: np.random.Generator, n: int) -> RoutingMatrix:

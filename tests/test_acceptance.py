@@ -28,7 +28,6 @@ from levynet import (
     kappa,
     limit_constants,
     partition_rates,
-    psi,
     scaling_coefficients,
     simulate_workload,
     singular_limit,
@@ -36,7 +35,7 @@ from levynet import (
 )
 from levynet import CenteredGamma, CompoundPoisson, ExponentialJob
 
-from conftest import random_model, random_spec, random_tail, tandem_spec
+from conftest import psi, random_model, random_spec, random_tail, tandem_spec
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -313,7 +312,7 @@ def test_09_singular_points():
         ok &= cc.ratio_denominators[-1] < 0.0  # endpoint never flagged
         value = singular_limit(spec, part, tail, raw, 1)
         ok &= np.isfinite(value) and value > 0.0
-        reference = joint_lst_limit(spec, part, tail, raw + 1e-7).class_factors[0].value
+        reference = joint_lst_limit(spec, part, tail, raw + 1e-7).factor_values[0]
         worst = max(worst, abs(value - reference) / reference)
     ok &= worst <= 1e-3
     # endpoint denominator strictly negative on generic positive frequencies
@@ -323,7 +322,7 @@ def test_09_singular_points():
         tail = random_tail(rng)
         scaled = part.fractions**tail.beta * rng.uniform(0.1, 2.5, spec.n)
         for cc in limit_constants(spec, part, tail, scaled).per_class:
-            if cc.ratio_denominators:
+            if cc.ratio_denominators.size:
                 ok &= cc.ratio_denominators[-1] < 0.0
     report(9, "singular-point resolution", bool(ok), f"worst gap to jitter {worst:.2e}")
 

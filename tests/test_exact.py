@@ -19,11 +19,9 @@ from levynet import (
     partition,
     partition_rates,
     phi_inverse,
-    psi,
 )
-from levynet.exact import delta, delta_hat
 
-from conftest import random_model, random_spec, random_tail, tandem_spec
+from conftest import delta, delta_hat, psi, random_model, random_spec, random_tail, tandem_spec
 
 
 def brownian_single(rate=1.0, sigma2=1.0):
@@ -181,13 +179,12 @@ def test_breakdown_reassembles_value():
         u = rng.uniform(1.0, 4.0)
         w = rng.uniform(0.1, 3.0, spec.n)
         ev = joint_lst_exact(spec, model, w, u)
-        assembled = ev.prefactor
-        for f in ev.factors:
-            assembled *= (f.phi_minus_delta / f.phi_minus_delta_hat) * (
-                f.kappa_minus_psi_delta_hat / f.kappa_minus_psi_delta
-            )
-        assert ev.value == pytest.approx(assembled, rel=1e-9)
-        assert ev.max_root_residual <= 1e-12 * max(1.0, max(f.kappa for f in ev.factors))
+        ratios = ((ev.phi_at_kappa - ev.delta) / (ev.phi_at_kappa - ev.delta_hat)) * (
+            (ev.kappa - ev.psi_delta_hat) / (ev.kappa - ev.psi_delta)
+        )
+        assert ev.value == pytest.approx(ev.prefactor * np.prod(ratios), rel=1e-9)
+        assert ev.value == math.prod([ev.prefactor, *ev.factor_values.tolist()])
+        assert ev.max_root_residual <= 1e-12 * max(1.0, ev.kappa.max())
 
 
 def test_delta_sums(figure1_spec):
@@ -221,12 +218,13 @@ def test_breakdown_matches_scalar_kappa_and_deltas_on_deep_trees():
         u = rng.uniform(1.0, 4.0)  # rate/phat falls by 0.4-0.9 per node: tens of decades at n = 100
         w = rng.uniform(0.05, 3.0, spec.n) * (rng.random(spec.n) < 0.3)
         ev = joint_lst_exact(spec, Brownian(rng.uniform(0.5, 2.0)), w, u)
-        assert len(ev.factors) == spec.n - 1
-        for f in ev.factors:
+        for name in ("kappa", "delta", "delta_hat", "phi_at_kappa", "factor_values"):
+            assert getattr(ev, name).shape == (spec.n - 1,)
+        for j in range(1, spec.n):
             for got, want in (
-                (f.kappa, kappa(spec, w, f.j, u, form="max-ancestor")),
-                (f.delta, delta(spec, w, f.j)),
-                (f.delta_hat, delta_hat(spec, w, f.j)),
+                (ev.kappa[j - 1], kappa(spec, w, j, u, form="max-ancestor")),
+                (ev.delta[j - 1], delta(spec, w, j)),
+                (ev.delta_hat[j - 1], delta_hat(spec, w, j)),
             ):
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
@@ -278,7 +276,7 @@ def test_deep_trees_have_no_spurious_singular_factor(n, seed):
         w[picks] = rng.uniform(0.05, 20.0, len(picks))
         ev = joint_lst_exact(spec, model, w, u)
         assert 0.0 < ev.value <= 1.0
-        assert all(np.isfinite(f.value) and f.value > 0.0 for f in ev.factors)
+        assert np.all(np.isfinite(ev.factor_values) & (ev.factor_values > 0.0))
 
 
 def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):

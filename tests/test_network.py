@@ -9,7 +9,6 @@ from levynet import (
     RoutingMatrix,
     StructuralError,
     build_network,
-    structural_sets,
     validate_assumptions,
 )
 from levynet.network import diff_sign_at_infinity
@@ -30,29 +29,22 @@ def test_figure1_phat_and_sets(figure1_spec):
     }
     expected_children = {1: {2, 5}, 2: {3, 4, 6}, 3: set(), 4: set(), 5: set(), 6: set()}
     for j in range(1, 7):
-        fronts, children = structural_sets(spec, j)
-        assert fronts == expected_fronts[j]
-        assert children == expected_children[j]
+        assert spec.fronts[j] == expected_fronts[j]
+        assert spec.children[j] == expected_children[j]
     assert spec.parent == {2: 1, 3: 2, 4: 2, 5: 1, 6: 2}
 
 
 def test_single_node(single_node_spec):
     spec = single_node_spec
     assert spec.phat.tolist() == [1.0]
-    assert structural_sets(spec, 1) == (frozenset({1}), frozenset())
+    assert (spec.fronts[1], spec.children[1]) == (frozenset({1}), frozenset())
 
 
 def test_three_node_tandem_sets():
     spec = tandem_spec([RateFunction.monomial(c, 0.0) for c in (3.0, 2.0, 1.0)])
     for j in range(1, 4):
-        fronts, children = structural_sets(spec, j)
-        assert fronts == {j}
-        assert children == ({j + 1} if j < 3 else set())
-
-
-def test_structural_sets_range(single_node_spec):
-    with pytest.raises(IndexError):
-        structural_sets(single_node_spec, 2)
+        assert spec.fronts[j] == {j}
+        assert spec.children[j] == ({j + 1} if j < 3 else set())
 
 
 def test_two_parent_column_rejected():

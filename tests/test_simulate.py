@@ -47,6 +47,16 @@ def test_zero_input_process_gives_zero_workload():
     assert np.all(q == 0.0)
 
 
+def test_zero_input_needs_no_horizon():
+    # zero input has no tail pair to set a default horizon from; every
+    # supremum is 0, so any horizon gives the same all-zero workload
+    model = CompoundPoisson(0.0, DeterministicJob(1.0))
+    for rates in ([1.0], [1.0, 0.5]):
+        spec = tandem_spec([RateFunction.monomial(c, 0.0) for c in rates])
+        q = simulate_workload(spec, model, SimConfig(u=1.0, n_rep=500, seed=1))
+        assert q.shape == (500, spec.n) and np.all(q == 0.0)
+
+
 def test_single_node_brownian_is_exponential():
     spec = tandem_spec([RateFunction.monomial(1.0, 0.0)])
     model = Brownian(1.0)
