@@ -5,7 +5,6 @@ from .errors import (
     LevynetError,
     RootFindingError,
     SingularFactorError,
-    SingularityResolutionError,
     StructuralError,
     UnsupportedRegimeError,
 )
@@ -36,14 +35,12 @@ from .exact import (
     phi_inverse,
 )
 from .limit import (
-    LimitConstants,
     LimitLst,
     TandemParams,
     TwoLayerParams,
     closed_form_tandem,
     closed_form_two_layer,
     joint_lst_limit,
-    limit_constants,
     psi_limit_inverse,
     scaling_coefficients,
     singular_limit,

@@ -161,11 +161,10 @@ def cmd_lst_limit(args) -> int:
     spec = cfg.spec
     partition = partition_rates(spec)
     tail = cfg.model.tail_pair(regime)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     header = _omega_header(spec.n) + ["value"] + [f"factor_{k}" for k in range(1, partition.m + 1)]
     rows = []
     for w in omegas:
-        res = joint_lst_limit(spec, partition, tail, w, rng=rng)
+        res = joint_lst_limit(spec, partition, tail, w)
         rows.append([float(x) for x in w] + [res.value] + res.factor_values.tolist())
     _write_csv(args, header, rows)
     return 0

@@ -249,13 +249,17 @@ def _validated(doc, what: str):
     return doc
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _load_json(path: Path, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 

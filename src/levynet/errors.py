@@ -32,6 +32,3 @@ class SingularFactorError(LevynetError):
         super().__init__(message)
         self.factor_index = factor_index
 
-
-class SingularityResolutionError(LevynetError):
-    """Perturbation values near a zero denominator failed to stabilize."""

@@ -18,7 +18,9 @@ front structure is built once by network.build_network (NetworkSpec.front_matrix
 per call the rates are evaluated once, all front sums come from one matrix
 product, every kappa from one reverse cumulative sum over them, and the
 exponents at delta and delta_hat from one array call each.  Only the inversion
-Phi_j(kappa_{j+1}) stays per factor.
+Phi_j(kappa_{j+1}) stays per factor.  The factor formula is written once, over
+classes of nodes (_class_factors): the exact transform is one class, and
+limit.py applies it to each rate class.
 """
 
 from __future__ import annotations
@@ -168,35 +170,38 @@ def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
         return np.where(use_gap, num / den, 1.0 / d_mid)
 
 
-def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> LstEvaluation:
-    """Exact stationary-workload transform E[exp(-<omega, Q>)] at parameter u.
+def _class_factors(model: LevyModel, r, ph, w, sums, ends):
+    """The factor formula over classes: the intervals of nodes closed by `ends`.
 
-    Preconditions: omega >= 0 and the network assumptions hold at u (the rate
-    ordering in particular; it keeps every kappa nonnegative).  Zero entries
-    of omega are handled by continuous extension; a genuinely degenerate
-    factor raises SingularFactorError carrying the factor index, and the
-    caller may jitter omega.
+    r, ph and w hold each node's rate, phat and frequency, and sums its front
+    sum within its class; ends holds the 0-based class ends in increasing
+    order, the last being n - 1.  Each class end gets the prefactor
+    r w / psi(w), or 1 at w = 0.  Each other node j gets the factor
+    _diffq_inv(root, delta) / _diffq_inv(root, delta_hat), with root the
+    inverse of psi_j at kappa_{j+1} over the class slice.  Returns the
+    prefactors, the largest root residual and, for the nodes inside the
+    classes in node order, kappa, delta, delta_hat, the roots, psi at delta
+    and delta_hat, and the factors.
     """
-    n = spec.n
-    w = as_omega(omega, n)
-    if u <= 0.0:
-        raise ValueError("u must be positive")
+    prefactors = np.ones(len(ends))
+    for k, e in enumerate(ends.tolist()):
+        w_e = float(w[e])
+        if w_e != 0.0:  # centering makes psi'(0) = r, so w/psi(w) -> 1/r
+            r_e = float(r[e])
+            prefactors[k] = r_e * w_e / (r_e * w_e + float(model.laplace_exponent(ph[e] * w_e)))
+    inner = np.ones(len(w), dtype=bool)
+    inner[ends] = False
+    idx = np.flatnonzero(inner)
+    if not idx.size:
+        empty = np.empty(0)
+        return (prefactors, 0.0) + (empty,) * 7
 
-    r = spec.rate_vector(u)
-    ph = spec.phat
-    w_n = float(w[n - 1])
-    if w_n == 0.0:
-        prefactor = 1.0  # centering makes psi_n'(0) = r_n, so w/psi(w) -> 1/r_n
-    else:
-        r_n = float(r[n - 1])
-        prefactor = r_n * w_n / (r_n * w_n + float(model.laplace_exponent(ph[n - 1] * w_n)))
-
-    # entry j-1 of every array below belongs to the factor of node j < n
-    sums = _front_sums(spec, w)
-    kap = _kappas(r / ph, sums)
-    r_j, ph_j = r[:-1], ph[:-1]
-    d = sums[:-1] / ph_j
-    dh = sums[1:] / ph_j
+    ratios = r / ph
+    bounds = zip([0, *(ends[:-1] + 1).tolist()], (ends + 1).tolist())
+    kap = np.concatenate([_kappas(ratios[a:b], sums[a:b]) for a, b in bounds if b - a > 1])
+    r_j, ph_j = r[idx], ph[idx]
+    d = sums[idx] / ph_j
+    dh = sums[idx + 1] / ph_j
     psi_d = r_j * d + model.laplace_exponent(ph_j * d)
     psi_dh = r_j * dh + model.laplace_exponent(ph_j * dh)
 
@@ -214,16 +219,33 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     def dpsi(s):
         return r_j + ph_j * model.laplace_exponent_deriv(ph_j * s)
 
-    j = np.arange(1, n)
-    values = _diffq_inv(roots, d, psi_roots, psi_d, dpsi, j) / _diffq_inv(
-        roots, dh, psi_roots, psi_dh, dpsi, j
+    values = _diffq_inv(roots, d, psi_roots, psi_d, dpsi, idx + 1) / _diffq_inv(
+        roots, dh, psi_roots, psi_dh, dpsi, idx + 1
     )
+    return prefactors, max_residual, kap, d, dh, roots, psi_d, psi_dh, values
 
+
+def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> LstEvaluation:
+    """Exact stationary-workload transform E[exp(-<omega, Q>)] at parameter u.
+
+    Preconditions: omega >= 0 and the network assumptions hold at u (the rate
+    ordering in particular; it keeps every kappa nonnegative).  Zero entries
+    of omega are handled by continuous extension; a genuinely degenerate
+    factor raises SingularFactorError carrying the factor index, and the
+    caller may jitter omega.
+    """
+    n = spec.n
+    w = as_omega(omega, n)
+    if u <= 0.0:
+        raise ValueError("u must be positive")
+
+    prefactors, *parts = _class_factors(
+        model, spec.rate_vector(u), spec.phat, w, _front_sums(spec, w), np.array([n - 1])
+    )
+    prefactor, values = float(prefactors[0]), parts[-1]
     value = math.prod([prefactor, *values.tolist()])
     if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(
             f"assembled transform value {value} outside (0, 1]", factor_index=0
         )
-    return LstEvaluation(
-        min(value, 1.0), prefactor, max_residual, kap, d, dh, roots, psi_d, psi_dh, values
-    )
+    return LstEvaluation(min(value, 1.0), prefactor, *parts)

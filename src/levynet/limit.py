@@ -1,28 +1,31 @@
 """Limiting joint workload transform under multiscale traffic scaling.
 
 As the scaling parameter grows, the transform of the rescaled workload
-vector factorizes over the rate classes: classes decouple, and class k
-contributes a factor built from three families of constants evaluated at the
-fraction-scaled frequencies w~ = fractions**beta * omega restricted to the
-class.  The per-class factor is
+vector factorizes over the rate classes: classes decouple.  Within class k
+the limit is the workload of that class alone, with the class fractions as
+rates, the network's phat, and the alpha-stable input of the tail pair
+(alpha, coeff): exponent coeff * s**alpha.  That network is self-similar, so
+its exact transform at the fraction-scaled frequencies w~ = fractions**beta *
+omega does not depend on u, and the class factor is the factor formula of
+exact.py applied to the class, with front sums taken within the class.  Its
+removable points are handled by the same difference quotients as the exact
+transform.
+
+The displayed form of the class factor,
 
     F_k = w~_last * frac_last / |A_k| * prod_j |C_j| / |D_j|,
 
-with A_k a class-level aggregate, and C_j / D_j differences between the
-inverse of psi-like curve Psi_{alpha,c,j}(s) = frac_j s + c phat_j^alpha
-s^alpha and two front-weighted frequency sums.  A_k and D_j can vanish at
-isolated frequencies; those points have finite limits and are resolved by a
-deterministic epsilon-perturbation sequence with an agreement check.
+with A_k a class-level aggregate and C_j / D_j differences between the
+inverse of Psi_{alpha,c,j}(s) = frac_j s + c phat_j^alpha s^alpha and two
+front-weighted frequency sums, is what scaling_coefficients and the closed
+forms for two-layer trees and tandems evaluate; they stay independent checks
+on joint_lst_limit.
 
 Both regimes share the formula; the regime enters only through the tail pair
 (alpha, coeff) of the input process and the direction of the u-sweep.
 
-Cost of one evaluation: O(n^2) array work plus one scalar root solve per
-inverse argument.  The front and child structure is built once by
-network.build_network (NetworkSpec.front_matrix, child_matrix); per call the
-within-class weighted fronts and child sums of all nodes come from one matrix
-product each, with the matrix masked to same-class pairs, and every class reads
-its constants from those arrays.
+Cost of one evaluation: O(n^2) array work plus one scalar root solve per node
+that does not end its class.
 """
 
 from __future__ import annotations
@@ -32,16 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFactorError, SingularityResolutionError, StructuralError
-from .exact import _kappas, as_omega
-from .models import TailPair
+from .errors import SingularFactorError, StructuralError
+from .exact import _class_factors, as_omega
+from .models import StableSum, TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: scaling_coefficients only
 from .roots import invert_increasing
 
-_SINGULAR_RTOL = 1e-9
-_EPS_SEQ = (1e-3, 1e-4, 1e-5)
-_AGREE_RTOL = 1e-4
 _ROOT_TOL = 1e-12
 
 
@@ -61,235 +61,67 @@ def psi_limit_inverse(alpha: float, coeff: float, frak_r: float, phat: float, x:
 
 
 @dataclass(frozen=True)
-class ClassConstants:
-    """Constants of one class factor, evaluated at the supplied frequencies.
-
-    The arrays have one entry per class member but the last, in node order.
-    """
-
-    k: int
-    members: tuple[int, ...]
-    numerator: float
-    class_denominator: float
-    class_denominator_scale: float
-    inverse_arguments: np.ndarray
-    inverse_values: np.ndarray
-    ratio_numerators: np.ndarray
-    ratio_denominators: np.ndarray
-    ratio_denominator_scales: np.ndarray
-
-    def is_singular(self) -> bool:
-        """True when a denominator vanishes relative to the terms it is made
-        of, or the last-node frequency is zero; no absolute scale enters."""
-        return bool(
-            abs(self.class_denominator) <= _SINGULAR_RTOL * self.class_denominator_scale
-            or self.numerator == 0.0
-            or np.any(
-                np.abs(self.ratio_denominators) <= _SINGULAR_RTOL * self.ratio_denominator_scales
-            )
-        )
-
-    def assemble(self) -> float:
-        ratios = np.abs(self.ratio_numerators) / np.abs(self.ratio_denominators)
-        return math.prod([self.numerator / abs(self.class_denominator), *ratios.tolist()])
-
-
-@dataclass(frozen=True)
-class LimitConstants:
-    tail: TailPair
-    per_class: tuple[ClassConstants, ...]
-
-
-@dataclass(frozen=True)
 class LimitLst:
-    """Limit value with one entry per rate class k in entry k-1: the class
-    factor, and whether it was resolved through singular_limit."""
+    """Limit value and the class factors, the factor of class k in entry k-1."""
 
     value: float
     factor_values: np.ndarray
-    singular: np.ndarray
-
-    @property
-    def singular_flags(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(self.singular) + 1).tolist())
 
 
 def _within_class_sums(
     spec: NetworkSpec, partition: RateClassPartition, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entry j-1: the sums of phat_i * w_i over the within-class front of node j
-    and over its within-class children, for every node j."""
+) -> np.ndarray:
+    """Entry j-1: the sum of phat_i * w_i over the within-class front of node j."""
     cls = np.asarray(partition.class_of)
-    same = cls[:, None] == cls[None, :]
-    x = spec.phat * w
-    return np.where(same, spec.front_matrix, 0.0) @ x, np.where(same, spec.child_matrix, 0.0) @ x
-
-
-def _class_constants(
-    spec: NetworkSpec,
-    partition: RateClassPartition,
-    tail: TailPair,
-    w: np.ndarray,
-    sums: tuple[np.ndarray, np.ndarray],
-    k: int,
-) -> ClassConstants:
-    """Constants of class k at w; sums is _within_class_sums(spec, partition, w)."""
-    alpha, c = tail.alpha, tail.coeff
-    fronts, kids = sums
-    members = partition.members(k)
-    q, last = members[0], members[-1]
-    cut = slice(q - 1, last)  # classes are intervals of the node order
-    fr = partition.fractions[cut]
-    ph = spec.phat[cut]
-    g = fr / ph
-
-    t_children = float(g @ kids[cut])
-    t_rates = float(w[cut] @ fr)
-    t_tail = c * float(fronts[q - 1]) ** alpha
-    a_const = t_children - t_rates - t_tail
-    a_scale = max(abs(t_children), abs(t_rates), abs(t_tail), 1e-300)
-
-    # inverse argument of node j: sum over l = j+1..last of (g_{l-1} - g_l) * front_l,
-    # a reverse running sum within the class
-    args = _kappas(g, fronts[q - 1 : last])
-    bad = np.flatnonzero(args < -1e-9 * np.maximum(g[:-1] * float(np.abs(w).sum()), 1e-300))
-    if bad.size:
-        raise StructuralError(
-            f"negative inverse argument {float(args[bad[0]])} at node {q + int(bad[0])}: "
-            "rate ordering violated within class"
-        )
-    args = np.maximum(args, 0.0)
-    inv = np.array(
-        [
-            psi_limit_inverse(alpha, c, fr_j, ph_j, arg)
-            for fr_j, ph_j, arg in zip(fr.tolist(), ph.tolist(), args.tolist())
-        ]
-    )
-    front_own = fronts[q - 1 : last - 1] / ph[:-1]
-    front_next = fronts[q:last] / ph[:-1]
-    den_scales = np.maximum(np.maximum(np.abs(inv), np.abs(front_next)), 1e-300)
-
-    return ClassConstants(
-        k=k,
-        members=members,
-        numerator=float(w[last - 1] * fr[-1]),
-        class_denominator=a_const,
-        class_denominator_scale=a_scale,
-        inverse_arguments=args,
-        inverse_values=inv,
-        ratio_numerators=inv - front_own,
-        ratio_denominators=inv - front_next,
-        ratio_denominator_scales=den_scales,
-    )
-
-
-def _scaled_omega(partition: RateClassPartition, tail: TailPair, omega: np.ndarray) -> np.ndarray:
-    return partition.fractions**tail.beta * omega
-
-
-def limit_constants(
-    spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, omega
-) -> LimitConstants:
-    """All per-class constants evaluated at the frequencies as given.
-
-    No fraction rescaling is applied here: callers assembling the limit value
-    pass the fraction-scaled frequencies (joint_lst_limit does so itself).
-    """
-    w = as_omega(omega, spec.n)
-    sums = _within_class_sums(spec, partition, w)
-    per_class = tuple(
-        _class_constants(spec, partition, tail, w, sums, k) for k in range(1, partition.m + 1)
-    )
-    return LimitConstants(tail, per_class)
+    return np.where(cls[:, None] == cls[None, :], spec.front_matrix, 0.0) @ (spec.phat * w)
 
 
 def joint_lst_limit(
-    spec: NetworkSpec,
-    partition: RateClassPartition,
-    tail: TailPair,
-    omega,
-    rng: np.random.Generator | None = None,
+    spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, omega
 ) -> LimitLst:
     """Limiting transform of the rescaled workload vector at omega >= 0.
 
-    Classes whose frequencies are all zero contribute factor one.  A class
-    whose constants are degenerate at omega (a vanishing class denominator,
-    ratio denominator, or last-node frequency) is resolved through
-    singular_limit; rng seeds its perturbation direction.
+    Requires fractions / phat to be non-increasing within each class (the
+    rate ordering in the limit); a rise raises StructuralError.  Classes
+    whose frequencies are all zero contribute factor one.
     """
     w = as_omega(omega, spec.n)
+    fr = partition.fractions
+    cls = np.asarray(partition.class_of)
+    rising = np.flatnonzero((np.diff(fr / spec.phat) > 0.0) & (cls[1:] == cls[:-1]))
+    if rising.size:
+        j = int(rising[0]) + 1
+        raise StructuralError(
+            f"fraction/phat rises from node {j} to node {j + 1}: "
+            "rate ordering violated within class"
+        )
 
-    scaled = _scaled_omega(partition, tail, w)
-    sums = _within_class_sums(spec, partition, scaled)
-    factors = np.ones(partition.m)
-    singular = np.zeros(partition.m, dtype=bool)
-    for k in range(1, partition.m + 1):
-        members = partition.members(k)
-        if all(scaled[i - 1] == 0.0 for i in members):
-            continue
-        constants = _class_constants(spec, partition, tail, scaled, sums, k)
-        singular[k - 1] = constants.is_singular()
-        if singular[k - 1]:
-            factors[k - 1] = singular_limit(spec, partition, tail, w, k, rng=rng)
-        else:
-            factors[k - 1] = constants.assemble()
+    scaled = fr**tail.beta * w
+    ends = np.array([members[-1] for members in partition.classes]) - 1
+    prefactors, *_, values = _class_factors(
+        StableSum(((tail.alpha, tail.coeff),)),
+        fr,
+        spec.phat,
+        scaled,
+        _within_class_sums(spec, partition, scaled),
+        ends,
+    )
+    # values runs over the nodes inside the classes in node order: ends[k] - k of
+    # them lie in the first k + 1 classes (k counted from 0)
+    inner = np.split(values, ends[:-1] - np.arange(len(ends) - 1))
+    factors = np.array([math.prod([p, *v.tolist()]) for p, v in zip(prefactors.tolist(), inner)])
 
     value = math.prod(factors.tolist())
     if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(f"assembled limit value {value} outside (0, 1]")
-    return LimitLst(min(value, 1.0), factors, singular)
+    return LimitLst(min(value, 1.0), factors)
 
 
 def singular_limit(
-    spec: NetworkSpec,
-    partition: RateClassPartition,
-    tail: TailPair,
-    omega,
-    k: int,
-    rng: np.random.Generator | None = None,
+    spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, omega, k: int
 ) -> float:
-    """Class-k factor at a degenerate frequency point, by perturbation.
-
-    Evaluates the factor along scaled-omega + eps * e for eps in (1e-3, 1e-4,
-    1e-5) with a random direction e > 0, extrapolates consecutive pairs to
-    eps = 0, and requires the two extrapolated values to agree within 1e-4
-    relative; the last extrapolation is returned.  Nearby-zero denominators
-    have finite positive ratio limits, so this terminates away from
-    pathological inputs; disagreement raises SingularityResolutionError.
-    """
-    w = np.asarray(omega, dtype=float)
-    scaled = _scaled_omega(partition, tail, w)
-    members = partition.members(k)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    direction = rng.uniform(0.5, 1.5, size=len(members))
-
-    values = []
-    for eps in _EPS_SEQ:
-        pert = scaled.copy()
-        for idx, i in enumerate(members):
-            pert[i - 1] += eps * direction[idx]
-        constants = _class_constants(
-            spec, partition, tail, pert, _within_class_sums(spec, partition, pert), k
-        )
-        if constants.is_singular():
-            raise SingularityResolutionError(
-                f"class {k}: perturbed point at eps={eps} is still degenerate"
-            )
-        values.append(constants.assemble())
-
-    extrapolated = []
-    for (e1, v1), (e2, v2) in zip(
-        zip(_EPS_SEQ, values), zip(_EPS_SEQ[1:], values[1:])
-    ):
-        extrapolated.append((v2 * e1 - v1 * e2) / (e1 - e2))
-    gap = abs(extrapolated[0] - extrapolated[1])
-    if gap > _AGREE_RTOL * max(abs(extrapolated[-1]), 1e-300):
-        raise SingularityResolutionError(
-            f"class {k}: perturbation values did not stabilize "
-            f"(extrapolations {extrapolated[0]:.6e} vs {extrapolated[1]:.6e})"
-        )
-    return extrapolated[-1]
+    """Class-k factor of the limit at omega, zero denominators included."""
+    return float(joint_lst_limit(spec, partition, tail, omega).factor_values[k - 1])
 
 
 @dataclass(frozen=True)

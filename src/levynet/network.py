@@ -176,10 +176,10 @@ class NetworkSpec:
     phat[j-1] is the cumulative routing fraction from the root into node j
     (first column of (I - P^T)^-1).  fronts[j] collects the nodes with index
     >= j whose parent, if any, has index < j; children[j] are the direct
-    offspring of j.  front_matrix and child_matrix hold the same sets as
-    read-only 0/1 arrays: entry [j-1, l-1] is 1.0 exactly when l is in
-    fronts[j] (children[j]), so every front sum of a vector is one matrix
-    product.  Immutable after construction and safe to share.
+    offspring of j.  front_matrix holds the fronts as a read-only 0/1 array:
+    entry [j-1, l-1] is 1.0 exactly when l is in fronts[j], so every front
+    sum of a vector is one matrix product.  Immutable after construction and
+    safe to share.
     """
 
     routing: RoutingMatrix
@@ -189,7 +189,6 @@ class NetworkSpec:
     fronts: dict[int, frozenset[int]]
     children: dict[int, frozenset[int]]
     front_matrix: np.ndarray
-    child_matrix: np.ndarray
 
     @property
     def n(self) -> int:
@@ -264,16 +263,13 @@ def build_network(routing: RoutingMatrix, rates) -> NetworkSpec:
         (node[None, :] == node[:, None])
         | ((node[None, :] > node[:, None]) & (parent_of[None, :] < node[:, None]))
     ).astype(float)
-    child_matrix = (routing.p > 0.0).astype(float)
     front_matrix.setflags(write=False)
-    child_matrix.setflags(write=False)
 
     def row_sets(matrix):
         return {j: frozenset((np.flatnonzero(matrix[j - 1]) + 1).tolist()) for j in range(1, n + 1)}
 
     return NetworkSpec(
-        routing, rates, phat, parent, row_sets(front_matrix), row_sets(child_matrix),
-        front_matrix, child_matrix,
+        routing, rates, phat, parent, row_sets(front_matrix), row_sets(routing.p > 0.0), front_matrix
     )
 
 

@@ -26,7 +26,6 @@ from levynet import (
     joint_lst_exact,
     joint_lst_limit,
     kappa,
-    limit_constants,
     partition_rates,
     scaling_coefficients,
     simulate_workload,
@@ -306,10 +305,9 @@ def test_09_singular_points():
         w3 = (fr2 * w2 + coeff * w2**alpha) / (fr2 - fr3)
         scaled = np.array([rng.uniform(0.3, 1.0), w2, w3])
         raw = scaled / part.fractions**tail.beta
-        consts = limit_constants(spec, part, tail, scaled)
-        cc = consts.per_class[0]
-        ok &= abs(cc.ratio_denominators[0]) <= 1e-9 * cc.ratio_denominator_scales[0]
-        ok &= cc.ratio_denominators[-1] < 0.0  # endpoint never flagged
+        sc = scaling_coefficients(spec, part, tail, raw)
+        ok &= abs(sc.den_lead[0]) <= 1e-9 * abs(sc.root_lead[0])
+        ok &= sc.den_lead[1] < 0.0  # endpoint never vanishes
         value = singular_limit(spec, part, tail, raw, 1)
         ok &= np.isfinite(value) and value > 0.0
         reference = joint_lst_limit(spec, part, tail, raw + 1e-7).factor_values[0]
@@ -320,11 +318,11 @@ def test_09_singular_points():
         spec = random_spec(rng, int(rng.integers(2, 10)))
         part = partition_rates(spec)
         tail = random_tail(rng)
-        scaled = part.fractions**tail.beta * rng.uniform(0.1, 2.5, spec.n)
-        for cc in limit_constants(spec, part, tail, scaled).per_class:
-            if cc.ratio_denominators.size:
-                ok &= cc.ratio_denominators[-1] < 0.0
-    report(9, "singular-point resolution", bool(ok), f"worst gap to jitter {worst:.2e}")
+        sc = scaling_coefficients(spec, part, tail, rng.uniform(0.1, 2.5, spec.n))
+        for members in part.classes:
+            if len(members) > 1:
+                ok &= sc.den_lead[members[-1] - 2] < 0.0
+    report(9, "removable singular points", bool(ok), f"worst gap to jitter {worst:.2e}")
 
 
 def test_10_telescoping_identity():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from levynet import Brownian, RateFunction, SimConfig, cli, exact, simulate
+from levynet import Brownian, RateFunction, SimConfig, cli, exact, limit, partition_rates, simulate
 
 from conftest import tandem_spec
 
@@ -33,6 +33,27 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert len(tr.durations("exact.joint_lst_exact")) == 1
     assert tr.counts["roots.solve"] == spec.n - 1
     assert tr.counts["network.rate"] > 0 and tr.counts["models.exponent"] > 0
+
+
+def test_traced_limit_solves_once_per_inner_node(monkeypatch):
+    # the benchmark's T50 tree: 50 nodes in 3 rate classes, so 47 nodes lie
+    # inside a class and need a root solve; none of them goes through
+    # singular_limit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import trees
+
+    spec = trees.random_tree(np.random.default_rng([50, 1]), 50)
+    part = partition_rates(spec)
+    tail = Brownian(1.0).tail_pair("heavy")
+    w = np.random.default_rng(5).uniform(0.05, 2.5, spec.n)
+    with tracing.Tracer().installed() as tr:
+        value = limit.joint_lst_limit(spec, part, tail, w).value
+    assert 0.0 < value <= 1.0
+    assert (spec.n, part.m) == (50, 3)
+    assert tr.counts["roots.solve"] == spec.n - part.m
+    assert len(tr.durations("limit.joint_lst_limit")) == 1
+    assert tr.durations("limit.singular_limit") == []
 
 
 def test_benchmark_sim_config_is_accepted():

@@ -74,3 +74,24 @@ def test_schemas_checked_once(monkeypatch):
         assert sum(schema is config.NETWORK_SCHEMA for schema in calls) == 1
     finally:
         config._validator.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "run_text",
+    [
+        '"u": NaN, "input": {"kind": "brownian", "sigma2": 1.0}',
+        '"u": 4.0, "input": {"kind": "brownian", "sigma2": NaN}',
+        '"u": 4.0, "input": {"kind": "brownian", "sigma2": 1.0}, "omega": {"list": [[0.5, Infinity]]}',
+    ],
+)
+def test_non_standard_json_constants_rejected(tmp_path, capsys, run_text):
+    from levynet import cli
+
+    (tmp_path / "net.json").write_text(json.dumps(NETWORK))
+    path = tmp_path / "run.json"
+    path.write_text('{"network": "net.json", ' + run_text + "}")
+    with pytest.raises(ConfigError, match="is not a JSON number") as info:
+        config.load_run_config(path)
+    assert str(path) in str(info.value)
+    assert cli.main(["lst-exact", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -4,14 +4,13 @@ import pytest
 from levynet import (
     Brownian,
     RateFunction,
-    SingularityResolutionError,
+    StructuralError,
     TailPair,
     TandemParams,
     TwoLayerParams,
     closed_form_tandem,
     closed_form_two_layer,
     joint_lst_limit,
-    limit_constants,
     partition_rates,
     psi_limit_inverse,
     scaling_coefficients,
@@ -39,6 +38,21 @@ def split_tandem_spec(anchors, fr, base_exp=2.0):
     for k in range(len(anchors)):
         exps[bounds[k] - 1 : bounds[k + 1] - 1] = base_exp - 1.5 * k
     return tandem_spec([RateFunction.monomial(c, e) for c, e in zip(fr, exps)])
+
+
+def displayed_factors(spec, part, tail, w):
+    """Class factors reassembled from the scaling coefficients by the displayed
+    formula w~_last * frac_last / |A_k| * prod_j |C_j| / |D_j|."""
+    sc = scaling_coefficients(spec, part, tail, w)
+    scaled = part.fractions**tail.beta * w
+    factors = []
+    for members in part.classes:
+        q, last = members[0], members[-1]
+        f = scaled[last - 1] * part.fractions[last - 1] / abs(sc.drift_gap[q - 1])
+        for j in members[:-1]:
+            f *= abs(sc.num_lead[j - 1]) / abs(sc.den_lead[j - 1])
+        factors.append(f)
+    return np.array(factors)
 
 
 def test_psi_limit_inverse_zero_and_quadratic():
@@ -70,21 +84,20 @@ def test_constants_singleton_class():
     part = partition_rates(spec)
     tail = TailPair(1.5, 0.8, "heavy")
     w = np.array([0.7, 1.1])
-    consts = limit_constants(spec, part, tail, w)
+    sc = scaling_coefficients(spec, part, tail, w)
+    factors = joint_lst_limit(spec, part, tail, w).factor_values
     for k, wk in ((1, 0.7), (2, 1.1)):
-        cc = consts.per_class[k - 1]
-        assert cc.class_denominator == pytest.approx(-wk - 0.8 * wk**1.5, rel=1e-14)
-        assert cc.ratio_numerators.shape == (0,)
+        assert sc.drift_gap[k - 1] == pytest.approx(-wk - 0.8 * wk**1.5, rel=1e-14)
+        assert factors[k - 1] == pytest.approx(wk / abs(sc.drift_gap[k - 1]), rel=1e-14)
 
 
 def test_constants_vanish_at_zero(figure1_spec, figure1_partition):
     tail = TailPair(2.0, 0.5, "heavy")
-    consts = limit_constants(figure1_spec, figure1_partition, tail, np.zeros(6))
-    for cc in consts.per_class:
-        assert cc.class_denominator == 0.0
-        assert all(v == 0.0 for v in cc.inverse_arguments)
-        assert all(v == 0.0 for v in cc.ratio_numerators)
-        assert all(v == 0.0 for v in cc.ratio_denominators)
+    sc = scaling_coefficients(figure1_spec, figure1_partition, tail, np.zeros(6))
+    for values in (sc.drift_gap, sc.kappa_lead, sc.num_lead, sc.den_lead):
+        assert all(v == 0.0 for v in values)
+    res = joint_lst_limit(figure1_spec, figure1_partition, tail, np.zeros(6))
+    assert res.value == 1.0 and res.factor_values.tolist() == [1.0, 1.0]
 
 
 def test_tandem_pair_class_denominator_matches_display():
@@ -95,10 +108,9 @@ def test_tandem_pair_class_denominator_matches_display():
     part = partition_rates(spec)
     tail = TailPair(1.7, 0.9, "heavy")
     w = np.array([0.8, 1.3])
-    scaled = part.fractions**tail.beta * w
-    cc = limit_constants(spec, part, tail, scaled).per_class[0]
+    sc = scaling_coefficients(spec, part, tail, w)
     expected = (1.0 - fr2) * w[1] * fr2**tail.beta - w[0] - 0.9 * w[0] ** 1.7
-    assert cc.class_denominator == pytest.approx(expected, rel=1e-12)
+    assert sc.drift_gap[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_decoupled_tandem_mittag_leffler_product():
@@ -245,7 +257,6 @@ def test_singular_limit_at_constructed_zero():
     scaled = np.array([0.5, w2t, w3t])
     raw = scaled / part.fractions**tail.beta
     res = joint_lst_limit(spec, part, tail, raw)
-    assert res.singular_flags == (1,)
     assert np.isfinite(res.value) and 0.0 < res.value <= 1.0
     factor = singular_limit(spec, part, tail, raw, 1)
     jit = joint_lst_limit(spec, part, tail, raw + 1e-7).factor_values[0]
@@ -258,7 +269,6 @@ def test_singular_limit_matches_regular_point():
     tail = TailPair(1.6, 0.9, "heavy")
     w = np.array([0.5, 0.8, 1.1])
     regular = joint_lst_limit(spec, part, tail, w)
-    assert regular.singular_flags == ()
     resolved = singular_limit(spec, part, tail, w, 1)
     assert resolved == pytest.approx(regular.factor_values[0], rel=1e-6)
 
@@ -271,37 +281,104 @@ def test_last_ratio_denominator_strictly_negative():
         part = partition_rates(spec)
         tail = random_tail(rng)
         w = rng.uniform(0.1, 2.5, spec.n)
-        scaled = part.fractions**tail.beta * w
-        consts = limit_constants(spec, part, tail, scaled)
-        for cc in consts.per_class:
-            if cc.ratio_denominators.size:
-                assert cc.ratio_denominators[-1] < 0.0
+        sc = scaling_coefficients(spec, part, tail, w)
+        for members in part.classes:
+            if len(members) > 1:
+                assert sc.den_lead[members[-1] - 2] < 0.0
                 checked += 1
 
 
 def test_vanishing_last_frequency_alpha_two_resolves_to_marginal():
-    # class {1, 2}, alpha = 2: at w2 = 0 the factor is 0/0 but analytic in the
-    # perturbation, so the resolution recovers the node-1 marginal factor
+    # class {1, 2}, alpha = 2: at w2 = 0 the displayed factor is 0/0, and the
+    # difference quotients give the node-1 marginal factor
     fr2 = 0.55
     spec = split_tandem_spec((1,), [1.0, fr2])
     part = partition_rates(spec)
     tail = TailPair(2.0, 0.9, "heavy")
     w = np.array([0.9, 0.0])
     res = joint_lst_limit(spec, part, tail, w)
-    assert res.singular_flags == (1,)
     expected = 1.0 / (1.0 + 0.9 * 0.9)
     assert res.value == pytest.approx(expected, rel=1e-4)
 
 
-def test_vanishing_last_frequency_fractional_alpha_raises():
-    # for alpha < 2 the same boundary point carries an eps**(alpha-1)
-    # correction the linear epsilon sequence cannot stabilize; the resolution
-    # error tells the caller to jitter instead of returning a sloppy value
+@pytest.mark.parametrize("alpha", [1.7, 1.3])
+def test_vanishing_last_frequency_fractional_alpha_gives_marginal(alpha):
+    # for alpha < 2 the displayed factor approaches this point with an
+    # eps**(alpha-1) correction; the factor formula has no such term and
+    # returns the Mittag-Leffler marginal of node 1
     spec = split_tandem_spec((1,), [1.0, 0.55])
     part = partition_rates(spec)
-    tail = TailPair(1.7, 0.9, "heavy")
-    with pytest.raises(SingularityResolutionError):
-        joint_lst_limit(spec, part, tail, np.array([0.9, 0.0]))
+    tail = TailPair(alpha, 0.9, "heavy")
+    res = joint_lst_limit(spec, part, tail, np.array([0.9, 0.0]))
+    assert res.value == pytest.approx(1.0 / (1.0 + 0.9 * 0.9 ** (alpha - 1.0)), rel=1e-12)
+
+
+def _tandem_mp(anchors, fr, alpha, coeff, omega):
+    """The displayed tandem limit formula evaluated at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        alpha, coeff = mpmath.mpf(alpha), mpmath.mpf(coeff)
+        fr = [mpmath.mpf(x) for x in fr]
+        ws = [f ** (1 / (alpha - 1)) * mpmath.mpf(x) for f, x in zip(fr, omega)]
+        bounds = [*anchors, len(fr) + 1]
+        value = mpmath.mpf(1)
+        for q, nxt in zip(bounds, bounds[1:]):
+            last = nxt - 1
+
+            def arg(j):
+                return mpmath.fsum((fr[l - 2] - fr[l - 1]) * ws[l - 1] for l in range(j + 1, last + 1))
+
+            f = ws[last - 1] * fr[last - 1] / (arg(q) - ws[q - 1] - coeff * ws[q - 1] ** alpha)
+            for j in range(q, last):
+                x, r = arg(j), fr[j - 1]
+                inv = mpmath.findroot(lambda s: r * s + coeff * s**alpha - x, (0, x / r), solver="anderson")
+                f *= (inv - ws[j - 1]) / (inv - ws[j])
+            value *= abs(f)
+        return float(value)
+
+
+@pytest.mark.parametrize(
+    "alpha, coeff, anchors, fr, omega",
+    [
+        (
+            1.6398705043586985,
+            0.5280825066530679,
+            (1,),
+            (1.0, 0.8825530407829133, 0.5756180730679328),
+            (1.2088332043712948, 0.27828182375455507, 1.9213321381342567),
+        ),
+        (
+            1.3693796525491688,
+            1.4270519176249803,
+            (1, 4),
+            (1.0, 0.8138684696708804, 0.5413034085551256, 1.0, 0.7273257848477943, 0.6375095349740885),
+            (
+                0.7761682711622506,
+                0.05215235626339064,
+                1.6360668885069884,
+                1.2922450795424023,
+                0.05034627102592292,
+                0.8576661995775494,
+            ),
+        ),
+    ],
+)
+def test_tandem_limit_matches_high_precision_formula(alpha, coeff, anchors, fr, omega):
+    # the displayed formula cancels in float (1.6e-10 and 6.6e-10 here); the
+    # class factor formula keeps full precision
+    spec = split_tandem_spec(anchors, list(fr))
+    part = partition_rates(spec)
+    tail = TailPair(alpha, coeff, "heavy")
+    got = joint_lst_limit(spec, part, tail, np.array(omega)).value
+    assert got == pytest.approx(_tandem_mp(anchors, fr, alpha, coeff, omega), rel=1e-12)
+
+
+def test_rate_ordering_checked_within_class():
+    # fraction/phat rises from node 1 to node 2 inside one class
+    spec = split_tandem_spec((1,), [0.5, 1.0])
+    part = partition_rates(spec)
+    with pytest.raises(StructuralError, match="within class"):
+        joint_lst_limit(spec, part, TailPair(1.5, 1.0, "heavy"), np.array([0.5, 0.5]))
 
 
 def test_telescoping_identity_smoke():
@@ -330,24 +407,17 @@ def _class_constant_cases(rng):
 
 
 def test_scaling_coefficients_match_class_constants():
-    # scaling_coefficients sums over starred sets, so it is an independent
-    # check on the class constants built from the front arrays
+    # scaling_coefficients sums over starred sets and evaluates the displayed
+    # formula, so it is an independent check on the class factors.  That
+    # formula subtracts nearly equal terms in float (1.3e-10 relative on the
+    # deep trees here), hence the tolerance.
     rng = np.random.default_rng(103)
     for spec in _class_constant_cases(rng):
         part = partition_rates(spec)
         tail = random_tail(rng)
         w = rng.uniform(0.05, 2.5, spec.n)
-        scaled = part.fractions**tail.beta * w
-        sc = scaling_coefficients(spec, part, tail, w)
-        consts = limit_constants(spec, part, tail, scaled)
-        for k in range(1, part.m + 1):
-            cc = consts.per_class[k - 1]
-            q = part.anchors[k - 1]
-            assert sc.drift_gap[q - 1] == pytest.approx(cc.class_denominator, rel=1e-11)
-            for off, (c_val, d_val) in enumerate(zip(cc.ratio_numerators, cc.ratio_denominators)):
-                j = q + off
-                assert sc.num_lead[j - 1] == pytest.approx(c_val, rel=1e-11, abs=1e-13)
-                assert sc.den_lead[j - 1] == pytest.approx(d_val, rel=1e-11, abs=1e-13)
+        got = joint_lst_limit(spec, part, tail, w).factor_values
+        assert displayed_factors(spec, part, tail, w) == pytest.approx(got, rel=1e-9)
 
 
 def test_branched_two_class_limit_matches_scaled_exact(figure1_spec, figure1_partition):
@@ -402,18 +472,3 @@ def test_closed_forms_reject_degenerate_boundary():
     assert closed_form_two_layer(params, np.array([0.7, 0.0, 0.0])) == pytest.approx(
         1.0 / (1.0 + 0.7 ** 0.5), rel=1e-12
     )
-
-
-def test_singular_resolution_error_when_direction_degenerate():
-    spec = split_tandem_spec((1,), [1.0, 0.6, 0.3])
-    part = partition_rates(spec)
-    tail = TailPair(1.6, 0.9, "heavy")
-
-    class StuckRng:
-        def uniform(self, lo, hi, size=None):
-            return np.zeros(size)  # zero direction keeps the point degenerate
-
-    w2t, w3t = _singular_point(0.6, 0.3, tail)
-    raw = np.array([0.5, w2t, w3t]) / part.fractions**tail.beta
-    with pytest.raises(SingularityResolutionError):
-        singular_limit(spec, part, tail, raw, 1, rng=StuckRng())

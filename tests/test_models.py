@@ -25,6 +25,14 @@ ALL_MODELS = [
 ]
 
 
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+def test_stable_derivative_at_zero_raises_no_warning(alpha):
+    model = StableSum(((alpha, 0.7),))
+    with np.errstate(all="raise"):
+        assert model.laplace_exponent_deriv(0.0) == 0.0
+        assert model.laplace_exponent_deriv(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_gamma_exponent_closed_form():
     model = CenteredGamma(2.0, 3.0)
     for s in (0.1, 1.0, 4.0):
