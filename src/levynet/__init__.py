@@ -32,7 +32,6 @@ from .exact import (
     LstEvaluation,
     joint_lst_exact,
     kappa,
-    phi_inverse,
 )
 from .limit import (
     LimitLst,

@@ -350,7 +350,6 @@ class RunConfig:
     u_list: tuple[float, ...] | None
     regime: str | None
     sim: dict
-    path: Path
 
 
 def load_run_config(path) -> RunConfig:
@@ -372,5 +371,4 @@ def load_run_config(path) -> RunConfig:
         u_list=tuple(doc["u_list"]) if "u_list" in doc else None,
         regime=doc.get("regime"),
         sim=dict(doc.get("sim", {})),
-        path=path,
     )

@@ -39,7 +39,6 @@ KAPPA_FORMS = ("sum-over-s", "max-ancestor")
 _BAND_RTOL = 1e-6
 _MIDPOINT_RTOL = 1e-6
 _EPS = float(np.finfo(float).eps)
-_ROOT_TOL = 1e-12
 
 
 def as_omega(omega, n: int) -> np.ndarray:
@@ -55,19 +54,13 @@ def as_omega(omega, n: int) -> np.ndarray:
 
 
 def _psi_inverse(model: LevyModel, r: float, ph: float, x: float) -> float:
-    """Inverse at x of s -> r * s + phi(ph * s), the exponent of a node with rate r and phat ph."""
+    """Inverse at x of s -> r * s + phi(ph * s), by Newton from x / r, where it is >= x."""
     return invert_increasing(
         lambda s: r * s + float(model.laplace_exponent(ph * s)),
         x,
-        deriv=lambda s: r + ph * float(model.laplace_exponent_deriv(ph * s)),
-        hi_hint=x / r,
-        tol=_ROOT_TOL,
+        lambda s: r + ph * float(model.laplace_exponent_deriv(ph * s)),
+        x / r,
     )
-
-
-def phi_inverse(spec: NetworkSpec, model: LevyModel, j: int, x: float, u: float) -> float:
-    """Inverse of psi_j at x >= 0 by bracketed bisection with Newton polish."""
-    return _psi_inverse(model, spec.rate(j, u), float(spec.phat[j - 1]), x)
 
 
 def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:

@@ -42,21 +42,18 @@ from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: scaling_coefficients only
 from .roots import invert_increasing
 
-_ROOT_TOL = 1e-12
-
 
 def psi_limit_inverse(alpha: float, coeff: float, frak_r: float, phat: float, x: float) -> float:
     """Inverse of s -> frak_r * s + coeff * phat**alpha * s**alpha at x >= 0."""
     if frak_r <= 0.0 or coeff <= 0.0 or alpha <= 1.0 or phat <= 0.0:
         raise ValueError("need frak_r > 0, coeff > 0, alpha > 1, phat > 0")
     cp = coeff * phat**alpha
-    hint = min(x / frak_r, (x / cp) ** (1.0 / alpha)) if x > 0.0 else 0.0
+    hi = min(x / frak_r, (x / cp) ** (1.0 / alpha)) if x > 0.0 else 0.0
     return invert_increasing(
         lambda s: frak_r * s + cp * s**alpha,
         x,
-        deriv=lambda s: frak_r + cp * alpha * s ** (alpha - 1.0) if s > 0.0 else frak_r,
-        hi_hint=hint,
-        tol=_ROOT_TOL,
+        lambda s: frak_r + cp * alpha * s ** (alpha - 1.0),
+        hi,
     )
 
 

@@ -57,6 +57,35 @@ def _check_s(s):
     return s
 
 
+# x - log1p(x) = x**2 * sum_i c_i x**i + O(x**7), and so expm1(-x) + x.  Both
+# closed forms cancel to about eps / x relative; the series, used below
+# _SERIES_BELOW, is off by about x**5 / 3, so both sides are good to 2e-13.
+_X_MINUS_LOG1P = (1 / 2, -1 / 3, 1 / 4, -1 / 5, 1 / 6)
+_EXPM1_NEG_PLUS = (1 / 2, -1 / 6, 1 / 24, -1 / 120, 1 / 720)
+_SERIES_BELOW = 1e-3
+
+
+def _poly(x, coeffs):
+    """sum_i coeffs[i] * x**i by Horner's rule."""
+    total = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        total = total * x + c
+    return total
+
+
+def _series_where_small(x, closed, coeffs):
+    """The closed form's values `closed` at x, with x**2 * _poly(x, coeffs) where x is small.
+
+    A scalar (a root solve's call) takes one branch, and an array has only
+    its small entries replaced."""
+    small = x < _SERIES_BELOW
+    if getattr(x, "ndim", 0):
+        if small.any():
+            closed[small] = x[small] ** 2 * _poly(x[small], coeffs)
+        return closed
+    return float(x) ** 2 * _poly(float(x), coeffs) if small else closed
+
+
 def _increment_shape(dt, size):
     """dt as an array, and the shape of the draws: dt's shape broadcast with size."""
     dt = np.asarray(dt, dtype=float)
@@ -66,12 +95,18 @@ def _increment_shape(dt, size):
 
 
 class JobSize:
-    """Job-size law with a closed-form transform b(s) = E[exp(-s B)]."""
+    """Job-size law B with transform b(s) = E[exp(-s B)].
 
-    def lst(self, s):
+    Each law gives b(s) - 1 + s * mean, the compound-Poisson exponent per
+    unit jump rate, and b'(s) + mean without cancellation at small s.
+    """
+
+    def unit_exponent(self, s):
+        """b(s) - 1 + s * mean."""
         raise NotImplementedError
 
-    def lst_deriv(self, s):
+    def unit_exponent_deriv(self, s):
+        """b'(s) + mean."""
         raise NotImplementedError
 
     def sample_total(self, counts, rng):
@@ -95,11 +130,12 @@ class DeterministicJob(JobSize):
     def second_moment(self):
         return self.size**2
 
-    def lst(self, s):
-        return np.exp(-self.size * np.asarray(s, dtype=float))
+    def unit_exponent(self, s):
+        y = self.size * s
+        return _series_where_small(y, np.expm1(-y) + y, _EXPM1_NEG_PLUS)
 
-    def lst_deriv(self, s):
-        return -self.size * np.exp(-self.size * np.asarray(s, dtype=float))
+    def unit_exponent_deriv(self, s):
+        return -self.size * np.expm1(-self.size * s)
 
     def sample_total(self, counts, rng):
         return np.asarray(counts, dtype=float) * self.size
@@ -107,6 +143,13 @@ class DeterministicJob(JobSize):
 
 @dataclass(frozen=True)
 class ErlangJob(JobSize):
+    """Sum of `stages` exponential phases of rate mu.
+
+    With x = s / mu and a = 1 / (1 + x), b(s) = a**k for k stages, so
+    b - 1 + s * mean = x**2 * a * sum_{l<k} (k - l) a**l and
+    b' + mean = (k / mu) * x * a * sum_{l<=k} a**l: every term is positive.
+    """
+
     stages: int
     mu: float
 
@@ -124,12 +167,15 @@ class ErlangJob(JobSize):
     def second_moment(self):
         return self.stages * (self.stages + 1) / self.mu**2
 
-    def lst(self, s):
-        return (self.mu / (self.mu + np.asarray(s, dtype=float))) ** self.stages
+    def unit_exponent(self, s):
+        x = s / self.mu
+        a = 1.0 / (1.0 + x)
+        return x * (x * a) * _poly(a, range(self.stages, 0, -1))
 
-    def lst_deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        return -self.stages * self.mu**self.stages / (self.mu + s) ** (self.stages + 1)
+    def unit_exponent_deriv(self, s):
+        x = s / self.mu
+        a = 1.0 / (1.0 + x)
+        return self.mean * (x * a) * _poly(a, (1.0,) * (self.stages + 1))
 
     def sample_total(self, counts, rng):
         return rng.gamma(self.stages * np.asarray(counts, dtype=float), 1.0 / self.mu)
@@ -177,11 +223,11 @@ class CompoundPoisson(LevyModel):
 
     def laplace_exponent(self, s):
         s = _check_s(s)
-        return self.lam * (self.job.lst(s) - 1.0 + s * self.job.mean)
+        return self.lam * self.job.unit_exponent(s)
 
     def laplace_exponent_deriv(self, s):
         s = _check_s(s)
-        return self.lam * (self.job.lst_deriv(s) + self.job.mean)
+        return self.lam * self.job.unit_exponent_deriv(s)
 
     def tail_pair(self, regime: str) -> TailPair:
         if regime == HEAVY:
@@ -213,11 +259,12 @@ class CenteredGamma(LevyModel):
 
     def laplace_exponent(self, s):
         s = _check_s(s)
-        return self.shape * np.log(self.rate / (self.rate + s)) + s * self.shape / self.rate
+        x = s / self.rate
+        return self.shape * _series_where_small(x, x - np.log1p(x), _X_MINUS_LOG1P)
 
     def laplace_exponent_deriv(self, s):
         s = _check_s(s)
-        return self.shape / self.rate - self.shape / (self.rate + s)
+        return (self.shape / self.rate) * s / (self.rate + s)
 
     def tail_pair(self, regime: str) -> TailPair:
         if regime == HEAVY:

@@ -76,34 +76,27 @@ class RateFunction:
         return cs / co
 
 
-def diff_sign_at_infinity(f: RateFunction, g: RateFunction) -> int:
-    """Sign of f(u) - g(u) for all large u (+1, -1, or 0 when identical)."""
+def _net_coefficients(f: RateFunction, g: RateFunction) -> dict[float, float]:
+    """Coefficients of f - g by exponent, keeping those above _TOL of the largest term."""
     merged: dict[float, float] = {}
-    scale = 0.0
     for c, e in f.terms:
         merged[e] = merged.get(e, 0.0) + c
-        scale = max(scale, abs(c))
     for c, e in g.terms:
         merged[e] = merged.get(e, 0.0) - c
-        scale = max(scale, abs(c))
-    for e in sorted(merged, reverse=True):
-        net = merged[e]
-        if abs(net) > _TOL * scale:
-            return 1 if net > 0 else -1
-    return 0
+    scale = max(abs(c) for c, _ in f.terms + g.terms)
+    return {e: v for e, v in merged.items() if abs(v) > _TOL * scale}
+
+
+def diff_sign_at_infinity(f: RateFunction, g: RateFunction) -> int:
+    """Sign of f(u) - g(u) for all large u (+1, -1, or 0 when identical)."""
+    net = _net_coefficients(f, g)
+    return (1 if net[max(net)] > 0 else -1) if net else 0
 
 
 def _has_sign_change(f: RateFunction, g: RateFunction) -> bool:
     """True when f - g has mixed-sign net coefficients, i.e. a crossing at
     some intermediate u cannot be ruled out by the monomial representation."""
-    merged: dict[float, float] = {}
-    scale = max(abs(c) for c, _ in f.terms + g.terms)
-    for c, e in f.terms:
-        merged[e] = merged.get(e, 0.0) + c
-    for c, e in g.terms:
-        merged[e] = merged.get(e, 0.0) - c
-    signs = {1 if v > 0 else -1 for v in merged.values() if abs(v) > _TOL * scale}
-    return len(signs) > 1
+    return len({v > 0 for v in _net_coefficients(f, g).values()}) > 1
 
 
 @dataclass(frozen=True)

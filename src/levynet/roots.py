@@ -1,7 +1,11 @@
-"""Inversion of increasing functions on [0, inf) by bracketed root finding.
+"""Inversion of convex increasing functions on [0, inf) by Newton's method.
 
-Bisection on a verified bracket guarantees convergence; Newton steps are used
-only as an accelerator and are discarded whenever they leave the bracket.
+f must be convex and increasing with f(0) = 0, and the start hi must have
+f(hi) >= x.  Every Newton step from the right of the root then lands between
+the root and the current point, so the iterates fall monotonically to the
+root and need no bracket.  Each psi(s) = r s + phi(ph s) of this package is
+of this kind with hi = x / r, since phi >= 0, and so is the limit's
+r s + c s**alpha with hi = min(x / r, (x / c)**(1 / alpha)).
 """
 
 from __future__ import annotations
@@ -9,66 +13,34 @@ from __future__ import annotations
 from .errors import RootFindingError
 
 _MAX_ITER = 200
+_TOL = 1e-12
 
 
-def invert_increasing(f, x, deriv=None, hi_hint=None, tol=1e-12):
-    """Solve f(s) = x for increasing f with f(0) = 0 and x >= 0.
+def invert_increasing(f, x, deriv, hi):
+    """Solve f(s) = x for x >= 0 by Newton's method from hi; deriv is f'.
 
-    Returns s* >= 0 with |f(s*) - x| <= tol * max(1, x); internally the
-    iteration targets the stricter tol * x so that small-x inversions keep
-    full relative accuracy.  `hi_hint` seeds the upper bracket (any s with
-    f(s) >= x is valid, e.g. x / slope-at-zero-bound); `deriv` enables the
-    Newton accelerator.  Raises RootFindingError when the iteration cap is
-    hit before the residual tolerance.
+    Returns once |f(s) - x| <= 1e-12 x, or within the looser 1e-12 max(1, x)
+    once a step no longer moves s; otherwise, after at most 200 steps, raises
+    RootFindingError with the residual.
     """
     if x < 0.0:
         raise ValueError(f"cannot invert at negative value {x}")
     if x == 0.0:
         return 0.0
 
-    target = tol * x
-
-    lo, flo = 0.0, 0.0
-    hi = hi_hint if hi_hint and hi_hint > 0.0 else 1.0
-    fhi = f(hi)
-    expansions = 0
-    while fhi < x:
-        lo, flo = hi, fhi
-        hi *= 2.0
-        fhi = f(hi)
-        expansions += 1
-        if expansions > 1100:
-            raise RootFindingError(
-                f"no upper bracket found below s = {hi}", residual=x - fhi
-            )
-
     s = hi
-    fs = fhi
+    fs = f(s)
     for _ in range(_MAX_ITER):
-        if abs(fs - x) <= target:
+        if abs(fs - x) <= _TOL * x:
             return s
-        if fs > x:
-            hi, fhi = s, fs
-        else:
-            lo, flo = s, fs
-
-        step = None
-        if deriv is not None:
-            d = deriv(s)
-            if d > 0.0:
-                cand = s - (fs - x) / d
-                if lo < cand < hi:
-                    step = cand
-        if step is None:
-            step = 0.5 * (lo + hi)
+        step = s - (fs - x) / deriv(s)
         if step == s:
-            break  # bracket collapsed to machine resolution
+            break
         s = step
         fs = f(s)
 
-    if abs(fs - x) <= tol * max(1.0, x):
+    if abs(fs - x) <= _TOL * max(1.0, x):
         return s
     raise RootFindingError(
-        f"no convergence after {_MAX_ITER} iterations (residual {fs - x:.3e} at s = {s:.6e})",
-        residual=fs - x,
+        f"Newton iteration stopped with residual {fs - x:.3e} at s = {s:.6e}", residual=fs - x
     )

@@ -10,16 +10,20 @@ from levynet import (
     Brownian,
     CenteredGamma,
     CompoundPoisson,
+    DeterministicJob,
+    ErlangJob,
     ExponentialJob,
+    StableSum,
     RateFunction,
     joint_lst_exact,
+    exact,
     joint_lst_limit,
     kappa,
     limit,
     partition,
     partition_rates,
-    phi_inverse,
 )
+from levynet.exact import _psi_inverse
 
 from conftest import delta, delta_hat, psi, random_model, random_spec, random_tail, tandem_spec
 
@@ -48,6 +52,11 @@ def test_psi_negative_rejected():
     spec, model = brownian_single()
     with pytest.raises(ValueError):
         psi(spec, model, 1, -1.0, 1.0)
+
+
+def phi_inverse(spec, model, j: int, x: float, u: float) -> float:
+    """Phi_j(x), the inverse of psi_j at x, as the exact transform solves it."""
+    return _psi_inverse(model, spec.rate(j, u), float(spec.phat[j - 1]), x)
 
 
 def test_phi_inverse_zero_and_quadratic():
@@ -229,13 +238,13 @@ def test_breakdown_matches_scalar_kappa_and_deltas_on_deep_trees():
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
 
-def _benchmark_tree(n: int, seed: int):
-    """The tree perfbench/trees.py builds for (n, seed)."""
+def _benchmark_tree(n: int, seed: int, build: str = "random_tree"):
+    """The tree perfbench/trees.py builds for (n, seed) with its function `build`."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "trees.py"
     module_spec = importlib.util.spec_from_file_location("perfbench_trees", path)
     trees = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(trees)
-    return trees.random_tree(np.random.default_rng([n, seed]), n)
+    return getattr(trees, build)(np.random.default_rng([n, seed]), n)
 
 
 def test_deep_node_marginal_without_spurious_singular_factor():
@@ -305,3 +314,50 @@ def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):
     assert 0 < calls["rate"] <= spec.n
     joint_lst_limit(spec, part, random_tail(rng), w)
     assert calls["starred"] == 0
+
+
+GUARD_FAMILIES = [
+    Brownian(1.0),
+    CenteredGamma(2.0, 1.5),
+    CompoundPoisson(1.0, DeterministicJob(1.0)),
+    CompoundPoisson(1.0, ExponentialJob(1.0)),
+    CompoundPoisson(1.0, ErlangJob(3, 2.0)),
+    StableSum(((1.5, 0.5),)),
+]
+
+
+@pytest.mark.parametrize("model", GUARD_FAMILIES, ids=repr)
+def test_newton_iterates_never_pass_the_root(model, monkeypatch):
+    # the root solver runs plain Newton from x / r, which is safe only while
+    # every psi_j is convex and increasing and psi_j(x / r) >= x: then within
+    # each solve s never increases and f(s) never falls below x
+    solves = []
+    invert_increasing = exact.invert_increasing
+
+    def recorded(f, x, *args, **kwargs):
+        seen = []
+
+        def traced(s):
+            fs = f(s)
+            seen.append((s, fs))
+            return fs
+
+        solves.append((x, seen))
+        return invert_increasing(traced, x, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "invert_increasing", recorded)
+    rng = np.random.default_rng(131)
+    # the benchmark's T50, T80, T100 and S50, at its u = 2, and seeded random trees
+    benchmark = ((50, 1, "random_tree"), (80, 3, "random_tree"), (100, 3, "random_tree"))
+    benchmark += ((50, 0, "singleton_class_tree"),)
+    cases = [(_benchmark_tree(*tree), 2.0) for tree in benchmark]
+    cases += [(random_spec(rng, int(rng.integers(2, 40))), rng.uniform(1.0, 4.0)) for _ in range(6)]
+    for spec, u in cases:
+        for scale in (1.0, 1e-3, 1e-6):
+            w = rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.5) * scale
+            assert 0.0 < joint_lst_exact(spec, model, w, u).value <= 1.0
+    assert len(solves) > 1000
+    for x, seen in solves:
+        s, fs = np.array(seen).reshape(-1, 2).T  # x = 0 returns 0 without evaluating f
+        assert np.all(np.diff(s) <= 0.0), x
+        assert np.all(fs >= x * (1.0 - 1e-12)), x

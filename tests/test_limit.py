@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from levynet import (
     Brownian,
+    CenteredGamma,
+    CompoundPoisson,
+    DeterministicJob,
+    ErlangJob,
+    ExponentialJob,
     RateFunction,
     StructuralError,
     TailPair,
@@ -10,7 +17,9 @@ from levynet import (
     TwoLayerParams,
     closed_form_tandem,
     closed_form_two_layer,
+    convergence_study,
     joint_lst_limit,
+    load_network,
     partition_rates,
     psi_limit_inverse,
     scaling_coefficients,
@@ -472,3 +481,29 @@ def test_closed_forms_reject_degenerate_boundary():
     assert closed_form_two_layer(params, np.array([0.7, 0.0, 0.0])) == pytest.approx(
         1.0 / (1.0 + 0.7 ** 0.5), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "job", [None, "exponential", "deterministic", "erlang3"], ids=lambda j: j or "gamma"
+)
+def test_heavy_traffic_convergence_for_gamma_and_compound_poisson(job):
+    # the heavy tandem as `sweep` evaluates it: omega = (1.5, 0.4) * r(u)**beta.
+    # The exact frequencies fall like 1/u, where a cancelling exponent
+    # returns rounding noise; with an accurate one the gap to the limit
+    # falls like 1/u up to u = 1e6
+    model = {
+        None: CenteredGamma(2.0, 1.5),
+        "exponential": CompoundPoisson(1.0, ExponentialJob(1.0)),
+        "deterministic": CompoundPoisson(1.0, DeterministicJob(1.0)),
+        "erlang3": CompoundPoisson(1.0, ErlangJob(3, 2.0)),
+    }[job]
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    spec = load_network(configs / "tandem2_heavy.network.json")
+    us = [10.0**k for k in range(1, 7)]
+    rows = convergence_study(
+        spec, partition_rates(spec), model, "heavy", [np.array([1.5, 0.4])], us
+    )
+    values = np.array([r["exact_scaled"] for r in rows])
+    assert np.all((values > 0.0) & (values <= 1.0))
+    slope = np.polyfit(np.log(us), np.log([r["gap"] for r in rows]), 1)[0]
+    assert slope == pytest.approx(-1.0, abs=0.05)

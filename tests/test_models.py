@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from levynet import (
     Brownian,
@@ -53,9 +54,10 @@ def test_brownian_exponent_value():
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
 def test_exponent_zero_centered_convex(model):
     assert model.laplace_exponent(0.0) == 0.0
-    # centering: phi(s)/s -> 0 as s -> 0 (rate s**(alpha-1), slowest at alpha=1.5)
-    ratios = [abs(model.laplace_exponent(s)) / s for s in (1e-4, 1e-6)]
-    assert ratios[1] < ratios[0] and ratios[1] < 1e-2
+    # centering: phi(s)/s -> 0 as s -> 0 (rate s**(alpha-1), slowest at alpha=1.5),
+    # with phi > 0 down to where a cancelling form would return rounding noise
+    ratios = [model.laplace_exponent(s) / s for s in (1e-4, 1e-6, 1e-10)]
+    assert ratios[0] > ratios[1] > ratios[2] > 0.0 and ratios[1] < 1e-2
     # convexity by second differences on a grid, and positivity
     grid = np.linspace(0.0, 5.0, 41)
     vals = np.array([model.laplace_exponent(s) for s in grid])
@@ -194,3 +196,88 @@ def test_invalid_parameters_rejected():
         Brownian(1.0).sample_increment(0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         Brownian(1.0).sample_increment(np.array([0.5, 0.0]), np.random.default_rng(0))
+
+
+def _family(kind, a, b):
+    """One input of each family, with two parameters drawn in [0.2, 5]."""
+    return {
+        "brownian": Brownian(a),
+        "gamma": CenteredGamma(a, b),
+        "cp-deterministic": CompoundPoisson(a, DeterministicJob(b)),
+        "cp-exponential": CompoundPoisson(a, ExponentialJob(b)),
+        "cp-erlang3": CompoundPoisson(a, ErlangJob(3, b)),
+        "stable-sum": StableSum(((1.1 + 0.8 * a / 5.0, b), (2.0, a))),
+    }[kind]
+
+
+@given(
+    st.sampled_from(
+        ["brownian", "gamma", "cp-deterministic", "cp-exponential", "cp-erlang3", "stable-sum"]
+    ),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.floats(min_value=-12.0, max_value=3.0),
+    st.floats(min_value=-10.0, max_value=1.0),
+)
+def test_exponent_nonnegative_and_nondecreasing(kind, a, b, log_s, log_step):
+    # phi and phi' vanish at 0 and are positive after it in floating point
+    # too, and phi does not decrease between two points further apart than
+    # its rounding error (about 2e-13 relative) can bridge
+    model = _family(kind, a, b)
+    s = 10.0**log_s
+    t = s * (1.0 + 10.0**log_step)
+    phi, dphi = model.laplace_exponent, model.laplace_exponent_deriv
+    assert phi(0.0) == 0.0 and dphi(0.0) == 0.0
+    # the array call, and the scalar calls of a root solve
+    for values, slopes in (
+        (phi(np.array([s, t])), dphi(np.array([s, t]))),
+        ((phi(s), phi(t)), (dphi(s), dphi(t))),
+    ):
+        assert 0.0 < values[0] <= values[1]
+        assert min(slopes) > 0.0
+
+
+# each input whose textbook exponent cancels at small s, with the s where its
+# closed form gives way to a Taylor series (s / rate or s * size = 1e-3; Erlang
+# jobs need no series, and their grid is refined at s / mu = 1e-3 alike)
+_CANCELLING = [
+    (CenteredGamma(2.0, 1.5), 1.5e-3),
+    (CompoundPoisson(0.9, DeterministicJob(0.8)), 1e-3 / 0.8),
+    (CompoundPoisson(1.0, ExponentialJob(1.0)), 1e-3),
+    (CompoundPoisson(1.1, ErlangJob(3, 2.0)), 2e-3),
+]
+
+
+def _exponent_mp(mp, model, s):
+    """phi(s) and phi'(s) from the closed forms, in the working precision of mpmath."""
+    s = mp.mpf(s)
+    if isinstance(model, CenteredGamma):
+        k, b = mp.mpf(model.shape), mp.mpf(model.rate)
+        return k * (mp.log(b / (b + s)) + s / b), k / b - k / (b + s)
+    lam, job = mp.mpf(model.lam), model.job
+    if isinstance(job, DeterministicJob):
+        d = mp.mpf(job.size)
+        return lam * (mp.exp(-s * d) - 1 + s * d), lam * d * (1 - mp.exp(-s * d))
+    k, mu = job.stages, mp.mpf(job.mu)
+    return (
+        lam * ((mu / (mu + s)) ** k - 1 + s * k / mu),
+        lam * (k / mu - k * mu**k / (mu + s) ** (k + 1)),
+    )
+
+
+@pytest.mark.parametrize("model, switch", _CANCELLING, ids=lambda v: repr(v)[:60])
+def test_exponent_matches_high_precision(model, switch):
+    # the library's forms keep their relative accuracy from 1e-12 to 1e3, on
+    # both sides of the switch to a Taylor series
+    mp = pytest.importorskip("mpmath")
+    near = switch * (1.0 + np.linspace(-1e-3, 1e-3, 9))
+    grid = np.concatenate([np.logspace(-12.0, 3.0, 151), near])
+    phi, dphi = model.laplace_exponent(grid), model.laplace_exponent_deriv(grid)
+    with mp.workdps(50):
+        for s, batch, batch_d in zip(grid.tolist(), phi.tolist(), dphi.tolist()):
+            want, want_d = _exponent_mp(mp, model, s)
+            # the array call, and the scalar call of a root solve
+            for got in (batch, model.laplace_exponent(s)):
+                assert abs(got - want) <= 1e-12 * want, s
+            for got_d in (batch_d, model.laplace_exponent_deriv(s)):
+                assert abs(got_d - want_d) <= 1e-14 * want_d, s
