@@ -13,14 +13,17 @@ Phi_j(x) and y; the point x = psi_j(y) is removable with value 1/psi_j'(y).
 Frequencies with zero entries are therefore handled by continuous extension
 instead of special cases.
 
-Cost of one evaluation: O(n^2) array work plus n - 1 scalar root solves.  The
-front structure is built once by network.build_network (NetworkSpec.front_matrix);
-per call the rates are evaluated once, all front sums come from one matrix
-product, every kappa from one reverse cumulative sum over them, and the
-exponents at delta and delta_hat from one array call each.  Only the inversion
-Phi_j(kappa_{j+1}) stays per factor.  The factor formula is written once, over
-classes of nodes (_class_factors): the exact transform is one class, and
-limit.py applies it to each rate class.
+Cost of one evaluation: O(n^2) array work, plus n - 1 scalar root solves
+unless phi is quadratic.  The front structure is built once by
+network.build_network (NetworkSpec.front_matrix); per call the rates are
+evaluated once, all front sums come from one matrix product, every kappa from
+one reverse cumulative sum over them, the exponents at delta and delta_hat
+from one array call, and the difference quotients of numerators and
+denominators from one array pass.  The inversions Phi_j(kappa_{j+1}) are one
+closed-form array expression when phi(s) = a s**2 (LevyModel.quadratic: Brownian
+input and every alpha = 2 limit), and one Newton solve per factor otherwise.
+The factor formula is written once, over classes of nodes (_class_factors):
+the exact transform is one class, and limit.py applies it to each rate class.
 """
 
 from __future__ import annotations
@@ -53,13 +56,28 @@ def as_omega(omega, n: int) -> np.ndarray:
     return w
 
 
-def _psi_inverse(model: LevyModel, r: float, ph: float, x: float) -> float:
-    """Inverse at x of s -> r * s + phi(ph * s), by Newton from x / r, where it is >= x."""
-    return invert_increasing(
-        lambda s: r * s + float(model.laplace_exponent(ph * s)),
-        x,
-        lambda s: r + ph * float(model.laplace_exponent_deriv(ph * s)),
-        x / r,
+def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse at x of s -> r * s + phi(ph * s), elementwise over the arrays.
+
+    For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
+    whose sums of nonnegative terms do not cancel; otherwise each entry is
+    solved by Newton from x / r, where psi >= x.
+    """
+    if (x < 0.0).any():  # kappa < 0: the rate ordering fails at this u
+        raise ValueError(f"cannot invert at negative value {x[x < 0.0][0]}")
+    a = model.quadratic
+    if a is not None:
+        return 2.0 * x / (r + np.sqrt(r * r + 4.0 * a * (ph * ph) * x))
+    return np.array(
+        [
+            invert_increasing(
+                lambda s: rj * s + float(model.laplace_exponent(pj * s)),
+                xj,
+                lambda s: rj + pj * float(model.laplace_exponent_deriv(pj * s)),
+                xj / rj,
+            )
+            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.tolist())
+        ]
     )
 
 
@@ -171,7 +189,8 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
     order, the last being n - 1.  Each class end gets the prefactor
     r w / psi(w), or 1 at w = 0.  Each other node j gets the factor
     _diffq_inv(root, delta) / _diffq_inv(root, delta_hat), with root the
-    inverse of psi_j at kappa_{j+1} over the class slice.  Returns the
+    inverse of psi_j at kappa_{j+1} over the class slice: in closed form for
+    quadratic phi, else by one Newton solve per node.  Returns the
     prefactors, the largest root residual and, for the nodes inside the
     classes in node order, kappa, delta, delta_hat, the roots, psi at delta
     and delta_hat, and the factors.
@@ -193,29 +212,26 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
     bounds = zip([0, *(ends[:-1] + 1).tolist()], (ends + 1).tolist())
     kap = np.concatenate([_kappas(ratios[a:b], sums[a:b]) for a, b in bounds if b - a > 1])
     r_j, ph_j = r[idx], ph[idx]
-    d = sums[idx] / ph_j
-    dh = sums[idx + 1] / ph_j
-    psi_d = r_j * d + model.laplace_exponent(ph_j * d)
-    psi_dh = r_j * dh + model.laplace_exponent(ph_j * dh)
-
-    roots = np.array(
-        [
-            _psi_inverse(model, rj, pj, x)
-            for rj, pj, x in zip(r_j.tolist(), ph_j.tolist(), kap.tolist())
-        ]
-    )
+    roots = _psi_inverse(model, r_j, ph_j, kap)
     # the factor quotients use psi at the computed roots rather than kappa, so
     # the root residual does not enter them
     psi_roots = r_j * roots + model.laplace_exponent(ph_j * roots)
     max_residual = float(np.abs(psi_roots - kap).max(initial=0.0))
 
-    def dpsi(s):
-        return r_j + ph_j * model.laplace_exponent_deriv(ph_j * s)
+    # the delta entries, then the delta_hat entries: one pass of the
+    # difference quotients gives numerators and denominators
+    idx2 = np.concatenate((idx, idx))
+    r2, ph2 = r[idx2], ph[idx2]
+    y = np.concatenate((sums[idx], sums[idx + 1])) / ph2
+    psi_y = r2 * y + model.laplace_exponent(ph2 * y)
 
-    values = _diffq_inv(roots, d, psi_roots, psi_d, dpsi, idx + 1) / _diffq_inv(
-        roots, dh, psi_roots, psi_dh, dpsi, idx + 1
-    )
-    return prefactors, max_residual, kap, d, dh, roots, psi_d, psi_dh, values
+    def dpsi(s):
+        return r2 + ph2 * model.laplace_exponent_deriv(ph2 * s)
+
+    roots2, psi_roots2 = np.concatenate((roots, roots)), np.concatenate((psi_roots, psi_roots))
+    q = _diffq_inv(roots2, y, psi_roots2, psi_y, dpsi, idx2 + 1)
+    m = idx.size
+    return prefactors, max_residual, kap, y[:m], y[m:], roots, psi_y[:m], psi_y[m:], q[:m] / q[m:]
 
 
 def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> LstEvaluation:

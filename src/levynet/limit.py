@@ -24,8 +24,9 @@ on joint_lst_limit.
 Both regimes share the formula; the regime enters only through the tail pair
 (alpha, coeff) of the input process and the direction of the u-sweep.
 
-Cost of one evaluation: O(n^2) array work plus one scalar root solve per node
-that does not end its class.
+Cost of one evaluation: O(n^2) array work, plus one scalar root solve per node
+that does not end its class when alpha < 2.  At alpha = 2 the input exponent
+coeff * s**2 is quadratic and every root is taken in closed form.
 """
 
 from __future__ import annotations

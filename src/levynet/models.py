@@ -196,6 +196,11 @@ class LevyModel:
     def laplace_exponent_deriv(self, s):
         raise NotImplementedError
 
+    @property
+    def quadratic(self) -> float | None:
+        """a when phi(s) = a * s**2 exactly, else None."""
+        return None
+
     def tail_pair(self, regime: str) -> TailPair:
         raise NotImplementedError
 
@@ -327,6 +332,12 @@ class StableSum(LevyModel):
         s = _check_s(s)
         return sum(c * a * s ** (a - 1.0) for a, c in self.components)
 
+    @property
+    def quadratic(self) -> float | None:
+        if all(a == 2.0 for a, _ in self.components):
+            return sum(c for _, c in self.components)
+        return None
+
     def tail_pair(self, regime: str) -> TailPair:
         if regime == HEAVY:
             alpha = min(a for a, _ in self.components)
@@ -366,6 +377,10 @@ class Brownian(LevyModel):
     def laplace_exponent_deriv(self, s):
         s = _check_s(s)
         return self.sigma2 * s
+
+    @property
+    def quadratic(self) -> float:
+        return 0.5 * self.sigma2
 
     def tail_pair(self, regime: str) -> TailPair:
         if regime not in (LIGHT, HEAVY):

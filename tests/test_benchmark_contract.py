@@ -10,7 +10,18 @@ from pathlib import Path
 
 import numpy as np
 
-from levynet import Brownian, RateFunction, SimConfig, cli, exact, limit, partition_rates, simulate
+from levynet import (
+    Brownian,
+    CenteredGamma,
+    RateFunction,
+    SimConfig,
+    TailPair,
+    cli,
+    exact,
+    limit,
+    partition_rates,
+    simulate,
+)
 
 from conftest import tandem_spec
 
@@ -24,28 +35,47 @@ def test_tracer_installs_and_restores(monkeypatch):
 
     original = exact.joint_lst_exact
     spec = tandem_spec([RateFunction.monomial(2.0, 0.0), RateFunction.monomial(1.0, 0.0)])
+    w = np.array([0.5, 1.0])
     with tracing.Tracer().installed() as tr:
         assert exact.joint_lst_exact is not original
         assert cli.joint_lst_exact is exact.joint_lst_exact
-        value = exact.joint_lst_exact(spec, Brownian(1.0), np.array([0.5, 1.0]), 1.0).value
+        value = exact.joint_lst_exact(spec, CenteredGamma(2.0, 1.5), w, 1.0).value
     assert exact.joint_lst_exact is original and cli.joint_lst_exact is original
-    assert value == original(spec, Brownian(1.0), np.array([0.5, 1.0]), 1.0).value
+    assert value == original(spec, CenteredGamma(2.0, 1.5), w, 1.0).value
     assert len(tr.durations("exact.joint_lst_exact")) == 1
     assert tr.counts["roots.solve"] == spec.n - 1
     assert tr.counts["network.rate"] > 0 and tr.counts["models.exponent"] > 0
 
 
-def test_traced_limit_solves_once_per_inner_node(monkeypatch):
-    # the benchmark's T50 tree: 50 nodes in 3 rate classes, so 47 nodes lie
-    # inside a class and need a root solve; none of them goes through
-    # singular_limit
+def test_traced_quadratic_exponents_make_no_root_solves(monkeypatch):
+    # Brownian input and every alpha = 2 limit invert psi in closed form
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
     import trees
 
     spec = trees.random_tree(np.random.default_rng([50, 1]), 50)
     part = partition_rates(spec)
-    tail = Brownian(1.0).tail_pair("heavy")
+    model = Brownian(1.0)
+    w = np.random.default_rng(5).uniform(0.05, 2.5, spec.n)
+    with tracing.Tracer().installed() as tr:
+        exact.joint_lst_exact(spec, model, w, 2.0)
+        limit.joint_lst_limit(spec, part, model.tail_pair("heavy"), w)
+    assert len(tr.durations("exact.joint_lst_exact")) == 1
+    assert len(tr.durations("limit.joint_lst_limit")) == 1
+    assert tr.counts["roots.solve"] == 0
+
+
+def test_traced_limit_solves_once_per_inner_node(monkeypatch):
+    # the benchmark's T50 tree: 50 nodes in 3 rate classes, so 47 nodes lie
+    # inside a class and need a root solve at alpha < 2; none of them goes
+    # through singular_limit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import trees
+
+    spec = trees.random_tree(np.random.default_rng([50, 1]), 50)
+    part = partition_rates(spec)
+    tail = TailPair(1.5, 0.5, "heavy")
     w = np.random.default_rng(5).uniform(0.05, 2.5, spec.n)
     with tracing.Tracer().installed() as tr:
         value = limit.joint_lst_limit(spec, part, tail, w).value

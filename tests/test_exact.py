@@ -24,6 +24,7 @@ from levynet import (
     partition_rates,
 )
 from levynet.exact import _psi_inverse
+from levynet.roots import invert_increasing
 
 from conftest import delta, delta_hat, psi, random_model, random_spec, random_tail, tandem_spec
 
@@ -56,13 +57,75 @@ def test_psi_negative_rejected():
 
 def phi_inverse(spec, model, j: int, x: float, u: float) -> float:
     """Phi_j(x), the inverse of psi_j at x, as the exact transform solves it."""
-    return _psi_inverse(model, spec.rate(j, u), float(spec.phat[j - 1]), x)
+    r, ph = np.array([spec.rate(j, u)]), spec.phat[j - 1 : j]
+    return float(_psi_inverse(model, r, ph, np.array([x]))[0])
 
 
 def test_phi_inverse_zero_and_quadratic():
     spec, model = brownian_single(rate=1.0, sigma2=2.0)  # psi(s) = s + s^2
     assert phi_inverse(spec, model, 1, 0.0, 1.0) == 0.0
     assert phi_inverse(spec, model, 1, 2.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def _quadratic_groups(size=2000):
+    """(a, r, phat, x) arrays for the closed-form inverse: for each of ten
+    quadratic coefficients a in [1e-3, 1e3], seeded log-uniform r in
+    [1e-10, 1e10], phat in [1e-6, 1] and x in [1e-12, 1e12], every 20th x
+    set to 0, and the corners of the box."""
+    rng = np.random.default_rng(2024)
+    corners = np.array(np.meshgrid([1e-10, 1e10], [1e-6, 1.0], [1e-12, 1e12])).reshape(3, -1)
+    for a in [1e-3, 1e3, *(10.0 ** rng.uniform(-3, 3, 8)).tolist()]:
+        r, ph, x = (10.0 ** rng.uniform(lo, hi, size // 10) for lo, hi in ((-10, 10), (-6, 0), (-12, 12)))
+        r, ph, x = (np.concatenate([c, v]) for c, v in zip(corners, (r, ph, x)))
+        x[::20] = 0.0
+        yield a, r, ph, x
+
+
+def test_quadratic_psi_inverse_matches_high_precision():
+    mp = pytest.importorskip("mpmath")
+    for a, r, ph, x in _quadratic_groups():
+        got = _psi_inverse(Brownian(2.0 * a), r, ph, x)  # quadratic coefficient exactly a
+        assert np.all(got[x == 0.0] == 0.0)
+        with mp.workdps(50):
+            for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), got.tolist()):
+                rj, q, xj = mp.mpf(rj), mp.mpf(a) * mp.mpf(pj) ** 2, mp.mpf(xj)
+                ref = 2 * xj / (rj + mp.sqrt(rj**2 + 4 * q * xj))
+                assert abs(sj - ref) <= 1e-14 * ref, (a, rj, pj, xj)
+
+
+def test_quadratic_psi_inverse_matches_newton():
+    # the solver stops at residual 1e-12 x, and a root of a convex psi with
+    # psi(0) = 0 is then good to 1e-12 relative
+    for a, r, ph, x in _quadratic_groups():
+        got = _psi_inverse(Brownian(2.0 * a), r, ph, x)
+        for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), got.tolist()):
+            q = a * pj * pj
+            ref = invert_increasing(lambda s: rj * s + q * s * s, xj, lambda s: rj + 2 * q * s, xj / rj)
+            assert abs(sj - ref) <= 1e-12 * ref, (a, rj, pj, xj)
+
+
+BENCHMARK_TREES = [
+    (50, 1, "random_tree"),
+    (80, 3, "random_tree"),
+    (100, 3, "random_tree"),
+    (50, 0, "singleton_class_tree"),
+]
+
+
+@pytest.mark.parametrize("tree", BENCHMARK_TREES, ids=str)
+def test_closed_form_roots_meet_the_newton_stopping_rule(tree):
+    # T50, T80, T100 and S50 at the benchmark's u = 2, Brownian input
+    spec = _benchmark_tree(*tree)
+    rng = np.random.default_rng(17)
+    model = Brownian(1.0)
+    r, ph = spec.rate_vector(2.0)[:-1], spec.phat[:-1]
+    for scale in (1.0, 1e-3, 1e-6, 1e3):
+        w = rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.7) * scale
+        ev = joint_lst_exact(spec, model, w, 2.0)
+        roots, kap = ev.phi_at_kappa, ev.kappa
+        residual = np.abs(r * roots + model.laplace_exponent(ph * roots) - kap)
+        assert np.all(residual <= 1e-12 * np.maximum(1.0, kap))
+        assert ev.max_root_residual <= 1e-12 * max(1.0, kap.max())
 
 
 @settings(max_examples=60)
@@ -317,13 +380,24 @@ def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):
 
 
 GUARD_FAMILIES = [
-    Brownian(1.0),
+    StableSum(((1.5, 0.5), (2.0, 0.3))),
     CenteredGamma(2.0, 1.5),
     CompoundPoisson(1.0, DeterministicJob(1.0)),
     CompoundPoisson(1.0, ExponentialJob(1.0)),
     CompoundPoisson(1.0, ErlangJob(3, 2.0)),
     StableSum(((1.5, 0.5),)),
 ]
+
+
+def _guard_points():
+    """(spec, w, u): the benchmark's T50, T80, T100 and S50 at its u = 2, and
+    seeded random trees, each at three frequency scales with zero entries."""
+    rng = np.random.default_rng(131)
+    cases = [(_benchmark_tree(*tree), 2.0) for tree in BENCHMARK_TREES]
+    cases += [(random_spec(rng, int(rng.integers(2, 40))), rng.uniform(1.0, 4.0)) for _ in range(6)]
+    for spec, u in cases:
+        for scale in (1.0, 1e-3, 1e-6):
+            yield spec, rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.5) * scale, u
 
 
 @pytest.mark.parametrize("model", GUARD_FAMILIES, ids=repr)
@@ -346,18 +420,29 @@ def test_newton_iterates_never_pass_the_root(model, monkeypatch):
         return invert_increasing(traced, x, *args, **kwargs)
 
     monkeypatch.setattr(exact, "invert_increasing", recorded)
-    rng = np.random.default_rng(131)
-    # the benchmark's T50, T80, T100 and S50, at its u = 2, and seeded random trees
-    benchmark = ((50, 1, "random_tree"), (80, 3, "random_tree"), (100, 3, "random_tree"))
-    benchmark += ((50, 0, "singleton_class_tree"),)
-    cases = [(_benchmark_tree(*tree), 2.0) for tree in benchmark]
-    cases += [(random_spec(rng, int(rng.integers(2, 40))), rng.uniform(1.0, 4.0)) for _ in range(6)]
-    for spec, u in cases:
-        for scale in (1.0, 1e-3, 1e-6):
-            w = rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.5) * scale
-            assert 0.0 < joint_lst_exact(spec, model, w, u).value <= 1.0
+    for spec, w, u in _guard_points():
+        assert 0.0 < joint_lst_exact(spec, model, w, u).value <= 1.0
     assert len(solves) > 1000
     for x, seen in solves:
         s, fs = np.array(seen).reshape(-1, 2).T  # x = 0 returns 0 without evaluating f
         assert np.all(np.diff(s) <= 0.0), x
         assert np.all(fs >= x * (1.0 - 1e-12)), x
+
+
+@pytest.mark.parametrize("model", [Brownian(1.0), CenteredGamma(2.0, 1.5)], ids=repr)
+def test_negative_kappa_is_rejected(figure1_spec, model):
+    # the rate ordering of figure 1 fails at u = 1.2, and kappa_4 < 0 there:
+    # the closed-form inverse refuses it as the Newton solver does
+    w = [1.0, 0.2, 0.4, 0.8, 0.3, 0.6]
+    assert kappa(figure1_spec, w, 3, 1.2) < 0.0
+    with pytest.raises(ValueError, match="cannot invert at negative value"):
+        joint_lst_exact(figure1_spec, model, w, 1.2)
+
+
+def test_brownian_input_makes_no_newton_solve(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("quadratic exponents are inverted in closed form")
+
+    monkeypatch.setattr(exact, "invert_increasing", refused)
+    for spec, w, u in _guard_points():
+        assert 0.0 < joint_lst_exact(spec, Brownian(1.0), w, u).value <= 1.0

@@ -237,6 +237,43 @@ def test_exponent_nonnegative_and_nondecreasing(kind, a, b, log_s, log_step):
         assert min(slopes) > 0.0
 
 
+# (model, a, rel, abs) with phi(s) = a * s**2 to rounding: exactly for one
+# term, and for a sum of terms to the roundings that separate
+# sum_k c_k s**2 from (sum_k c_k) s**2, five half-ulps (three subnormal
+# steps where s**2 is subnormal)
+_TINY = 5e-324
+_QUADRATIC = [
+    (Brownian(1.3), 1.3 / 2.0, 0.0, 0.0),
+    (StableSum(((2.0, 0.4),)), 0.4, 0.0, 0.0),
+    (StableSum(((2.0, 0.4), (2.0, 0.3))), 0.4 + 0.3, 5 * 2.0**-53, 3 * _TINY),
+]
+_NOT_QUADRATIC = [
+    CenteredGamma(2.0, 1.5),
+    CompoundPoisson(1.5, DeterministicJob(0.8)),
+    CompoundPoisson(0.9, ExponentialJob(1.2)),
+    CompoundPoisson(1.1, ErlangJob(3, 2.0)),
+    CompoundPoisson(0.0, ExponentialJob(1.2)),
+    StableSum(((1.5, 0.7),)),
+    StableSum(((1.999, 0.7),)),
+    StableSum(((1.5, 0.7), (2.0, 0.4))),
+]
+
+
+def test_quadratic_coefficient():
+    for model, a, *_ in _QUADRATIC:
+        assert model.quadratic == a
+    for model in _NOT_QUADRATIC:
+        assert model.quadratic is None
+    with pytest.raises(AttributeError):
+        Brownian(1.3).quadratic = 1.0
+
+
+@given(st.sampled_from(_QUADRATIC), st.floats(min_value=0.0, max_value=1e6))
+def test_quadratic_exponent_is_a_times_s_squared(case, s):
+    model, _, rel, tiny = case
+    assert model.laplace_exponent(s) == pytest.approx(model.quadratic * s**2, rel=rel, abs=tiny)
+
+
 # each input whose textbook exponent cancels at small s, with the s where its
 # closed form gives way to a Taylor series (s / rate or s * size = 1e-3; Erlang
 # jobs need no series, and their grid is refined at s / mu = 1e-3 alike)
