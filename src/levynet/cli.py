@@ -69,11 +69,11 @@ def _require(value, name: str):
     return value
 
 
-def _sim_config(cfg: RunConfig, args) -> SimConfig:
+def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
+    """The config's sim block at u, its seed overridden by --seed."""
     block = dict(cfg.sim)
     if args.seed is not None:
         block["seed"] = args.seed
-    u = _require(args.u if args.u is not None else cfg.u, "u (--u)")
     return SimConfig(u=u, **block)
 
 
@@ -173,7 +173,8 @@ def cmd_lst_limit(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     omegas = _require(cfg.omegas, "omega block")
-    sim = _sim_config(cfg, args)
+    u = _require(args.u if args.u is not None else cfg.u, "u (--u)")
+    sim = _sim_config(cfg, args, u)
     samples = simulate_workload(cfg.spec, cfg.model, sim)
     header = _omega_header(cfg.spec.n) + ["empirical", "se", "ci_low", "ci_high"]
     rows = []
@@ -186,7 +187,8 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     omegas = _require(cfg.omegas, "omega block")
-    sim = _sim_config(cfg, args)
+    u = _require(args.u if args.u is not None else cfg.u, "u (--u)")
+    sim = _sim_config(cfg, args, u)
     samples = simulate_workload(cfg.spec, cfg.model, sim)
     header = _omega_header(cfg.spec.n) + ["empirical", "se", "exact", "abs_gap", "gap_over_se"]
     rows = []
@@ -208,12 +210,7 @@ def cmd_sweep(args) -> int:
     u_list = _require(cfg.u_list, "u_list")
     spec = cfg.spec
     partition = partition_rates(spec)
-    sim = None
-    if args.with_empirical:
-        block = dict(cfg.sim)
-        if args.seed is not None:
-            block["seed"] = args.seed
-        sim = SimConfig(u=u_list[0], **block)
+    sim = _sim_config(cfg, args, u_list[0]) if args.with_empirical else None
     rows_out = []
     rows = convergence_study(spec, partition, cfg.model, regime, omegas, u_list, sim=sim)
     header = ["u"] + _omega_header(spec.n) + ["exact_scaled", "limit", "gap"]

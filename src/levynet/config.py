@@ -222,12 +222,7 @@ RUN_SCHEMA = {
     },
 }
 
-_SCHEMAS = {
-    "network document": NETWORK_SCHEMA,
-    "input block": INPUT_SCHEMA,
-    "omega block": OMEGA_SCHEMA,
-    "run config": RUN_SCHEMA,
-}
+_SCHEMAS = {"network document": NETWORK_SCHEMA, "run config": RUN_SCHEMA}
 
 
 @functools.cache
@@ -290,7 +285,7 @@ def load_network(path) -> NetworkSpec:
 
 
 def model_from_dict(block: dict) -> LevyModel:
-    _validated(block, "input block")
+    """The input process of a run config's input block, already schema-checked."""
     kind = block["kind"]
     try:
         if kind == "brownian":
@@ -312,8 +307,7 @@ def model_from_dict(block: dict) -> LevyModel:
 
 
 def omega_vectors(block: dict, n: int) -> list[np.ndarray]:
-    """Expand a frequency spec into explicit nonnegative vectors of length n."""
-    _validated(block, "omega block")
+    """Expand a schema-checked frequency spec into explicit nonnegative vectors of length n."""
     if "list" in block:
         out = []
         for row in block["list"]:

@@ -17,13 +17,16 @@ Cost of one evaluation: O(n^2) array work, plus n - 1 scalar root solves
 unless phi is quadratic.  The front structure is built once by
 network.build_network (NetworkSpec.front_matrix); per call the rates are
 evaluated once, all front sums come from one matrix product, every kappa from
-one reverse cumulative sum over them, the exponents at delta and delta_hat
-from one array call, and the difference quotients of numerators and
-denominators from one array pass.  The inversions Phi_j(kappa_{j+1}) are one
-closed-form array expression when phi(s) = a s**2 (LevyModel.quadratic: Brownian
-input and every alpha = 2 limit), and one Newton solve per factor otherwise.
-The factor formula is written once, over classes of nodes (_class_factors):
-the exact transform is one class, and limit.py applies it to each rate class.
+one reverse cumulative sum over them, the exponents at delta, at delta_hat and
+(for the prefactor) at w_n from one array call, and the difference quotients
+of numerators and denominators from one array pass.  The inversions
+Phi_j(kappa_{j+1}) are one closed-form array expression when phi(s) = a s**2
+(LevyModel.quadratic: Brownian input and every alpha = 2 limit), and one
+Newton solve per factor otherwise.  The factor formula is written once, over
+classes of nodes (_class_factors), with one factor per node: a class end holds
+its prefactor and every other node its ratio.  The exact transform is one
+class, so its prefactor is the last entry; limit.py applies the formula to
+each rate class.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ def as_omega(omega, n: int) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"frequency vector must have length {n}, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("frequency vector has non-finite entries")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError("frequency vector must be componentwise nonnegative")
     return w
 
@@ -143,7 +146,7 @@ def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
     """(s - y) / (psi(s) - psi(y)) elementwise, with the removable point s = y handled.
 
     psi_s and psi_y are psi evaluated at s and y, dpsi evaluates psi'
-    elementwise and j holds the factor index of each entry.  psi is
+    elementwise and j holds each entry's node, 0-based.  psi is
     increasing and convex, so the exact quotient lies between
     1/psi'(max(s, y)) and 1/psi'(min(s, y)).  It is computed in whichever of
     two ways has the smaller error estimate, both relative and so free of the
@@ -173,10 +176,10 @@ def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
         if bad.size:
             i = bad[0]
             raise SingularFactorError(
-                f"factor {j[i]}: exponent gap {den[i]:.3e} outside the range "
+                f"factor {j[i] + 1}: exponent gap {den[i]:.3e} outside the range "
                 f"[{d_lo[i] * num[i]:.3e}, {d_hi[i] * num[i]:.3e}] that psi' allows "
                 f"for the frequency gap {num[i]:.3e}",
-                factor_index=int(j[i]),
+                factor_index=int(j[i]) + 1,
             )
         return np.where(use_gap, num / den, 1.0 / d_mid)
 
@@ -186,32 +189,41 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
 
     r, ph and w hold each node's rate, phat and frequency, and sums its front
     sum within its class; ends holds the 0-based class ends in increasing
-    order, the last being n - 1.  Each class end gets the prefactor
-    r w / psi(w), or 1 at w = 0.  Each other node j gets the factor
-    _diffq_inv(root, delta) / _diffq_inv(root, delta_hat), with root the
-    inverse of psi_j at kappa_{j+1} over the class slice: in closed form for
-    quadratic phi, else by one Newton solve per node.  Returns the
-    prefactors, the largest root residual and, for the nodes inside the
-    classes in node order, kappa, delta, delta_hat, the roots, psi at delta
-    and delta_hat, and the factors.
+    order, the last being n - 1.  Returns the factors, one per node, then the
+    largest root residual and, for the nodes inside the classes in node
+    order, kappa, delta, delta_hat, the roots and psi at delta and delta_hat.
+    A class end's factor is its prefactor r w / psi(w), or 1 at w = 0.  Every
+    other node j holds _diffq_inv(root, delta) / _diffq_inv(root, delta_hat),
+    with root the inverse of psi_j at kappa_{j+1} over the class slice: in
+    closed form for quadratic phi, else by one Newton solve per node.
     """
-    prefactors = np.ones(len(ends))
-    for k, e in enumerate(ends.tolist()):
-        w_e = float(w[e])
-        if w_e != 0.0:  # centering makes psi'(0) = r, so w/psi(w) -> 1/r
-            r_e = float(r[e])
-            prefactors[k] = r_e * w_e / (r_e * w_e + float(model.laplace_exponent(ph[e] * w_e)))
     inner = np.ones(len(w), dtype=bool)
     inner[ends] = False
     idx = np.flatnonzero(inner)
-    if not idx.size:
-        empty = np.empty(0)
-        return (prefactors, 0.0) + (empty,) * 7
+    m = idx.size
+
+    # psi at delta and at delta_hat of the inner nodes, and at w of the class
+    # ends for their prefactors, from one exponent call
+    at = np.concatenate((idx, idx, ends))
+    r3, ph3 = r[at], ph[at]
+    y = np.concatenate((sums[idx], sums[idx + 1], w[ends]))
+    y[: 2 * m] /= ph3[: 2 * m]
+    psi_y = r3 * y + model.laplace_exponent(ph3 * y)
+    w_e = y[2 * m :]
+    rw_e = r3[2 * m :] * w_e
+    factors = np.ones(len(w))
+    # 1 at w = 0: centering makes psi'(0) = r, so w/psi(w) -> 1/r
+    factors[ends] = np.divide(rw_e, psi_y[2 * m :], out=np.ones(len(ends)), where=w_e != 0.0)
+    if not m:  # all classes singletons: the passes below would only add cost
+        return (factors, 0.0) + (np.empty(0),) * 6
 
     ratios = r / ph
-    bounds = zip([0, *(ends[:-1] + 1).tolist()], (ends + 1).tolist())
-    kap = np.concatenate([_kappas(ratios[a:b], sums[a:b]) for a, b in bounds if b - a > 1])
-    r_j, ph_j = r[idx], ph[idx]
+    last = ends.tolist()
+    first = [0, *(e + 1 for e in last[:-1])]
+    kap = np.concatenate(
+        [_kappas(ratios[a : b + 1], sums[a : b + 1]) for a, b in zip(first, last) if b > a]
+    )
+    r_j, ph_j = r3[:m], ph3[:m]
     roots = _psi_inverse(model, r_j, ph_j, kap)
     # the factor quotients use psi at the computed roots rather than kappa, so
     # the root residual does not enter them
@@ -220,18 +232,26 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
 
     # the delta entries, then the delta_hat entries: one pass of the
     # difference quotients gives numerators and denominators
-    idx2 = np.concatenate((idx, idx))
-    r2, ph2 = r[idx2], ph[idx2]
-    y = np.concatenate((sums[idx], sums[idx + 1])) / ph2
-    psi_y = r2 * y + model.laplace_exponent(ph2 * y)
+    r2, ph2 = r3[: 2 * m], ph3[: 2 * m]
 
     def dpsi(s):
         return r2 + ph2 * model.laplace_exponent_deriv(ph2 * s)
 
     roots2, psi_roots2 = np.concatenate((roots, roots)), np.concatenate((psi_roots, psi_roots))
-    q = _diffq_inv(roots2, y, psi_roots2, psi_y, dpsi, idx2 + 1)
-    m = idx.size
-    return prefactors, max_residual, kap, y[:m], y[m:], roots, psi_y[:m], psi_y[m:], q[:m] / q[m:]
+    q = _diffq_inv(roots2, y[: 2 * m], psi_roots2, psi_y[: 2 * m], dpsi, at[: 2 * m])
+    factors[idx] = q[:m] / q[m:]
+    return factors, max_residual, kap, y[:m], y[m : 2 * m], roots, psi_y[:m], psi_y[m : 2 * m]
+
+
+def _assembled(factors: list[float], what: str) -> float:
+    """The product of factors, left to right, clamped to 1.
+
+    A product outside (0, 1] by more than rounding raises SingularFactorError.
+    """
+    value = math.prod(factors)
+    if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
+        raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]", factor_index=0)
+    return min(value, 1.0)
 
 
 def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> LstEvaluation:
@@ -248,13 +268,9 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     if u <= 0.0:
         raise ValueError("u must be positive")
 
-    prefactors, *parts = _class_factors(
+    factors, *parts = _class_factors(
         model, spec.rate_vector(u), spec.phat, w, _front_sums(spec, w), np.array([n - 1])
     )
-    prefactor, values = float(prefactors[0]), parts[-1]
-    value = math.prod([prefactor, *values.tolist()])
-    if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
-        raise SingularFactorError(
-            f"assembled transform value {value} outside (0, 1]", factor_index=0
-        )
-    return LstEvaluation(min(value, 1.0), prefactor, *parts)
+    prefactor, values = float(factors[-1]), factors[:-1]
+    value = _assembled([prefactor, *values.tolist()], "transform")
+    return LstEvaluation(value, prefactor, *parts, values)

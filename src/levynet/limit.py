@@ -26,7 +26,10 @@ Both regimes share the formula; the regime enters only through the tail pair
 
 Cost of one evaluation: O(n^2) array work, plus one scalar root solve per node
 that does not end its class when alpha < 2.  At alpha = 2 the input exponent
-coeff * s**2 is quadratic and every root is taken in closed form.
+coeff * s**2 is quadratic and every root is taken in closed form.  All
+within-class front sums are one product with RateClassPartition.front_matrix,
+built once, and each class factor is the product of its slice of the per-node
+factors of _class_factors, its prefactor first.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFactorError, StructuralError
-from .exact import _class_factors, as_omega
+from .exact import _assembled, _class_factors, as_omega
 from .models import StableSum, TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: scaling_coefficients only
@@ -66,14 +69,6 @@ class LimitLst:
     factor_values: np.ndarray
 
 
-def _within_class_sums(
-    spec: NetworkSpec, partition: RateClassPartition, w: np.ndarray
-) -> np.ndarray:
-    """Entry j-1: the sum of phat_i * w_i over the within-class front of node j."""
-    cls = np.asarray(partition.class_of)
-    return np.where(cls[:, None] == cls[None, :], spec.front_matrix, 0.0) @ (spec.phat * w)
-
-
 def joint_lst_limit(
     spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, omega
 ) -> LimitLst:
@@ -85,34 +80,23 @@ def joint_lst_limit(
     """
     w = as_omega(omega, spec.n)
     fr = partition.fractions
-    cls = np.asarray(partition.class_of)
-    rising = np.flatnonzero((np.diff(fr / spec.phat) > 0.0) & (cls[1:] == cls[:-1]))
-    if rising.size:
-        j = int(rising[0]) + 1
+    ends = np.array([members[-1] for members in partition.classes]) - 1
+    rising = np.diff(fr / spec.phat) > 0.0
+    rising[ends[:-1]] = False  # a class end and the next node lie in different classes
+    if rising.any():
+        j = int(np.flatnonzero(rising)[0]) + 1
         raise StructuralError(
             f"fraction/phat rises from node {j} to node {j + 1}: "
             "rate ordering violated within class"
         )
 
     scaled = fr**tail.beta * w
-    ends = np.array([members[-1] for members in partition.classes]) - 1
-    prefactors, *_, values = _class_factors(
-        StableSum(((tail.alpha, tail.coeff),)),
-        fr,
-        spec.phat,
-        scaled,
-        _within_class_sums(spec, partition, scaled),
-        ends,
-    )
-    # values runs over the nodes inside the classes in node order: ends[k] - k of
-    # them lie in the first k + 1 classes (k counted from 0)
-    inner = np.split(values, ends[:-1] - np.arange(len(ends) - 1))
-    factors = np.array([math.prod([p, *v.tolist()]) for p, v in zip(prefactors.tolist(), inner)])
-
-    value = math.prod(factors.tolist())
-    if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
-        raise SingularFactorError(f"assembled limit value {value} outside (0, 1]")
-    return LimitLst(min(value, 1.0), factors)
+    sums = partition.front_matrix @ (spec.phat * scaled)
+    model = StableSum(((tail.alpha, tail.coeff),))
+    # class k's factor: its prefactor, at its end, then its other nodes in order
+    f = _class_factors(model, fr, spec.phat, scaled, sums, ends)[0].tolist()
+    class_values = [math.prod([f[c[-1] - 1], *f[c[0] - 1 : c[-1] - 1]]) for c in partition.classes]
+    return LimitLst(_assembled(class_values, "limit"), np.array(class_values))
 
 
 def singular_limit(
@@ -170,7 +154,7 @@ def scaling_coefficients(
         kk = partition.class_index(j)
         t_children = 0.0
         t_rates = 0.0
-        for l in partition.members(kk):
+        for l in partition.classes[kk - 1]:
             if l < start:
                 continue
             _, dstar = starred_sets(spec, partition, l)
@@ -198,7 +182,7 @@ def scaling_coefficients(
         )
         if same:
             kk = partition.class_index(j)
-            last = partition.members(kk)[-1]
+            last = partition.classes[kk - 1][-1]
             f_j = sum(
                 (fr[l - 2] / ph[l - 2] - fr[l - 1] / ph[l - 1]) * weighted(l)
                 for l in range(j + 1, last + 1)

@@ -86,12 +86,12 @@ def _series_where_small(x, closed, coeffs):
     return float(x) ** 2 * _poly(float(x), coeffs) if small else closed
 
 
-def _increment_shape(dt, size):
-    """dt as an array, and the shape of the draws: dt's shape broadcast with size."""
+def _lengths(dt) -> np.ndarray:
+    """dt as an array of positive increment lengths."""
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
-    return dt, np.broadcast_shapes(dt.shape, () if size is None else size)
+    return dt
 
 
 class JobSize:
@@ -204,12 +204,10 @@ class LevyModel:
     def tail_pair(self, regime: str) -> TailPair:
         raise NotImplementedError
 
-    def sample_increment(self, dt, rng: np.random.Generator, size=None):
-        """Independent draws of J(t + dt) - J(t), mean zero.
+    def sample_increment(self, dt, rng: np.random.Generator):
+        """Independent draws of J(t + dt) - J(t), mean zero, one per entry of dt.
 
-        dt is a length or an array of lengths, which may differ; the draws
-        have dt's shape broadcast with `size`, and a scalar dt without size
-        gives one float.
+        dt is an array of lengths, which may differ; the draws have its shape.
         """
         raise NotImplementedError
 
@@ -244,11 +242,10 @@ class CompoundPoisson(LevyModel):
             )
         raise ValueError(f"unknown regime {regime!r}")
 
-    def sample_increment(self, dt, rng, size=None):
-        dt, shape = _increment_shape(dt, size)
-        counts = rng.poisson(self.lam * dt, shape)
-        out = self.job.sample_total(counts, rng) - self.lam * dt * self.job.mean
-        return out if shape else float(out)
+    def sample_increment(self, dt, rng):
+        dt = _lengths(dt)
+        counts = rng.poisson(self.lam * dt, dt.shape)
+        return self.job.sample_total(counts, rng) - self.lam * dt * self.job.mean
 
 
 @dataclass(frozen=True)
@@ -281,10 +278,9 @@ class CenteredGamma(LevyModel):
             )
         raise ValueError(f"unknown regime {regime!r}")
 
-    def sample_increment(self, dt, rng, size=None):
-        dt, shape = _increment_shape(dt, size)
-        out = rng.gamma(self.shape * dt, 1.0 / self.rate, shape) - dt * self.shape / self.rate
-        return out if shape else float(out)
+    def sample_increment(self, dt, rng):
+        dt = _lengths(dt)
+        return rng.gamma(self.shape * dt, 1.0 / self.rate, dt.shape) - dt * self.shape / self.rate
 
 
 def _standard_skewed_stable(alpha: float, rng: np.random.Generator, size):
@@ -348,16 +344,16 @@ class StableSum(LevyModel):
         coeff = sum(c for a, c in self.components if a == alpha)
         return TailPair(alpha, coeff, regime)
 
-    def sample_increment(self, dt, rng, size=None):
-        dt, shape = _increment_shape(dt, size)
-        out = np.zeros(shape)
+    def sample_increment(self, dt, rng):
+        dt = _lengths(dt)
+        out = np.zeros(dt.shape)
         for a, c in self.components:
             if a == 2.0:
-                out += rng.standard_normal(shape) * np.sqrt(2.0 * c * dt)
+                out += rng.standard_normal(dt.shape) * np.sqrt(2.0 * c * dt)
             else:
                 sigma = (dt * c * abs(math.cos(0.5 * math.pi * a))) ** (1.0 / a)
-                out += sigma * _standard_skewed_stable(a, rng, shape)
-        return out if shape else float(out)
+                out += sigma * _standard_skewed_stable(a, rng, dt.shape)
+        return out
 
 
 @dataclass(frozen=True)
@@ -387,7 +383,6 @@ class Brownian(LevyModel):
             raise ValueError(f"unknown regime {regime!r}")
         return TailPair(2.0, self.sigma2 / 2.0, regime)
 
-    def sample_increment(self, dt, rng, size=None):
-        dt, shape = _increment_shape(dt, size)
-        out = rng.standard_normal(shape) * np.sqrt(self.sigma2 * dt)
-        return out if shape else float(out)
+    def sample_increment(self, dt, rng):
+        dt = _lengths(dt)
+        return rng.standard_normal(dt.shape) * np.sqrt(self.sigma2 * dt)

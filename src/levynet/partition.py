@@ -20,29 +20,36 @@ from .network import NetworkSpec, RateFunction
 
 @dataclass(frozen=True)
 class RateClassPartition:
-    """Ordered interval classes with anchors, fractions and reference rates.
+    """Ordered interval classes with fractions, reference rates and fronts.
 
-    classes[k-1] is the tuple of 1-based node ids of class k; anchors[k-1] is
-    its smallest node id.  fractions[i-1] is the exact ratio limit of node i's
-    rate against its class reference; class_of[i-1] is the 1-based class index
-    of node i.
+    classes[k-1] is the tuple of 1-based node ids of class k.  fractions[i-1]
+    is the exact ratio limit of node i's rate against its class reference.
+    front_matrix is the network's front matrix restricted to same-class
+    pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies in the
+    within-class front of node j.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    anchors: tuple[int, ...]
     fractions: np.ndarray
     reference_rates: tuple[RateFunction, ...]
-    class_of: tuple[int, ...]
+    front_matrix: np.ndarray
 
     @property
     def m(self) -> int:
         return len(self.classes)
 
+    @property
+    def anchors(self) -> tuple[int, ...]:
+        """The smallest node id of each class."""
+        return tuple(members[0] for members in self.classes)
+
+    @property
+    def class_of(self) -> tuple[int, ...]:
+        """Entry i-1: the 1-based class index of node i."""
+        return tuple(k for k, members in enumerate(self.classes, start=1) for _ in members)
+
     def class_index(self, i: int) -> int:
         return self.class_of[i - 1]
-
-    def members(self, k: int) -> tuple[int, ...]:
-        return self.classes[k - 1]
 
     def with_rescaled_reference(self, k: int, factor: float) -> "RateClassPartition":
         """Replace reference k by factor * reference; member fractions divide by factor."""
@@ -81,20 +88,21 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
             classes.append(tuple(range(start + 1, i + 1)))
             start = i
 
-    anchors = tuple(c[0] for c in classes)
-    class_of = [0] * n
     fractions = np.empty(n)
     references: list[RateFunction] = []
-    for k, members in enumerate(classes, start=1):
+    front_matrix = np.zeros((n, n))
+    for members in classes:
         fastest = max(members, key=lambda i: coeffs[i - 1])
         references.append(spec.rates[fastest - 1])
         ref_coeff = coeffs[fastest - 1]
         for i in members:
-            class_of[i - 1] = k
             fractions[i - 1] = coeffs[i - 1] / ref_coeff
+        block = slice(members[0] - 1, members[-1])
+        front_matrix[block, block] = spec.front_matrix[block, block]
     fractions.setflags(write=False)
+    front_matrix.setflags(write=False)
 
-    return RateClassPartition(tuple(classes), anchors, fractions, tuple(references), tuple(class_of))
+    return RateClassPartition(tuple(classes), fractions, tuple(references), front_matrix)
 
 
 def starred_sets(
@@ -103,5 +111,5 @@ def starred_sets(
     """Within-class restrictions of fronts[j] and children[j]."""
     if not 1 <= j <= spec.n:
         raise IndexError(f"node index {j} outside 1..{spec.n}")
-    own = frozenset(partition.members(partition.class_index(j)))
+    own = frozenset(partition.classes[partition.class_index(j) - 1])
     return spec.fronts[j] & own, spec.children[j] & own

@@ -269,7 +269,7 @@ def test_08_factorization_and_rescaling():
         product = 1.0
         for k in range(1, part.m + 1):
             restricted = np.zeros(spec.n)
-            for i in part.members(k):
+            for i in part.classes[k - 1]:
                 restricted[i - 1] = w[i - 1]
             product *= joint_lst_limit(spec, part, tail, restricted).value
         worst_f = max(worst_f, abs(full - product) / full)

@@ -6,9 +6,11 @@ API; a renamed or removed name makes the benchmark exit before it measures
 anything.  These tests install the tracer the way a traced run does.
 """
 
+import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from levynet import (
     Brownian,
@@ -90,3 +92,21 @@ def test_benchmark_sim_config_is_accepted():
     cfg = SimConfig(u=1.0, n_rep=2, seed=0, n_workers=1)
     spec = tandem_spec([RateFunction.monomial(2.0, 0.0), RateFunction.monomial(1.0, 0.0)])
     assert simulate.simulate_workload(spec, Brownian(1.0), cfg).shape == (2, 2)
+
+
+@pytest.mark.parametrize("name", ["transform_deep", "cli_configs"])
+def test_workload_checks_pass_untraced_and_traced(monkeypatch, tmp_path, name):
+    # a run whose output checks fail, traced or not, ends "correct": false;
+    # --seconds 1 gives the fewest repeats the workload allows
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    shutil.copytree(PERFBENCH.parent / "configs", tmp_path / "configs")
+    setup, run = workloads.WORKLOADS[name]
+    untraced = run(setup(tmp_path, 1, 1), tracing.NoTrace())
+    with tracing.Tracer().installed() as tr:
+        traced = run(setup(tmp_path, 1, 1), tr)
+    for outcome in (untraced, traced):
+        assert outcome.problems == [] and outcome.failed == 0
+    assert traced.attempted == untraced.attempted > 0

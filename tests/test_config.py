@@ -45,6 +45,15 @@ def test_invalid_network_document_message(doc, message):
             {"sim": {"n_rep": 10, "step": 0.01}},
             "invalid run config at sim: Additional properties are not allowed ('step' was unexpected)",
         ),
+        (
+            {"input": {"kind": "brownian", "sigma2": "one"}},
+            "invalid run config at input: {'kind': 'brownian', 'sigma2': 'one'} "
+            "is not valid under any of the given schemas",
+        ),
+        (
+            {"omega": {"list": [[0.5, "x"]]}},
+            "invalid run config at omega/list/0/1: 'x' is not of type 'number'",
+        ),
     ],
 )
 def test_invalid_run_config_message(tmp_path, overrides, message):

@@ -141,12 +141,12 @@ def test_singleton_class_reduction_with_phat():
     for _ in range(20):
         spec = random_spec(rng, int(rng.integers(2, 9)), max_classes=3)
         part = partition_rates(spec)
-        singles = [k for k in range(1, part.m + 1) if len(part.members(k)) == 1]
+        singles = [k for k in range(1, part.m + 1) if len(part.classes[k - 1]) == 1]
         if not singles:
             continue
         tail = random_tail(rng)
         k = singles[0]
-        j = part.members(k)[0]
+        j = part.classes[k - 1][0]
         wj = rng.uniform(0.1, 3.0)
         w = np.zeros(spec.n)
         w[j - 1] = wj
@@ -229,7 +229,7 @@ def test_class_factorization_exact():
         product = 1.0
         for k in range(1, part.m + 1):
             restricted = np.zeros(spec.n)
-            for i in part.members(k):
+            for i in part.classes[k - 1]:
                 restricted[i - 1] = w[i - 1]
             product *= joint_lst_limit(spec, part, tail, restricted).value
         assert full.value == pytest.approx(product, rel=1e-14)

@@ -133,7 +133,7 @@ def test_increment_moments(model, var):
     rng = np.random.default_rng(123)
     n = 10**6
     dt = 1.0
-    x = model.sample_increment(dt, rng, size=n)
+    x = model.sample_increment(np.full(n, dt), rng)
     se_mean = math.sqrt(var / n)
     assert abs(x.mean()) < 4 * se_mean
     assert x.var() == pytest.approx(var, rel=0.02)
@@ -165,7 +165,7 @@ def test_sampler_exponent_agreement(model):
     rng = np.random.default_rng(7)
     dt = 0.5
     n = 400_000
-    x = model.sample_increment(dt, rng, size=n)
+    x = model.sample_increment(np.full(n, dt), rng)
     for s in (0.5, 1.0):
         vals = np.exp(-s * x)
         mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
@@ -177,7 +177,7 @@ def test_stable_sampler_laplace_transform():
     model = StableSum(((1.5, 0.9),))
     rng = np.random.default_rng(21)
     dt = 0.7
-    x = model.sample_increment(dt, rng, size=500_000)
+    x = model.sample_increment(np.full(500_000, dt), rng)
     for s in (0.5, 1.0):
         emp = math.log(np.mean(np.exp(-s * x)))
         assert emp == pytest.approx(dt * 0.9 * s**1.5, rel=0.02)
@@ -285,34 +285,19 @@ _CANCELLING = [
 ]
 
 
-def _exponent_mp(mp, model, s):
-    """phi(s) and phi'(s) from the closed forms, in the working precision of mpmath."""
-    s = mp.mpf(s)
-    if isinstance(model, CenteredGamma):
-        k, b = mp.mpf(model.shape), mp.mpf(model.rate)
-        return k * (mp.log(b / (b + s)) + s / b), k / b - k / (b + s)
-    lam, job = mp.mpf(model.lam), model.job
-    if isinstance(job, DeterministicJob):
-        d = mp.mpf(job.size)
-        return lam * (mp.exp(-s * d) - 1 + s * d), lam * d * (1 - mp.exp(-s * d))
-    k, mu = job.stages, mp.mpf(job.mu)
-    return (
-        lam * ((mu / (mu + s)) ** k - 1 + s * k / mu),
-        lam * (k / mu - k * mu**k / (mu + s) ** (k + 1)),
-    )
-
-
 @pytest.mark.parametrize("model, switch", _CANCELLING, ids=lambda v: repr(v)[:60])
 def test_exponent_matches_high_precision(model, switch):
     # the library's forms keep their relative accuracy from 1e-12 to 1e3, on
     # both sides of the switch to a Taylor series
     mp = pytest.importorskip("mpmath")
+    from reference import exponent
+
     near = switch * (1.0 + np.linspace(-1e-3, 1e-3, 9))
     grid = np.concatenate([np.logspace(-12.0, 3.0, 151), near])
     phi, dphi = model.laplace_exponent(grid), model.laplace_exponent_deriv(grid)
     with mp.workdps(50):
         for s, batch, batch_d in zip(grid.tolist(), phi.tolist(), dphi.tolist()):
-            want, want_d = _exponent_mp(mp, model, s)
+            want, want_d = exponent(model, s)
             # the array call, and the scalar call of a root solve
             for got in (batch, model.laplace_exponent(s)):
                 assert abs(got - want) <= 1e-12 * want, s

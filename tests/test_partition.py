@@ -53,6 +53,21 @@ def test_interval_property_and_anchor_recursion():
         for k in range(1, part.m):
             assert part.anchors[k] == part.anchors[k - 1] + len(part.classes[k - 1])
         assert np.all(part.fractions > 0.0) and np.all(part.fractions <= 1.0)
+        assert part.class_of == tuple(part.class_index(i) for i in range(1, spec.n + 1))
+
+
+def test_front_matrix_rows_are_the_starred_fronts(figure1_spec, figure1_partition):
+    rng = np.random.default_rng(19)
+    cases = [(figure1_spec, figure1_partition)]
+    for n in (1, 2, 7, 15):
+        spec = random_spec(rng, n)
+        cases.append((spec, partition_rates(spec)))
+    for spec, part in cases:
+        assert not part.front_matrix.flags.writeable
+        for j in range(1, spec.n + 1):
+            row = part.front_matrix[j - 1]
+            assert set(row.tolist()) <= {0.0, 1.0}
+            assert frozenset((np.flatnonzero(row) + 1).tolist()) == starred_sets(spec, part, j)[0]
 
 
 def test_partition_invariance_under_common_monomial():
