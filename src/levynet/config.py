@@ -248,10 +248,18 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _within_float(token: str, parse=float):
+    """A JSON number hook: parse(token), or ValueError where a float overflows."""
+    if np.isinf(float(token)):
+        raise ValueError(f"{token if len(token) <= 20 else token[:17] + '...'} overflows a float")
+    return parse(token)
+
+
 def _load_json(path: Path, what: str) -> dict:
+    hooks = {"parse_float": _within_float, "parse_int": functools.partial(_within_float, parse=int)}
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant, **hooks)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
     except ValueError as exc:

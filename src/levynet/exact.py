@@ -6,27 +6,22 @@ times, for every node j < n, a ratio of two expressions of the shape
     (Phi_j(x) - y) / (x - psi_j(y)),
 
 with x the drift-gap aggregate kappa_{j+1} and y one of two front-weighted
-frequency sums.  Because psi_j is strictly increasing, numerator and
-denominator of that shape always share their sign and vanish together, so
-each factor is evaluated through the difference quotient of psi_j between
-Phi_j(x) and y; the point x = psi_j(y) is removable with value 1/psi_j'(y).
-Frequencies with zero entries are therefore handled by continuous extension
-instead of special cases.
+frequency sums.  Each is the inverse slope of psi_j between Phi_j(x) and y,
+1 / (r_j + phat_j * S(phat_j * Phi_j(x), phat_j * y)) with S the secant of phi
+(LevyModel.laplace_exponent_secant): positive, free of cancellation, and
+phi' at the removable point Phi_j(x) = y.  So every factor is a ratio of two
+positive slopes, and zero frequencies need no special case.
 
-Cost of one evaluation: O(n^2) array work, plus n - 1 scalar root solves
-unless phi is quadratic.  The front structure is built once by
-network.build_network (NetworkSpec.front_matrix); per call the rates are
-evaluated once, all front sums come from one matrix product, every kappa from
-one reverse cumulative sum over them, the exponents at delta, at delta_hat and
-(for the prefactor) at w_n from one array call, and the difference quotients
-of numerators and denominators from one array pass.  The inversions
-Phi_j(kappa_{j+1}) are one closed-form array expression when phi(s) = a s**2
-(LevyModel.quadratic: Brownian input and every alpha = 2 limit), and one
-Newton solve per factor otherwise.  The factor formula is written once, over
-classes of nodes (_class_factors), with one factor per node: a class end holds
-its prefactor and every other node its ratio.  The exact transform is one
-class, so its prefactor is the last entry; limit.py applies the formula to
-each rate class.
+Cost of one evaluation: O(n^2) array work, plus n - 1 scalar Newton solves
+unless phi(s) = a s**2 (LevyModel.quadratic: Brownian input and every
+alpha = 2 limit), where the roots are one closed-form array expression.  Per
+call the rates are evaluated once, all front sums come from one product with
+NetworkSpec.front_matrix, every kappa from one reverse cumulative sum, psi at
+the roots, delta and delta_hat from one exponent call, and every slope from
+one secant call.  The factor formula is written once, over classes of nodes
+(_class_factors), with one factor per node: a class end holds its prefactor
+and every other node its ratio.  The exact transform is one class; limit.py
+applies the formula to each rate class.
 """
 
 from __future__ import annotations
@@ -42,9 +37,6 @@ from .models import LevyModel
 from .roots import invert_increasing
 
 KAPPA_FORMS = ("sum-over-s", "max-ancestor")
-_BAND_RTOL = 1e-6
-_MIDPOINT_RTOL = 1e-6
-_EPS = float(np.finfo(float).eps)
 
 
 def as_omega(omega, n: int) -> np.ndarray:
@@ -142,48 +134,6 @@ class LstEvaluation:
     factor_values: np.ndarray
 
 
-def _diffq_inv(s, y, psi_s, psi_y, dpsi, j):
-    """(s - y) / (psi(s) - psi(y)) elementwise, with the removable point s = y handled.
-
-    psi_s and psi_y are psi evaluated at s and y, dpsi evaluates psi'
-    elementwise and j holds each entry's node, 0-based.  psi is
-    increasing and convex, so the exact quotient lies between
-    1/psi'(max(s, y)) and 1/psi'(min(s, y)).  It is computed in whichever of
-    two ways has the smaller error estimate, both relative and so free of the
-    units of u and omega:
-    - from the gaps, (s - y) / (psi_s - psi_y): rounding error about
-      4 eps * max(|psi_s|, |psi_y|) / |psi_s - psi_y|, and usable only when
-      the gap quotient lies in the band psi' allows (outside it the exponent
-      gap is lost to rounding, as at s = y);
-    - as 1 / psi'((s + y) / 2), the midpoint rule: error about
-      |psi'(lo) + psi'(hi) - 2 psi'(mid)| / (6 psi'(mid)), zero for quadratic
-      psi and at s = y.
-    A factor with neither a usable gap quotient nor a midpoint value good to
-    _MIDPOINT_RTOL is reported singular.
-    """
-    num = s - y
-    den = psi_s - psi_y
-    d_lo = dpsi(np.minimum(s, y))
-    d_mid = dpsi(0.5 * (s + y))
-    d_hi = dpsi(np.maximum(s, y))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = den / num
-        in_band = (slope >= d_lo * (1.0 - _BAND_RTOL)) & (slope <= d_hi * (1.0 + _BAND_RTOL))
-        gap_err = 4.0 * _EPS * np.maximum(np.abs(psi_s), np.abs(psi_y)) / np.abs(den)
-        mid_err = np.abs(d_lo + d_hi - 2.0 * d_mid) / (6.0 * d_mid)
-        use_gap = in_band & (gap_err < mid_err)
-        bad = np.flatnonzero(~(use_gap | (mid_err <= _MIDPOINT_RTOL)))
-        if bad.size:
-            i = bad[0]
-            raise SingularFactorError(
-                f"factor {j[i] + 1}: exponent gap {den[i]:.3e} outside the range "
-                f"[{d_lo[i] * num[i]:.3e}, {d_hi[i] * num[i]:.3e}] that psi' allows "
-                f"for the frequency gap {num[i]:.3e}",
-                factor_index=int(j[i]) + 1,
-            )
-        return np.where(use_gap, num / den, 1.0 / d_mid)
-
-
 def _class_factors(model: LevyModel, r, ph, w, sums, ends):
     """The factor formula over classes: the intervals of nodes closed by `ends`.
 
@@ -192,30 +142,17 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
     order, the last being n - 1.  Returns the factors, one per node, then the
     largest root residual and, for the nodes inside the classes in node
     order, kappa, delta, delta_hat, the roots and psi at delta and delta_hat.
-    A class end's factor is its prefactor r w / psi(w), or 1 at w = 0.  Every
-    other node j holds _diffq_inv(root, delta) / _diffq_inv(root, delta_hat),
-    with root the inverse of psi_j at kappa_{j+1} over the class slice: in
-    closed form for quadratic phi, else by one Newton solve per node.
+    With slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant of phi, a
+    class end's factor is its prefactor r / slope(w, 0) and every other
+    node's is slope(root, delta_hat) / slope(root, delta), with root the
+    inverse of psi_j at kappa_{j+1} over the class slice.
     """
     inner = np.ones(len(w), dtype=bool)
     inner[ends] = False
     idx = np.flatnonzero(inner)
     m = idx.size
-
-    # psi at delta and at delta_hat of the inner nodes, and at w of the class
-    # ends for their prefactors, from one exponent call
-    at = np.concatenate((idx, idx, ends))
-    r3, ph3 = r[at], ph[at]
-    y = np.concatenate((sums[idx], sums[idx + 1], w[ends]))
-    y[: 2 * m] /= ph3[: 2 * m]
-    psi_y = r3 * y + model.laplace_exponent(ph3 * y)
-    w_e = y[2 * m :]
-    rw_e = r3[2 * m :] * w_e
-    factors = np.ones(len(w))
-    # 1 at w = 0: centering makes psi'(0) = r, so w/psi(w) -> 1/r
-    factors[ends] = np.divide(rw_e, psi_y[2 * m :], out=np.ones(len(ends)), where=w_e != 0.0)
-    if not m:  # all classes singletons: the passes below would only add cost
-        return (factors, 0.0) + (np.empty(0),) * 6
+    if not m:  # all classes singletons: every factor is a prefactor
+        return (r / (r + ph * model.laplace_exponent_secant(ph * w, 0.0)), 0.0) + (np.empty(0),) * 6
 
     ratios = r / ph
     last = ends.tolist()
@@ -223,24 +160,27 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
     kap = np.concatenate(
         [_kappas(ratios[a : b + 1], sums[a : b + 1]) for a, b in zip(first, last) if b > a]
     )
-    r_j, ph_j = r3[:m], ph3[:m]
+    r_j, ph_j = r[idx], ph[idx]
     roots = _psi_inverse(model, r_j, ph_j, kap)
-    # the factor quotients use psi at the computed roots rather than kappa, so
-    # the root residual does not enter them
-    psi_roots = r_j * roots + model.laplace_exponent(ph_j * roots)
-    max_residual = float(np.abs(psi_roots - kap).max(initial=0.0))
 
-    # the delta entries, then the delta_hat entries: one pass of the
-    # difference quotients gives numerators and denominators
-    r2, ph2 = r3[: 2 * m], ph3[: 2 * m]
+    # psi at the roots, at delta and at delta_hat from one exponent call: the
+    # root residual and the diagnostics, which the factors do not use
+    s3 = np.concatenate((roots, sums[idx] / ph_j, sums[idx + 1] / ph_j))
+    psi3 = np.tile(r_j, 3) * s3 + model.laplace_exponent(np.tile(ph_j, 3) * s3)
+    max_residual = float(np.abs(psi3[:m] - kap).max())
 
-    def dpsi(s):
-        return r2 + ph2 * model.laplace_exponent_deriv(ph2 * s)
-
-    roots2, psi_roots2 = np.concatenate((roots, roots)), np.concatenate((psi_roots, psi_roots))
-    q = _diffq_inv(roots2, y[: 2 * m], psi_roots2, psi_y[: 2 * m], dpsi, at[: 2 * m])
-    factors[idx] = q[:m] / q[m:]
-    return factors, max_residual, kap, y[:m], y[m : 2 * m], roots, psi_y[:m], psi_y[m : 2 * m]
+    # the slopes from each root to delta_hat and to delta, and from w to 0 at
+    # the class ends, from one secant call
+    at = np.concatenate((idx, idx, ends))
+    ph_root = ph_j * roots
+    slopes = r[at] + ph[at] * model.laplace_exponent_secant(
+        np.concatenate((ph_root, ph_root, ph[ends] * w[ends])),
+        np.concatenate((sums[idx + 1], sums[idx], np.zeros(len(ends)))),
+    )
+    factors = np.empty(len(w))
+    factors[idx] = slopes[:m] / slopes[m : 2 * m]
+    factors[ends] = r[ends] / slopes[2 * m :]
+    return factors, max_residual, kap, s3[m : 2 * m], s3[2 * m :], roots, psi3[m : 2 * m], psi3[2 * m :]
 
 
 def _assembled(factors: list[float], what: str) -> float:
@@ -258,10 +198,9 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     """Exact stationary-workload transform E[exp(-<omega, Q>)] at parameter u.
 
     Preconditions: omega >= 0 and the network assumptions hold at u (the rate
-    ordering in particular; it keeps every kappa nonnegative).  Zero entries
-    of omega are handled by continuous extension; a genuinely degenerate
-    factor raises SingularFactorError carrying the factor index, and the
-    caller may jitter omega.
+    ordering in particular; it keeps every kappa nonnegative).  Every factor
+    is a ratio of positive slopes, zero entries of omega included; only a
+    product outside (0, 1] raises SingularFactorError.
     """
     n = spec.n
     w = as_omega(omega, n)

@@ -7,9 +7,8 @@ rates, the network's phat, and the alpha-stable input of the tail pair
 (alpha, coeff): exponent coeff * s**alpha.  That network is self-similar, so
 its exact transform at the fraction-scaled frequencies w~ = fractions**beta *
 omega does not depend on u, and the class factor is the factor formula of
-exact.py applied to the class, with front sums taken within the class.  Its
-removable points are handled by the same difference quotients as the exact
-transform.
+exact.py applied to the class, with front sums taken within the class: every
+factor a ratio of two positive secant slopes, removable points included.
 
 The displayed form of the class factor,
 

@@ -73,17 +73,28 @@ def _poly(x, coeffs):
     return total
 
 
-def _series_where_small(x, closed, coeffs):
-    """The closed form's values `closed` at x, with x**2 * _poly(x, coeffs) where x is small.
+def _series_where_small(x, closed, coeffs, power=2):
+    """The closed form's values `closed` at x, with x**power * _poly(x, coeffs) where x is small.
 
     A scalar (a root solve's call) takes one branch, and an array has only
     its small entries replaced."""
     small = x < _SERIES_BELOW
     if getattr(x, "ndim", 0):
         if small.any():
-            closed[small] = x[small] ** 2 * _poly(x[small], coeffs)
+            closed[small] = x[small] ** power * _poly(x[small], coeffs)
         return closed
-    return float(x) ** 2 * _poly(float(x), coeffs) if small else closed
+    return float(x) ** power * _poly(float(x), coeffs) if small else closed
+
+
+def _power_secant(alpha, hi, lo):
+    """(hi**alpha - lo**alpha) / (hi - lo) for hi >= lo >= 0, as hi**(alpha - 1) times
+    (1 - t**alpha) / (1 - t) with t = lo / hi: two expm1 calls at log1p(-(hi - lo) / hi)."""
+    if alpha == 2.0:
+        return hi + lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = np.log1p(-(hi - lo) / hi)
+        ratio = np.where(hi > lo, np.expm1(alpha * log_t) / np.expm1(log_t), alpha)
+        return hi ** (alpha - 1.0) * ratio
 
 
 def _lengths(dt) -> np.ndarray:
@@ -98,7 +109,7 @@ class JobSize:
     """Job-size law B with transform b(s) = E[exp(-s B)].
 
     Each law gives b(s) - 1 + s * mean, the compound-Poisson exponent per
-    unit jump rate, and b'(s) + mean without cancellation at small s.
+    unit jump rate, b'(s) + mean and its secants without cancellation.
     """
 
     def unit_exponent(self, s):
@@ -107,6 +118,10 @@ class JobSize:
 
     def unit_exponent_deriv(self, s):
         """b'(s) + mean."""
+        raise NotImplementedError
+
+    def unit_exponent_secant(self, p, q):
+        """The secant of unit_exponent between p >= q >= 0, its derivative at p = q."""
         raise NotImplementedError
 
     def sample_total(self, counts, rng):
@@ -137,6 +152,13 @@ class DeterministicJob(JobSize):
     def unit_exponent_deriv(self, s):
         return -self.size * np.expm1(-self.size * s)
 
+    def unit_exponent_secant(self, p, q):
+        # d * (e + (1 - e) * (1 - exp(-d q))) with e = (expm1(-y) + y) / y in [0, 1)
+        y = self.size * (p - q)
+        with np.errstate(invalid="ignore"):
+            e = _series_where_small(y, (np.expm1(-y) + y) / y, _EXPM1_NEG_PLUS, power=1)
+        return self.size * (e - (1.0 - e) * np.expm1(-self.size * q))
+
     def sample_total(self, counts, rng):
         return np.asarray(counts, dtype=float) * self.size
 
@@ -147,7 +169,8 @@ class ErlangJob(JobSize):
 
     With x = s / mu and a = 1 / (1 + x), b(s) = a**k for k stages, so
     b - 1 + s * mean = x**2 * a * sum_{l<k} (k - l) a**l and
-    b' + mean = (k / mu) * x * a * sum_{l<=k} a**l: every term is positive.
+    b' + mean = (k / mu) * x * a * sum_{l<=k} a**l, and the secant between
+    p and q is sum_{i<k} (1 - a_p**(i+1) a_q**(k-i)) / mu: every term is positive.
     """
 
     stages: int
@@ -177,6 +200,11 @@ class ErlangJob(JobSize):
         a = 1.0 / (1.0 + x)
         return self.mean * (x * a) * _poly(a, (1.0,) * (self.stages + 1))
 
+    def unit_exponent_secant(self, p, q):
+        lp, lq = np.log1p(p / self.mu), np.log1p(q / self.mu)
+        k = self.stages
+        return sum(-np.expm1(-(i + 1) * lp - (k - i) * lq) for i in range(k)) / self.mu
+
     def sample_total(self, counts, rng):
         return rng.gamma(self.stages * np.asarray(counts, dtype=float), 1.0 / self.mu)
 
@@ -195,6 +223,13 @@ class LevyModel:
 
     def laplace_exponent_deriv(self, s):
         raise NotImplementedError
+
+    def laplace_exponent_secant(self, a, b):
+        """(phi(a) - phi(b)) / (a - b) elementwise, phi'(a) where a = b, without cancellation.
+
+        Each family gives it in _secant(hi, lo), at hi = max(a, b) >= lo = min(a, b)."""
+        a, b = _check_s(a), _check_s(b)
+        return self._secant(np.maximum(a, b), np.minimum(a, b))
 
     @property
     def quadratic(self) -> float | None:
@@ -232,6 +267,9 @@ class CompoundPoisson(LevyModel):
         s = _check_s(s)
         return self.lam * self.job.unit_exponent_deriv(s)
 
+    def _secant(self, hi, lo):
+        return self.lam * self.job.unit_exponent_secant(hi, lo)
+
     def tail_pair(self, regime: str) -> TailPair:
         if regime == HEAVY:
             return TailPair(2.0, self.lam * self.job.second_moment / 2.0, HEAVY)
@@ -267,6 +305,15 @@ class CenteredGamma(LevyModel):
     def laplace_exponent_deriv(self, s):
         s = _check_s(s)
         return (self.shape / self.rate) * s / (self.rate + s)
+
+    def _secant(self, hi, lo):
+        # (shape / rate) * (q + h(z) / z) / (1 + q) with q = lo / rate,
+        # z = (hi - lo) / (rate + lo) >= 0 and h(z) = z - log1p(z)
+        q = lo / self.rate
+        z = (hi - lo) / (self.rate + lo)
+        with np.errstate(invalid="ignore"):
+            hz = _series_where_small(z, (z - np.log1p(z)) / z, _X_MINUS_LOG1P, power=1)
+        return (self.shape / self.rate) * (q + hz) / (1.0 + q)
 
     def tail_pair(self, regime: str) -> TailPair:
         if regime == HEAVY:
@@ -328,6 +375,9 @@ class StableSum(LevyModel):
         s = _check_s(s)
         return sum(c * a * s ** (a - 1.0) for a, c in self.components)
 
+    def _secant(self, hi, lo):
+        return sum(c * _power_secant(alpha, hi, lo) for alpha, c in self.components)
+
     @property
     def quadratic(self) -> float | None:
         if all(a == 2.0 for a, _ in self.components):
@@ -373,6 +423,9 @@ class Brownian(LevyModel):
     def laplace_exponent_deriv(self, s):
         s = _check_s(s)
         return self.sigma2 * s
+
+    def _secant(self, hi, lo):
+        return 0.5 * self.sigma2 * (hi + lo)
 
     @property
     def quadratic(self) -> float:

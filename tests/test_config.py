@@ -94,12 +94,32 @@ def test_schemas_checked_once(monkeypatch):
     ],
 )
 def test_non_standard_json_constants_rejected(tmp_path, capsys, run_text):
+    _assert_config_error(tmp_path, capsys, run_text, "is not a JSON number")
+
+
+@pytest.mark.parametrize(
+    "run_text",
+    [
+        '"u": 4.0, "input": {"kind": "brownian", "sigma2": 1e400}',
+        '"u": 1e400, "input": {"kind": "brownian", "sigma2": 1.0}',
+        '"u": ' + "1" * 401 + ', "input": {"kind": "brownian", "sigma2": 1.0}',
+        '"u": 4.0, "input": {"kind": "brownian", "sigma2": 1.0}, "omega": {"list": [[0.5, -1e400]]}',
+    ],
+    ids=["sigma2 1e400", "u 1e400", "u with 401 digits", "omega -1e400"],
+)
+def test_numbers_beyond_the_float_range_rejected(tmp_path, capsys, run_text):
+    """Read as inf (or, for a long integer, an OverflowError later), they
+    exit 2 with a ConfigError like the non-standard constants."""
+    _assert_config_error(tmp_path, capsys, run_text, "overflows a float")
+
+
+def _assert_config_error(tmp_path, capsys, run_text, message):
     from levynet import cli
 
     (tmp_path / "net.json").write_text(json.dumps(NETWORK))
     path = tmp_path / "run.json"
     path.write_text('{"network": "net.json", ' + run_text + "}")
-    with pytest.raises(ConfigError, match="is not a JSON number") as info:
+    with pytest.raises(ConfigError, match=message) as info:
         config.load_run_config(path)
     assert str(path) in str(info.value)
     assert cli.main(["lst-exact", "--config", str(path)]) == 2

@@ -1,7 +1,9 @@
-"""Both transforms against the 60-digit factor formula of reference.py.
+"""Both transforms and the exponent secants against the mpmath forms of reference.py.
 
 The frequencies are strictly positive, where the reference's plain quotients
-are exact; removable points have their own tests in test_exact and test_limit.
+are exact.  Near-removable points, where a factor's numerator and
+denominator almost vanish together, are gated here too; the removable
+points themselves have their own tests in test_exact and test_limit.
 """
 
 from pathlib import Path
@@ -9,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-pytest.importorskip("mpmath")
+mp = pytest.importorskip("mpmath")
 
 import reference
-from conftest import random_spec
+from conftest import random_spec, tandem_spec
 from levynet import (
     Brownian,
     CenteredGamma,
@@ -66,7 +68,49 @@ def _exact_cases(model):
 def test_exact_matches_reference(model):
     for spec, u, w in _exact_cases(model):
         got = joint_lst_exact(spec, model, w, u).value
-        assert got == pytest.approx(reference.exact_lst(spec, model, w, u), rel=1e-10), (spec.n, u)
+        assert got == pytest.approx(reference.exact_lst(spec, model, w, u), rel=1e-12), (spec.n, u)
+
+
+@pytest.mark.parametrize("model", FAMILIES + [StableSum(((1.05, 0.6),))], ids=lambda m: repr(m)[:50])
+def test_exponent_secant_matches_reference(model):
+    """The secant against (phi(a) - phi(b)) / (a - b) at 150 digits, and phi'(a) at a = b.
+
+    The pairs cover a in [1e-12, 1e3] with relative gaps from 1e-17 to 1 in
+    both directions, a = b and b = 0; 150 digits keep the reference's own
+    cancellation far below the gate."""
+    rng = np.random.default_rng(47)
+    a = 10.0 ** rng.uniform(-12.0, 3.0, 300)
+    gap = 10.0 ** rng.uniform(-17.0, 0.0, 300) * rng.choice([-1.0, 1.0], 300)
+    b = a * (1.0 + gap)
+    b[:30], b[30:60] = a[:30], 0.0
+    got = model.laplace_exponent_secant(a, b)
+    with mp.workdps(150):
+        for x, y, s in zip(a.tolist(), b.tolist(), got.tolist()):
+            if x == y:
+                want = reference.exponent(model, x)[1]
+            else:
+                want = (reference.exponent(model, x)[0] - reference.exponent(model, y)[0]) / (
+                    mp.mpf(x) - mp.mpf(y)
+                )
+            assert s == pytest.approx(float(want), rel=5e-13), (x, y)
+    assert (got >= 0.0).all()
+    assert np.array_equal(model.laplace_exponent_secant(b, a), got)
+    np.testing.assert_allclose(got[:30], model.laplace_exponent_deriv(a[:30]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("model", [FAMILIES[i] for i in (1, 3, 4, 5, 6)], ids=lambda m: repr(m)[:50])
+def test_exact_near_removable_points(model):
+    """A 2-node tandem with omega_1 = Phi_1(kappa_2) * (1 +- t): the first
+    factor's numerator and denominator both shrink like t."""
+    spec = tandem_spec([RateFunction.monomial(2.0, 0.0), RateFunction.monomial(1.0, 0.0)])
+    for w2 in (0.3, 3.0, 30.0):
+        root = joint_lst_exact(spec, model, [1.0, w2], 1.0).phi_at_kappa[0]  # kappa_2 is free of omega_1
+        for t in np.geomspace(1e-9, 3e-2, 12):
+            for sign in (-1.0, 1.0):
+                w = [root * (1.0 + sign * t), w2]
+                got = joint_lst_exact(spec, model, w, 1.0).value
+                want = reference.exact_lst(spec, model, w, 1.0)
+                assert got == pytest.approx(want, rel=1e-13), (w2, sign * t)
 
 
 def _singleton_class_tree(rng, n):
