@@ -240,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--u", type=float, default=None, help="scaling parameter value")
-        p.add_argument("--seed", type=int, default=None, help="random seed override")
+        seed_help = "Monte Carlo seed override; only simulate, compare and sweep --with-empirical use it"
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if regime:
             p.add_argument("--regime", choices=["light", "heavy"], default=None)

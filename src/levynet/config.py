@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -228,7 +227,9 @@ _SCHEMAS = {"network document": NETWORK_SCHEMA, "run config": RUN_SCHEMA}
 @functools.cache
 def _validator(what: str):
     """The validator for one of _SCHEMAS, its schema checked against the
-    meta-schema once per process rather than on every document."""
+    meta-schema once per process rather than on every document.  jsonschema
+    is imported on first use: a run that reads no config never loads it."""
+    import jsonschema
     schema = _SCHEMAS[what]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -237,7 +238,8 @@ def _validator(what: str):
 
 def _validated(doc, what: str):
     """doc, or ConfigError naming the best-matching violation as jsonschema.validate would."""
-    error = jsonschema.exceptions.best_match(_validator(what).iter_errors(doc))
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator(what).iter_errors(doc))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
         raise ConfigError(f"invalid {what} at {where}: {error.message}") from error

@@ -15,19 +15,20 @@ positive slopes, and zero frequencies need no special case.
 Cost of one evaluation: O(n^2) array work, plus n - 1 scalar Newton solves
 unless phi(s) = a s**2 (LevyModel.quadratic: Brownian input and every
 alpha = 2 limit), where the roots are one closed-form array expression.  Per
-call the rates are evaluated once, all front sums come from one product with
-NetworkSpec.front_matrix, every kappa from one reverse cumulative sum, psi at
-the roots, delta and delta_hat from one exponent call, and every slope from
-one secant call.  The factor formula is written once, over classes of nodes
-(_class_factors), with one factor per node: a class end holds its prefactor
-and every other node its ratio.  The exact transform is one class; limit.py
-applies the formula to each rate class.
+call the rates are one array expression over NetworkSpec's packed monomials,
+all front sums come from one product with NetworkSpec.front_matrix, every
+kappa from one reverse cumulative sum, and every slope from one secant call;
+the diagnostics are computed only when read.  The factor formula is written
+once, over classes of nodes (_class_factors), with one factor per node: a
+class end holds its prefactor and every other node its ratio.  The exact
+transform is one class; limit.py applies the formula to each rate class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,40 +120,53 @@ class LstEvaluation:
 
     Entry j-1 of every array belongs to the factor of node j < n: kappa_{j+1},
     delta_j, delta_hat_j, the root Phi_j(kappa_{j+1}), psi_j at delta_j and
-    at delta_hat_j, and the factor value.
+    at delta_hat_j, and the factor value.  The deltas, psi and the residual
+    come on first read from model, rates, phat and front_sums (one phi call).
     """
 
     value: float
     prefactor: float
-    max_root_residual: float
     kappa: np.ndarray
-    delta: np.ndarray
-    delta_hat: np.ndarray
     phi_at_kappa: np.ndarray
-    psi_delta: np.ndarray
-    psi_delta_hat: np.ndarray
     factor_values: np.ndarray
+    model: LevyModel = field(repr=False)
+    rates: np.ndarray = field(repr=False)
+    phat: np.ndarray = field(repr=False)
+    front_sums: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _psi_points(self) -> list[np.ndarray]:
+        """The roots, delta and delta_hat, then psi at each, from one exponent call."""
+        r, ph, sums = self.rates[:-1], self.phat[:-1], self.front_sums
+        s3 = np.concatenate((self.phi_at_kappa, sums[:-1] / ph, sums[1:] / ph))
+        psi3 = np.tile(r, 3) * s3 + self.model.laplace_exponent(np.tile(ph, 3) * s3)
+        return np.split(s3, 3) + np.split(psi3, 3)
+
+    @cached_property
+    def max_root_residual(self) -> float:
+        return float(np.abs(self._psi_points[3] - self.kappa).max(initial=0.0))
+
+    delta = property(lambda self: self._psi_points[1])
+    delta_hat = property(lambda self: self._psi_points[2])
+    psi_delta = property(lambda self: self._psi_points[4])
+    psi_delta_hat = property(lambda self: self._psi_points[5])
 
 
-def _class_factors(model: LevyModel, r, ph, w, sums, ends):
+def _class_factors(model: LevyModel, r, ph, w, sums, ends, inner):
     """The factor formula over classes: the intervals of nodes closed by `ends`.
 
     r, ph and w hold each node's rate, phat and frequency, and sums its front
     sum within its class; ends holds the 0-based class ends in increasing
-    order, the last being n - 1.  Returns the factors, one per node, then the
-    largest root residual and, for the nodes inside the classes in node
-    order, kappa, delta, delta_hat, the roots and psi at delta and delta_hat.
-    With slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant of phi, a
-    class end's factor is its prefactor r / slope(w, 0) and every other
-    node's is slope(root, delta_hat) / slope(root, delta), with root the
-    inverse of psi_j at kappa_{j+1} over the class slice.
+    order, the last being n - 1, and inner the other nodes in increasing
+    order.  Returns the factors, one per node, then kappa and the roots for
+    the inner nodes.  With slope(s, y) = r + ph * S(ph * s, ph * y) and S the
+    secant of phi, a class end's factor is its prefactor r / slope(w, 0) and
+    every other node's is slope(root, delta_hat) / slope(root, delta), with
+    root the inverse of psi_j at kappa_{j+1} over the class slice.
     """
-    inner = np.ones(len(w), dtype=bool)
-    inner[ends] = False
-    idx = np.flatnonzero(inner)
-    m = idx.size
+    m = inner.size
     if not m:  # all classes singletons: every factor is a prefactor
-        return (r / (r + ph * model.laplace_exponent_secant(ph * w, 0.0)), 0.0) + (np.empty(0),) * 6
+        return r / (r + ph * model.laplace_exponent_secant(ph * w, 0.0)), np.empty(0), np.empty(0)
 
     ratios = r / ph
     last = ends.tolist()
@@ -160,27 +174,20 @@ def _class_factors(model: LevyModel, r, ph, w, sums, ends):
     kap = np.concatenate(
         [_kappas(ratios[a : b + 1], sums[a : b + 1]) for a, b in zip(first, last) if b > a]
     )
-    r_j, ph_j = r[idx], ph[idx]
-    roots = _psi_inverse(model, r_j, ph_j, kap)
-
-    # psi at the roots, at delta and at delta_hat from one exponent call: the
-    # root residual and the diagnostics, which the factors do not use
-    s3 = np.concatenate((roots, sums[idx] / ph_j, sums[idx + 1] / ph_j))
-    psi3 = np.tile(r_j, 3) * s3 + model.laplace_exponent(np.tile(ph_j, 3) * s3)
-    max_residual = float(np.abs(psi3[:m] - kap).max())
+    roots = _psi_inverse(model, r[inner], ph[inner], kap)
 
     # the slopes from each root to delta_hat and to delta, and from w to 0 at
     # the class ends, from one secant call
-    at = np.concatenate((idx, idx, ends))
-    ph_root = ph_j * roots
+    at = np.concatenate((inner, inner, ends))
+    ph_root = ph[inner] * roots
     slopes = r[at] + ph[at] * model.laplace_exponent_secant(
         np.concatenate((ph_root, ph_root, ph[ends] * w[ends])),
-        np.concatenate((sums[idx + 1], sums[idx], np.zeros(len(ends)))),
+        np.concatenate((sums[inner + 1], sums[inner], np.zeros(len(ends)))),
     )
     factors = np.empty(len(w))
-    factors[idx] = slopes[:m] / slopes[m : 2 * m]
+    factors[inner] = slopes[:m] / slopes[m : 2 * m]
     factors[ends] = r[ends] / slopes[2 * m :]
-    return factors, max_residual, kap, s3[m : 2 * m], s3[2 * m :], roots, psi3[m : 2 * m], psi3[2 * m :]
+    return factors, kap, roots
 
 
 def _assembled(factors: list[float], what: str) -> float:
@@ -207,9 +214,10 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     if u <= 0.0:
         raise ValueError("u must be positive")
 
-    factors, *parts = _class_factors(
-        model, spec.rate_vector(u), spec.phat, w, _front_sums(spec, w), np.array([n - 1])
+    r, sums = spec.rate_vector(u), _front_sums(spec, w)
+    factors, kap, roots = _class_factors(
+        model, r, spec.phat, w, sums, np.array([n - 1]), np.arange(n - 1)
     )
     prefactor, values = float(factors[-1]), factors[:-1]
     value = _assembled([prefactor, *values.tolist()], "transform")
-    return LstEvaluation(value, prefactor, *parts, values)
+    return LstEvaluation(value, prefactor, kap, roots, values, model, r, spec.phat, sums)

@@ -27,13 +27,13 @@ Cost of one evaluation: O(n^2) array work, plus one scalar root solve per node
 that does not end its class when alpha < 2.  At alpha = 2 the input exponent
 coeff * s**2 is quadratic and every root is taken in closed form.  All
 within-class front sums are one product with RateClassPartition.front_matrix,
-built once, and each class factor is the product of its slice of the per-node
-factors of _class_factors, its prefactor first.
+and every class factor comes from one np.multiply.reduceat over the per-node
+factors of _class_factors in the partition's end-first order, its prefactor
+first; the partition builds that layout once.  No diagnostic is computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +79,8 @@ def joint_lst_limit(
     """
     w = as_omega(omega, spec.n)
     fr = partition.fractions
-    ends = np.array([members[-1] for members in partition.classes]) - 1
     rising = np.diff(fr / spec.phat) > 0.0
-    rising[ends[:-1]] = False  # a class end and the next node lie in different classes
+    rising[partition.ends[:-1]] = False  # a class end and the next node lie in different classes
     if rising.any():
         j = int(np.flatnonzero(rising)[0]) + 1
         raise StructuralError(
@@ -92,10 +91,10 @@ def joint_lst_limit(
     scaled = fr**tail.beta * w
     sums = partition.front_matrix @ (spec.phat * scaled)
     model = StableSum(((tail.alpha, tail.coeff),))
+    f = _class_factors(model, fr, spec.phat, scaled, sums, partition.ends, partition.inner)[0]
     # class k's factor: its prefactor, at its end, then its other nodes in order
-    f = _class_factors(model, fr, spec.phat, scaled, sums, ends)[0].tolist()
-    class_values = [math.prod([f[c[-1] - 1], *f[c[0] - 1 : c[-1] - 1]]) for c in partition.classes]
-    return LimitLst(_assembled(class_values, "limit"), np.array(class_values))
+    class_values = np.multiply.reduceat(f[partition.order], partition.starts)
+    return LimitLst(_assembled(class_values.tolist(), "limit"), class_values)
 
 
 def singular_limit(

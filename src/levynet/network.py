@@ -8,7 +8,7 @@ rejects inputs that are not in this form instead of re-ordering them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,8 +171,9 @@ class NetworkSpec:
     >= j whose parent, if any, has index < j; children[j] are the direct
     offspring of j.  front_matrix holds the fronts as a read-only 0/1 array:
     entry [j-1, l-1] is 1.0 exactly when l is in fronts[j], so every front
-    sum of a vector is one matrix product.  Immutable after construction and
-    safe to share.
+    sum of a vector is one matrix product.  Row j-1 of the read-only arrays
+    rate_coeffs and rate_exps holds node j's monomials, zero-padded, so
+    rate_vector is one array expression.  Immutable and safe to share.
     """
 
     routing: RoutingMatrix
@@ -182,6 +183,16 @@ class NetworkSpec:
     fronts: dict[int, frozenset[int]]
     children: dict[int, frozenset[int]]
     front_matrix: np.ndarray
+    rate_coeffs: np.ndarray = field(init=False, repr=False)
+    rate_exps: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k = max(len(r.terms) for r in self.rates)
+        padded = [(*r.terms, *((0.0, 0.0),) * (k - len(r.terms))) for r in self.rates]
+        packed = np.array(padded).transpose(2, 0, 1).copy()  # [0] coefficients, [1] exponents
+        packed.setflags(write=False)
+        object.__setattr__(self, "rate_coeffs", packed[0])
+        object.__setattr__(self, "rate_exps", packed[1])
 
     @property
     def n(self) -> int:
@@ -191,7 +202,9 @@ class NetworkSpec:
         return self.rates[j - 1](u)
 
     def rate_vector(self, u: float) -> np.ndarray:
-        return np.array([r(u) for r in self.rates])
+        if u <= 0.0:
+            raise ValueError(f"rate functions are defined for u > 0, got u={u}")
+        return (self.rate_coeffs * u**self.rate_exps).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ the limits r_i / reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,13 +26,29 @@ class RateClassPartition:
     is the exact ratio limit of node i's rate against its class reference.
     front_matrix is the network's front matrix restricted to same-class
     pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies in the
-    within-class front of node j.
+    within-class front of node j.  The class layout, as read-only 0-based
+    index arrays: ends holds each class's last node and inner every other
+    node; order lists each class's end, then its other nodes, class by class,
+    and starts the position in order where each class begins.
     """
 
     classes: tuple[tuple[int, ...], ...]
     fractions: np.ndarray
     reference_rates: tuple[RateFunction, ...]
     front_matrix: np.ndarray
+    ends: np.ndarray = field(init=False, repr=False)
+    inner: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ends = np.array([members[-1] for members in self.classes]) - 1
+        order = np.array([i - 1 for members in self.classes for i in (members[-1], *members[:-1])])
+        starts = np.cumsum([0, *(len(members) for members in self.classes[:-1])])
+        inner = np.delete(np.arange(ends[-1] + 1), ends)
+        for name, value in (("ends", ends), ("inner", inner), ("order", order), ("starts", starts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:

@@ -19,9 +19,10 @@ _TOL = 1e-12
 def invert_increasing(f, x, deriv, hi):
     """Solve f(s) = x for x >= 0 by Newton's method from hi; deriv is f'.
 
-    Returns once |f(s) - x| <= 1e-12 x, or within the looser 1e-12 max(1, x)
-    once a step no longer moves s; otherwise, after at most 200 steps, raises
-    RootFindingError with the residual.
+    Once |f(s) - x| <= 1e-12 x, returns the point one more Newton step on,
+    where quadratic convergence leaves only rounding error; returns s within
+    the looser 1e-12 max(1, x) once a step no longer moves it; otherwise,
+    after at most 200 steps, raises RootFindingError with the residual.
     """
     if x < 0.0:
         raise ValueError(f"cannot invert at negative value {x}")
@@ -31,9 +32,9 @@ def invert_increasing(f, x, deriv, hi):
     s = hi
     fs = f(s)
     for _ in range(_MAX_ITER):
-        if abs(fs - x) <= _TOL * x:
-            return s
         step = s - (fs - x) / deriv(s)
+        if abs(fs - x) <= _TOL * x:
+            return step
         if step == s:
             break
         s = step

@@ -374,10 +374,50 @@ def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):
     monkeypatch.setattr(partition, "starred_sets", counted_starred)
     monkeypatch.setattr(limit, "starred_sets", counted_starred)
     joint_lst_exact(spec, Brownian(1.0), w, 2.0)
-    assert 0 < calls["rate"] <= spec.n
+    assert calls["rate"] == 0  # rate_vector reads the packed monomials
     joint_lst_limit(spec, part, random_tail(rng), w)
     assert calls["starred"] == 0
 
+
+
+def test_lazy_diagnostics_equal_eager_recomputation():
+    # psi at the roots, delta and delta_hat come from one exponent call on
+    # first read; the same call made by hand gives the same bits
+    spec = _benchmark_tree(50, 1)
+    model = CenteredGamma(2.0, 1.5)
+    w = np.random.default_rng(5).uniform(0.05, 2.5, spec.n)
+    ev = joint_lst_exact(spec, model, w, 2.0)
+    r, ph = spec.rate_vector(2.0)[:-1], spec.phat[:-1]
+    sums = spec.front_matrix @ (spec.phat * w)
+    s3 = np.concatenate((ev.phi_at_kappa, sums[:-1] / ph, sums[1:] / ph))
+    psi3 = np.tile(r, 3) * s3 + model.laplace_exponent(np.tile(ph, 3) * s3)
+    root_psi, psi_delta, psi_delta_hat = np.split(psi3, 3)
+    assert ev.max_root_residual == float(np.abs(root_psi - ev.kappa).max())
+    for got, want in (
+        (ev.delta, s3[spec.n - 1 : 2 * spec.n - 2]),
+        (ev.delta_hat, s3[2 * spec.n - 2 :]),
+        (ev.psi_delta, psi_delta),
+        (ev.psi_delta_hat, psi_delta_hat),
+    ):
+        assert np.array_equal(got, want)
+
+
+def test_unread_diagnostics_cost_no_exponent_call(monkeypatch):
+    # Brownian roots are closed-form and the factors use only the secant, so
+    # phi itself is evaluated only when a diagnostic is read
+    calls = []
+    laplace_exponent = Brownian.laplace_exponent
+
+    def counted(self, s):
+        calls.append(s)
+        return laplace_exponent(self, s)
+
+    monkeypatch.setattr(Brownian, "laplace_exponent", counted)
+    spec = _benchmark_tree(50, 1)
+    ev = joint_lst_exact(spec, Brownian(1.0), np.full(spec.n, 0.5), 2.0)
+    assert ev.value > 0.0 and calls == []
+    assert ev.psi_delta.shape == (spec.n - 1,) and len(calls) == 1
+    assert ev.max_root_residual <= 1e-12 * max(1.0, ev.kappa.max()) and len(calls) == 1
 
 GUARD_FAMILIES = [
     StableSum(((1.5, 0.5), (2.0, 0.3))),

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,11 @@ from levynet import (
     partition_rates,
     psi_limit_inverse,
     scaling_coefficients,
+    StableSum,
     singular_limit,
 )
 from levynet import build_network, RoutingMatrix
+from levynet.exact import _class_factors
 
 from conftest import random_spec, random_tail, tandem_spec
 
@@ -233,6 +236,41 @@ def test_class_factorization_exact():
                 restricted[i - 1] = w[i - 1]
             product *= joint_lst_limit(spec, part, tail, restricted).value
         assert full.value == pytest.approx(product, rel=1e-14)
+
+
+def test_class_layout_and_factors_match_the_classes():
+    # the layout arrays restate partition.classes, and each class factor is
+    # the product of its nodes' factors, prefactor first, as math.prod takes it
+    rng = np.random.default_rng(97)
+    specs = [random_spec(rng, int(rng.integers(1, 40))) for _ in range(12)]
+    for n in (1, 2, 9, 30):  # leading exponents fall strictly: every node is a class
+        spec = random_spec(rng, n)
+        rates = [RateFunction.monomial(r.leading[0], 2.0 - 0.05 * j) for j, r in enumerate(spec.rates)]
+        specs.append(build_network(spec.routing, rates))
+    for spec in specs:
+        part = partition_rates(spec)
+        ends = [members[-1] - 1 for members in part.classes]
+        assert part.ends.tolist() == ends
+        assert part.inner.tolist() == sorted(set(range(spec.n)) - set(ends))
+        assert [c.tolist() for c in np.split(part.order, part.starts[1:])] == [
+            [members[-1] - 1, *(i - 1 for i in members[:-1])] for members in part.classes
+        ]
+        assert not any(a.flags.writeable for a in (part.ends, part.inner, part.order, part.starts))
+        for alpha in (2.0, 1.5):
+            tail = TailPair(alpha, rng.uniform(0.2, 2.0), "heavy")
+            w = rng.uniform(0.05, 2.5, spec.n)
+            scaled = part.fractions**tail.beta * w
+            f = _class_factors(
+                StableSum(((tail.alpha, tail.coeff),)),
+                part.fractions,
+                spec.phat,
+                scaled,
+                part.front_matrix @ (spec.phat * scaled),
+                part.ends,
+                part.inner,
+            )[0].tolist()
+            want = [math.prod([f[c[-1] - 1], *f[c[0] - 1 : c[-1] - 1]]) for c in part.classes]
+            assert joint_lst_limit(spec, part, tail, w).factor_values.tolist() == want
 
 
 def test_reference_rescaling_invariance():

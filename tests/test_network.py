@@ -183,3 +183,33 @@ def test_set_relations_hold(instance):
                 assert spec.children[j] & spec.children[k] == set()
             lo = spec.parent[k] + 1 if k > 1 else 1
             assert (k in spec.fronts[j]) == (lo <= j <= k)
+
+
+def test_packed_rate_vector_matches_rate_functions():
+    # rate_vector evaluates the packed monomials with np.power, which may
+    # differ from Python's ** by an ulp; the sum keeps each node's term order
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        rates = [
+            RateFunction(tuple(zip(10.0 ** rng.uniform(-3, 3, k), rng.uniform(-1.5, 3.0, k))))
+            for k in rng.integers(1, 5, n)
+        ]
+        spec = build_network(random_tree_routing(rng, n), rates)
+        assert spec.rate_coeffs.shape == spec.rate_exps.shape == (n, max(len(r.terms) for r in rates))
+        for u in 10.0 ** rng.uniform(-3, 12, 20):
+            want = np.array([r(u) for r in spec.rates])
+            assert np.all(np.abs(spec.rate_vector(u) - want) <= 5e-16 * want), u
+
+
+def test_packed_rates_are_read_only_and_reject_nonpositive_u(figure1_spec):
+    for packed in (figure1_spec.rate_coeffs, figure1_spec.rate_exps):
+        with pytest.raises(ValueError):
+            packed[0, 0] = 1.0
+    for u in (0.0, -2.0):
+        with pytest.raises(ValueError) as packed_error:
+            figure1_spec.rate_vector(u)
+        with pytest.raises(ValueError) as scalar_error:
+            figure1_spec.rate(1, u)
+        message = f"rate functions are defined for u > 0, got u={u}"
+        assert str(packed_error.value) == str(scalar_error.value) == message

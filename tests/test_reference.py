@@ -110,7 +110,7 @@ def test_exact_near_removable_points(model):
                 w = [root * (1.0 + sign * t), w2]
                 got = joint_lst_exact(spec, model, w, 1.0).value
                 want = reference.exact_lst(spec, model, w, 1.0)
-                assert got == pytest.approx(want, rel=1e-13), (w2, sign * t)
+                assert got == pytest.approx(want, rel=1e-15), (w2, sign * t)
 
 
 def _singleton_class_tree(rng, n):
