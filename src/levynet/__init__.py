@@ -4,6 +4,7 @@ from .errors import (
     ConfigError,
     LevynetError,
     RootFindingError,
+    ScalingRangeError,
     SingularFactorError,
     StructuralError,
     UnsupportedRegimeError,

@@ -17,6 +17,10 @@ class UnsupportedRegimeError(LevynetError):
     """The input process has no valid tail pair in the requested regime."""
 
 
+class ScalingRangeError(LevynetError):
+    """A nonzero frequency, scaled by a rate power, leaves the float range."""
+
+
 class RootFindingError(LevynetError):
     """Monotone inversion failed to reach the residual tolerance."""
 

@@ -14,14 +14,18 @@ positive slopes, and zero frequencies need no special case.
 
 Cost of one evaluation: O(n^2) array work, plus n - 1 scalar Newton solves
 unless phi(s) = a s**2 (LevyModel.quadratic: Brownian input and every
-alpha = 2 limit), where the roots are one closed-form array expression.  Per
-call the rates are one array expression over NetworkSpec's packed monomials,
-all front sums come from one product with NetworkSpec.front_matrix, every
-kappa from one reverse cumulative sum, and every slope from one secant call;
-the diagnostics are computed only when read.  The factor formula is written
-once, over classes of nodes (_class_factors), with one factor per node: a
-class end holds its prefactor and every other node its ratio.  The exact
-transform is one class; limit.py applies the formula to each rate class.
+alpha = 2 limit), where the roots are one closed-form array expression.  The
+factor formula is written once, over classes of nodes (_class_factors), with
+one factor per node: a class end holds its prefactor and every other node
+its ratio.  The exact transform is one class; limit.py applies the formula
+to each rate class.  Where the formula reads and in which order its factors
+come out is fixed per network by a ClassLayout built once
+(NetworkSpec.layout), so a call pays only for what depends on u and omega:
+the rates, one array expression over NetworkSpec's packed monomials; all
+front sums, one product with NetworkSpec.front_matrix; every kappa, one
+reverse cumulative sum; every slope, one call of the family's _secant on
+arguments built >= 0, which skips laplace_exponent_secant's checks.  The
+diagnostics are computed only when read.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularFactorError
-from .network import NetworkSpec
+from .network import ClassLayout, NetworkSpec
 from .models import LevyModel
 from .roots import invert_increasing
 
 KAPPA_FORMS = ("sum-over-s", "max-ancestor")
+_EMPTY = np.empty(0)
+_ZERO = np.zeros(1)
 
 
 def as_omega(omega, n: int) -> np.ndarray:
@@ -57,22 +63,23 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray)
 
     For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
     whose sums of nonnegative terms do not cancel; otherwise each entry is
-    solved by Newton from x / r, where psi >= x.
+    solved by Newton from the model's start right of the root.
     """
     if (x < 0.0).any():  # kappa < 0: the rate ordering fails at this u
         raise ValueError(f"cannot invert at negative value {x[x < 0.0][0]}")
     a = model.quadratic
     if a is not None:
         return 2.0 * x / (r + np.sqrt(r * r + 4.0 * a * (ph * ph) * x))
+    starts = model._root_start(r, ph, x)
     return np.array(
         [
             invert_increasing(
                 lambda s: rj * s + float(model.laplace_exponent(pj * s)),
                 xj,
                 lambda s: rj + pj * float(model.laplace_exponent_deriv(pj * s)),
-                xj / rj,
+                sj,
             )
-            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.tolist())
+            for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), starts.tolist())
         ]
     )
 
@@ -82,10 +89,12 @@ def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:
     return spec.front_matrix @ (spec.phat * w)
 
 
-def _kappas(ratios: np.ndarray, front_sums: np.ndarray) -> np.ndarray:
-    """Entry j-1: kappa_j = sum over l > j of (ratios[l-2] - ratios[l-1]) * front_sums[l-1]."""
-    terms = (ratios[:-1] - ratios[1:]) * front_sums[1:]
-    return np.cumsum(terms[::-1])[::-1]
+def _kappas(ratios: np.ndarray, front_sums: np.ndarray, layout: ClassLayout) -> np.ndarray:
+    """Entry i, for the i-th inner node j of layout (1-based): kappa_j, the sum
+    over l > j in j's class of (ratios[l-2] - ratios[l-1]) * front_sums[l-1],
+    added up from the class end down."""
+    terms = np.concatenate(((ratios[:-1] - ratios[1:]) * front_sums[1:], _ZERO))
+    return terms[layout.kappa_at].cumsum(axis=1).ravel()[layout.kappa_back]
 
 
 def kappa(spec: NetworkSpec, omega, j: int, u: float, form: str = "sum-over-s") -> float:
@@ -105,7 +114,7 @@ def kappa(spec: NetworkSpec, omega, j: int, u: float, form: str = "sum-over-s") 
     ratios = spec.rate_vector(u) / ph
 
     if form == "sum-over-s":
-        return float(_kappas(ratios, _front_sums(spec, w))[j - 1])
+        return float(_kappas(ratios, _front_sums(spec, w), spec.layout)[j - 1])
 
     total = 0.0
     for i in range(j + 1, n + 1):
@@ -152,42 +161,34 @@ class LstEvaluation:
     psi_delta_hat = property(lambda self: self._psi_points[5])
 
 
-def _class_factors(model: LevyModel, r, ph, w, sums, ends, inner):
-    """The factor formula over classes: the intervals of nodes closed by `ends`.
+def _class_factors(model: LevyModel, r, w, sums, layout: ClassLayout):
+    """The factor formula over the classes of `layout`.
 
-    r, ph and w hold each node's rate, phat and frequency, and sums its front
-    sum within its class; ends holds the 0-based class ends in increasing
-    order, the last being n - 1, and inner the other nodes in increasing
-    order.  Returns the factors, one per node, then kappa and the roots for
-    the inner nodes.  With slope(s, y) = r + ph * S(ph * s, ph * y) and S the
-    secant of phi, a class end's factor is its prefactor r / slope(w, 0) and
-    every other node's is slope(root, delta_hat) / slope(root, delta), with
-    root the inverse of psi_j at kappa_{j+1} over the class slice.
+    r and w hold each node's rate and frequency, and sums its front sum
+    within its class.  Returns the factors in the layout's order (the inner
+    nodes, then the class ends), then kappa and the roots for the inner
+    nodes.  With slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant
+    of phi, a class end's factor is its prefactor r / slope(w, 0) and every
+    inner node's is slope(root, delta_hat) / slope(root, delta), with root
+    the inverse of psi_j at kappa_{j+1} over the class slice.  Every secant
+    argument is >= 0 by construction, so they go to phi's _secant ordered
+    but unchecked.
     """
-    m = inner.size
+    ph = layout.phat
+    m = layout.inner.size
     if not m:  # all classes singletons: every factor is a prefactor
-        return r / (r + ph * model.laplace_exponent_secant(ph * w, 0.0)), np.empty(0), np.empty(0)
+        return r / (r + ph * model._secant(ph * w, 0.0)), _EMPTY, _EMPTY
 
-    ratios = r / ph
-    last = ends.tolist()
-    first = [0, *(e + 1 for e in last[:-1])]
-    kap = np.concatenate(
-        [_kappas(ratios[a : b + 1], sums[a : b + 1]) for a, b in zip(first, last) if b > a]
-    )
-    roots = _psi_inverse(model, r[inner], ph[inner], kap)
+    kap = _kappas(r / ph, sums, layout)
+    r_at, ph_at = r[layout.slope_at], layout.phat_at
+    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap)
 
     # the slopes from each root to delta_hat and to delta, and from w to 0 at
     # the class ends, from one secant call
-    at = np.concatenate((inner, inner, ends))
-    ph_root = ph[inner] * roots
-    slopes = r[at] + ph[at] * model.laplace_exponent_secant(
-        np.concatenate((ph_root, ph_root, ph[ends] * w[ends])),
-        np.concatenate((sums[inner + 1], sums[inner], np.zeros(len(ends)))),
-    )
-    factors = np.empty(len(w))
-    factors[inner] = slopes[:m] / slopes[m : 2 * m]
-    factors[ends] = r[ends] / slopes[2 * m :]
-    return factors, kap, roots
+    hi = ph_at * np.concatenate((roots, roots, w[layout.ends]))
+    lo = np.concatenate((sums, _ZERO))[layout.sum_at]
+    slopes = r_at + ph_at * model._secant(np.maximum(hi, lo), np.minimum(hi, lo))
+    return np.concatenate((slopes[:m], r_at[2 * m :])) / slopes[m:], kap, roots
 
 
 def _assembled(factors: list[float], what: str) -> float:
@@ -196,7 +197,7 @@ def _assembled(factors: list[float], what: str) -> float:
     A product outside (0, 1] by more than rounding raises SingularFactorError.
     """
     value = math.prod(factors)
-    if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
+    if not math.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]", factor_index=0)
     return min(value, 1.0)
 
@@ -209,15 +210,12 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     is a ratio of positive slopes, zero entries of omega included; only a
     product outside (0, 1] raises SingularFactorError.
     """
-    n = spec.n
-    w = as_omega(omega, n)
+    w = as_omega(omega, spec.n)
     if u <= 0.0:
         raise ValueError("u must be positive")
 
     r, sums = spec.rate_vector(u), _front_sums(spec, w)
-    factors, kap, roots = _class_factors(
-        model, r, spec.phat, w, sums, np.array([n - 1]), np.arange(n - 1)
-    )
+    factors, kap, roots = _class_factors(model, r, w, sums, spec.layout)
     prefactor, values = float(factors[-1]), factors[:-1]
     value = _assembled([prefactor, *values.tolist()], "transform")
     return LstEvaluation(value, prefactor, kap, roots, values, model, r, spec.phat, sums)

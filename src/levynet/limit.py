@@ -27,9 +27,11 @@ Cost of one evaluation: O(n^2) array work, plus one scalar root solve per node
 that does not end its class when alpha < 2.  At alpha = 2 the input exponent
 coeff * s**2 is quadratic and every root is taken in closed form.  All
 within-class front sums are one product with RateClassPartition.front_matrix,
-and every class factor comes from one np.multiply.reduceat over the per-node
-factors of _class_factors in the partition's end-first order, its prefactor
-first; the partition builds that layout once.  No diagnostic is computed.
+and every class factor comes from one np.multiply.reduceat over the factors
+of _class_factors in the partition's end-first order, its prefactor first.
+The partition builds that class layout and the within-class rate-ordering
+check once, and the tail pair its stable input (TailPair.stable_model), so a
+call builds neither.  No diagnostic is computed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import SingularFactorError, StructuralError
 from .exact import _assembled, _class_factors, as_omega
-from .models import StableSum, TailPair
+from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: scaling_coefficients only
 from .roots import invert_increasing
@@ -78,22 +80,19 @@ def joint_lst_limit(
     whose frequencies are all zero contribute factor one.
     """
     w = as_omega(omega, spec.n)
-    fr = partition.fractions
-    rising = np.diff(fr / spec.phat) > 0.0
-    rising[partition.ends[:-1]] = False  # a class end and the next node lie in different classes
-    if rising.any():
-        j = int(np.flatnonzero(rising)[0]) + 1
+    j = partition.rising_node
+    if j:
         raise StructuralError(
             f"fraction/phat rises from node {j} to node {j + 1}: "
             "rate ordering violated within class"
         )
 
+    fr, layout = partition.fractions, partition.layout
     scaled = fr**tail.beta * w
     sums = partition.front_matrix @ (spec.phat * scaled)
-    model = StableSum(((tail.alpha, tail.coeff),))
-    f = _class_factors(model, fr, spec.phat, scaled, sums, partition.ends, partition.inner)[0]
+    f = _class_factors(tail.stable_model, fr, scaled, sums, layout)[0]
     # class k's factor: its prefactor, at its end, then its other nodes in order
-    class_values = np.multiply.reduceat(f[partition.order], partition.starts)
+    class_values = np.multiply.reduceat(f[layout.order], layout.starts)
     return LimitLst(_assembled(class_values.tolist(), "limit"), class_values)
 
 

@@ -14,7 +14,8 @@ concurrent use needs one generator per thread and nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +27,15 @@ HEAVY = "heavy"
 
 @dataclass(frozen=True)
 class TailPair:
-    """Power-law description of the Laplace exponent in one traffic regime."""
+    """Power-law description of the Laplace exponent in one traffic regime.
+
+    stable_model is the alpha-stable input with exponent coeff * s**alpha,
+    the input of the limit transform, built once."""
 
     alpha: float
     coeff: float
     regime: str
+    stable_model: StableSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 < self.alpha <= 2.0:
@@ -39,6 +44,7 @@ class TailPair:
             raise ValueError(f"tail coefficient must be positive, got {self.coeff}")
         if self.regime not in (LIGHT, HEAVY):
             raise ValueError(f"regime must be 'light' or 'heavy', got {self.regime!r}")
+        object.__setattr__(self, "stable_model", StableSum(((self.alpha, self.coeff),)))
 
     @property
     def beta(self) -> float:
@@ -231,6 +237,10 @@ class LevyModel:
         a, b = _check_s(a), _check_s(b)
         return self._secant(np.maximum(a, b), np.minimum(a, b))
 
+    def _root_start(self, r, ph, x):
+        """A point right of the root of r s + phi(ph s) = x, elementwise: x / r, as phi >= 0."""
+        return x / r
+
     @property
     def quadratic(self) -> float | None:
         """a when phi(s) = a * s**2 exactly, else None."""
@@ -378,7 +388,14 @@ class StableSum(LevyModel):
     def _secant(self, hi, lo):
         return sum(c * _power_secant(alpha, hi, lo) for alpha, c in self.components)
 
-    @property
+    def _root_start(self, r, ph, x):
+        # phi(s) >= c (ph s)**alpha for each component, so its inverse at x lies right of the root too
+        start = x / r
+        for alpha, c in self.components:
+            start = np.minimum(start, (x / (c * ph**alpha)) ** (1.0 / alpha))
+        return start
+
+    @cached_property
     def quadratic(self) -> float | None:
         if all(a == 2.0 for a, _ in self.components):
             return sum(c for _, c in self.components)

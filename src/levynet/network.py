@@ -162,6 +162,66 @@ class RoutingMatrix:
         return float(self.p[i - 1, j - 1])
 
 
+@dataclass(frozen=True, eq=False)
+class ClassLayout:
+    """Where the factor formula (exact._class_factors) reads, for nodes cut
+    into intervals, the classes: read-only 0-based arrays built once.
+
+    ends holds each class's last node and inner every other node, both
+    increasing.  kappa is a reverse running sum within each class: row k of
+    kappa_at lists the inner nodes of the k-th class that has any, last
+    first, padded with n - 1 (a zero after the n - 1 running-sum terms), and
+    kappa_back is each inner node's position in that array, flattened.  The
+    formula takes one slope per entry of slope_at = (inner, inner, ends), at
+    phat_at = phat[slope_at]: from each root to the front sum at sum_at, the
+    next node's (delta_hat), then its own (delta), and from each class end's
+    frequency to 0 (sum_at is n there, a zero after the n front sums).  Its
+    factors come in the order (inner, ends); order lists, as positions in
+    that order, each class's end, then its other nodes, and starts where
+    each class begins in order.
+    """
+
+    phat: np.ndarray
+    ends: np.ndarray
+    inner: np.ndarray = field(init=False)
+    kappa_at: np.ndarray = field(init=False)
+    kappa_back: np.ndarray = field(init=False)
+    slope_at: np.ndarray = field(init=False)
+    sum_at: np.ndarray = field(init=False)
+    phat_at: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n, ends = len(self.phat), np.array(self.ends)
+        last = ends.tolist()
+        firsts = [0, *(b + 1 for b in last[:-1])]
+        inner = np.delete(np.arange(n), ends)
+        rows = [range(b - 1, a - 1, -1) for a, b in zip(firsts, last) if b > a]
+        width = max(map(len, rows), default=0)
+        kappa_at = np.full((len(rows), width), n - 1)
+        for k, row in enumerate(rows):
+            kappa_at[k, : len(row)] = row
+        kappa_back = [k * width + c for k, row in enumerate(rows) for c in reversed(range(len(row)))]
+        positions = np.empty(n, dtype=int)  # node -> its position in (inner, ends)
+        positions[np.concatenate((inner, ends))] = np.arange(n)
+        slope_at = np.concatenate((inner, inner, ends))
+        arrays = dict(
+            ends=ends,
+            inner=inner,
+            kappa_at=kappa_at,
+            kappa_back=np.array(kappa_back, dtype=int),
+            slope_at=slope_at,
+            sum_at=np.concatenate((inner + 1, inner, np.full(len(last), n))),
+            phat_at=self.phat[slope_at],
+            order=positions[[i for a, b in zip(firsts, last) for i in (b, *range(a, b))]],
+            starts=np.array(firsts),
+        )
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """A validated tree network together with its derived structure.
@@ -173,7 +233,8 @@ class NetworkSpec:
     entry [j-1, l-1] is 1.0 exactly when l is in fronts[j], so every front
     sum of a vector is one matrix product.  Row j-1 of the read-only arrays
     rate_coeffs and rate_exps holds node j's monomials, zero-padded, so
-    rate_vector is one array expression.  Immutable and safe to share.
+    rate_vector is one array expression.  layout is the class layout of the
+    exact transform: all n nodes in one class.  Immutable and safe to share.
     """
 
     routing: RoutingMatrix
@@ -185,8 +246,10 @@ class NetworkSpec:
     front_matrix: np.ndarray
     rate_coeffs: np.ndarray = field(init=False, repr=False)
     rate_exps: np.ndarray = field(init=False, repr=False)
+    layout: ClassLayout = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "layout", ClassLayout(self.phat, [self.n - 1]))
         k = max(len(r.terms) for r in self.rates)
         padded = [(*r.terms, *((0.0, 0.0),) * (k - len(r.terms))) for r in self.rates]
         packed = np.array(padded).transpose(2, 0, 1).copy()  # [0] coefficients, [1] exponents

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StructuralError
-from .network import NetworkSpec, RateFunction
+from .network import ClassLayout, NetworkSpec, RateFunction
 
 
 @dataclass(frozen=True)
@@ -26,29 +26,23 @@ class RateClassPartition:
     is the exact ratio limit of node i's rate against its class reference.
     front_matrix is the network's front matrix restricted to same-class
     pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies in the
-    within-class front of node j.  The class layout, as read-only 0-based
-    index arrays: ends holds each class's last node and inner every other
-    node; order lists each class's end, then its other nodes, class by class,
-    and starts the position in order where each class begins.
+    within-class front of node j.  layout is the class layout of the limit
+    transform, built once by partition_rates.  rising_node is the first node
+    j whose fraction / phat rises to node j + 1 of its class, 0 when none
+    does; it is recomputed whenever the fractions change.
     """
 
     classes: tuple[tuple[int, ...], ...]
     fractions: np.ndarray
     reference_rates: tuple[RateFunction, ...]
     front_matrix: np.ndarray
-    ends: np.ndarray = field(init=False, repr=False)
-    inner: np.ndarray = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
+    layout: ClassLayout = field(repr=False)
+    rising_node: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        ends = np.array([members[-1] for members in self.classes]) - 1
-        order = np.array([i - 1 for members in self.classes for i in (members[-1], *members[:-1])])
-        starts = np.cumsum([0, *(len(members) for members in self.classes[:-1])])
-        inner = np.delete(np.arange(ends[-1] + 1), ends)
-        for name, value in (("ends", ends), ("inner", inner), ("order", order), ("starts", starts)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        rising = np.diff(self.fractions / self.layout.phat) > 0.0
+        rising[self.layout.ends[:-1]] = False  # a class end and the next node lie in different classes
+        object.__setattr__(self, "rising_node", int(np.argmax(rising)) + 1 if rising.any() else 0)
 
     @property
     def m(self) -> int:
@@ -118,7 +112,8 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
     fractions.setflags(write=False)
     front_matrix.setflags(write=False)
 
-    return RateClassPartition(tuple(classes), fractions, tuple(references), front_matrix)
+    layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes])
+    return RateClassPartition(tuple(classes), fractions, tuple(references), front_matrix, layout)
 
 
 def starred_sets(

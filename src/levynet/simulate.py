@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ScalingRangeError
 from .exact import joint_lst_exact
 from .limit import joint_lst_limit
 from .models import HEAVY, CompoundPoisson, LevyModel, TailPair
@@ -82,10 +83,11 @@ def default_horizon(spec: NetworkSpec, model: LevyModel, u: float) -> float:
     1e-4**(-1 / (alpha - 1)) keeps it near 1e-4.
     """
     tail = model.tail_pair(HEAVY)
-    tau = _relaxation_time(tail, float(np.max(spec.phat)), float(np.min(spec.rate_vector(u))))
-    if tail.alpha == 2.0:
-        return 50.0 * tau
-    horizon = tau * _LATE_SUPREMUM ** -tail.beta
+    try:  # Python floats: a power past the float range raises OverflowError
+        tau = _relaxation_time(tail, float(np.max(spec.phat)), float(np.min(spec.rate_vector(u))))
+        horizon = 50.0 * tau if tail.alpha == 2.0 else tau * _LATE_SUPREMUM ** -tail.beta
+    except OverflowError:
+        horizon = math.inf
     if not math.isfinite(horizon):
         raise ValueError(f"default horizon overflows at alpha = {tail.alpha}; set it explicitly")
     return horizon
@@ -222,6 +224,23 @@ def horizon_diagnostic(
     return rows
 
 
+def _scaled_frequency(w: np.ndarray, r_beta: np.ndarray, u: float) -> np.ndarray:
+    """w * r_beta, 0 where w is; a nonzero entry that underflows to 0 or
+    overflows raises ScalingRangeError."""
+    nonzero = w != 0.0
+    with np.errstate(over="ignore"):
+        scaled = np.multiply(w, r_beta, out=np.zeros_like(w), where=nonzero)
+    lost = nonzero & ((scaled == 0.0) | np.isinf(scaled))
+    if lost.any():
+        j = int(np.argmax(lost))
+        raise ScalingRangeError(
+            f"scaled frequency of node {j + 1} "
+            f"{'underflows to 0' if scaled[j] == 0.0 else 'overflows'} at u = {u:g}: "
+            f"omega_{j + 1} = {w[j]:g}, r_{j + 1}(u)**beta = {r_beta[j]:g}"
+        )
+    return scaled
+
+
 def convergence_study(
     spec: NetworkSpec,
     partition: RateClassPartition,
@@ -235,7 +254,9 @@ def convergence_study(
 
     For each u the exact transform is evaluated at omega * r(u)**beta, the
     frequency scaling under which the workload law converges; the limit
-    column is u-independent.  When `sim` is given, an empirical column at the
+    column is u-independent.  A nonzero frequency whose scaled value
+    underflows to 0 or overflows raises ScalingRangeError, naming the node
+    and u.  When `sim` is given, an empirical column at the
     same scaled frequencies is added (seed offset by the u index).
     """
     tail = model.tail_pair(regime)
@@ -245,13 +266,14 @@ def convergence_study(
 
     rows = []
     for iu, u in enumerate(u_list):
-        r_beta = spec.rate_vector(u) ** beta
+        with np.errstate(over="ignore"):
+            r_beta = spec.rate_vector(u) ** beta
         samples = None
         if sim is not None:
             cfg = replace(sim, u=u, seed=sim.seed + iu)
             samples = simulate_workload(spec, model, cfg)
         for w, lim in zip(omegas, limit_vals):
-            scaled = w * r_beta
+            scaled = _scaled_frequency(w, r_beta, u)
             exact = joint_lst_exact(spec, model, scaled, u).value
             row = {
                 "u": float(u),

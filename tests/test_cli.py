@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -256,3 +257,86 @@ def test_unsupported_regime_is_numerical_error(tmp_path, capsys):
 def test_bad_omega_length_rejected(tmp_path, capsys):
     cfg = write_configs(tmp_path, TANDEM_NETWORK, {"omega": {"list": [[0.5]]}, "u": 1.0})
     assert run_cli(["lst-exact", "--config", str(cfg)]) == 2
+
+
+HEAVY_TANDEM_NETWORK = dict(  # configs/tandem2_heavy.network.json
+    TANDEM_NETWORK,
+    rates=[
+        {"node": 1, "terms": [{"c": 2, "e": -1}]},
+        {"node": 2, "terms": [{"c": 1, "e": -2}]},
+    ],
+)
+
+
+def stable_input(alpha: float) -> dict:
+    return {"kind": "stable_sum", "components": [{"alpha": alpha, "scale": 0.5}]}
+
+
+def test_simulate_default_horizon_overflow_exits_3(tmp_path, capsys):
+    # at alpha = 1.01 the default horizon tau * 1e-4**-100 passes the float range
+    cfg = write_configs(
+        tmp_path,
+        HEAVY_TANDEM_NETWORK,
+        {"input": stable_input(1.01), "u": 10, "omega": {"list": [[0.3, 1.2]]}, "sim": {"n_rep": 200}},
+    )
+    assert run_cli(["simulate", "--config", str(cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "ValueError",
+        "message": "default horizon overflows at alpha = 1.01; set it explicitly",
+    }
+
+
+def test_sweep_scaled_frequency_underflow_exits_3(tmp_path, capsys):
+    # alpha = 1.02: beta = 50, and node 2's r(u)**beta = u**-100 underflows to 0 at u = 1e4
+    run = {"input": stable_input(1.02), "regime": "heavy", "omega": {"list": [[0.3, 1.2]]}}
+    cfg = write_configs(tmp_path, HEAVY_TANDEM_NETWORK, dict(run, u_list=[10, 100, 1000]))
+    assert run_cli(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "10,0.29999999999999999,1.2,0.45889560709336585,0.44745247995406873,0.011443127139297127",
+        "100,0.29999999999999999,1.2,0.44859756598107903,0.44745247995406873,0.0011450860270103003",
+        "1000,0.29999999999999999,1.2,0.44756699629521685,0.44745247995406873,0.00011451634114811871",
+    ]
+    cfg = write_configs(tmp_path, HEAVY_TANDEM_NETWORK, dict(run, u_list=[10, 100, 1000, 10000]))
+    assert run_cli(["sweep", "--config", str(cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "ScalingRangeError"
+    assert "node 2 underflows to 0 at u = 10000" in err["message"]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# sha256 of stdout and the exit code of each command on the shipped run
+# configs; a change to any printed digit changes these.  Empty stdout hashes
+# to e3b0c442...: tandem2_brownian has no regime, so its limit commands exit 2.
+SHIPPED_OUTPUT = (
+    ("figure1.run.json", "validate", 0, "b0214817f79756cf70588e084f0121a70614c99dcfdd71dbaafd42671f9f1ac5"),
+    ("figure1.run.json", "structure", 0, "4cf3765b6cccf9aa41efd8a63311ed38d59f10de6fdce3f8d4c53adc7f83aa7f"),
+    ("figure1.run.json", "lst-exact --u 4", 0, "c07a4d3efbcd5c9ee137f48c2ba0b5dd6e047e9f0e6018157a74ccc10660f1cb"),
+    ("figure1.run.json", "lst-exact --u 4 --diagnostics", 0, "9a39f55838842dbbb6f2673fe2dc0d11b9ca9c795a0e6ad036896f11b36f57bc"),
+    ("figure1.run.json", "lst-limit", 0, "ef5e03af7b4e0a8b732f87c4c6feeb60df02d46515119cb5d892ea86dbb63b2c"),
+    ("figure1.run.json", "sweep", 0, "5f6f79cc26f8ebc47f27b533dea58027256eb7f62563886be5ea02e321e83369"),
+    ("tandem2_brownian.run.json", "validate", 0, "dad8efbe23a8563aa1c8d40e80c7cf3bdae69574c8d2526e71b614eb868a8a06"),
+    ("tandem2_brownian.run.json", "structure", 0, "b1f4f19acbc86d75e86f90263a7d02f52a854e6c9864786d3622c04c3d95725d"),
+    ("tandem2_brownian.run.json", "lst-exact --u 4", 0, "25c1436d918838461f3d30460e7c6bac1587e3e7b65d42895eddd048fdbaf481"),
+    ("tandem2_brownian.run.json", "lst-exact --u 4 --diagnostics", 0, "a46cc2e8089efbb65180fe19549049edf7380c5151194cbf4b85266ca03cdc88"),
+    ("tandem2_brownian.run.json", "lst-limit", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("tandem2_brownian.run.json", "sweep", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("tandem2_heavy_sweep.run.json", "validate", 0, "85f4ceba4e52ec71d2bb4f475d5fa065aa5efdbe558ed045219b2c4e98f543a4"),
+    ("tandem2_heavy_sweep.run.json", "structure", 0, "1cf4805b811a8e6b1a98a6e6f49bab6715fbb22416384f433ce6ca2cdf32fe08"),
+    ("tandem2_heavy_sweep.run.json", "lst-exact --u 4", 0, "d19d865e634f5b6da074cb6363fc00c50c291c5e3d4f53c9ec3623628867bd8d"),
+    ("tandem2_heavy_sweep.run.json", "lst-exact --u 4 --diagnostics", 0, "4ab832d159f3189bfcbc1e43ab32069cd742ce92cb732a32d64f96ce949dbff8"),
+    ("tandem2_heavy_sweep.run.json", "lst-limit", 0, "edf8a9feb238c3795dfe4be0bbcb9eb70b96447dbc1103f8aaebee00555037b3"),
+    ("tandem2_heavy_sweep.run.json", "sweep", 0, "a75a1b41b64eb4778d4299d65317a0fef97eec676fc236d466cab530481adccc"),
+)
+
+
+@pytest.mark.parametrize(
+    "config, command, code, digest", SHIPPED_OUTPUT, ids=[f"{c[0]}:{c[1]}" for c in SHIPPED_OUTPUT]
+)
+def test_shipped_config_output_is_bit_reproducible(config, command, code, digest, capsys):
+    name, *flags = command.split()
+    assert run_cli([name, "--config", str(CONFIGS / config), *flags]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

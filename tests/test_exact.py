@@ -15,11 +15,13 @@ from levynet import (
     ExponentialJob,
     StableSum,
     RateFunction,
+    TailPair,
     joint_lst_exact,
     exact,
     joint_lst_limit,
     kappa,
     limit,
+    models,
     partition,
     partition_rates,
 )
@@ -379,6 +381,42 @@ def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):
     assert calls["starred"] == 0
 
 
+def test_one_evaluation_makes_one_secant_call_and_no_argument_check(monkeypatch):
+    # the layouts are built once, so a transform point takes its secants in
+    # one family call on arguments it built >= 0, and the limit's stable
+    # model comes with its tail pair
+    rng = np.random.default_rng(131)
+    spec = random_spec(rng, 40)
+    part = partition_rates(spec)
+    w = rng.uniform(0.05, 2.0, spec.n)
+    r = spec.rate_vector(2.0)
+    tails = [TailPair(2.0, 0.7, "heavy"), TailPair(1.5, 0.7, "heavy")]
+    gamma = CenteredGamma(2.0, 1.5)
+    calls = {"secant": 0, "check_s": 0, "stable": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for cls in (Brownian, CenteredGamma, StableSum):
+        monkeypatch.setattr(cls, "_secant", counting("secant", cls._secant))
+    monkeypatch.setattr(models, "_check_s", counting("check_s", models._check_s))
+    monkeypatch.setattr(StableSum, "__post_init__", counting("stable", StableSum.__post_init__))
+
+    def counts(evaluate):
+        calls.update(secant=0, check_s=0, stable=0)
+        assert 0.0 < evaluate().value <= 1.0
+        return calls["secant"], calls["check_s"], calls["stable"]
+
+    assert counts(lambda: joint_lst_exact(spec, Brownian(1.0), w * r, 2.0)) == (1, 0, 0)
+    assert counts(lambda: joint_lst_limit(spec, part, tails[0], w)) == (1, 0, 0)
+    # Newton's exponent calls check their scalar arguments; the secant call does not
+    assert counts(lambda: joint_lst_exact(spec, gamma, w * r, 2.0))[::2] == (1, 0)
+    assert counts(lambda: joint_lst_limit(spec, part, tails[1], w))[::2] == (1, 0)
+
 
 def test_lazy_diagnostics_equal_eager_recomputation():
     # psi at the roots, delta and delta_hat come from one exponent call on
@@ -442,9 +480,10 @@ def _guard_points():
 
 @pytest.mark.parametrize("model", GUARD_FAMILIES, ids=repr)
 def test_newton_iterates_never_pass_the_root(model, monkeypatch):
-    # the root solver runs plain Newton from x / r, which is safe only while
-    # every psi_j is convex and increasing and psi_j(x / r) >= x: then within
-    # each solve s never increases and f(s) never falls below x
+    # the root solver runs plain Newton from the model's start (x / r, or
+    # nearer the root for stable input), which is safe only while every psi_j
+    # is convex and increasing and psi_j(start) >= x: then within each solve
+    # s never increases and f(s) never falls below x
     solves = []
     invert_increasing = exact.invert_increasing
 
@@ -467,6 +506,36 @@ def test_newton_iterates_never_pass_the_root(model, monkeypatch):
         s, fs = np.array(seen).reshape(-1, 2).T  # x = 0 returns 0 without evaluating f
         assert np.all(np.diff(s) <= 0.0), x
         assert np.all(fs >= x * (1.0 - 1e-12)), x
+
+
+@pytest.mark.parametrize(
+    "model",
+    [StableSum(((alpha, 0.6),)) for alpha in (1.05, 1.5, 1.9)] + [StableSum(((1.3, 0.5), (2.0, 0.4)))],
+    ids=repr,
+)
+def test_stable_newton_start_keeps_the_roots(model):
+    # stable input starts Newton at min(x / r, min_k (x / (c_k ph**alpha_k))**(1 / alpha_k)),
+    # right of the root as x / r is; both starts give the same root
+    rng = np.random.default_rng(139)
+    for n in rng.integers(2, 60, 12):
+        spec = random_spec(rng, int(n))
+        u = rng.uniform(1.0, 4.0)
+        r, ph = spec.rate_vector(u)[:-1], spec.phat[:-1]
+        ev = joint_lst_exact(spec, model, rng.uniform(0.05, 2.5, spec.n) * spec.rate_vector(u), u)
+        x = ev.kappa
+        start = model._root_start(r, ph, x)
+        assert np.all(start <= x / r)
+        assert np.all(r * start + model.laplace_exponent(ph * start) >= x * (1.0 - 1e-15))
+        plain = [
+            invert_increasing(
+                lambda s: rj * s + float(model.laplace_exponent(pj * s)),
+                xj,
+                lambda s: rj + pj * float(model.laplace_exponent_deriv(pj * s)),
+                xj / rj,
+            )
+            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.tolist())
+        ]
+        np.testing.assert_allclose(ev.phi_at_kappa, plain, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("model", [Brownian(1.0), CenteredGamma(2.0, 1.5)], ids=repr)

@@ -249,13 +249,14 @@ def test_class_layout_and_factors_match_the_classes():
         specs.append(build_network(spec.routing, rates))
     for spec in specs:
         part = partition_rates(spec)
+        lay = part.layout
         ends = [members[-1] - 1 for members in part.classes]
-        assert part.ends.tolist() == ends
-        assert part.inner.tolist() == sorted(set(range(spec.n)) - set(ends))
-        assert [c.tolist() for c in np.split(part.order, part.starts[1:])] == [
+        assert lay.ends.tolist() == ends
+        assert lay.inner.tolist() == sorted(set(range(spec.n)) - set(ends))
+        node_at = np.concatenate((lay.inner, lay.ends))  # the node of each factor position
+        assert [c.tolist() for c in np.split(node_at[lay.order], lay.starts[1:])] == [
             [members[-1] - 1, *(i - 1 for i in members[:-1])] for members in part.classes
         ]
-        assert not any(a.flags.writeable for a in (part.ends, part.inner, part.order, part.starts))
         for alpha in (2.0, 1.5):
             tail = TailPair(alpha, rng.uniform(0.2, 2.0), "heavy")
             w = rng.uniform(0.05, 2.5, spec.n)
@@ -263,13 +264,12 @@ def test_class_layout_and_factors_match_the_classes():
             f = _class_factors(
                 StableSum(((tail.alpha, tail.coeff),)),
                 part.fractions,
-                spec.phat,
                 scaled,
                 part.front_matrix @ (spec.phat * scaled),
-                part.ends,
-                part.inner,
-            )[0].tolist()
-            want = [math.prod([f[c[-1] - 1], *f[c[0] - 1 : c[-1] - 1]]) for c in part.classes]
+                lay,
+            )[0]
+            f = dict(zip(node_at.tolist(), f.tolist()))  # node -> factor
+            want = [math.prod([f[c[-1] - 1], *(f[i - 1] for i in c[:-1])]) for c in part.classes]
             assert joint_lst_limit(spec, part, tail, w).factor_values.tolist() == want
 
 

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from levynet import RateFunction, StructuralError, partition_rates, starred_sets
+from levynet import (
+    Brownian,
+    RateFunction,
+    StructuralError,
+    TailPair,
+    joint_lst_exact,
+    joint_lst_limit,
+    partition_rates,
+    starred_sets,
+)
+from levynet.network import ClassLayout
 
 from conftest import random_spec, tandem_spec
 
@@ -108,3 +118,96 @@ def test_growing_rate_rejected():
 def test_starred_sets_range(figure1_spec, figure1_partition):
     with pytest.raises(IndexError):
         starred_sets(figure1_spec, figure1_partition, 7)
+
+
+def _layout_from_classes(classes, phat):
+    """The class layout restated from the classes, one list per field."""
+    n = len(phat)
+    ends = [c[-1] - 1 for c in classes]
+    inner = [i - 1 for c in classes for i in c[:-1]]
+    position = {node: k for k, node in enumerate(inner + ends)}
+    slope_at = inner + inner + ends
+    return dict(
+        ends=ends,
+        inner=inner,
+        slope_at=slope_at,
+        sum_at=[i + 1 for i in inner] + inner + [n] * len(ends),
+        phat_at=[phat[i] for i in slope_at],
+        order=[position[i - 1] for c in classes for i in (c[-1], *c[:-1])],
+        starts=[c[0] - 1 for c in classes],
+    )
+
+
+def _layout_specs():
+    rng = np.random.default_rng(211)
+    specs = [random_spec(rng, int(n)) for n in (1, 2, 3, *rng.integers(4, 60, 10))]
+    singles = [RateFunction.monomial(3.0 - 0.1 * j, 2.0 - 0.05 * j) for j in range(7)]
+    return specs + [tandem_spec(singles)]  # seven singleton classes
+
+
+def test_class_layouts_are_read_only_and_restate_the_classes():
+    for spec in _layout_specs():
+        part = partition_rates(spec)
+        for lay, classes in ((spec.layout, (tuple(range(1, spec.n + 1)),)), (part.layout, part.classes)):
+            want = _layout_from_classes(classes, spec.phat)
+            fresh = ClassLayout(spec.phat, want["ends"])
+            for name, value in want.items():
+                assert getattr(lay, name).tolist() == value, name
+            for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
+                stored = getattr(lay, name)
+                assert not stored.flags.writeable, name
+                assert np.array_equal(stored, getattr(fresh, name)), name
+            # kappa_at: each class's inner nodes, last first, padded with n - 1;
+            # kappa_back finds every inner node in it
+            rows = [[i - 1 for i in reversed(c[:-1])] for c in classes if len(c) > 1]
+            width = max(map(len, rows), default=0)
+            assert lay.kappa_at.tolist() == [row + [spec.n - 1] * (width - len(row)) for row in rows]
+            assert lay.kappa_at.ravel()[lay.kappa_back].tolist() == want["inner"]
+
+
+def test_class_layouts_are_built_once(monkeypatch):
+    rng = np.random.default_rng(223)
+    spec = random_spec(rng, 30)
+    part = partition_rates(spec)
+    layouts = (spec.layout, part.layout)
+    built = []
+    post_init = ClassLayout.__post_init__
+    monkeypatch.setattr(ClassLayout, "__post_init__", lambda self: built.append(post_init(self)))
+    w = rng.uniform(0.05, 2.0, spec.n)
+    joint_lst_exact(spec, Brownian(1.0), w, 2.0)
+    joint_lst_limit(spec, part, TailPair(1.5, 0.7, "heavy"), w)
+    rescaled = part.with_rescaled_reference(1, 2.5)
+    joint_lst_limit(spec, rescaled, TailPair(2.0, 0.7, "heavy"), w)
+    assert built == []
+    assert (spec.layout, part.layout) == layouts and rescaled.layout is part.layout
+
+
+def _first_rise(part, phat) -> int:
+    ratio = part.fractions / phat
+    same = [part.class_index(j) == part.class_index(j + 1) for j in range(1, len(phat))]
+    return next((j for j in range(1, len(phat)) if same[j - 1] and ratio[j] > ratio[j - 1]), 0)
+
+
+def test_rescaled_partition_recomputes_the_ordering_check():
+    rng = np.random.default_rng(227)
+    # node 2 outgrows node 1 within the first class, node 4 node 3 within the second
+    rises = [
+        tandem_spec([RateFunction.monomial(c, e) for c, e in [(1.0, 2), (2.0, 2), (1.0, 1), (3.0, 1)]]),
+        tandem_spec([RateFunction.monomial(c, 1.0) for c in (1.0, 2.0, 0.5)]),
+    ]
+    for spec in rises + [random_spec(rng, int(rng.integers(2, 30))) for _ in range(8)]:
+        part = partition_rates(spec)
+        tail = TailPair(1.5, 0.7, "heavy")
+        w = rng.uniform(0.05, 2.0, spec.n)
+        for _ in range(4):
+            part = part.with_rescaled_reference(int(rng.integers(1, part.m + 1)), rng.uniform(0.2, 5.0))
+            j = _first_rise(part, spec.phat)
+            assert part.rising_node == j
+            if j:
+                text = f"fraction/phat rises from node {j} to node {j + 1}: rate ordering violated within class"
+                with pytest.raises(StructuralError) as err:
+                    joint_lst_limit(spec, part, tail, w)
+                assert str(err.value) == text
+            else:
+                assert 0.0 < joint_lst_limit(spec, part, tail, w).value <= 1.0
+    assert partition_rates(rises[0]).rising_node == 1 and partition_rates(rises[1]).rising_node == 1

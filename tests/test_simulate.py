@@ -11,6 +11,7 @@ from levynet import (
     DeterministicJob,
     ExponentialJob,
     RateFunction,
+    ScalingRangeError,
     SimConfig,
     StableSum,
     convergence_study,
@@ -253,6 +254,16 @@ def test_default_horizon_formula(brownian_tandem):
     assert default_horizon(spec, StableSum(((1.5, 0.5),)), 1.0) == pytest.approx(0.25e8)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.001])
+def test_default_horizon_past_the_float_range_is_value_error(brownian_tandem, alpha):
+    # 1e-4**-(1 / (alpha - 1)) overflows a float, and with rates of 1e-5 the
+    # relaxation time (0.5 * 1e5**alpha)**(1 / (alpha - 1)) does too
+    slow = tandem_spec([RateFunction.monomial(2e-5, 0.0), RateFunction.monomial(1e-5, 0.0)])
+    for spec in (brownian_tandem[0], slow):
+        with pytest.raises(ValueError, match=f"default horizon overflows at alpha = {alpha}"):
+            default_horizon(spec, StableSum(((alpha, 0.5),)), 1.0)
+
+
 def test_large_omega_estimates_atom_at_zero():
     # as omega grows the estimator decreases toward the empirical mass at zero
     lam, mu, r = 0.5, 1.0, 1.0
@@ -316,3 +327,15 @@ def test_sim_config_validation():
     for horizon in (0.0, math.inf):
         with pytest.raises(ValueError):
             SimConfig(u=1.0, horizon=horizon)
+
+
+def test_convergence_study_names_a_scaled_frequency_that_overflows():
+    # alpha = 1.02, beta = 50: r(u)**beta passes the float range at u = 1e10
+    # for both nodes; node 1's frequency is 0 and stays 0
+    spec = tandem_spec([RateFunction.monomial(2.0, 1.0), RateFunction.monomial(1.0, 1.0)])
+    part = partition_rates(spec)
+    model = StableSum(((1.02, 0.5),))
+    rows = convergence_study(spec, part, model, "light", [[0.0, 1.2]], [1.0])
+    assert 0.0 < rows[0]["exact_scaled"] <= 1.0
+    with pytest.raises(ScalingRangeError, match=r"node 2 overflows at u = 1e\+10: omega_2 = 1.2"):
+        convergence_study(spec, part, model, "light", [[0.0, 1.2]], [1e10])
