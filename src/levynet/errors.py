@@ -18,7 +18,7 @@ class UnsupportedRegimeError(LevynetError):
 
 
 class ScalingRangeError(LevynetError):
-    """A nonzero frequency, scaled by a rate power, leaves the float range."""
+    """A nonzero frequency, scaled by a rate power, leaves the normal float range."""
 
 
 class RootFindingError(LevynetError):

@@ -63,23 +63,22 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray)
 
     For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
     whose sums of nonnegative terms do not cancel; otherwise each entry is
-    solved by Newton from the model's start right of the root.
+    solved by Newton from x / r, where psi >= x.
     """
     if (x < 0.0).any():  # kappa < 0: the rate ordering fails at this u
         raise ValueError(f"cannot invert at negative value {x[x < 0.0][0]}")
     a = model.quadratic
     if a is not None:
         return 2.0 * x / (r + np.sqrt(r * r + 4.0 * a * (ph * ph) * x))
-    starts = model._root_start(r, ph, x)
     return np.array(
         [
             invert_increasing(
                 lambda s: rj * s + float(model.laplace_exponent(pj * s)),
                 xj,
                 lambda s: rj + pj * float(model.laplace_exponent_deriv(pj * s)),
-                sj,
+                xj / rj,
             )
-            for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), starts.tolist())
+            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.tolist())
         ]
     )
 

@@ -237,10 +237,6 @@ class LevyModel:
         a, b = _check_s(a), _check_s(b)
         return self._secant(np.maximum(a, b), np.minimum(a, b))
 
-    def _root_start(self, r, ph, x):
-        """A point right of the root of r s + phi(ph s) = x, elementwise: x / r, as phi >= 0."""
-        return x / r
-
     @property
     def quadratic(self) -> float | None:
         """a when phi(s) = a * s**2 exactly, else None."""
@@ -387,13 +383,6 @@ class StableSum(LevyModel):
 
     def _secant(self, hi, lo):
         return sum(c * _power_secant(alpha, hi, lo) for alpha, c in self.components)
-
-    def _root_start(self, r, ph, x):
-        # phi(s) >= c (ph s)**alpha for each component, so its inverse at x lies right of the root too
-        start = x / r
-        for alpha, c in self.components:
-            start = np.minimum(start, (x / (c * ph**alpha)) ** (1.0 / alpha))
-        return start
 
     @cached_property
     def quadratic(self) -> float | None:

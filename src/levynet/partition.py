@@ -26,22 +26,26 @@ class RateClassPartition:
     is the exact ratio limit of node i's rate against its class reference.
     front_matrix is the network's front matrix restricted to same-class
     pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies in the
-    within-class front of node j.  layout is the class layout of the limit
-    transform, built once by partition_rates.  rising_node is the first node
-    j whose fraction / phat rises to node j + 1 of its class, 0 when none
-    does; it is recomputed whenever the fractions change.
+    within-class front of node j.  phat is the network's read-only phat
+    vector.  Derived from these on construction, so recomputed whenever the
+    fractions change: layout, the class layout of the limit transform, and
+    rising_node, the first node j whose fraction / phat rises to node j + 1
+    of its class, 0 when none does.
     """
 
     classes: tuple[tuple[int, ...], ...]
     fractions: np.ndarray
     reference_rates: tuple[RateFunction, ...]
     front_matrix: np.ndarray
-    layout: ClassLayout = field(repr=False)
+    phat: np.ndarray = field(repr=False)
+    layout: ClassLayout = field(init=False, repr=False)
     rising_node: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        rising = np.diff(self.fractions / self.layout.phat) > 0.0
-        rising[self.layout.ends[:-1]] = False  # a class end and the next node lie in different classes
+        layout = ClassLayout(self.phat, [members[-1] - 1 for members in self.classes])
+        object.__setattr__(self, "layout", layout)
+        rising = np.diff(self.fractions / self.phat) > 0.0
+        rising[layout.ends[:-1]] = False  # a class end and the next node lie in different classes
         object.__setattr__(self, "rising_node", int(np.argmax(rising)) + 1 if rising.any() else 0)
 
     @property
@@ -112,8 +116,7 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
     fractions.setflags(write=False)
     front_matrix.setflags(write=False)
 
-    layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes])
-    return RateClassPartition(tuple(classes), fractions, tuple(references), front_matrix, layout)
+    return RateClassPartition(tuple(classes), fractions, tuple(references), front_matrix, spec.phat)
 
 
 def starred_sets(

@@ -225,17 +225,18 @@ def horizon_diagnostic(
 
 
 def _scaled_frequency(w: np.ndarray, r_beta: np.ndarray, u: float) -> np.ndarray:
-    """w * r_beta, 0 where w is; a nonzero entry that underflows to 0 or
-    overflows raises ScalingRangeError."""
+    """w * r_beta, 0 where w is; a nonzero entry that overflows or underflows
+    below the normal float range (to 0 or to a subnormal, which keeps few
+    digits) raises ScalingRangeError."""
     nonzero = w != 0.0
     with np.errstate(over="ignore"):
         scaled = np.multiply(w, r_beta, out=np.zeros_like(w), where=nonzero)
-    lost = nonzero & ((scaled == 0.0) | np.isinf(scaled))
+    lost = nonzero & ((np.abs(scaled) < np.finfo(float).tiny) | np.isinf(scaled))
     if lost.any():
         j = int(np.argmax(lost))
         raise ScalingRangeError(
             f"scaled frequency of node {j + 1} "
-            f"{'underflows to 0' if scaled[j] == 0.0 else 'overflows'} at u = {u:g}: "
+            f"{'overflows' if np.isinf(scaled[j]) else f'underflows to {scaled[j]:g}'} at u = {u:g}: "
             f"omega_{j + 1} = {w[j]:g}, r_{j + 1}(u)**beta = {r_beta[j]:g}"
         )
     return scaled
@@ -255,9 +256,10 @@ def convergence_study(
     For each u the exact transform is evaluated at omega * r(u)**beta, the
     frequency scaling under which the workload law converges; the limit
     column is u-independent.  A nonzero frequency whose scaled value
-    underflows to 0 or overflows raises ScalingRangeError, naming the node
-    and u.  When `sim` is given, an empirical column at the
-    same scaled frequencies is added (seed offset by the u index).
+    overflows or underflows below the normal float range raises
+    ScalingRangeError, naming the node and u.  When `sim` is given, an
+    empirical column at the same scaled frequencies is added (seed offset by
+    the u index).
     """
     tail = model.tail_pair(regime)
     beta = tail.beta

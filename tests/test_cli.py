@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levynet.cli import main
@@ -289,7 +291,8 @@ def test_simulate_default_horizon_overflow_exits_3(tmp_path, capsys):
 
 
 def test_sweep_scaled_frequency_underflow_exits_3(tmp_path, capsys):
-    # alpha = 1.02: beta = 50, and node 2's r(u)**beta = u**-100 underflows to 0 at u = 1e4
+    # alpha = 1.02: beta = 50, and node 2's r(u)**beta = u**-100 leaves the
+    # normal float range above u = 1.2e3: a subnormal at u = 1.5e3, 0 at u = 1e4
     run = {"input": stable_input(1.02), "regime": "heavy", "omega": {"list": [[0.3, 1.2]]}}
     cfg = write_configs(tmp_path, HEAVY_TANDEM_NETWORK, dict(run, u_list=[10, 100, 1000]))
     assert run_cli(["sweep", "--config", str(cfg)]) == 0
@@ -298,19 +301,24 @@ def test_sweep_scaled_frequency_underflow_exits_3(tmp_path, capsys):
         "100,0.29999999999999999,1.2,0.44859756598107903,0.44745247995406873,0.0011450860270103003",
         "1000,0.29999999999999999,1.2,0.44756699629521685,0.44745247995406873,0.00011451634114811871",
     ]
-    cfg = write_configs(tmp_path, HEAVY_TANDEM_NETWORK, dict(run, u_list=[10, 100, 1000, 10000]))
-    assert run_cli(["sweep", "--config", str(cfg)]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    err = json.loads(out.err)
-    assert err["error"] == "ScalingRangeError"
-    assert "node 2 underflows to 0 at u = 10000" in err["message"]
+    for u, lost in ((1500, "underflows to 2.95159e-318"), (10000, "underflows to 0")):
+        cfg = write_configs(tmp_path, HEAVY_TANDEM_NETWORK, dict(run, u_list=[10, 100, 1000, u]))
+        assert run_cli(["sweep", "--config", str(cfg)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "ScalingRangeError"
+        assert f"node 2 {lost} at u = {u}" in err["message"]
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # sha256 of stdout and the exit code of each command on the shipped run
 # configs; a change to any printed digit changes these.  Empty stdout hashes
 # to e3b0c442...: tandem2_brownian has no regime, so its limit commands exit 2.
+# The printed digits come from np.power, libm and BLAS sums, which another
+# numpy build, BLAS or CPU may round differently: these digests were computed
+# with numpy 2.4.6 and OpenBLAS 0.3.31 under Python 3.11 on x86-64 (AVX-512).
+DIGEST_ENVIRONMENT = "numpy 2.4.6, OpenBLAS 0.3.31, Python 3.11, x86_64"
 SHIPPED_OUTPUT = (
     ("figure1.run.json", "validate", 0, "b0214817f79756cf70588e084f0121a70614c99dcfdd71dbaafd42671f9f1ac5"),
     ("figure1.run.json", "structure", 0, "4cf3765b6cccf9aa41efd8a63311ed38d59f10de6fdce3f8d4c53adc7f83aa7f"),
@@ -339,4 +347,7 @@ SHIPPED_OUTPUT = (
 def test_shipped_config_output_is_bit_reproducible(config, command, code, digest, capsys):
     name, *flags = command.split()
     assert run_cli([name, "--config", str(CONFIGS / config), *flags]) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    here = f"numpy {np.__version__}, Python {platform.python_version()}, {platform.machine()}"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (
+        f"stdout differs from the digest computed with {DIGEST_ENVIRONMENT}; this run: {here}"
+    )

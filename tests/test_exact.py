@@ -480,10 +480,9 @@ def _guard_points():
 
 @pytest.mark.parametrize("model", GUARD_FAMILIES, ids=repr)
 def test_newton_iterates_never_pass_the_root(model, monkeypatch):
-    # the root solver runs plain Newton from the model's start (x / r, or
-    # nearer the root for stable input), which is safe only while every psi_j
-    # is convex and increasing and psi_j(start) >= x: then within each solve
-    # s never increases and f(s) never falls below x
+    # the root solver runs plain Newton from x / r, which is safe only while
+    # every psi_j is convex and increasing and psi_j(x / r) >= x: then within
+    # each solve s never increases and f(s) never falls below x
     solves = []
     invert_increasing = exact.invert_increasing
 
@@ -506,36 +505,6 @@ def test_newton_iterates_never_pass_the_root(model, monkeypatch):
         s, fs = np.array(seen).reshape(-1, 2).T  # x = 0 returns 0 without evaluating f
         assert np.all(np.diff(s) <= 0.0), x
         assert np.all(fs >= x * (1.0 - 1e-12)), x
-
-
-@pytest.mark.parametrize(
-    "model",
-    [StableSum(((alpha, 0.6),)) for alpha in (1.05, 1.5, 1.9)] + [StableSum(((1.3, 0.5), (2.0, 0.4)))],
-    ids=repr,
-)
-def test_stable_newton_start_keeps_the_roots(model):
-    # stable input starts Newton at min(x / r, min_k (x / (c_k ph**alpha_k))**(1 / alpha_k)),
-    # right of the root as x / r is; both starts give the same root
-    rng = np.random.default_rng(139)
-    for n in rng.integers(2, 60, 12):
-        spec = random_spec(rng, int(n))
-        u = rng.uniform(1.0, 4.0)
-        r, ph = spec.rate_vector(u)[:-1], spec.phat[:-1]
-        ev = joint_lst_exact(spec, model, rng.uniform(0.05, 2.5, spec.n) * spec.rate_vector(u), u)
-        x = ev.kappa
-        start = model._root_start(r, ph, x)
-        assert np.all(start <= x / r)
-        assert np.all(r * start + model.laplace_exponent(ph * start) >= x * (1.0 - 1e-15))
-        plain = [
-            invert_increasing(
-                lambda s: rj * s + float(model.laplace_exponent(pj * s)),
-                xj,
-                lambda s: rj + pj * float(model.laplace_exponent_deriv(pj * s)),
-                xj / rj,
-            )
-            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.tolist())
-        ]
-        np.testing.assert_allclose(ev.phi_at_kappa, plain, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("model", [Brownian(1.0), CenteredGamma(2.0, 1.5)], ids=repr)

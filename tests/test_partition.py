@@ -176,10 +176,14 @@ def test_class_layouts_are_built_once(monkeypatch):
     w = rng.uniform(0.05, 2.0, spec.n)
     joint_lst_exact(spec, Brownian(1.0), w, 2.0)
     joint_lst_limit(spec, part, TailPair(1.5, 0.7, "heavy"), w)
+    assert built == []
+    assert (spec.layout, part.layout) == layouts
+    # a rescaled partition derives its own layout, equal to the one it came from
     rescaled = part.with_rescaled_reference(1, 2.5)
     joint_lst_limit(spec, rescaled, TailPair(2.0, 0.7, "heavy"), w)
-    assert built == []
-    assert (spec.layout, part.layout) == layouts and rescaled.layout is part.layout
+    assert len(built) == 1
+    for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
+        assert np.array_equal(getattr(rescaled.layout, name), getattr(part.layout, name)), name
 
 
 def _first_rise(part, phat) -> int:
