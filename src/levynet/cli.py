@@ -79,7 +79,7 @@ def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
 
 def cmd_validate(args) -> int:
     cfg = load_run_config(args.config)
-    report = validate_assumptions(cfg.spec, u_probe=args.u if args.u is not None else 2.0)
+    report = validate_assumptions(cfg.spec, **({} if args.u is None else {"u_probe": args.u}))
     _write_json(args, report.to_dict())
     print(report.pretty(), file=sys.stderr)
     return 0 if report.passed else 1
@@ -236,10 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, *, regime=False, diagnostics=False, with_empirical=False):
+    def add(name, fn, help_text, *, u=False, regime=False, diagnostics=False, with_empirical=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run-config JSON path")
-        p.add_argument("--u", type=float, default=None, help="scaling parameter value")
+        if u:
+            p.add_argument("--u", type=float, default=None, help="scaling parameter value")
         seed_help = "Monte Carlo seed override; only simulate, compare and sweep --with-empirical use it"
         p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -252,12 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("validate", cmd_validate, "check the structural and rate assumptions")
+    add("validate", cmd_validate, "check the structural and rate assumptions", u=True)
     add("structure", cmd_structure, "emit derived structure (phat, sets, classes) as JSON")
-    add("lst-exact", cmd_lst_exact, "exact workload transform on a frequency grid", diagnostics=True)
+    add("lst-exact", cmd_lst_exact, "exact workload transform on a frequency grid", u=True, diagnostics=True)
     add("lst-limit", cmd_lst_limit, "limiting workload transform on a frequency grid", regime=True)
-    add("simulate", cmd_simulate, "Monte Carlo transform estimates")
-    add("compare", cmd_compare, "Monte Carlo versus exact transform")
+    add("simulate", cmd_simulate, "Monte Carlo transform estimates", u=True)
+    add("compare", cmd_compare, "Monte Carlo versus exact transform", u=True)
     add("sweep", cmd_sweep, "exact-to-limit convergence table over u", regime=True, with_empirical=True)
     return parser
 

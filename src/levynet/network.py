@@ -224,7 +224,7 @@ class ClassLayout:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A validated tree network together with its derived structure.
+    """A validated tree network; everything but routing and rates is derived.
 
     phat[j-1] is the cumulative routing fraction from the root into node j
     (first column of (I - P^T)^-1).  fronts[j] collects the nodes with index
@@ -234,28 +234,62 @@ class NetworkSpec:
     sum of a vector is one matrix product.  Row j-1 of the read-only arrays
     rate_coeffs and rate_exps holds node j's monomials, zero-padded, so
     rate_vector is one array expression.  layout is the class layout of the
-    exact transform: all n nodes in one class.  Immutable and safe to share.
+    exact transform: all n nodes in one class.  Raises StructuralError when
+    the rate count is not n.  Immutable and safe to share.
     """
 
     routing: RoutingMatrix
     rates: tuple[RateFunction, ...]
-    phat: np.ndarray
-    parent: dict[int, int]
-    fronts: dict[int, frozenset[int]]
-    children: dict[int, frozenset[int]]
-    front_matrix: np.ndarray
+    phat: np.ndarray = field(init=False)
+    parent: dict[int, int] = field(init=False)
+    fronts: dict[int, frozenset[int]] = field(init=False)
+    children: dict[int, frozenset[int]] = field(init=False)
+    front_matrix: np.ndarray = field(init=False)
     rate_coeffs: np.ndarray = field(init=False, repr=False)
     rate_exps: np.ndarray = field(init=False, repr=False)
     layout: ClassLayout = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layout", ClassLayout(self.phat, [self.n - 1]))
-        k = max(len(r.terms) for r in self.rates)
-        padded = [(*r.terms, *((0.0, 0.0),) * (k - len(r.terms))) for r in self.rates]
+        routing, rates = self.routing, tuple(self.rates)
+        n = routing.n
+        if len(rates) != n:
+            raise StructuralError(f"expected {n} rate functions, got {len(rates)}")
+
+        parent: dict[int, int] = {}
+        for j in range(2, n + 1):
+            parent[j] = int(np.nonzero(routing.p[:, j - 1] > 0.0)[0][0]) + 1
+
+        phat = np.empty(n)
+        phat[0] = 1.0
+        for j in range(2, n + 1):
+            jp = parent[j]
+            phat[j - 1] = routing.fraction(jp, j) * phat[jp - 1]
+
+        # fronts[j]: j itself and every later node whose parent precedes j (the root's parent is 0)
+        node = np.arange(1, n + 1)
+        parent_of = np.array([0] + [parent[i] for i in range(2, n + 1)])
+        front_matrix = (
+            (node[None, :] == node[:, None])
+            | ((node[None, :] > node[:, None]) & (parent_of[None, :] < node[:, None]))
+        ).astype(float)
+
+        def row_sets(matrix):
+            return {j: frozenset((np.flatnonzero(matrix[j - 1]) + 1).tolist()) for j in range(1, n + 1)}
+
+        k = max(len(r.terms) for r in rates)
+        padded = [(*r.terms, *((0.0, 0.0),) * (k - len(r.terms))) for r in rates]
         packed = np.array(padded).transpose(2, 0, 1).copy()  # [0] coefficients, [1] exponents
-        packed.setflags(write=False)
+        for array in (phat, front_matrix, packed):
+            array.setflags(write=False)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "phat", phat)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "fronts", row_sets(front_matrix))
+        object.__setattr__(self, "children", row_sets(routing.p > 0.0))
+        object.__setattr__(self, "front_matrix", front_matrix)
         object.__setattr__(self, "rate_coeffs", packed[0])
         object.__setattr__(self, "rate_exps", packed[1])
+        object.__setattr__(self, "layout", ClassLayout(phat, [n - 1]))
 
     @property
     def n(self) -> int:
@@ -303,43 +337,8 @@ class ValidationReport:
 
 
 def build_network(routing: RoutingMatrix, rates) -> NetworkSpec:
-    """Assemble the derived structure for a validated routing matrix.
-
-    Pure function of its inputs; raises StructuralError when the rate list
-    does not match the node count.  Routing-shape violations already raise
-    inside RoutingMatrix.
-    """
-    rates = tuple(rates)
-    n = routing.n
-    if len(rates) != n:
-        raise StructuralError(f"expected {n} rate functions, got {len(rates)}")
-
-    parent: dict[int, int] = {}
-    for j in range(2, n + 1):
-        parent[j] = int(np.nonzero(routing.p[:, j - 1] > 0.0)[0][0]) + 1
-
-    phat = np.empty(n)
-    phat[0] = 1.0
-    for j in range(2, n + 1):
-        jp = parent[j]
-        phat[j - 1] = routing.fraction(jp, j) * phat[jp - 1]
-    phat.setflags(write=False)
-
-    # fronts[j]: j itself and every later node whose parent precedes j (the root's parent is 0)
-    node = np.arange(1, n + 1)
-    parent_of = np.array([0] + [parent[i] for i in range(2, n + 1)])
-    front_matrix = (
-        (node[None, :] == node[:, None])
-        | ((node[None, :] > node[:, None]) & (parent_of[None, :] < node[:, None]))
-    ).astype(float)
-    front_matrix.setflags(write=False)
-
-    def row_sets(matrix):
-        return {j: frozenset((np.flatnonzero(matrix[j - 1]) + 1).tolist()) for j in range(1, n + 1)}
-
-    return NetworkSpec(
-        routing, rates, phat, parent, row_sets(front_matrix), row_sets(routing.p > 0.0), front_matrix
-    )
+    """The network of a validated routing matrix and one rate function per node."""
+    return NetworkSpec(routing, rates)
 
 
 def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationReport:

@@ -9,7 +9,6 @@ the limits r_i / reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,32 +19,41 @@ from .network import ClassLayout, NetworkSpec, RateFunction
 
 @dataclass(frozen=True)
 class RateClassPartition:
-    """Ordered interval classes with fractions, reference rates and fronts.
+    """Ordered interval classes of a network with fractions and reference rates.
 
     classes[k-1] is the tuple of 1-based node ids of class k.  fractions[i-1]
     is the exact ratio limit of node i's rate against its class reference.
-    front_matrix is the network's front matrix restricted to same-class
-    pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies in the
-    within-class front of node j.  phat is the network's read-only phat
-    vector.  Derived from these on construction, so recomputed whenever the
-    fractions change: layout, the class layout of the limit transform, and
-    rising_node, the first node j whose fraction / phat rises to node j + 1
-    of its class, 0 when none does.
+    Derived from these and spec on construction, so recomputed whenever the
+    fractions change: front_matrix, the network's front matrix restricted to
+    same-class pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies
+    in the within-class front of node j; class_of, entry i-1 the 1-based
+    class index of node i; layout, the class layout of the limit transform;
+    and rising_node, the first node j whose fraction / phat rises to node
+    j + 1 of its class, 0 when none does.
     """
 
+    spec: NetworkSpec = field(repr=False)
     classes: tuple[tuple[int, ...], ...]
     fractions: np.ndarray
     reference_rates: tuple[RateFunction, ...]
-    front_matrix: np.ndarray
-    phat: np.ndarray = field(repr=False)
+    front_matrix: np.ndarray = field(init=False, repr=False)
+    class_of: tuple[int, ...] = field(init=False, repr=False)
     layout: ClassLayout = field(init=False, repr=False)
     rising_node: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        layout = ClassLayout(self.phat, [members[-1] - 1 for members in self.classes])
-        object.__setattr__(self, "layout", layout)
-        rising = np.diff(self.fractions / self.phat) > 0.0
+        spec = self.spec
+        front_matrix = np.zeros((spec.n, spec.n))
+        for members in self.classes:
+            block = slice(members[0] - 1, members[-1])
+            front_matrix[block, block] = spec.front_matrix[block, block]
+        front_matrix.setflags(write=False)
+        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in self.classes])
+        rising = np.diff(self.fractions / spec.phat) > 0.0
         rising[layout.ends[:-1]] = False  # a class end and the next node lie in different classes
+        object.__setattr__(self, "front_matrix", front_matrix)
+        object.__setattr__(self, "class_of", tuple(k for k, c in enumerate(self.classes, start=1) for _ in c))
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "rising_node", int(np.argmax(rising)) + 1 if rising.any() else 0)
 
     @property
@@ -56,11 +64,6 @@ class RateClassPartition:
     def anchors(self) -> tuple[int, ...]:
         """The smallest node id of each class."""
         return tuple(members[0] for members in self.classes)
-
-    @property
-    def class_of(self) -> tuple[int, ...]:
-        """Entry i-1: the 1-based class index of node i."""
-        return tuple(k for k, members in enumerate(self.classes, start=1) for _ in members)
 
     def class_index(self, i: int) -> int:
         return self.class_of[i - 1]
@@ -89,7 +92,7 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
     exps = [r.leading[1] for r in spec.rates]
     coeffs = [r.leading[0] for r in spec.rates]
     for i in range(1, n):
-        if exps[i] > exps[i - 1] + 1e-12:
+        if exps[i] > exps[i - 1]:
             raise StructuralError(
                 f"rate of node {i+1} grows faster than rate of node {i}; "
                 "ratio limits must be finite for later nodes"
@@ -98,25 +101,21 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
     classes: list[tuple[int, ...]] = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or not math.isclose(exps[i], exps[start], rel_tol=1e-12, abs_tol=1e-12):
+        if i == n or exps[i] != exps[start]:
             classes.append(tuple(range(start + 1, i + 1)))
             start = i
 
     fractions = np.empty(n)
     references: list[RateFunction] = []
-    front_matrix = np.zeros((n, n))
     for members in classes:
         fastest = max(members, key=lambda i: coeffs[i - 1])
         references.append(spec.rates[fastest - 1])
         ref_coeff = coeffs[fastest - 1]
         for i in members:
             fractions[i - 1] = coeffs[i - 1] / ref_coeff
-        block = slice(members[0] - 1, members[-1])
-        front_matrix[block, block] = spec.front_matrix[block, block]
     fractions.setflags(write=False)
-    front_matrix.setflags(write=False)
 
-    return RateClassPartition(tuple(classes), fractions, tuple(references), front_matrix, spec.phat)
+    return RateClassPartition(spec, tuple(classes), fractions, tuple(references))
 
 
 def starred_sets(

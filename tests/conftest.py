@@ -12,6 +12,7 @@ tests use these as oracles.
 """
 
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,11 @@ from levynet import (
     StableSum,
     TailPair,
     build_network,
+    load_network,
     partition_rates,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def psi(spec, model, j: int, s: float, u: float) -> float:
@@ -90,6 +94,13 @@ def random_spec(rng: np.random.Generator, n: int, max_classes: int = 3):
         parent = int(np.nonzero(routing.p[:, j - 1] > 0.0)[0][0]) + 1
         phat[j - 1] = routing.fraction(parent, j) * phat[parent - 1]
     return build_network(routing, random_rates(rng, phat, max_classes))
+
+
+def seeded_and_shipped_specs(seed: int):
+    """Seeded random trees of 1 to 39 nodes, then the networks of the shipped configs."""
+    rng = np.random.default_rng(seed)
+    specs = [random_spec(rng, int(n)) for n in (1, 2, 3, *rng.integers(4, 40, 12))]
+    return specs + [load_network(path) for path in sorted(CONFIGS.glob("*.network.json"))]
 
 
 def random_tail(rng: np.random.Generator, regime: str = "heavy") -> TailPair:

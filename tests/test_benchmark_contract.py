@@ -99,7 +99,7 @@ def test_benchmark_sim_config_is_accepted():
     assert simulate.simulate_workload(spec, Brownian(1.0), cfg).shape == (2, 2)
 
 
-@pytest.mark.parametrize("name", ["transform_deep", "cli_configs"])
+@pytest.mark.parametrize("name", ["transform_deep", "mc_crossval", "cli_configs"])
 def test_workload_checks_pass_untraced_and_traced(monkeypatch, tmp_path, name):
     # a run whose output checks fail, traced or not, ends "correct": false;
     # --seconds 1 gives the fewest repeats the workload allows

@@ -154,6 +154,47 @@ def test_lst_limit_decoupled_tandem(tmp_path, capsys):
     assert float(rows[0]["factor_1"]) == pytest.approx(1.0 / 1.25, rel=1e-12)
 
 
+def near_tandem(tmp_path: Path, e2: float) -> Path:
+    """Two-node tandem with rates 2u and u**e2, heavy regime, omega = (0.5, 0.5)."""
+    rates = [{"node": 1, "terms": [{"c": 2, "e": 1}]}, {"node": 2, "terms": [{"c": 1, "e": e2}]}]
+    return write_configs(
+        tmp_path, dict(TANDEM_NETWORK, rates=rates), {"regime": "heavy", "omega": {"list": [[0.5, 0.5]]}}
+    )
+
+
+def test_later_rate_growing_faster_by_5e_13_is_rejected(tmp_path, capsys):
+    # the partition compares growth orders exactly, as validate does
+    cfg = near_tandem(tmp_path, 1 + 5e-13)
+    assert run_cli(["validate", "--config", str(cfg)]) == 1
+    assert "limit of r_2/r_1 is infinite" in capsys.readouterr().err
+    for command in ("structure", "lst-limit"):
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "StructuralError"
+
+
+def test_later_rate_growing_slower_by_5e_13_is_its_own_class(tmp_path, capsys):
+    cfg = near_tandem(tmp_path, 1 - 5e-13)
+    assert run_cli(["validate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert run_cli(["lst-limit", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "omega_1,omega_2,value,factor_1,factor_2",
+        "0.5,0.5,0.64000000000000012,0.80000000000000004,0.80000000000000004",
+    ]
+
+
+def test_u_flag_only_where_it_is_read(tmp_path, capsys):
+    cfg = write_configs(tmp_path, FIGURE1_NETWORK, {})
+    assert run_cli(["validate", "--config", str(cfg), "--u", "3"]) == 0
+    assert "non-increasing at u = 3" in capsys.readouterr().err
+    for command in ("structure", "lst-limit", "sweep"):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli([command, "--config", str(cfg), "--u", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --u 3" in capsys.readouterr().err
+
+
 def test_compare_columns_and_reproducibility(tmp_path, capsys):
     cfg = write_configs(
         tmp_path,

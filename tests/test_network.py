@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levynet import (
+    NetworkSpec,
     RateFunction,
     RoutingMatrix,
     StructuralError,
@@ -13,7 +14,7 @@ from levynet import (
 )
 from levynet.network import diff_sign_at_infinity
 
-from conftest import random_tree_routing, random_rates, random_spec, tandem_spec
+from conftest import random_tree_routing, random_rates, random_spec, seeded_and_shipped_specs, tandem_spec
 
 
 def test_figure1_phat_and_sets(figure1_spec):
@@ -77,8 +78,34 @@ def test_row_sum_above_one_rejected():
 
 def test_rate_count_mismatch():
     routing = RoutingMatrix.from_edges(2, [(1, 2, 1.0)])
-    with pytest.raises(StructuralError, match="rate"):
-        build_network(routing, [RateFunction.monomial(1.0, 0.0)])
+    for build in (build_network, NetworkSpec):
+        with pytest.raises(StructuralError, match="^expected 2 rate functions, got 1$"):
+            build(routing, [RateFunction.monomial(1.0, 0.0)])
+
+
+def test_derived_structure_restates_the_definitions():
+    for spec in seeded_and_shipped_specs(37):
+        n, p = spec.n, spec.routing.p
+        parent = {j: int(np.flatnonzero(p[:, j - 1])[0]) + 1 for j in range(2, n + 1)}
+        assert spec.parent == parent
+        for j in range(1, n + 1):
+            path = [j]  # from node j up to the root
+            while path[-1] > 1:
+                path.append(parent[path[-1]])
+            path.reverse()
+            fractions = [p[a - 1, b - 1] for a, b in zip(path, path[1:])]
+            assert spec.phat[j - 1] == math.prod(fractions), j
+            front = {l for l in range(j, n + 1) if l == 1 or parent[l] < j}
+            assert spec.fronts[j] == front and spec.children[j] == {l for l in parent if parent[l] == j}
+            assert spec.front_matrix[j - 1].tolist() == [float(l in front) for l in range(1, n + 1)]
+        k = max(len(r.terms) for r in spec.rates)
+        for j, r in enumerate(spec.rates):
+            padding = [0.0] * (k - len(r.terms))
+            assert spec.rate_coeffs[j].tolist() == [c for c, _ in r.terms] + padding
+            assert spec.rate_exps[j].tolist() == [e for _, e in r.terms] + padding
+        for obj in (spec, spec.layout):
+            arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_build_is_deterministic():

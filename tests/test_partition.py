@@ -3,6 +3,8 @@ import pytest
 
 from levynet import (
     Brownian,
+    NetworkSpec,
+    RateClassPartition,
     RateFunction,
     StructuralError,
     TailPair,
@@ -13,7 +15,7 @@ from levynet import (
 )
 from levynet.network import ClassLayout
 
-from conftest import random_spec, tandem_spec
+from conftest import random_spec, seeded_and_shipped_specs, tandem_spec
 
 
 def test_figure1_classes_and_fractions(figure1_spec):
@@ -78,6 +80,43 @@ def test_front_matrix_rows_are_the_starred_fronts(figure1_spec, figure1_partitio
             row = part.front_matrix[j - 1]
             assert set(row.tolist()) <= {0.0, 1.0}
             assert frozenset((np.flatnonzero(row) + 1).tolist()) == starred_sets(spec, part, j)[0]
+
+
+def _assert_derived_partition(spec, part):
+    """Every derived field of part equals a restatement from its inputs."""
+    assert part.spec is spec
+    class_of = [next(k for k, c in enumerate(part.classes, start=1) if i in c) for i in range(1, spec.n + 1)]
+    assert part.class_of == tuple(class_of)
+    same_class = np.equal.outer(class_of, class_of)
+    assert np.array_equal(part.front_matrix, np.where(same_class, spec.front_matrix, 0.0))
+    fresh = ClassLayout(spec.phat, [c[-1] - 1 for c in part.classes])
+    for name, value in vars(fresh).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(part.layout, name), value), name
+    assert part.rising_node == _first_rise(part, spec.phat)
+    for obj in (part, part.layout):
+        arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_partition_structure_restates_the_definitions():
+    for spec in seeded_and_shipped_specs(41):
+        _assert_derived_partition(spec, partition_rates(spec))
+
+
+def test_derived_fields_are_not_constructor_arguments(figure1_spec, figure1_partition):
+    # passing any of these once let a value contradict the inputs: the
+    # unmasked spec.front_matrix, for one, changed the figure-1 limit
+    spec, part = figure1_spec, figure1_partition
+    for name in ("phat", "parent", "fronts", "children", "front_matrix", "rate_coeffs", "rate_exps", "layout"):
+        with pytest.raises(TypeError):
+            NetworkSpec(spec.routing, spec.rates, **{name: getattr(spec, name)})
+    derived = dict(
+        phat=spec.phat, front_matrix=spec.front_matrix, class_of=part.class_of, layout=part.layout, rising_node=0
+    )
+    for name, value in derived.items():
+        with pytest.raises(TypeError):
+            RateClassPartition(spec, part.classes, part.fractions, part.reference_rates, **{name: value})
 
 
 def test_partition_invariance_under_common_monomial():
@@ -184,6 +223,8 @@ def test_class_layouts_are_built_once(monkeypatch):
     assert len(built) == 1
     for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
         assert np.array_equal(getattr(rescaled.layout, name), getattr(part.layout, name)), name
+    # and every other derived field as a fresh derivation would
+    _assert_derived_partition(spec, rescaled)
 
 
 def _first_rise(part, phat) -> int:
