@@ -6,14 +6,16 @@ floats printed at 17 significant digits; every CSV row echoes its full
 frequency vector.  Outputs are bit-reproducible for a given (config, seed).
 
 Exit codes: 0 success (validate: all assumptions pass), 1 failed validation
-verdict, 2 structural or config errors, 3 numerical errors; for codes 2 and 3
-a machine-readable JSON object is written to stderr.
+verdict, 2 structural or config errors (an unreadable config or network file
+and an --out path that cannot be written included), 3 numerical errors; for
+codes 2 and 3 a machine-readable JSON object is written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -32,9 +34,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _open_out(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"--out {path} cannot be written: {exc.strerror or exc}") from exc
+
+
 def _out_stream(args):
     if args.out:
-        return open(args.out, "w", newline="")
+        return _open_out(args.out, newline="")
     return sys.stdout
 
 
@@ -53,7 +62,7 @@ def _write_csv(args, header: list[str], rows) -> None:
 def _write_json(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -229,7 +238,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Sharing is safe because parse_args keeps no state between calls: each
+    call returns a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="levynet",
         description="Workload transforms and traffic limits for Levy-driven tree networks",

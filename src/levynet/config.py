@@ -262,8 +262,8 @@ def _load_json(path: Path, what: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh, parse_constant=_reject_constant, **hooks)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, no permission, ...
+        raise ConfigError(f"{what} file {path} cannot be read: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 

@@ -76,9 +76,11 @@ def joint_lst_limit(
     """Limiting transform of the rescaled workload vector at omega >= 0.
 
     Requires fractions / phat to be non-increasing within each class (the
-    rate ordering in the limit); a rise raises StructuralError.  Classes
-    whose frequencies are all zero contribute factor one.
+    rate ordering in the limit); a rise raises StructuralError, and so does a
+    spec that is not the partition's network.  Classes whose frequencies are
+    all zero contribute factor one.
     """
+    partition.require_spec(spec)
     w = as_omega(omega, spec.n)
     j = partition.rising_node
     if j:
@@ -130,8 +132,10 @@ def scaling_coefficients(
 
     These quantities drive the limit factorization; exposing them directly
     lets tests assert the telescoping identity downstream_gap[j] ==
-    drift_gap[j+1] and the identification with the class constants.
+    drift_gap[j+1] and the identification with the class constants.  A spec
+    that is not the partition's network raises StructuralError.
     """
+    partition.require_spec(spec)
     n = spec.n
     w = np.asarray(omega, dtype=float)
     if w.shape != (n,):

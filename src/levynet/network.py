@@ -105,6 +105,7 @@ class RoutingMatrix:
 
     p[i, j] (0-based storage) is the fraction of node i+1's output feeding
     node j+1.  Row sums may be below one: the leaked mass exits the network.
+    Two routing matrices are equal when every fraction is.
     """
 
     n: int
@@ -160,6 +161,11 @@ class RoutingMatrix:
     def fraction(self, i: int, j: int) -> float:
         """Routing fraction from node i to node j (1-based)."""
         return float(self.p[i - 1, j - 1])
+
+    def __eq__(self, other):
+        if not isinstance(other, RoutingMatrix):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.p, other.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,20 +240,21 @@ class NetworkSpec:
     sum of a vector is one matrix product.  Row j-1 of the read-only arrays
     rate_coeffs and rate_exps holds node j's monomials, zero-padded, so
     rate_vector is one array expression.  layout is the class layout of the
-    exact transform: all n nodes in one class.  Raises StructuralError when
-    the rate count is not n.  Immutable and safe to share.
+    exact transform: all n nodes in one class.  Two specs are equal when
+    their routing fractions and rate functions are.  Raises StructuralError
+    when the rate count is not n.  Immutable and safe to share.
     """
 
     routing: RoutingMatrix
     rates: tuple[RateFunction, ...]
-    phat: np.ndarray = field(init=False)
-    parent: dict[int, int] = field(init=False)
-    fronts: dict[int, frozenset[int]] = field(init=False)
-    children: dict[int, frozenset[int]] = field(init=False)
-    front_matrix: np.ndarray = field(init=False)
-    rate_coeffs: np.ndarray = field(init=False, repr=False)
-    rate_exps: np.ndarray = field(init=False, repr=False)
-    layout: ClassLayout = field(init=False, repr=False)
+    phat: np.ndarray = field(init=False, compare=False)
+    parent: dict[int, int] = field(init=False, compare=False)
+    fronts: dict[int, frozenset[int]] = field(init=False, compare=False)
+    children: dict[int, frozenset[int]] = field(init=False, compare=False)
+    front_matrix: np.ndarray = field(init=False, compare=False)
+    rate_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    rate_exps: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: ClassLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         routing, rates = self.routing, tuple(self.rates)

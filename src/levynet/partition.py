@@ -68,6 +68,15 @@ class RateClassPartition:
     def class_index(self, i: int) -> int:
         return self.class_of[i - 1]
 
+    def require_spec(self, spec: NetworkSpec) -> None:
+        """Raise StructuralError unless spec is this partition's network.
+
+        For the functions that take spec beside the partition; an equal spec
+        (same routing and rates) is accepted too.
+        """
+        if spec is not self.spec and spec != self.spec:
+            raise StructuralError("spec is not the partition's network: their routing or rates differ")
+
     def with_rescaled_reference(self, k: int, factor: float) -> "RateClassPartition":
         """Replace reference k by factor * reference; member fractions divide by factor."""
         if factor <= 0.0:
@@ -121,7 +130,11 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
 def starred_sets(
     spec: NetworkSpec, partition: RateClassPartition, j: int
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Within-class restrictions of fronts[j] and children[j]."""
+    """Within-class restrictions of fronts[j] and children[j].
+
+    A spec that is not the partition's network raises StructuralError.
+    """
+    partition.require_spec(spec)
     if not 1 <= j <= spec.n:
         raise IndexError(f"node index {j} outside 1..{spec.n}")
     own = frozenset(partition.classes[partition.class_index(j) - 1])

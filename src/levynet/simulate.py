@@ -259,8 +259,10 @@ def convergence_study(
     overflows or underflows below the normal float range raises
     ScalingRangeError, naming the node and u.  When `sim` is given, an
     empirical column at the same scaled frequencies is added (seed offset by
-    the u index).
+    the u index).  A spec that is not the partition's network raises
+    StructuralError.
     """
+    partition.require_spec(spec)
     tail = model.tail_pair(regime)
     beta = tail.beta
     omegas = [np.asarray(w, dtype=float) for w in omegas]

@@ -2,12 +2,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levynet import cli
 from levynet.cli import main
 
 FIGURE1_NETWORK = {
@@ -274,6 +278,35 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out_path.read_text().splitlines()[1] == "0,0,1"
 
 
+def test_config_that_cannot_be_read_exits_2(tmp_path, capsys):
+    # a directory given as the run config, or named as its network
+    write_configs(tmp_path, TANDEM_NETWORK, {})
+    run = {"network": ".", "input": {"kind": "brownian", "sigma2": 1.0}}
+    (tmp_path / "dir_network.json").write_text(json.dumps(run))
+    for config, what in ((tmp_path, "run config"), (tmp_path / "dir_network.json", "network")):
+        assert run_cli(["validate", "--config", str(config)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{what} file ") and "cannot be read" in err["message"]
+
+
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # the JSON writer (validate) and the CSV writer (lst-exact)
+    cfg = write_configs(tmp_path, TANDEM_NETWORK, {"u": 1.0, "omega": {"list": [[0.5, 0.5]]}})
+    for command in ("validate", "lst-exact"):
+        out_path = tmp_path / "missing" / "out.txt"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "ConfigError",
+            "message": f"--out {out_path} cannot be written: No such file or directory",
+        }
+        assert not out_path.parent.exists()
+
+
 def test_missing_u_is_config_error(tmp_path, capsys):
     cfg = write_configs(tmp_path, TANDEM_NETWORK, {"omega": {"list": [[0.5, 0.5]]}})
     assert run_cli(["lst-exact", "--config", str(cfg)]) == 2
@@ -392,3 +425,68 @@ def test_shipped_config_output_is_bit_reproducible(config, command, code, digest
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (
         f"stdout differs from the digest computed with {DIGEST_ENVIRONMENT}; this run: {here}"
     )
+
+
+def shipped_run(config: str, command: str, capsys) -> tuple[int, str]:
+    """Exit code and stdout of one command on a shipped run config."""
+    name, *flags = command.split()
+    code = run_cli([name, "--config", str(CONFIGS / config), *flags])
+    return code, capsys.readouterr().out
+
+
+def shipped_digest(config: str, command: str) -> tuple[int, str]:
+    return next((c, d) for cfg, cmd, c, d in SHIPPED_OUTPUT if (cfg, cmd) == (config, command))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for config, command, code, _ in SHIPPED_OUTPUT[:6]:
+        assert shipped_run(config, command, capsys)[0] == code
+    with pytest.raises(SystemExit):
+        run_cli(["structure", "--u", "3"])
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().hits == 6
+
+
+def test_no_state_carries_between_calls(capsys):
+    # an argparse failure, then a good command
+    with pytest.raises(SystemExit) as exit_:
+        shipped_run("figure1.run.json", "structure --u 3", capsys)
+    assert exit_.value.code == 2
+    code, out = shipped_run("figure1.run.json", "structure", capsys)
+    assert (code, sha256(out)) == shipped_digest("figure1.run.json", "structure")
+    # --regime once, then the config's regime (tandem2_brownian has none: exit 2)
+    for config in ("figure1.run.json", "tandem2_brownian.run.json"):
+        code, out = shipped_run(config, "lst-limit --regime heavy", capsys)
+        assert code == 0 and out
+        code, out = shipped_run(config, "lst-limit", capsys)
+        assert (code, sha256(out)) == shipped_digest(config, "lst-limit")
+    # --diagnostics once, then none: no diagnostic columns
+    code, out = shipped_run("figure1.run.json", "lst-exact --u 4 --diagnostics", capsys)
+    assert code == 0 and "prefactor" in out.splitlines()[0]
+    code, out = shipped_run("figure1.run.json", "lst-exact --u 4", capsys)
+    assert "prefactor" not in out.splitlines()[0]
+    assert (code, sha256(out)) == shipped_digest("figure1.run.json", "lst-exact --u 4")
+
+
+def test_shipped_outputs_back_to_back_in_one_process(capsys):
+    for config, command, code, digest in reversed(SHIPPED_OUTPUT):
+        got_code, out = shipped_run(config, command, capsys)
+        assert (got_code, sha256(out)) == (code, digest), f"{config}: {command}"
+
+
+def test_shell_call_matches_in_process_call(capsys):
+    argv = ["lst-exact", "--config", "configs/figure1.run.json", "--u", "4"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    shell = subprocess.run(
+        [sys.executable, "-m", "levynet.cli", *argv], cwd=CONFIGS.parent, env=env, capture_output=True, timeout=60
+    )
+    for config, command, code, _ in SHIPPED_OUTPUT[:6]:
+        assert shipped_run(config, command, capsys)[0] == code
+    code = run_cli([argv[0], "--config", str(CONFIGS / "figure1.run.json"), *argv[3:]])
+    assert (shell.returncode, shell.stdout) == (code, capsys.readouterr().out.encode())

@@ -1,4 +1,5 @@
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from levynet import (
     scaling_coefficients,
     StableSum,
     singular_limit,
+    starred_sets,
 )
 from levynet import build_network, RoutingMatrix
 from levynet.exact import _class_factors
@@ -426,6 +428,31 @@ def test_rate_ordering_checked_within_class():
     part = partition_rates(spec)
     with pytest.raises(StructuralError, match="within class"):
         joint_lst_limit(spec, part, TailPair(1.5, 1.0, "heavy"), np.array([0.5, 0.5]))
+
+
+def test_spec_that_is_not_the_partitions_network_is_refused():
+    rates = [RateFunction.monomial(c, 1.0) for c in (4.0, 1.0, 0.5)]
+    chain = [(1, 2, 1.0), (2, 3, 1.0)]
+    tandem = build_network(RoutingMatrix.from_edges(3, chain), rates)
+    tree = build_network(RoutingMatrix.from_edges(3, [(1, 2, 0.5), (1, 3, 0.5)]), rates)
+    part = partition_rates(tandem)
+    tail, w = TailPair(1.5, 1.0, "heavy"), np.array([0.5, 0.7, 0.9])
+    assert joint_lst_limit(tree, partition_rates(tree), tail, w).value != joint_lst_limit(tandem, part, tail, w).value
+    calls = (
+        lambda spec: joint_lst_limit(spec, part, tail, w),
+        lambda spec: singular_limit(spec, part, tail, w, 1),
+        lambda spec: scaling_coefficients(spec, part, tail, w),
+        lambda spec: starred_sets(spec, part, 2),
+        lambda spec: convergence_study(spec, part, Brownian(1.0), "heavy", [w], [10.0]),
+    )
+    for call in calls:
+        with pytest.raises(StructuralError, match="not the partition's network"):
+            call(tree)
+    # an equal network built again from the same routing and rates is accepted, bit for bit
+    again = build_network(RoutingMatrix.from_edges(3, chain), list(rates))
+    assert again is not tandem
+    for call in calls:
+        assert pickle.dumps(call(again)) == pickle.dumps(call(tandem))
 
 
 def test_telescoping_identity_smoke():

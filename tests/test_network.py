@@ -119,6 +119,24 @@ def test_build_is_deterministic():
     assert a.fronts == b.fronts and a.children == b.children
 
 
+def test_specs_compare_by_routing_and_rates():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9):
+        routing = random_tree_routing(rng, n)
+        rates = random_rates(rng, np.ones(n))
+        spec = build_network(routing, rates)
+        again = build_network(RoutingMatrix(n, routing.p.copy()), list(rates))
+        assert routing == again.routing and spec == again
+        if n == 1:
+            continue
+        p = routing.p.copy()
+        p[np.nonzero(p)[0][0], np.nonzero(p)[1][0]] *= 0.5
+        other_rates = [rates[0].scaled(2.0), *rates[1:]]
+        assert RoutingMatrix(n, p) != routing
+        assert build_network(RoutingMatrix(n, p), rates) != spec
+        assert build_network(routing, other_rates) != spec
+
+
 def test_phat_solves_linear_system():
     rng = np.random.default_rng(5)
     for _ in range(25):
