@@ -6,9 +6,10 @@ floats printed at 17 significant digits; every CSV row echoes its full
 frequency vector.  Outputs are bit-reproducible for a given (config, seed).
 
 Exit codes: 0 success (validate: all assumptions pass), 1 failed validation
-verdict, 2 structural or config errors (an unreadable config or network file
-and an --out path that cannot be written included), 3 numerical errors; for
-codes 2 and 3 a machine-readable JSON object is written to stderr.
+verdict, 2 usage, structural or config errors (an unknown or missing flag, an
+unreadable config or network file and an --out path that cannot be written
+included), 3 numerical errors; for codes 2 and 3 a machine-readable JSON
+object is written to stderr.
 """
 
 from __future__ import annotations
@@ -238,6 +239,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ConfigError, so they exit 2 with the JSON error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
@@ -245,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     Sharing is safe because parse_args keeps no state between calls: each
     call returns a fresh Namespace.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levynet",
         description="Workload transforms and traffic limits for Levy-driven tree networks",
     )
@@ -279,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, StructuralError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

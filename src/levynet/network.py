@@ -65,38 +65,26 @@ class RateFunction:
             raise ValueError("scale factor must be positive")
         return RateFunction(tuple((c * factor, e) for c, e in self.terms))
 
-    def ratio_limit(self, other: "RateFunction") -> float:
-        """Exact limit of self(u)/other(u) as u -> infinity (0, finite, or inf)."""
-        cs, es = self.leading
-        co, eo = other.leading
-        if es < eo:
-            return 0.0
-        if es > eo:
-            return math.inf
-        return cs / co
+
+def first_rise(rates) -> int:
+    """The first node j (1-based) whose successor's leading exponent is larger, or 0."""
+    exps = [r.leading[1] for r in rates]
+    return next((j for j in range(1, len(exps)) if exps[j] > exps[j - 1]), 0)
 
 
-def _net_coefficients(f: RateFunction, g: RateFunction) -> dict[float, float]:
-    """Coefficients of f - g by exponent, keeping those above _TOL of the largest term."""
-    merged: dict[float, float] = {}
-    for c, e in f.terms:
-        merged[e] = merged.get(e, 0.0) + c
-    for c, e in g.terms:
-        merged[e] = merged.get(e, 0.0) - c
-    scale = max(abs(c) for c, _ in f.terms + g.terms)
-    return {e: v for e, v in merged.items() if abs(v) > _TOL * scale}
+def _cross_sign(a: float, b: float, c: float, d: float) -> int:
+    """The exact sign of a*b - c*d for finite floats, in integer arithmetic."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = (x.as_integer_ratio() for x in (a, b, c, d))
+    diff = an * bn * cd * dd - cn * dn * ad * bd
+    return (diff > 0) - (diff < 0)
 
 
-def diff_sign_at_infinity(f: RateFunction, g: RateFunction) -> int:
-    """Sign of f(u) - g(u) for all large u (+1, -1, or 0 when identical)."""
-    net = _net_coefficients(f, g)
-    return (1 if net[max(net)] > 0 else -1) if net else 0
-
-
-def _has_sign_change(f: RateFunction, g: RateFunction) -> bool:
-    """True when f - g has mixed-sign net coefficients, i.e. a crossing at
-    some intermediate u cannot be ruled out by the monomial representation."""
-    return len({v > 0 for v in _net_coefficients(f, g).values()}) > 1
+def _net_signs(f: RateFunction, ph_f: float, g: RateFunction, ph_g: float) -> list[int]:
+    """Exact signs of the net coefficients of f/ph_f - g/ph_g by descending exponent, zeros dropped."""
+    cf, cg = ({e: c for c, e in r.terms} for r in (f, g))
+    exps = sorted(cf.keys() | cg.keys(), reverse=True)
+    signs = (_cross_sign(cf.get(e, 0.0), ph_g, cg.get(e, 0.0), ph_f) for e in exps)
+    return [s for s in signs if s]
 
 
 @dataclass(frozen=True)
@@ -105,7 +93,7 @@ class RoutingMatrix:
 
     p[i, j] (0-based storage) is the fraction of node i+1's output feeding
     node j+1.  Row sums may be below one: the leaked mass exits the network.
-    Two routing matrices are equal when every fraction is.
+    Two routing matrices are equal, and hash alike, when every fraction is.
     """
 
     n: int
@@ -166,6 +154,9 @@ class RoutingMatrix:
         if not isinstance(other, RoutingMatrix):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.p, other.p)
+
+    def __hash__(self):
+        return hash((self.p + 0.0).tobytes())  # + 0.0 turns -0.0, which equals 0.0, into 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,9 +231,9 @@ class NetworkSpec:
     sum of a vector is one matrix product.  Row j-1 of the read-only arrays
     rate_coeffs and rate_exps holds node j's monomials, zero-padded, so
     rate_vector is one array expression.  layout is the class layout of the
-    exact transform: all n nodes in one class.  Two specs are equal when
-    their routing fractions and rate functions are.  Raises StructuralError
-    when the rate count is not n.  Immutable and safe to share.
+    exact transform: all n nodes in one class.  Two specs are equal, and
+    hash alike, when their routing fractions and rate functions are.  Raises
+    StructuralError when the rate count is not n.  Immutable and safe to share.
     """
 
     routing: RoutingMatrix
@@ -353,10 +344,13 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
 
     The rate ordering r_j/phat_j > r_{j+1}/phat_{j+1} is required at every
     u > 0 but is only decidable here (a) numerically at u_probe, where ties
-    within floating tolerance are accepted, and (b) exactly for all large u
-    by monomial comparison.  Potential crossings at intermediate u are
-    reported in the detail text, not as failures.  Ratio limits r_i/r_j for
-    i > j must exist and be finite; failures are reported, never raised.
+    within 1e-12 relative are accepted, and (b) for all large u by the sign
+    of the leading net monomial coefficient of each adjacent difference,
+    computed exactly.  A sign change among those coefficients means the pair
+    may cross at intermediate u (Descartes' rule of signs); it is reported
+    in the detail text, not as a failure.  Ratio limits r_i/r_j for i > j
+    must be finite, that is no leading exponent rises along the nodes (the
+    rule of partition_rates); failures are reported, never raised.
     """
     if u_probe <= 0.0:
         raise ValueError("u_probe must be positive")
@@ -387,9 +381,10 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
             detail += f" (equality at consecutive pair{'s' if len(ties) > 1 else ''} {ties})"
     checks.append(AssumptionCheck("rate-ordering[u-probe]", not viol, detail))
 
-    scaled = [r.scaled(1.0 / ph) for r, ph in zip(spec.rates, spec.phat)]
-    bad_pairs = [j for j in range(1, n) if diff_sign_at_infinity(scaled[j - 1], scaled[j]) <= 0]
-    crossings = [j for j in range(1, n) if _has_sign_change(scaled[j - 1], scaled[j])]
+    rates, phat = spec.rates, spec.phat
+    signs = [_net_signs(rates[j - 1], phat[j - 1], rates[j], phat[j]) for j in range(1, n)]
+    bad_pairs = [j for j, s in enumerate(signs, start=1) if not s or s[0] < 0]
+    crossings = [j for j, s in enumerate(signs, start=1) if len(set(s)) > 1]
     if bad_pairs:
         j = bad_pairs[0]
         detail = f"r_{j}/phat_{j} does not dominate r_{j+1}/phat_{j+1} for large u"
@@ -402,20 +397,15 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
             )
     checks.append(AssumptionCheck("rate-ordering[u-large]", not bad_pairs, detail))
 
-    infinite = []
-    max_ratio = 0.0
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            lim = spec.rates[i - 1].ratio_limit(spec.rates[j - 1])
-            if math.isinf(lim):
-                infinite.append((i, j))
-            else:
-                max_ratio = max(max_ratio, lim)
-    if infinite:
-        i, j = infinite[0]
-        detail = f"limit of r_{i}/r_{j} is infinite; later nodes must not dominate earlier ones"
-    else:
+    if rise := first_rise(rates):
+        detail = f"limit of r_{rise + 1}/r_{rise} is infinite; later nodes must not dominate earlier ones"
+    else:  # the largest c_i/c_j (j < i) in a run of equal leading exponents; 0 across runs
+        max_ratio, low, run = 0.0, math.inf, None
+        for c, e in (r.leading for r in rates):
+            if e != run:
+                low, run = math.inf, e
+            max_ratio, low = max(max_ratio, c / low), min(low, c)
         detail = f"all ratio limits r_i/r_j (i > j) exist and are finite (max {max_ratio:.6g})"
-    checks.append(AssumptionCheck("ratio-limits", not infinite, detail))
+    checks.append(AssumptionCheck("ratio-limits", not rise, detail))
 
     return ValidationReport(tuple(checks))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StructuralError
-from .network import ClassLayout, NetworkSpec, RateFunction
+from .network import ClassLayout, NetworkSpec, RateFunction, first_rise
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class RateClassPartition:
     in the within-class front of node j; class_of, entry i-1 the 1-based
     class index of node i; layout, the class layout of the limit transform;
     and rising_node, the first node j whose fraction / phat rises to node
-    j + 1 of its class, 0 when none does.
+    j + 1 of its class, 0 when none does.  Two partitions are equal, and
+    hash alike, when their spec, classes, fractions and reference rates are.
     """
 
     spec: NetworkSpec = field(repr=False)
@@ -65,6 +66,15 @@ class RateClassPartition:
         """The smallest node id of each class."""
         return tuple(members[0] for members in self.classes)
 
+    def __eq__(self, other):
+        if not isinstance(other, RateClassPartition):
+            return NotImplemented
+        same = (self.spec, self.classes, self.reference_rates) == (other.spec, other.classes, other.reference_rates)
+        return same and np.array_equal(self.fractions, other.fractions)
+
+    def __hash__(self):
+        return hash((self.spec, self.classes, self.reference_rates))
+
     def class_index(self, i: int) -> int:
         return self.class_of[i - 1]
 
@@ -98,14 +108,12 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
     structural error (the class intervals would not be well defined).
     """
     n = spec.n
-    exps = [r.leading[1] for r in spec.rates]
-    coeffs = [r.leading[0] for r in spec.rates]
-    for i in range(1, n):
-        if exps[i] > exps[i - 1]:
-            raise StructuralError(
-                f"rate of node {i+1} grows faster than rate of node {i}; "
-                "ratio limits must be finite for later nodes"
-            )
+    if rise := first_rise(spec.rates):
+        raise StructuralError(
+            f"rate of node {rise + 1} grows faster than rate of node {rise}; "
+            "ratio limits must be finite for later nodes"
+        )
+    coeffs, exps = zip(*(r.leading for r in spec.rates))
 
     classes: list[tuple[int, ...]] = []
     start = 0

@@ -177,6 +177,41 @@ def test_later_rate_growing_faster_by_5e_13_is_rejected(tmp_path, capsys):
         assert out.out == "" and json.loads(out.err)["error"] == "StructuralError"
 
 
+def test_validate_and_structure_name_the_same_rising_pair(tmp_path, capsys):
+    # leading exponents (1, 0, 2) along a tandem: the first rise is from node 2 to node 3
+    rates = [{"node": j, "terms": [{"c": 1, "e": e}]} for j, e in ((1, 1), (2, 0), (3, 2))]
+    network = {"n": 3, "edges": [{"from": 1, "to": 2, "p": 1.0}, {"from": 2, "to": 3, "p": 1.0}], "rates": rates}
+    cfg = write_configs(tmp_path, network, {})
+    assert run_cli(["validate", "--config", str(cfg)]) == 1
+    checks = {c["assumption"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["ratio-limits"]["detail"].startswith("limit of r_3/r_2 is infinite;")
+    assert run_cli(["structure", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StructuralError"
+    assert err["message"].startswith("rate of node 3 grows faster than rate of node 2;")
+
+
+def test_usage_errors_exit_2_with_the_json_error(tmp_path, capsys):
+    cfg = write_configs(tmp_path, TANDEM_NETWORK, {})
+    cases = {
+        ("validate", "--config", str(cfg), "--bogus"): "unrecognized arguments: --bogus",
+        ("validate",): "the following arguments are required: --config",
+        ("lst-limit", "--config", str(cfg), "--regime", "mid"): "argument --regime: invalid choice: 'mid'",
+        (): "the following arguments are required: command",
+    }
+    for argv, message in cases.items():
+        assert run_cli(list(argv)) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "ConfigError" and err["message"].startswith(message)
+    for argv in (["--help"], ["validate", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: levynet")
+
+
 def test_later_rate_growing_slower_by_5e_13_is_its_own_class(tmp_path, capsys):
     cfg = near_tandem(tmp_path, 1 - 5e-13)
     assert run_cli(["validate", "--config", str(cfg)]) == 0
@@ -193,10 +228,10 @@ def test_u_flag_only_where_it_is_read(tmp_path, capsys):
     assert run_cli(["validate", "--config", str(cfg), "--u", "3"]) == 0
     assert "non-increasing at u = 3" in capsys.readouterr().err
     for command in ("structure", "lst-limit", "sweep"):
-        with pytest.raises(SystemExit) as exit_:
-            run_cli([command, "--config", str(cfg), "--u", "3"])
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --u 3" in capsys.readouterr().err
+        assert run_cli([command, "--config", str(cfg), "--u", "3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "ConfigError", "message": "unrecognized arguments: --u 3"}
 
 
 def test_compare_columns_and_reproducibility(tmp_path, capsys):
@@ -446,17 +481,14 @@ def test_parser_is_built_once_per_process(capsys):
     cli._build_parser.cache_clear()
     for config, command, code, _ in SHIPPED_OUTPUT[:6]:
         assert shipped_run(config, command, capsys)[0] == code
-    with pytest.raises(SystemExit):
-        run_cli(["structure", "--u", "3"])
+    assert run_cli(["structure", "--u", "3"]) == 2
     assert cli._build_parser.cache_info().misses == 1
     assert cli._build_parser.cache_info().hits == 6
 
 
 def test_no_state_carries_between_calls(capsys):
     # an argparse failure, then a good command
-    with pytest.raises(SystemExit) as exit_:
-        shipped_run("figure1.run.json", "structure --u 3", capsys)
-    assert exit_.value.code == 2
+    assert shipped_run("figure1.run.json", "structure --u 3", capsys) == (2, "")
     code, out = shipped_run("figure1.run.json", "structure", capsys)
     assert (code, sha256(out)) == shipped_digest("figure1.run.json", "structure")
     # --regime once, then the config's regime (tandem2_brownian has none: exit 2)

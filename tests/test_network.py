@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from levynet import (
     build_network,
     validate_assumptions,
 )
-from levynet.network import diff_sign_at_infinity
+from levynet import network
 
 from conftest import random_tree_routing, random_rates, random_spec, seeded_and_shipped_specs, tandem_spec
 
@@ -191,16 +192,114 @@ def test_rate_function_merges_and_rejects():
         f(0.0)
 
 
-def test_ratio_limit_and_diff_sign():
-    a = RateFunction.monomial(2.0, 2.0)
-    b = RateFunction.monomial(4.0, 2.0)
-    c = RateFunction.monomial(9.0, 1.0)
-    assert a.ratio_limit(b) == 0.5
-    assert c.ratio_limit(a) == 0.0
-    assert math.isinf(a.ratio_limit(c))
-    assert diff_sign_at_infinity(a, c) == 1
-    assert diff_sign_at_infinity(c, a) == -1
-    assert diff_sign_at_infinity(a, RateFunction.monomial(2.0, 2.0)) == 0
+def checks_of(report):
+    return {c.assumption: (c.passed, c.detail) for c in report.checks}
+
+
+def test_validate_sign_at_infinity_and_ratio_limits():
+    a, b, c = RateFunction.monomial(2.0, 2.0), RateFunction.monomial(4.0, 2.0), RateFunction.monomial(9.0, 1.0)
+    holds = "strict ordering of rate/phat ratios holds for all large u"
+    fails = "r_1/phat_1 does not dominate r_2/phat_2 for large u"
+    crossing = "; warning: pair [1] may cross at intermediate u (mixed-sign monomial difference)"
+    infinite = "limit of r_2/r_1 is infinite; later nodes must not dominate earlier ones"
+    finite = "all ratio limits r_i/r_j (i > j) exist and are finite (max {})"
+    cases = [  # rates, large-u check, ratio-limits check
+        ((b, a), (True, holds), (True, finite.format("0.5"))),  # 4u^2 - 2u^2: sign +; r_2/r_1 -> 0.5
+        ((a, c), (True, holds + crossing), (True, finite.format("0"))),  # 2u^2 - 9u: sign +; r_2/r_1 -> 0
+        ((c, a), (False, fails), (False, infinite)),  # 9u - 2u^2: sign -; r_2/r_1 -> inf
+        ((a, a), (False, fails), (True, finite.format("1"))),  # identical: sign 0
+    ]
+    for rates, large_u, ratio_limits in cases:
+        checks = checks_of(validate_assumptions(tandem_spec(list(rates))))
+        assert (checks["rate-ordering[u-large]"], checks["ratio-limits"]) == (large_u, ratio_limits), rates
+
+
+def test_nearly_equal_rates_are_ordered_exactly():
+    # rates u and (1 - 1e-13) u: r_1 > r_2 for every u > 0, by 1e-13 relative
+    faster, slower = RateFunction.monomial(1.0, 1.0), RateFunction.monomial(1.0 - 1e-13, 1.0)
+    assert validate_assumptions(tandem_spec([faster, slower])).passed
+    checks = checks_of(validate_assumptions(tandem_spec([slower, faster])))
+    assert checks["rate-ordering[u-large]"] == (False, "r_1/phat_1 does not dominate r_2/phat_2 for large u")
+    assert checks["rate-ordering[u-probe]"][0]  # a tie within 1e-12 at the probe
+
+
+def test_cross_sign_matches_fractions():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        a, b, d = (float(x) for x in 10.0 ** rng.uniform(-8, 8, 3))
+        c = a * b / d  # c*d is within about an ulp of a*b, and sometimes equal to it
+        near_ties = [(a, b, c, d), (a, b, math.nextafter(c, 0.0), d), (a, b, math.nextafter(c, math.inf), d)]
+        near_ties += [(a, b, math.nextafter(a, 0.0), b), (a, b, math.nextafter(a, math.inf), b)]  # 1 ulp apart
+        for args in near_ties:
+            x, y, z, w = map(Fraction, args)
+            assert network._cross_sign(*args) == (x * y > z * w) - (x * y < z * w), args
+        for args in ((a, b, b, a), (2.0 * a, b, a, 2.0 * b), (a, 0.0, 0.0, d), (0.0, 0.0, 0.0, 0.0)):
+            assert network._cross_sign(*args) == 0, args
+    assert network._cross_sign(1.0, 2.0, 3.0, 0.0) == 1 and network._cross_sign(0.0, 1.0, 3.0, 2.0) == -1
+
+
+def old_ratio_limits(rates):
+    """The O(n^2) pair loop validate_assumptions ran before its O(n) pass: (passed, detail)."""
+    n, infinite, max_ratio = len(rates), [], 0.0
+    for j in range(1, n + 1):
+        for i in range(j + 1, n + 1):
+            (ci, ei), (cj, ej) = rates[i - 1].leading, rates[j - 1].leading
+            lim = 0.0 if ei < ej else math.inf if ei > ej else ci / cj
+            if math.isinf(lim):
+                infinite.append((i, j))
+            else:
+                max_ratio = max(max_ratio, lim)
+    return not infinite, f"all ratio limits r_i/r_j (i > j) exist and are finite (max {max_ratio:.6g})"
+
+
+def net_signs_by_fractions(f, ph_f, g, ph_g):
+    """Signs of the net coefficients of f/ph_f - g/ph_g by descending exponent, in exact rationals."""
+    net = {}
+    for r, ph, sign in ((f, ph_f, 1), (g, ph_g, -1)):
+        for c, e in r.terms:
+            net[e] = net.get(e, 0) + sign * Fraction(c) / Fraction(float(ph))
+    return [(v > 0) - (v < 0) for _, v in sorted(net.items(), reverse=True) if v != 0]
+
+
+def test_rate_checks_match_their_oracles_on_random_networks():
+    rng = np.random.default_rng(2027)
+    ratio_verdicts, large_u_verdicts = set(), set()
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        routing = random_tree_routing(rng, n)
+        # few coefficient and exponent values, so that runs, rises, ties and sign changes all occur
+        coeffs, exps = [0.5, 1.0, 1.5, 2.0, rng.uniform(0.5, 4.0)], [0.0, 0.5, 1.0, 2.0]
+        rates = [RateFunction(tuple(zip(rng.choice(coeffs, k), rng.choice(exps, k)))) for k in rng.integers(1, 4, n)]
+        spec = build_network(routing, rates)
+        checks = checks_of(validate_assumptions(spec))
+        passed, detail = checks["ratio-limits"]
+        want_passed, want_detail = old_ratio_limits(rates)
+        assert passed == want_passed
+        if passed:
+            assert detail == want_detail
+        else:  # the first adjacent pair whose leading exponent rises
+            exps = [r.leading[1] for r in rates]
+            j = next(j for j in range(1, n) if exps[j] > exps[j - 1])
+            assert detail.startswith(f"limit of r_{j + 1}/r_{j} is infinite;")
+        ratio_verdicts.add(passed)
+        ph = spec.phat
+        signs = [net_signs_by_fractions(rates[j - 1], ph[j - 1], rates[j], ph[j]) for j in range(1, n)]
+        bad = [j for j, s in enumerate(signs, start=1) if not s or s[0] < 0]
+        crossings = [j for j, s in enumerate(signs, start=1) if len(set(s)) > 1]
+        if bad:
+            j = bad[0]
+            want = (False, f"r_{j}/phat_{j} does not dominate r_{j + 1}/phat_{j + 1} for large u")
+        else:
+            detail = "strict ordering of rate/phat ratios holds for all large u"
+            if crossings:
+                plural = "s" if len(crossings) > 1 else ""
+                detail += f"; warning: pair{plural} {crossings} may cross at intermediate u"
+                detail += " (mixed-sign monomial difference)"
+            want = (True, detail)
+        assert checks["rate-ordering[u-large]"] == want
+        large_u_verdicts.add((not bad, bool(crossings)))
+    assert ratio_verdicts == {True, False}  # both verdicts, and (passes, warns) below, all occur
+    assert large_u_verdicts >= {(True, True), (True, False), (False, False)}
 
 
 @st.composite

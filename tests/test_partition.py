@@ -6,16 +6,18 @@ from levynet import (
     NetworkSpec,
     RateClassPartition,
     RateFunction,
+    RoutingMatrix,
     StructuralError,
     TailPair,
     joint_lst_exact,
     joint_lst_limit,
+    load_network,
     partition_rates,
     starred_sets,
 )
 from levynet.network import ClassLayout
 
-from conftest import random_spec, seeded_and_shipped_specs, tandem_spec
+from conftest import CONFIGS, random_spec, seeded_and_shipped_specs, tandem_spec
 
 
 def test_figure1_classes_and_fractions(figure1_spec):
@@ -256,3 +258,20 @@ def test_rescaled_partition_recomputes_the_ordering_check():
             else:
                 assert 0.0 < joint_lst_limit(spec, part, tail, w).value <= 1.0
     assert partition_rates(rises[0]).rising_node == 1 and partition_rates(rises[1]).rising_node == 1
+
+
+def test_equal_inputs_compare_and_hash_alike():
+    a, b = (load_network(CONFIGS / "figure1.network.json") for _ in range(2))
+    pa, pb = partition_rates(a), partition_rates(b)
+    assert a is not b and pa is not pb
+    for x, y in ((a.routing, b.routing), (a, b), (pa, pb)):
+        assert x == y and hash(x) == hash(y)
+    assert len({pa, pb}) == 1
+    other = RateClassPartition(a, pa.classes, pa.fractions * 0.5, pa.reference_rates)
+    assert other != pa and pa != other and pa != a
+    assert pa.with_rescaled_reference(1, 2.0) != pa
+    # a routing entry of -0.0 equals 0.0, so the matrices hash alike too
+    p = a.routing.p.copy()
+    p[p == 0.0] = -0.0
+    signed = RoutingMatrix(a.n, p)
+    assert signed == a.routing and hash(signed) == hash(a.routing)
