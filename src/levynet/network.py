@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import StructuralError
 
-_TOL = 1e-12
-
 
 def _merge_terms(terms) -> tuple[tuple[float, float], ...]:
     """Combine coefficients of equal exponents, drop zeros, sort exponent-descending."""
@@ -92,23 +90,24 @@ class RoutingMatrix:
     """Strictly upper-triangular routing fractions with one parent per column.
 
     p[i, j] (0-based storage) is the fraction of node i+1's output feeding
-    node j+1.  Row sums may be below one: the leaked mass exits the network.
-    Two routing matrices are equal, and hash alike, when every fraction is.
+    node j+1, in [0, 1] exactly.  Row sums may be below one: the leaked mass
+    exits the network.  Fixed by p alone: the node count n is its side, and
+    p must be square and non-empty.  Two routing matrices are equal, and hash
+    alike, when every fraction is.
     """
 
-    n: int
     p: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
-        if self.n < 1:
-            raise StructuralError(f"node count must be >= 1, got {self.n}")
-        if p.shape != (self.n, self.n):
-            raise StructuralError(f"routing matrix must be {self.n}x{self.n}, got {p.shape}")
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
+            raise StructuralError(f"routing matrix must be square and non-empty, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise StructuralError("routing matrix has non-finite entries")
-        if np.any(p < -_TOL) or np.any(p > 1.0 + _TOL):
-            bad = np.argwhere((p < -_TOL) | (p > 1.0 + _TOL))[0]
+        outside = (p < 0.0) | (p > 1.0)
+        if outside.any():
+            bad = np.argwhere(outside)[0]
             raise StructuralError(
                 f"routing fraction p[{bad[0]+1},{bad[1]+1}] = {p[bad[0], bad[1]]} outside [0, 1]"
             )
@@ -121,7 +120,8 @@ class RoutingMatrix:
             )
         if np.any(p[:, 0] > 0.0):
             raise StructuralError("column 1 must have no positive entry (node 1 is the root)")
-        for j in range(1, self.n):
+        n = len(p)
+        for j in range(1, n):
             parents = np.nonzero(p[:, j] > 0.0)[0]
             if len(parents) != 1:
                 raise StructuralError(
@@ -133,18 +133,21 @@ class RoutingMatrix:
             raise StructuralError(f"row {bad+1} routing fractions sum to {rowsums[bad]} > 1")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RoutingMatrix":
-        """edges: iterable of (parent, child, fraction) with 1-based node ids."""
+        """edges: iterable of (parent, child, fraction) with 1-based node ids, each pair once."""
         p = np.zeros((n, n))
+        seen = set()
         for i, j, frac in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise StructuralError(f"edge ({i} -> {j}) references a node outside 1..{n}")
-            if p[i - 1, j - 1] != 0.0:
+            if (i, j) in seen:
                 raise StructuralError(f"duplicate edge ({i} -> {j})")
+            seen.add((i, j))
             p[i - 1, j - 1] = frac
-        return cls(n, p)
+        return cls(p)
 
     def fraction(self, i: int, j: int) -> float:
         """Routing fraction from node i to node j (1-based)."""
@@ -153,7 +156,7 @@ class RoutingMatrix:
     def __eq__(self, other):
         if not isinstance(other, RoutingMatrix):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.p, other.p)
+        return np.array_equal(self.p, other.p)
 
     def __hash__(self):
         return hash((self.p + 0.0).tobytes())  # + 0.0 turns -0.0, which equals 0.0, into 0.0

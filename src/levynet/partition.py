@@ -2,14 +2,14 @@
 
 Two nodes share a class exactly when their rate ratio tends to a finite
 positive constant; under the monomial representation that means equal leading
-exponents.  Each class gets a reference rate (the fastest member's rate
-function, so every member fraction lies in (0, 1]) and per-node fractions,
-the limits r_i / reference.
+exponents.  Each class has a reference rate and each node a fraction, the
+limit r_i / reference; partition_rates picks the fastest member's rate
+function as the reference, so every member fraction lies in (0, 1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,43 +17,76 @@ from .errors import StructuralError
 from .network import ClassLayout, NetworkSpec, RateFunction, first_rise
 
 
+def _classes(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
+    """The runs of equal leading exponent along the nodes, as 1-based node ids.
+
+    StructuralError where a leading exponent rises along the nodes: a later
+    node's ratio limit against an earlier one would be infinite.
+    """
+    if rise := first_rise(spec.rates):
+        raise StructuralError(
+            f"rate of node {rise + 1} grows faster than rate of node {rise}; "
+            "ratio limits must be finite for later nodes"
+        )
+    exps = spec.rate_exps[:, 0]
+    bounds = [0, *(np.flatnonzero(exps[1:] != exps[:-1]) + 1).tolist(), spec.n]
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class RateClassPartition:
     """Ordered interval classes of a network with fractions and reference rates.
 
-    classes[k-1] is the tuple of 1-based node ids of class k.  fractions[i-1]
-    is the exact ratio limit of node i's rate against its class reference.
-    Derived from these and spec on construction, so recomputed whenever the
-    fractions change: front_matrix, the network's front matrix restricted to
-    same-class pairs, read-only: entry [j-1, l-1] is 1.0 exactly when l lies
-    in the within-class front of node j; class_of, entry i-1 the 1-based
-    class index of node i; layout, the class layout of the limit transform;
-    and rising_node, the first node j whose fraction / phat rises to node
-    j + 1 of its class, 0 when none does.  Two partitions are equal, and
-    hash alike, when their spec, classes, fractions and reference rates are.
+    Fixed by its network and one reference rate per class, in class order;
+    everything else is derived on construction.  classes[k-1] is the tuple of
+    1-based node ids of class k, a run of equal leading exponent.
+    fractions[i-1] is node i's leading coefficient divided by that of its
+    class reference, the exact limit of r_i / reference.  front_matrix is the
+    network's front matrix restricted to same-class pairs, read-only: entry
+    [j-1, l-1] is 1.0 exactly when l lies in the within-class front of node j;
+    class_of, entry i-1 the 1-based class index of node i; layout, the class
+    layout of the limit transform; and rising_node, the first node j whose
+    fraction / phat rises to node j + 1 of its class, 0 when none does.
+    Raises StructuralError where a leading exponent rises along the nodes, or
+    unless there is one reference per class with its leading exponent.  Two
+    partitions are equal, and hash alike, when their spec and reference
+    rates are.
     """
 
     spec: NetworkSpec = field(repr=False)
-    classes: tuple[tuple[int, ...], ...]
-    fractions: np.ndarray
     reference_rates: tuple[RateFunction, ...]
-    front_matrix: np.ndarray = field(init=False, repr=False)
-    class_of: tuple[int, ...] = field(init=False, repr=False)
-    layout: ClassLayout = field(init=False, repr=False)
-    rising_node: int = field(init=False, repr=False)
+    classes: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    fractions: np.ndarray = field(init=False, compare=False)
+    front_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    layout: ClassLayout = field(init=False, repr=False, compare=False)
+    rising_node: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spec = self.spec
-        front_matrix = np.zeros((spec.n, spec.n))
-        for members in self.classes:
+        spec, refs = self.spec, tuple(self.reference_rates)
+        classes = _classes(spec)
+        if len(refs) != len(classes):
+            raise StructuralError(f"expected {len(classes)} reference rates, one per rate class, got {len(refs)}")
+        fractions, front_matrix = np.empty(spec.n), np.zeros((spec.n, spec.n))
+        for k, (members, ref) in enumerate(zip(classes, refs), start=1):
+            (ref_coeff, ref_exp), exp = ref.leading, spec.rates[members[0] - 1].leading[1]
+            if ref_exp != exp:
+                raise StructuralError(
+                    f"reference rate {k} grows like u**{ref_exp}, but class {k} (nodes {list(members)}) like u**{exp}"
+                )
             block = slice(members[0] - 1, members[-1])
+            fractions[block] = spec.rate_coeffs[block, 0] / ref_coeff
             front_matrix[block, block] = spec.front_matrix[block, block]
-        front_matrix.setflags(write=False)
-        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in self.classes])
-        rising = np.diff(self.fractions / spec.phat) > 0.0
+        for array in (fractions, front_matrix):
+            array.setflags(write=False)
+        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes])
+        rising = np.diff(fractions / spec.phat) > 0.0
         rising[layout.ends[:-1]] = False  # a class end and the next node lie in different classes
+        object.__setattr__(self, "reference_rates", refs)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "front_matrix", front_matrix)
-        object.__setattr__(self, "class_of", tuple(k for k, c in enumerate(self.classes, start=1) for _ in c))
+        object.__setattr__(self, "class_of", tuple(k for k, c in enumerate(classes, start=1) for _ in c))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "rising_node", int(np.argmax(rising)) + 1 if rising.any() else 0)
 
@@ -65,15 +98,6 @@ class RateClassPartition:
     def anchors(self) -> tuple[int, ...]:
         """The smallest node id of each class."""
         return tuple(members[0] for members in self.classes)
-
-    def __eq__(self, other):
-        if not isinstance(other, RateClassPartition):
-            return NotImplemented
-        same = (self.spec, self.classes, self.reference_rates) == (other.spec, other.classes, other.reference_rates)
-        return same and np.array_equal(self.fractions, other.fractions)
-
-    def __hash__(self):
-        return hash((self.spec, self.classes, self.reference_rates))
 
     def class_index(self, i: int) -> int:
         return self.class_of[i - 1]
@@ -87,52 +111,16 @@ class RateClassPartition:
         if spec is not self.spec and spec != self.spec:
             raise StructuralError("spec is not the partition's network: their routing or rates differ")
 
-    def with_rescaled_reference(self, k: int, factor: float) -> "RateClassPartition":
-        """Replace reference k by factor * reference; member fractions divide by factor."""
-        if factor <= 0.0:
-            raise ValueError("rescaling factor must be positive")
-        refs = list(self.reference_rates)
-        refs[k - 1] = refs[k - 1].scaled(factor)
-        fracs = self.fractions.copy()
-        for i in self.classes[k - 1]:
-            fracs[i - 1] /= factor
-        fracs.setflags(write=False)
-        return replace(self, reference_rates=tuple(refs), fractions=fracs)
-
 
 def partition_rates(spec: NetworkSpec) -> RateClassPartition:
-    """Group nodes into interval classes of equal rate growth order.
+    """The partition of spec whose class references are the fastest members.
 
-    Requires finite ratio limits for all later-vs-earlier node pairs, i.e.
-    non-increasing leading exponents along the node order; anything else is a
-    structural error (the class intervals would not be well defined).
+    Each class's reference is the rate of its member with the largest leading
+    coefficient, the first on ties, so every fraction lies in (0, 1].
     """
-    n = spec.n
-    if rise := first_rise(spec.rates):
-        raise StructuralError(
-            f"rate of node {rise + 1} grows faster than rate of node {rise}; "
-            "ratio limits must be finite for later nodes"
-        )
-    coeffs, exps = zip(*(r.leading for r in spec.rates))
-
-    classes: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or exps[i] != exps[start]:
-            classes.append(tuple(range(start + 1, i + 1)))
-            start = i
-
-    fractions = np.empty(n)
-    references: list[RateFunction] = []
-    for members in classes:
-        fastest = max(members, key=lambda i: coeffs[i - 1])
-        references.append(spec.rates[fastest - 1])
-        ref_coeff = coeffs[fastest - 1]
-        for i in members:
-            fractions[i - 1] = coeffs[i - 1] / ref_coeff
-    fractions.setflags(write=False)
-
-    return RateClassPartition(spec, tuple(classes), fractions, tuple(references))
+    coeffs = [r.leading[0] for r in spec.rates]
+    fastest = (max(members, key=lambda i: coeffs[i - 1]) for members in _classes(spec))
+    return RateClassPartition(spec, tuple(spec.rates[i - 1] for i in fastest))
 
 
 def starred_sets(

@@ -22,6 +22,7 @@ from levynet import (
     CenteredGamma,
     CompoundPoisson,
     ExponentialJob,
+    RateClassPartition,
     RateFunction,
     RoutingMatrix,
     StableSum,
@@ -55,7 +56,7 @@ def delta_hat(spec, omega, j: int) -> float:
 
 def random_tree_routing(rng: np.random.Generator, n: int) -> RoutingMatrix:
     if n == 1:
-        return RoutingMatrix(1, np.zeros((1, 1)))
+        return RoutingMatrix(np.zeros((1, 1)))
     parents = {j: int(rng.integers(1, j)) for j in range(2, n + 1)}
     kids = defaultdict(list)
     for j, p in parents.items():
@@ -103,6 +104,13 @@ def seeded_and_shipped_specs(seed: int):
     return specs + [load_network(path) for path in sorted(CONFIGS.glob("*.network.json"))]
 
 
+def rescaled_reference(partition, k: int, factor: float):
+    """partition with class k's reference rate multiplied by factor."""
+    refs = list(partition.reference_rates)
+    refs[k - 1] = refs[k - 1].scaled(factor)
+    return RateClassPartition(partition.spec, tuple(refs))
+
+
 def random_tail(rng: np.random.Generator, regime: str = "heavy") -> TailPair:
     return TailPair(rng.uniform(1.15, 2.0), rng.uniform(0.2, 2.0), regime)
 
@@ -138,13 +146,13 @@ def figure1_partition(figure1_spec):
 
 @pytest.fixture(scope="session")
 def single_node_spec():
-    return build_network(RoutingMatrix(1, np.zeros((1, 1))), [RateFunction.monomial(2.0, 0.0)])
+    return build_network(RoutingMatrix(np.zeros((1, 1))), [RateFunction.monomial(2.0, 0.0)])
 
 
 def tandem_spec(rates):
     """Chain network from a list of RateFunction (full routing, no leaks)."""
     n = len(rates)
     if n == 1:
-        return build_network(RoutingMatrix(1, np.zeros((1, 1))), rates)
+        return build_network(RoutingMatrix(np.zeros((1, 1))), rates)
     routing = RoutingMatrix.from_edges(n, [(j, j + 1, 1.0) for j in range(1, n)])
     return build_network(routing, rates)

@@ -34,7 +34,7 @@ from levynet import (
 )
 from levynet import CenteredGamma, CompoundPoisson, ExponentialJob
 
-from conftest import psi, random_model, random_spec, random_tail, tandem_spec
+from conftest import psi, random_model, random_spec, random_tail, rescaled_reference, tandem_spec
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -275,7 +275,7 @@ def test_08_factorization_and_rescaling():
         worst_f = max(worst_f, abs(full - product) / full)
         rescaled = part
         for k in range(1, part.m + 1):
-            rescaled = rescaled.with_rescaled_reference(k, float(rng.uniform(0.2, 5.0)))
+            rescaled = rescaled_reference(rescaled, k, float(rng.uniform(0.2, 5.0)))
         other = joint_lst_limit(spec, rescaled, tail, w).value
         worst_r = max(worst_r, abs(full - other) / full)
     elapsed = time.perf_counter() - t0

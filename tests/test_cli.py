@@ -177,6 +177,18 @@ def test_later_rate_growing_faster_by_5e_13_is_rejected(tmp_path, capsys):
         assert out.out == "" and json.loads(out.err)["error"] == "StructuralError"
 
 
+def test_negative_routing_entry_off_the_tree_exits_2(tmp_path, capsys):
+    # p[1,3] = -1e-13 is not an edge of the tree 1 -> 2 -> 3, yet it would reach (I - P)
+    edges = [{"from": 1, "to": 2, "p": 1.0}, {"from": 1, "to": 3, "p": -1e-13}, {"from": 2, "to": 3, "p": 1.0}]
+    rates = [{"node": j, "terms": [{"c": 4 - j, "e": 0}]} for j in (1, 2, 3)]
+    cfg = write_configs(tmp_path, {"n": 3, "edges": edges, "rates": rates}, {})
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == "StructuralError"
+    assert err["message"] == "routing fraction p[1,3] = -1e-13 outside [0, 1]"
+
+
 def test_validate_and_structure_name_the_same_rising_pair(tmp_path, capsys):
     # leading exponents (1, 0, 2) along a tandem: the first rise is from node 2 to node 3
     rates = [{"node": j, "terms": [{"c": 1, "e": e}]} for j, e in ((1, 1), (2, 0), (3, 2))]

@@ -32,7 +32,7 @@ from levynet import (
 from levynet import build_network, RoutingMatrix
 from levynet.exact import _class_factors
 
-from conftest import random_spec, random_tail, tandem_spec
+from conftest import random_spec, random_tail, rescaled_reference, tandem_spec
 
 
 def two_layer_spec(p, fr, lead_exp=3.0, leaf_exp=1.0):
@@ -285,7 +285,7 @@ def test_reference_rescaling_invariance():
         base = joint_lst_limit(spec, part, tail, w).value
         rescaled = part
         for k in range(1, part.m + 1):
-            rescaled = rescaled.with_rescaled_reference(k, rng.uniform(0.2, 5.0))
+            rescaled = rescaled_reference(rescaled, k, rng.uniform(0.2, 5.0))
         other = joint_lst_limit(spec, rescaled, tail, w).value
         assert other == pytest.approx(base, rel=1e-12)
 

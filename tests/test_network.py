@@ -55,26 +55,51 @@ def test_two_parent_column_rejected():
     p[0, 2] = 0.25
     p[1, 2] = 0.25
     with pytest.raises(StructuralError, match="column 3 has 2"):
-        RoutingMatrix(3, p)
+        RoutingMatrix(p)
 
 
 def test_orphan_column_rejected():
     p = np.zeros((3, 3))
     p[0, 1] = 1.0
     with pytest.raises(StructuralError, match="column 3"):
-        RoutingMatrix(3, p)
+        RoutingMatrix(p)
 
 
 def test_lower_triangular_mass_rejected():
     p = np.zeros((2, 2))
     p[1, 0] = 0.5
     with pytest.raises(StructuralError):
-        RoutingMatrix(2, p)
+        RoutingMatrix(p)
 
 
 def test_row_sum_above_one_rejected():
     with pytest.raises(StructuralError, match="row 1"):
         RoutingMatrix.from_edges(3, [(1, 2, 0.7), (1, 3, 0.7)])
+
+
+def test_routing_entries_lie_in_the_unit_interval_exactly():
+    # no rounding makes such entries: every edge fraction of a tree lies in [0, 1]
+    for frac in (-1e-13, 1.0 + 1e-13):
+        with pytest.raises(StructuralError, match=r"^routing fraction p\[1,3\] = .* outside \[0, 1\]$"):
+            RoutingMatrix.from_edges(3, [(1, 2, 1.0), (1, 3, frac), (2, 3, 1.0)])
+    signed = RoutingMatrix.from_edges(3, [(1, 2, 1.0), (1, 3, -0.0), (2, 3, 1.0)])
+    assert signed == RoutingMatrix.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0)])
+
+
+def test_duplicate_edges_rejected_whatever_their_fractions():
+    for edges in ([(1, 2, 0.0), (1, 2, 1.0)], [(1, 2, 1.0), (1, 2, 0.0)], [(1, 2, 1.0), (1, 2, 1.0)]):
+        with pytest.raises(StructuralError, match=r"^duplicate edge \(1 -> 2\)$"):
+            RoutingMatrix.from_edges(2, edges)
+
+
+def test_routing_matrix_is_square_and_non_empty():
+    for p in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(StructuralError, match=r"^routing matrix must be square and non-empty, got shape"):
+            RoutingMatrix(p)
+    with pytest.raises(StructuralError, match="square and non-empty"):
+        RoutingMatrix.from_edges(0, [])
+    assert RoutingMatrix(np.zeros((1, 1))).n == 1
+    assert RoutingMatrix.from_edges(3, [(1, 2, 1.0), (2, 3, 0.5)]).n == 3
 
 
 def test_rate_count_mismatch():
@@ -126,15 +151,15 @@ def test_specs_compare_by_routing_and_rates():
         routing = random_tree_routing(rng, n)
         rates = random_rates(rng, np.ones(n))
         spec = build_network(routing, rates)
-        again = build_network(RoutingMatrix(n, routing.p.copy()), list(rates))
+        again = build_network(RoutingMatrix(routing.p.copy()), list(rates))
         assert routing == again.routing and spec == again
         if n == 1:
             continue
         p = routing.p.copy()
         p[np.nonzero(p)[0][0], np.nonzero(p)[1][0]] *= 0.5
         other_rates = [rates[0].scaled(2.0), *rates[1:]]
-        assert RoutingMatrix(n, p) != routing
-        assert build_network(RoutingMatrix(n, p), rates) != spec
+        assert RoutingMatrix(p) != routing
+        assert build_network(RoutingMatrix(p), rates) != spec
         assert build_network(routing, other_rates) != spec
 
 

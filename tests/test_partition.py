@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from levynet import (
 )
 from levynet.network import ClassLayout
 
-from conftest import CONFIGS, random_spec, seeded_and_shipped_specs, tandem_spec
+from conftest import CONFIGS, random_spec, rescaled_reference, seeded_and_shipped_specs, tandem_spec
 
 
 def test_figure1_classes_and_fractions(figure1_spec):
@@ -108,17 +111,47 @@ def test_partition_structure_restates_the_definitions():
 
 def test_derived_fields_are_not_constructor_arguments(figure1_spec, figure1_partition):
     # passing any of these once let a value contradict the inputs: the
-    # unmasked spec.front_matrix, for one, changed the figure-1 limit
+    # unmasked spec.front_matrix, for one, changed the figure-1 limit, and
+    # classes that left out node 4 were accepted
     spec, part = figure1_spec, figure1_partition
+    with pytest.raises(TypeError, match="argument 'n'"):
+        RoutingMatrix(spec.routing.p, n=spec.n)
     for name in ("phat", "parent", "fronts", "children", "front_matrix", "rate_coeffs", "rate_exps", "layout"):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"argument '{name}'"):
             NetworkSpec(spec.routing, spec.rates, **{name: getattr(spec, name)})
-    derived = dict(
-        phat=spec.phat, front_matrix=spec.front_matrix, class_of=part.class_of, layout=part.layout, rising_node=0
-    )
-    for name, value in derived.items():
-        with pytest.raises(TypeError):
-            RateClassPartition(spec, part.classes, part.fractions, part.reference_rates, **{name: value})
+    for name in ("classes", "fractions", "front_matrix", "class_of", "layout", "rising_node"):
+        with pytest.raises(TypeError, match=f"argument '{name}'"):
+            RateClassPartition(spec, part.reference_rates, **{name: getattr(part, name)})
+
+
+def test_constructor_inputs_are_pinned():
+    inputs = {cls: [f.name for f in fields(cls) if f.init] for cls in (RoutingMatrix, NetworkSpec, RateClassPartition)}
+    assert inputs == {
+        RoutingMatrix: ["p"],
+        NetworkSpec: ["routing", "rates"],
+        RateClassPartition: ["spec", "reference_rates"],
+    }
+
+
+def test_references_must_match_the_classes(figure1_spec, figure1_partition):
+    # figure 1 has classes (1, 2, 3) and (4, 5, 6), growing like u**2 and u**1;
+    # the split ((1, 2, 3), (4, 5), (6,)) and swapped references were accepted once
+    spec, (r1, r2) = figure1_spec, figure1_partition.reference_rates
+    wrong = {
+        "expected 2 reference rates, one per rate class, got 1": (r1,),
+        "expected 2 reference rates, one per rate class, got 3": (r1, spec.rates[4], spec.rates[5]),
+        "reference rate 1 grows like u**1.0, but class 1 (nodes [1, 2, 3]) like u**2.0": (r2, r1),
+        "reference rate 2 grows like u**1.5, but class 2 (nodes [4, 5, 6]) like u**1.0": (
+            r1,
+            RateFunction(((4.0, 1.5), (4.0, 1.0))),
+        ),
+    }
+    for text, refs in wrong.items():
+        with pytest.raises(StructuralError, match=f"^{re.escape(text)}$"):
+            RateClassPartition(spec, refs)
+    # a lower-order term of the reference leaves the fractions as they are
+    slower = RateFunction(((4.0, 1.0), (7.0, 0.5)))
+    assert RateClassPartition(spec, (r1, slower)).fractions.tolist() == figure1_partition.fractions.tolist()
 
 
 def test_partition_invariance_under_common_monomial():
@@ -140,9 +173,11 @@ def test_reference_rescaling_covariance():
     spec = random_spec(rng, 6)
     part = partition_rates(spec)
     c = 2.75
-    scaled = part.with_rescaled_reference(1, c)
+    scaled = rescaled_reference(part, 1, c)
+    ref_coeff = part.reference_rates[0].leading[0]
     members = part.classes[0]
     for i in members:
+        assert scaled.fractions[i - 1] == spec.rates[i - 1].leading[0] / (c * ref_coeff)
         assert scaled.fractions[i - 1] == pytest.approx(part.fractions[i - 1] / c, rel=1e-15)
     others = [i for cls in part.classes[1:] for i in cls]
     for i in others:
@@ -220,7 +255,7 @@ def test_class_layouts_are_built_once(monkeypatch):
     assert built == []
     assert (spec.layout, part.layout) == layouts
     # a rescaled partition derives its own layout, equal to the one it came from
-    rescaled = part.with_rescaled_reference(1, 2.5)
+    rescaled = rescaled_reference(part, 1, 2.5)
     joint_lst_limit(spec, rescaled, TailPair(2.0, 0.7, "heavy"), w)
     assert len(built) == 1
     for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
@@ -247,7 +282,7 @@ def test_rescaled_partition_recomputes_the_ordering_check():
         tail = TailPair(1.5, 0.7, "heavy")
         w = rng.uniform(0.05, 2.0, spec.n)
         for _ in range(4):
-            part = part.with_rescaled_reference(int(rng.integers(1, part.m + 1)), rng.uniform(0.2, 5.0))
+            part = rescaled_reference(part, int(rng.integers(1, part.m + 1)), rng.uniform(0.2, 5.0))
             j = _first_rise(part, spec.phat)
             assert part.rising_node == j
             if j:
@@ -261,17 +296,19 @@ def test_rescaled_partition_recomputes_the_ordering_check():
 
 
 def test_equal_inputs_compare_and_hash_alike():
-    a, b = (load_network(CONFIGS / "figure1.network.json") for _ in range(2))
-    pa, pb = partition_rates(a), partition_rates(b)
-    assert a is not b and pa is not pb
-    for x, y in ((a.routing, b.routing), (a, b), (pa, pb)):
-        assert x == y and hash(x) == hash(y)
-    assert len({pa, pb}) == 1
-    other = RateClassPartition(a, pa.classes, pa.fractions * 0.5, pa.reference_rates)
-    assert other != pa and pa != other and pa != a
-    assert pa.with_rescaled_reference(1, 2.0) != pa
+    for path in sorted(CONFIGS.glob("*.network.json")):
+        a, b = (load_network(path) for _ in range(2))
+        pa, pb = partition_rates(a), partition_rates(b)
+        assert a is not b and pa is not pb
+        rebuilt = RateClassPartition(b, pb.reference_rates)
+        for x, y in ((a.routing, b.routing), (a, b), (pa, pb), (pa, rebuilt)):
+            assert x == y and hash(x) == hash(y)
+        assert len({pa, pb, rebuilt}) == 1
+        other = RateClassPartition(a, tuple(r.scaled(2.0) for r in pa.reference_rates))
+        assert other != pa and pa != other and pa != a
+        assert rescaled_reference(pa, 1, 2.0) != pa
     # a routing entry of -0.0 equals 0.0, so the matrices hash alike too
     p = a.routing.p.copy()
     p[p == 0.0] = -0.0
-    signed = RoutingMatrix(a.n, p)
+    signed = RoutingMatrix(p)
     assert signed == a.routing and hash(signed) == hash(a.routing)
