@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,6 +74,16 @@ def _omega_header(n: int) -> list[str]:
     return [f"omega_{j}" for j in range(1, n + 1)]
 
 
+def _finite_float(text: str) -> float:
+    """A --u value: a finite float, else a usage error."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+
+
 def _require(value, name: str):
     if value is None:
         raise ConfigError(f"missing {name}: set it in the config or pass the flag")
@@ -99,13 +110,15 @@ def cmd_structure(args) -> int:
     cfg = load_run_config(args.config)
     spec = cfg.spec
     partition = partition_rates(spec)
-    starred = {j: starred_sets(spec, partition, j) for j in range(1, spec.n + 1)}
+    nodes = range(1, spec.n + 1)
+    starred = {j: starred_sets(spec, partition, j) for j in nodes}
+    fronts, children = ([(np.flatnonzero(r) + 1).tolist() for r in m] for m in (spec.front_matrix, spec.routing.p))
     payload = {
         "n": spec.n,
         "phat": list(spec.phat),
         "parent": {str(j): p for j, p in spec.parent.items()},
-        "fronts": {str(j): sorted(spec.fronts[j]) for j in range(1, spec.n + 1)},
-        "children": {str(j): sorted(spec.children[j]) for j in range(1, spec.n + 1)},
+        "fronts": {str(j): fronts[j - 1] for j in nodes},
+        "children": {str(j): children[j - 1] for j in nodes},
         "starred_fronts": {str(j): sorted(starred[j][0]) for j in starred},
         "starred_children": {str(j): sorted(starred[j][1]) for j in starred},
         "classes": [list(c) for c in partition.classes],
@@ -119,11 +132,11 @@ def cmd_structure(args) -> int:
     _write_json(args, payload)
     fmt = lambda s: "{" + ",".join(str(i) for i in sorted(s)) + "}"
     print("node parent phat     class fraction fronts        children      star-fronts   star-children", file=sys.stderr)
-    for j in range(1, spec.n + 1):
+    for j in nodes:
         print(
             f"{j:4d} {spec.parent.get(j, '-'):>6} {spec.phat[j-1]:<8.5g} "
             f"{partition.class_of[j-1]:>5} {partition.fractions[j-1]:<8.5g} "
-            f"{fmt(spec.fronts[j]):<13} {fmt(spec.children[j]):<13} "
+            f"{fmt(fronts[j - 1]):<13} {fmt(children[j - 1]):<13} "
             f"{fmt(starred[j][0]):<13} {fmt(starred[j][1])}",
             file=sys.stderr,
         )
@@ -263,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run-config JSON path")
         if u:
-            p.add_argument("--u", type=float, default=None, help="scaling parameter value")
+            p.add_argument("--u", type=_finite_float, default=None, help="scaling parameter value")
         seed_help = "Monte Carlo seed override; only simulate, compare and sweep --with-empirical use it"
         p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -18,7 +18,8 @@ class UnsupportedRegimeError(LevynetError):
 
 
 class ScalingRangeError(LevynetError):
-    """A nonzero frequency, scaled by a rate power, leaves the normal float range."""
+    """A value scaled by u leaves the float range: a nonzero frequency times a
+    rate power, or a rate, horizon or face length of the sampler."""
 
 
 class RootFindingError(LevynetError):

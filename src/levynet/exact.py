@@ -84,7 +84,7 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray)
 
 
 def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:
-    """Entry j-1: the sum of phat_l * w_l over l in fronts[j], for every node j."""
+    """Entry j-1: the sum of phat_l * w_l over l in the front of node j, for every j."""
     return spec.front_matrix @ (spec.phat * w)
 
 
@@ -210,9 +210,6 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     product outside (0, 1] raises SingularFactorError.
     """
     w = as_omega(omega, spec.n)
-    if u <= 0.0:
-        raise ValueError("u must be positive")
-
     r, sums = spec.rate_vector(u), _front_sums(spec, w)
     factors, kap, roots = _class_factors(model, r, w, sums, spec.layout)
     prefactor, values = float(factors[-1]), factors[:-1]

@@ -15,6 +15,12 @@ import numpy as np
 from .errors import StructuralError
 
 
+def _require_u(u: float) -> None:
+    """Raise ValueError unless 0 < u < inf: where the rate functions are defined."""
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"rate functions are defined for 0 < u < inf, got u={u}")
+
+
 def _merge_terms(terms) -> tuple[tuple[float, float], ...]:
     """Combine coefficients of equal exponents, drop zeros, sort exponent-descending."""
     by_exp: dict[float, float] = {}
@@ -49,8 +55,7 @@ class RateFunction:
         return cls(((c, e),))
 
     def __call__(self, u: float) -> float:
-        if u <= 0.0:
-            raise ValueError(f"rate functions are defined for u > 0, got u={u}")
+        _require_u(u)
         return sum(c * u**e for c, e in self.terms)
 
     @property
@@ -64,10 +69,13 @@ class RateFunction:
         return RateFunction(tuple((c * factor, e) for c, e in self.terms))
 
 
-def first_rise(rates) -> int:
-    """The first node j (1-based) whose successor's leading exponent is larger, or 0."""
-    exps = [r.leading[1] for r in rates]
-    return next((j for j in range(1, len(exps)) if exps[j] > exps[j - 1]), 0)
+def first_rise(exps: np.ndarray) -> int:
+    """The first node j (1-based) whose successor's leading exponent is larger, or 0.
+
+    exps holds the leading exponents in node order, as NetworkSpec.rate_exps[:, 0].
+    """
+    rises = np.flatnonzero(exps[1:] > exps[:-1])
+    return int(rises[0]) + 1 if len(rises) else 0
 
 
 def _cross_sign(a: float, b: float, c: float, d: float) -> int:
@@ -118,22 +126,18 @@ class RoutingMatrix:
                 f"routing mass p[{bad[0]+1},{bad[1]+1}] on or below the diagonal; "
                 "nodes must be numbered so every parent precedes its children"
             )
-        if np.any(p[:, 0] > 0.0):
-            raise StructuralError("column 1 must have no positive entry (node 1 is the root)")
-        n = len(p)
-        for j in range(1, n):
-            parents = np.nonzero(p[:, j] > 0.0)[0]
-            if len(parents) != 1:
-                raise StructuralError(
-                    f"column {j+1} has {len(parents)} positive entries; exactly one parent required"
-                )
+        # column 1, the root's, is all zero: it lies on or below the diagonal
+        counts = np.count_nonzero(p[:, 1:] > 0.0, axis=0)
+        if (bad := np.flatnonzero(counts != 1)).size:
+            j = int(bad[0])
+            raise StructuralError(f"column {j + 2} has {counts[j]} positive entries; exactly one parent required")
         rowsums = p.sum(axis=1)
         if np.any(rowsums > 1.0 + 1e-9):
             bad = int(np.argmax(rowsums))
             raise StructuralError(f"row {bad+1} routing fractions sum to {rowsums[bad]} > 1")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(p))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RoutingMatrix":
@@ -148,10 +152,6 @@ class RoutingMatrix:
             seen.add((i, j))
             p[i - 1, j - 1] = frac
         return cls(p)
-
-    def fraction(self, i: int, j: int) -> float:
-        """Routing fraction from node i to node j (1-based)."""
-        return float(self.p[i - 1, j - 1])
 
     def __eq__(self, other):
         if not isinstance(other, RoutingMatrix):
@@ -227,13 +227,15 @@ class NetworkSpec:
     """A validated tree network; everything but routing and rates is derived.
 
     phat[j-1] is the cumulative routing fraction from the root into node j
-    (first column of (I - P^T)^-1).  fronts[j] collects the nodes with index
-    >= j whose parent, if any, has index < j; children[j] are the direct
-    offspring of j.  front_matrix holds the fronts as a read-only 0/1 array:
-    entry [j-1, l-1] is 1.0 exactly when l is in fronts[j], so every front
-    sum of a vector is one matrix product.  Row j-1 of the read-only arrays
-    rate_coeffs and rate_exps holds node j's monomials, zero-padded, so
-    rate_vector is one array expression.  layout is the class layout of the
+    (first column of (I - P^T)^-1), and parent[j] the parent of node j >= 2.
+    The tree's one derived form is the read-only 0/1 array front_matrix,
+    beside routing.p: entry [j-1, l-1] is 1.0 exactly when l is in the front
+    of node j, that is l >= j and the parent of l, if any, precedes j, so
+    every front sum of a vector is one matrix product; the children of node
+    j are the nonzero entries of row j-1 of routing.p.  Row j-1 of the
+    read-only arrays rate_coeffs and rate_exps holds node j's monomials,
+    zero-padded (column 0 the leading term), so rate_vector is one array
+    expression.  layout is the class layout of the
     exact transform: all n nodes in one class.  Two specs are equal, and
     hash alike, when their routing fractions and rate functions are.  Raises
     StructuralError when the rate count is not n.  Immutable and safe to share.
@@ -243,8 +245,6 @@ class NetworkSpec:
     rates: tuple[RateFunction, ...]
     phat: np.ndarray = field(init=False, compare=False)
     parent: dict[int, int] = field(init=False, compare=False)
-    fronts: dict[int, frozenset[int]] = field(init=False, compare=False)
-    children: dict[int, frozenset[int]] = field(init=False, compare=False)
     front_matrix: np.ndarray = field(init=False, compare=False)
     rate_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     rate_exps: np.ndarray = field(init=False, repr=False, compare=False)
@@ -256,26 +256,18 @@ class NetworkSpec:
         if len(rates) != n:
             raise StructuralError(f"expected {n} rate functions, got {len(rates)}")
 
-        parent: dict[int, int] = {}
-        for j in range(2, n + 1):
-            parent[j] = int(np.nonzero(routing.p[:, j - 1] > 0.0)[0][0]) + 1
+        parent_of = np.argmax(routing.p > 0.0, axis=0) + 1  # 1-based
+        parent_of[0] = 0  # the root's column is zero: it has no parent
+        parent = dict(enumerate(parent_of[1:].tolist(), start=2))
 
         phat = np.empty(n)
         phat[0] = 1.0
-        for j in range(2, n + 1):
-            jp = parent[j]
-            phat[j - 1] = routing.fraction(jp, j) * phat[jp - 1]
+        for j, jp in parent.items():
+            phat[j - 1] = routing.p[jp - 1, j - 1] * phat[jp - 1]
 
-        # fronts[j]: j itself and every later node whose parent precedes j (the root's parent is 0)
+        # the front of j: every node l >= j whose parent precedes j, j itself included
         node = np.arange(1, n + 1)
-        parent_of = np.array([0] + [parent[i] for i in range(2, n + 1)])
-        front_matrix = (
-            (node[None, :] == node[:, None])
-            | ((node[None, :] > node[:, None]) & (parent_of[None, :] < node[:, None]))
-        ).astype(float)
-
-        def row_sets(matrix):
-            return {j: frozenset((np.flatnonzero(matrix[j - 1]) + 1).tolist()) for j in range(1, n + 1)}
+        front_matrix = ((node >= node[:, None]) & (parent_of < node[:, None])).astype(float)
 
         k = max(len(r.terms) for r in rates)
         padded = [(*r.terms, *((0.0, 0.0),) * (k - len(r.terms))) for r in rates]
@@ -285,8 +277,6 @@ class NetworkSpec:
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "phat", phat)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "fronts", row_sets(front_matrix))
-        object.__setattr__(self, "children", row_sets(routing.p > 0.0))
         object.__setattr__(self, "front_matrix", front_matrix)
         object.__setattr__(self, "rate_coeffs", packed[0])
         object.__setattr__(self, "rate_exps", packed[1])
@@ -300,8 +290,7 @@ class NetworkSpec:
         return self.rates[j - 1](u)
 
     def rate_vector(self, u: float) -> np.ndarray:
-        if u <= 0.0:
-            raise ValueError(f"rate functions are defined for u > 0, got u={u}")
+        _require_u(u)
         return (self.rate_coeffs * u**self.rate_exps).sum(axis=1)
 
 
@@ -353,20 +342,12 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
     may cross at intermediate u (Descartes' rule of signs); it is reported
     in the detail text, not as a failure.  Ratio limits r_i/r_j for i > j
     must be finite, that is no leading exponent rises along the nodes (the
-    rule of partition_rates); failures are reported, never raised.
+    rule of partition_rates); failures are reported, never raised.  A
+    u_probe outside (0, inf) raises ValueError.
     """
-    if u_probe <= 0.0:
-        raise ValueError("u_probe must be positive")
     n = spec.n
-    checks: list[AssumptionCheck] = []
-
-    checks.append(
-        AssumptionCheck(
-            "routing-shape",
-            True,
-            "strictly upper triangular, one parent per non-root column, row sums <= 1",
-        )
-    )
+    shape = "strictly upper triangular, one parent per non-root column, row sums <= 1"
+    checks = [AssumptionCheck("routing-shape", True, shape)]
 
     ratios = spec.rate_vector(u_probe) / spec.phat
     viol = [
@@ -384,7 +365,7 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
             detail += f" (equality at consecutive pair{'s' if len(ties) > 1 else ''} {ties})"
     checks.append(AssumptionCheck("rate-ordering[u-probe]", not viol, detail))
 
-    rates, phat = spec.rates, spec.phat
+    rates, phat, exps = spec.rates, spec.phat, spec.rate_exps[:, 0]
     signs = [_net_signs(rates[j - 1], phat[j - 1], rates[j], phat[j]) for j in range(1, n)]
     bad_pairs = [j for j, s in enumerate(signs, start=1) if not s or s[0] < 0]
     crossings = [j for j, s in enumerate(signs, start=1) if len(set(s)) > 1]
@@ -400,11 +381,11 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
             )
     checks.append(AssumptionCheck("rate-ordering[u-large]", not bad_pairs, detail))
 
-    if rise := first_rise(rates):
+    if rise := first_rise(exps):
         detail = f"limit of r_{rise + 1}/r_{rise} is infinite; later nodes must not dominate earlier ones"
     else:  # the largest c_i/c_j (j < i) in a run of equal leading exponents; 0 across runs
         max_ratio, low, run = 0.0, math.inf, None
-        for c, e in (r.leading for r in rates):
+        for c, e in zip(spec.rate_coeffs[:, 0].tolist(), exps.tolist()):
             if e != run:
                 low, run = math.inf, e
             max_ratio, low = max(max_ratio, c / low), min(low, c)

@@ -23,12 +23,12 @@ def _classes(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
     StructuralError where a leading exponent rises along the nodes: a later
     node's ratio limit against an earlier one would be infinite.
     """
-    if rise := first_rise(spec.rates):
+    exps = spec.rate_exps[:, 0]
+    if rise := first_rise(exps):
         raise StructuralError(
             f"rate of node {rise + 1} grows faster than rate of node {rise}; "
             "ratio limits must be finite for later nodes"
         )
-    exps = spec.rate_exps[:, 0]
     bounds = [0, *(np.flatnonzero(exps[1:] != exps[:-1]) + 1).tolist(), spec.n]
     return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(bounds, bounds[1:]))
 
@@ -68,8 +68,9 @@ class RateClassPartition:
         if len(refs) != len(classes):
             raise StructuralError(f"expected {len(classes)} reference rates, one per rate class, got {len(refs)}")
         fractions, front_matrix = np.empty(spec.n), np.zeros((spec.n, spec.n))
+        exps = spec.rate_exps[:, 0].tolist()
         for k, (members, ref) in enumerate(zip(classes, refs), start=1):
-            (ref_coeff, ref_exp), exp = ref.leading, spec.rates[members[0] - 1].leading[1]
+            (ref_coeff, ref_exp), exp = ref.leading, exps[members[0] - 1]
             if ref_exp != exp:
                 raise StructuralError(
                     f"reference rate {k} grows like u**{ref_exp}, but class {k} (nodes {list(members)}) like u**{exp}"
@@ -118,7 +119,7 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
     Each class's reference is the rate of its member with the largest leading
     coefficient, the first on ties, so every fraction lies in (0, 1].
     """
-    coeffs = [r.leading[0] for r in spec.rates]
+    coeffs = spec.rate_coeffs[:, 0].tolist()
     fastest = (max(members, key=lambda i: coeffs[i - 1]) for members in _classes(spec))
     return RateClassPartition(spec, tuple(spec.rates[i - 1] for i in fastest))
 
@@ -126,12 +127,15 @@ def partition_rates(spec: NetworkSpec) -> RateClassPartition:
 def starred_sets(
     spec: NetworkSpec, partition: RateClassPartition, j: int
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Within-class restrictions of fronts[j] and children[j].
+    """The front and the children of node j that lie in j's rate class.
 
-    A spec that is not the partition's network raises StructuralError.
+    The nonzero entries of row j of partition.front_matrix, and of row j of
+    routing.p up to the last node of j's class, as 1-based node ids.  A spec
+    that is not the partition's network raises StructuralError.
     """
     partition.require_spec(spec)
     if not 1 <= j <= spec.n:
         raise IndexError(f"node index {j} outside 1..{spec.n}")
-    own = frozenset(partition.classes[partition.class_index(j) - 1])
-    return spec.fronts[j] & own, spec.children[j] & own
+    last = partition.classes[partition.class_index(j) - 1][-1]
+    rows = (partition.front_matrix[j - 1], spec.routing.p[j - 1, :last])
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in rows)

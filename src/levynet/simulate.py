@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScalingRangeError
+from .errors import ScalingRangeError, StructuralError
 from .exact import joint_lst_exact
 from .limit import joint_lst_limit
 from .models import HEAVY, CompoundPoisson, LevyModel, TailPair
@@ -47,8 +47,8 @@ class SimConfig:
     n_workers: int | None = None
 
     def __post_init__(self):
-        if self.u <= 0.0:
-            raise ValueError("u must be positive")
+        if not 0.0 < self.u < math.inf:
+            raise ValueError(f"u must be positive and finite, got {self.u}")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
         if self.n_rep < 1:
@@ -94,16 +94,33 @@ def default_horizon(spec: NetworkSpec, model: LevyModel, u: float) -> float:
 
 
 def _path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
-    """Rates, horizon and the length below which the remainder is one face."""
-    r = spec.rate_vector(cfg.u)
-    if np.any(r <= 0.0):
-        raise ValueError("all service rates must be positive at the chosen u")
+    """Rates, horizon and the length below which the remainder is one face.
+
+    StructuralError where a node is faster than its inflow, r_j > p_ij r_i
+    for its parent i: Q_j would be negative.  ScalingRangeError, naming u,
+    where a rate, the horizon or that length is not a positive float.
+    """
+    u = cfg.u
+    with np.errstate(over="ignore"):
+        r = spec.rate_vector(u)
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise ScalingRangeError(f"service rates leave the float range at u = {u:g}: {r.min():g} to {r.max():g}")
+    inflow = (spec.routing.p * r[:, None]).max(axis=0)  # p_ij r_i from the parent i of each node j
+    if (faster := np.flatnonzero(r[1:] > inflow[1:]) + 2).size:
+        j, i = int(faster[0]), spec.parent[int(faster[0])]
+        raise StructuralError(
+            f"node {j} is faster than its inflow from node {i} at u = {u:g}: "
+            f"r_{j} = {r[j - 1]:g} > p_{i},{j} r_{i} = {inflow[j - 1]:g}, so its workload would be negative"
+        )
     if isinstance(model, CompoundPoisson) and model.lam == 0.0:
         # no input: one face, every supremum is 0 whatever the horizon
         return r, cfg.horizon or 1.0, math.inf
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, cfg.u)
-    tau = _relaxation_time(model.tail_pair(HEAVY), spec.phat, r)
-    return r, horizon, _FACE_FLOOR * float(np.min(tau))
+    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, u)
+    floor = _FACE_FLOOR * float(np.min(_relaxation_time(model.tail_pair(HEAVY), spec.phat, r)))
+    for name, value in (("horizon", horizon), ("face floor", floor)):
+        if not 0.0 < value < math.inf:
+            raise ScalingRangeError(f"sampler {name} {value:g} is not a positive float at u = {u:g}")
+    return r, horizon, floor
 
 
 def _stick_lengths(horizon: float, floor: float, rng, m: int) -> np.ndarray:

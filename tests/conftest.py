@@ -8,7 +8,8 @@ exponents exactly within each class.
 
 psi, delta and delta_hat are scalar restatements of the exact transform's
 ingredients, one sum per set; the library computes them as arrays, and the
-tests use these as oracles.
+tests use these as oracles.  fronts and children read a node's sets off the
+arrays the transforms multiply by: spec.front_matrix and routing.p.
 """
 
 from collections import defaultdict
@@ -42,16 +43,26 @@ def psi(spec, model, j: int, s: float, u: float) -> float:
     return spec.rate(j, u) * s + float(model.laplace_exponent(spec.phat[j - 1] * s))
 
 
+def fronts(spec, j: int) -> frozenset[int]:
+    """The front of node j: the nonzero entries of row j of spec.front_matrix."""
+    return frozenset((np.flatnonzero(spec.front_matrix[j - 1]) + 1).tolist())
+
+
+def children(spec, j: int) -> frozenset[int]:
+    """The children of node j: the nonzero entries of row j of the routing matrix."""
+    return frozenset((np.flatnonzero(spec.routing.p[j - 1]) + 1).tolist())
+
+
 def delta(spec, omega, j: int) -> float:
-    """Front-weighted frequency sum over fronts[j], normalized by phat_j."""
+    """Front-weighted frequency sum over the front of j, normalized by phat_j."""
     ph = spec.phat
-    return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j]) / ph[j - 1]
+    return sum(ph[l - 1] * omega[l - 1] for l in fronts(spec, j)) / ph[j - 1]
 
 
 def delta_hat(spec, omega, j: int) -> float:
-    """Like delta but over fronts[j+1]; defined for j < n."""
+    """Like delta but over the front of j + 1; defined for j < n."""
     ph = spec.phat
-    return sum(ph[l - 1] * omega[l - 1] for l in spec.fronts[j + 1]) / ph[j - 1]
+    return sum(ph[l - 1] * omega[l - 1] for l in fronts(spec, j + 1)) / ph[j - 1]
 
 
 def random_tree_routing(rng: np.random.Generator, n: int) -> RoutingMatrix:
@@ -93,7 +104,7 @@ def random_spec(rng: np.random.Generator, n: int, max_classes: int = 3):
     phat[0] = 1.0
     for j in range(2, n + 1):
         parent = int(np.nonzero(routing.p[:, j - 1] > 0.0)[0][0]) + 1
-        phat[j - 1] = routing.fraction(parent, j) * phat[parent - 1]
+        phat[j - 1] = routing.p[parent - 1, j - 1] * phat[parent - 1]
     return build_network(routing, random_rates(rng, phat, max_classes))
 
 

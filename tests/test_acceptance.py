@@ -34,7 +34,16 @@ from levynet import (
 )
 from levynet import CenteredGamma, CompoundPoisson, ExponentialJob
 
-from conftest import psi, random_model, random_spec, random_tail, rescaled_reference, tandem_spec
+from conftest import (
+    children,
+    fronts,
+    psi,
+    random_model,
+    random_spec,
+    random_tail,
+    rescaled_reference,
+    tandem_spec,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -55,10 +64,10 @@ def test_01_figure1_fidelity(figure1_spec, figure1_partition):
         5: ({5, 6}, {5, 6}, set(), set()),
         6: ({6}, {6}, set(), set()),
     }
-    for j, (fronts, star_fronts, children, star_children) in listing.items():
+    for j, (front, star_front, child, star_child) in listing.items():
         sf, sc = starred_sets(spec, part, j)
-        ok &= spec.fronts[j] == fronts and sf == star_fronts
-        ok &= spec.children[j] == children and sc == star_children
+        ok &= fronts(spec, j) == front and sf == star_front
+        ok &= children(spec, j) == child and sc == star_child
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     report(1, "six-node example fidelity", bool(ok), f"{elapsed:.3f} s")
@@ -72,20 +81,21 @@ def test_02_set_relations_on_random_trees():
         spec = random_spec(rng, int(rng.integers(1, 13)))
         n = spec.n
         nodes = range(1, n + 1)
+        front, child = ({j: sets(spec, j) for j in nodes} for sets in (fronts, children))
         for j in nodes:
-            downstream = set().union(*(spec.children[l] for l in range(j, n + 1)))
-            if spec.fronts[j] & downstream:
+            downstream = set().union(*(child[l] for l in range(j, n + 1)))
+            if front[j] & downstream:
                 violations += 1
-            if spec.fronts[j] | downstream != set(range(j, n + 1)):
+            if front[j] | downstream != set(range(j, n + 1)):
                 violations += 1
-            if j < n and spec.fronts[j + 1] != (spec.fronts[j] | spec.children[j]) - {j}:
+            if j < n and front[j + 1] != (front[j] | child[j]) - {j}:
                 violations += 1
         for j in nodes:
             for k in nodes:
-                if j != k and spec.children[j] & spec.children[k]:
+                if j != k and child[j] & child[k]:
                     violations += 1
                 lo = spec.parent[k] + 1 if k > 1 else 1
-                if (k in spec.fronts[j]) != (lo <= j <= k):
+                if (k in front[j]) != (lo <= j <= k):
                     violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 10.0

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levynet import cli
+from levynet import cli, load_network
 from levynet.cli import main
+
+from conftest import random_spec
 
 FIGURE1_NETWORK = {
     "n": 6,
@@ -114,6 +116,36 @@ def test_structure_figure1_listing(tmp_path, capsys):
     assert doc["fractions"] == [1.0, 0.4, 0.1, 0.5, 1.0, 0.25]
     assert doc["fronts"]["2"] == [2, 5] and doc["children"]["2"] == [3, 4, 6]
     assert doc["starred_fronts"]["4"] == [4, 5, 6] and doc["starred_children"]["1"] == [2]
+
+
+def network_document(spec) -> dict:
+    """The network JSON of spec; json writes every float exactly."""
+    p = spec.routing.p
+    edges = [{"from": int(i) + 1, "to": int(j) + 1, "p": float(p[i, j])} for i, j in zip(*np.nonzero(p))]
+    rates = [{"node": j, "terms": [{"c": c, "e": e} for c, e in r.terms]} for j, r in enumerate(spec.rates, start=1)]
+    return {"n": spec.n, "edges": edges, "rates": rates}
+
+
+def test_structure_restates_the_definitions_on_random_trees(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        spec = random_spec(rng, int(rng.integers(1, 13)))
+        n, parent = spec.n, spec.parent
+        cfg = write_configs(tmp_path, network_document(spec), {})
+        assert load_network(tmp_path / "network.json") == spec
+        assert run_cli(["structure", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["parent"] == {str(j): i for j, i in parent.items()}
+        exps = [r.leading[1] for r in spec.rates]  # classes: runs of equal leading exponent
+        starts = [j for j in range(1, n + 1) if j == 1 or exps[j - 1] != exps[j - 2]]
+        assert doc["classes"] == [list(range(a, b)) for a, b in zip(starts, [*starts[1:], n + 1])]
+        for j in range(1, n + 1):
+            front = [l for l in range(j, n + 1) if l == 1 or parent[l] < j]
+            kids = [l for l in range(2, n + 1) if parent[l] == j]
+            own = doc["classes"][doc["class_of"][j - 1] - 1]
+            assert doc["fronts"][str(j)] == front and doc["children"][str(j)] == kids
+            assert doc["starred_fronts"][str(j)] == [l for l in front if l in own]
+            assert doc["starred_children"][str(j)] == [l for l in kids if l in own]
 
 
 def test_lst_exact_zero_row_and_digits(tmp_path, capsys):
@@ -244,6 +276,44 @@ def test_u_flag_only_where_it_is_read(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err) == {"error": "ConfigError", "message": "unrecognized arguments: --u 3"}
+
+
+def test_non_finite_u_is_a_usage_error(tmp_path, capsys):
+    # the config's u refuses these too; without the check validate passed at
+    # u = nan and lst-exact assembled nan at u = inf
+    cfg = write_configs(tmp_path, FIGURE1_NETWORK, {"omega": {"list": [[0.5] * 6]}, "sim": {"n_rep": 100}})
+    for command in ("validate", "lst-exact", "simulate", "compare"):
+        for text in ("nan", "inf", "-inf", "1e400", "abc"):
+            assert run_cli([command, "--config", str(cfg), f"--u={text}"]) == 2, (command, text)
+            out = capsys.readouterr()
+            assert out.out == ""
+            message = f"argument --u: invalid finite float value: '{text}'"
+            assert json.loads(out.err) == {"error": "ConfigError", "message": message}
+
+
+def test_simulate_refuses_a_node_faster_than_its_inflow(tmp_path, capsys):
+    # node 2 drains at rate 2 but receives at most 1; the sample once gave a transform of 1.45
+    rates = [{"node": j, "terms": [{"c": c, "e": 0}]} for j, c in ((1, 1), (2, 2))]
+    run = {"u": 1, "omega": {"list": [[0, 1]]}, "sim": {"n_rep": 100}}
+    cfg = write_configs(tmp_path, dict(TANDEM_NETWORK, rates=rates), run)
+    for command in ("simulate", "compare"):
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "StructuralError"
+        assert err["message"].startswith("node 2 is faster than its inflow from node 1 at u = 1:")
+
+
+def test_simulate_refuses_a_face_floor_that_underflows(capsys):
+    # figure 1 at u = 1e100: finite rates, but stick-breaking would never reach a face floor of 0
+    config = str(CONFIGS / "figure1.run.json")
+    for command in ("simulate", "compare"):
+        assert run_cli([command, "--config", config, "--u", "1e100"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err) == {
+            "error": "ScalingRangeError",
+            "message": "sampler face floor 0 is not a positive float at u = 1e+100",
+        }
 
 
 def test_compare_columns_and_reproducibility(tmp_path, capsys):

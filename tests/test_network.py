@@ -15,7 +15,15 @@ from levynet import (
 )
 from levynet import network
 
-from conftest import random_tree_routing, random_rates, random_spec, seeded_and_shipped_specs, tandem_spec
+from conftest import (
+    children,
+    fronts,
+    random_tree_routing,
+    random_rates,
+    random_spec,
+    seeded_and_shipped_specs,
+    tandem_spec,
+)
 
 
 def test_figure1_phat_and_sets(figure1_spec):
@@ -31,22 +39,22 @@ def test_figure1_phat_and_sets(figure1_spec):
     }
     expected_children = {1: {2, 5}, 2: {3, 4, 6}, 3: set(), 4: set(), 5: set(), 6: set()}
     for j in range(1, 7):
-        assert spec.fronts[j] == expected_fronts[j]
-        assert spec.children[j] == expected_children[j]
+        assert fronts(spec, j) == expected_fronts[j]
+        assert children(spec, j) == expected_children[j]
     assert spec.parent == {2: 1, 3: 2, 4: 2, 5: 1, 6: 2}
 
 
 def test_single_node(single_node_spec):
     spec = single_node_spec
     assert spec.phat.tolist() == [1.0]
-    assert (spec.fronts[1], spec.children[1]) == (frozenset({1}), frozenset())
+    assert (fronts(spec, 1), children(spec, 1)) == (frozenset({1}), frozenset())
 
 
 def test_three_node_tandem_sets():
     spec = tandem_spec([RateFunction.monomial(c, 0.0) for c in (3.0, 2.0, 1.0)])
     for j in range(1, 4):
-        assert spec.fronts[j] == {j}
-        assert spec.children[j] == ({j + 1} if j < 3 else set())
+        assert fronts(spec, j) == {j}
+        assert children(spec, j) == ({j + 1} if j < 3 else set())
 
 
 def test_two_parent_column_rejected():
@@ -122,7 +130,7 @@ def test_derived_structure_restates_the_definitions():
             fractions = [p[a - 1, b - 1] for a, b in zip(path, path[1:])]
             assert spec.phat[j - 1] == math.prod(fractions), j
             front = {l for l in range(j, n + 1) if l == 1 or parent[l] < j}
-            assert spec.fronts[j] == front and spec.children[j] == {l for l in parent if parent[l] == j}
+            assert fronts(spec, j) == front and children(spec, j) == {l for l in parent if parent[l] == j}
             assert spec.front_matrix[j - 1].tolist() == [float(l in front) for l in range(1, n + 1)]
         k = max(len(r.terms) for r in spec.rates)
         for j, r in enumerate(spec.rates):
@@ -142,7 +150,7 @@ def test_build_is_deterministic():
     a = build_network(routing, rates)
     b = build_network(routing, rates)
     assert np.array_equal(a.phat, b.phat)
-    assert a.fronts == b.fronts and a.children == b.children
+    assert np.array_equal(a.front_matrix, b.front_matrix) and a.parent == b.parent
 
 
 def test_specs_compare_by_routing_and_rates():
@@ -302,10 +310,12 @@ def test_rate_checks_match_their_oracles_on_random_networks():
         assert passed == want_passed
         if passed:
             assert detail == want_detail
+            assert network.first_rise(spec.rate_exps[:, 0]) == 0
         else:  # the first adjacent pair whose leading exponent rises
             exps = [r.leading[1] for r in rates]
             j = next(j for j in range(1, n) if exps[j] > exps[j - 1])
             assert detail.startswith(f"limit of r_{j + 1}/r_{j} is infinite;")
+            assert network.first_rise(spec.rate_exps[:, 0]) == j
         ratio_verdicts.add(passed)
         ph = spec.phat
         signs = [net_signs_by_fractions(rates[j - 1], ph[j - 1], rates[j], ph[j]) for j in range(1, n)]
@@ -340,18 +350,19 @@ def test_set_relations_hold(instance):
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, n)
     full = set(range(1, n + 1))
+    front, child = ({j: sets(spec, j) for j in full} for sets in (fronts, children))
     for j in full:
-        downstream = set().union(*(spec.children[l] for l in range(j, n + 1)))
-        assert spec.fronts[j] & downstream == set()
-        assert spec.fronts[j] | downstream == set(range(j, n + 1))
+        downstream = set().union(*(child[l] for l in range(j, n + 1)))
+        assert front[j] & downstream == set()
+        assert front[j] | downstream == set(range(j, n + 1))
         if j < n:
-            assert spec.fronts[j + 1] == (spec.fronts[j] | spec.children[j]) - {j}
+            assert front[j + 1] == (front[j] | child[j]) - {j}
     for j in full:
         for k in full:
             if j != k:
-                assert spec.children[j] & spec.children[k] == set()
+                assert child[j] & child[k] == set()
             lo = spec.parent[k] + 1 if k > 1 else 1
-            assert (k in spec.fronts[j]) == (lo <= j <= k)
+            assert (k in front[j]) == (lo <= j <= k)
 
 
 def test_packed_rate_vector_matches_rate_functions():
@@ -375,10 +386,12 @@ def test_packed_rates_are_read_only_and_reject_nonpositive_u(figure1_spec):
     for packed in (figure1_spec.rate_coeffs, figure1_spec.rate_exps):
         with pytest.raises(ValueError):
             packed[0, 0] = 1.0
-    for u in (0.0, -2.0):
+    for u in (0.0, -2.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as packed_error:
             figure1_spec.rate_vector(u)
         with pytest.raises(ValueError) as scalar_error:
             figure1_spec.rate(1, u)
-        message = f"rate functions are defined for u > 0, got u={u}"
+        message = f"rate functions are defined for 0 < u < inf, got u={u}"
         assert str(packed_error.value) == str(scalar_error.value) == message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_assumptions(figure1_spec, u_probe=u)

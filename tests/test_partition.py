@@ -116,7 +116,7 @@ def test_derived_fields_are_not_constructor_arguments(figure1_spec, figure1_part
     spec, part = figure1_spec, figure1_partition
     with pytest.raises(TypeError, match="argument 'n'"):
         RoutingMatrix(spec.routing.p, n=spec.n)
-    for name in ("phat", "parent", "fronts", "children", "front_matrix", "rate_coeffs", "rate_exps", "layout"):
+    for name in ("phat", "parent", "front_matrix", "rate_coeffs", "rate_exps", "layout"):
         with pytest.raises(TypeError, match=f"argument '{name}'"):
             NetworkSpec(spec.routing, spec.rates, **{name: getattr(spec, name)})
     for name in ("classes", "fractions", "front_matrix", "class_of", "layout", "rising_node"):

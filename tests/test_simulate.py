@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from levynet import (
     DeterministicJob,
     ExponentialJob,
     RateFunction,
+    RoutingMatrix,
     ScalingRangeError,
     SimConfig,
     StableSum,
+    StructuralError,
+    build_network,
     convergence_study,
     default_horizon,
     empirical_lst,
@@ -320,8 +324,9 @@ def test_convergence_study_with_empirical():
 
 
 def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(u=-1.0)
+    for u in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^u must be positive and finite"):
+            SimConfig(u=u)
     with pytest.raises(ValueError):
         SimConfig(u=1.0, n_rep=0)
     for horizon in (0.0, math.inf):
@@ -339,3 +344,48 @@ def test_convergence_study_names_a_scaled_frequency_that_overflows():
     assert 0.0 < rows[0]["exact_scaled"] <= 1.0
     with pytest.raises(ScalingRangeError, match=r"node 2 overflows at u = 1e\+10: omega_2 = 1.2"):
         convergence_study(spec, part, model, "light", [[0.0, 1.2]], [1e10])
+
+
+def test_sampler_refuses_a_node_faster_than_its_inflow():
+    # node 2 drains at rate 2 but receives at most 1: every sampled Q_2 would be negative
+    spec = tandem_spec([RateFunction.monomial(1.0, 0.0), RateFunction.monomial(2.0, 0.0)])
+    cfg = SimConfig(u=1.0, n_rep=64, n_workers=1)
+    message = "^node 2 is faster than its inflow from node 1 at u = 1: r_2 = 2 > p_1,2 r_1 = 1"
+    with pytest.raises(StructuralError, match=message):
+        simulate_workload(spec, Brownian(1.0), cfg)
+    with pytest.raises(StructuralError, match=message):
+        horizon_diagnostic(spec, Brownian(1.0), cfg, [np.array([0.0, 1.0])])
+    # the comparison is r_2 against p_12 r_1, exact in floats: one ulp above the inflow is refused
+    routing = RoutingMatrix.from_edges(3, [(1, 2, 1 / 3), (1, 3, 1 / 3)])
+    for r3, refused in ((1 / 3, False), (math.nextafter(1 / 3, 1.0), True)):
+        rates = [RateFunction.monomial(c, 0.0) for c in (1.0, 0.2, r3)]
+        spec = build_network(routing, rates)
+        if refused:
+            with pytest.raises(StructuralError, match="^node 3 is faster than its inflow from node 1"):
+                simulate_workload(spec, Brownian(1.0), cfg)
+        else:
+            assert simulate_workload(spec, Brownian(1.0), cfg).shape == (64, 3)
+
+
+def test_node_as_fast_as_its_inflow_holds_no_work():
+    spec = tandem_spec([RateFunction.monomial(1.0, 0.0), RateFunction.monomial(1.0, 0.0)])
+    for model in (Brownian(1.0), StableSum(((1.5, 0.5),))):
+        q = simulate_workload(spec, model, SimConfig(u=1.0, n_rep=2_000, seed=3, n_workers=1))
+        assert np.all(q[:, 1] == 0.0) and q[:, 0].max() > 0.0, model
+
+
+def test_sampler_refuses_scales_outside_the_float_range(figure1_spec):
+    # at u = 1e100 every figure-1 rate is finite (the largest 1e201), but the
+    # face floor underflows to 0 and stick-breaking would never reach it
+    cases = [
+        (figure1_spec, 1e100, "sampler face floor 0 is not a positive float at u = 1e+100"),
+        (figure1_spec, 1e200, "service rates leave the float range at u = 1e+200"),
+        # one node with rate u: the default horizon 50 * 0.5 / u**2 underflows to 0
+        (tandem_spec([RateFunction.monomial(1.0, 1.0)]), 1e170, "sampler horizon 0 is not a positive float"),
+    ]
+    for spec, u, message in cases:
+        cfg = SimConfig(u=u, n_rep=16, n_workers=1)
+        with pytest.raises(ScalingRangeError, match="^" + re.escape(message)):
+            simulate_workload(spec, Brownian(1.0), cfg)
+        with pytest.raises(ScalingRangeError, match="^" + re.escape(message)):
+            horizon_diagnostic(spec, Brownian(1.0), cfg, [np.zeros(spec.n)])
