@@ -6,16 +6,17 @@ floats printed at 17 significant digits; every CSV row echoes its full
 frequency vector.  Outputs are bit-reproducible for a given (config, seed).
 
 Exit codes: 0 success (validate: all assumptions pass), 1 failed validation
-verdict, 2 usage, structural or config errors (an unknown or missing flag, an
-unreadable config or network file and an --out path that cannot be written
-included), 3 numerical errors; for codes 2 and 3 a machine-readable JSON
-object is written to stderr.
+verdict, 2 usage, structural or config errors (an unknown or missing flag, a
+u that is not a finite number > 0, an unreadable config or network file and
+an --out path that cannot be written included), 3 numerical errors; for
+codes 2 and 3 a machine-readable JSON object is written to stderr.  Each
+command is a function of the loaded run config and the parsed flags, and
+writes its whole output through _emit once it is computed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -36,58 +37,57 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _open_out(path: str, newline: str | None = None):
+def _emit(args, text: str) -> None:
+    """Write a command's output to --out, or to stdout."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
     try:
-        return open(path, "w", newline=newline)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"--out {path} cannot be written: {exc.strerror or exc}") from exc
+        raise ConfigError(f"--out {args.out} cannot be written: {exc.strerror or exc}") from exc
 
 
-def _out_stream(args):
-    if args.out:
-        return _open_out(args.out, newline="")
-    return sys.stdout
+def _csv(header: list[str], rows) -> str:
+    """A CSV table, floats at 17 significant digits; no field needs quoting."""
+    lines = [header, *([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
-def _write_csv(args, header: list[str], rows) -> None:
-    stream = _out_stream(args)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-
-
-def _write_json(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _omega_header(n: int) -> list[str]:
     return [f"omega_{j}" for j in range(1, n + 1)]
 
 
-def _finite_float(text: str) -> float:
-    """A --u value: a finite float, else a usage error."""
+def _positive_u(text: str) -> float:
+    """A --u value: a finite float > 0, else a usage error."""
     try:
-        if math.isfinite(value := float(text)):
-            return value
+        value = float(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"u must be > 0, got {text!r}")
+    return value
 
 
 def _require(value, name: str):
     if value is None:
         raise ConfigError(f"missing {name}: set it in the config or pass the flag")
     return value
+
+
+def _u(cfg: RunConfig, args) -> float:
+    return _require(cfg.u if args.u is None else args.u, "u (--u)")
+
+
+def _regime(cfg: RunConfig, args) -> str:
+    return _require(args.regime or cfg.regime, "regime (--regime)")
 
 
 def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
@@ -98,16 +98,21 @@ def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
     return SimConfig(u=u, **block)
 
 
-def cmd_validate(args) -> int:
-    cfg = load_run_config(args.config)
+def _estimates(cfg: RunConfig, args) -> tuple[float, list]:
+    """u, and the Monte Carlo estimates at the config's frequencies there."""
+    omegas = _require(cfg.omegas, "omega block")
+    sim = _sim_config(cfg, args, _u(cfg, args))
+    return sim.u, empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
+
+
+def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_assumptions(cfg.spec, **({} if args.u is None else {"u_probe": args.u}))
-    _write_json(args, report.to_dict())
+    _emit(args, _json(report.to_dict()))
     print(report.pretty(), file=sys.stderr)
     return 0 if report.passed else 1
 
 
-def cmd_structure(args) -> int:
-    cfg = load_run_config(args.config)
+def cmd_structure(cfg: RunConfig, args) -> int:
     spec = cfg.spec
     partition = partition_rates(spec)
     nodes = range(1, spec.n + 1)
@@ -129,7 +134,7 @@ def cmd_structure(args) -> int:
             [{"c": c, "e": e} for c, e in ref.terms] for ref in partition.reference_rates
         ],
     }
-    _write_json(args, payload)
+    _emit(args, _json(payload))
     fmt = lambda s: "{" + ",".join(str(i) for i in sorted(s)) + "}"
     print("node parent phat     class fraction fronts        children      star-fronts   star-children", file=sys.stderr)
     for j in nodes:
@@ -143,9 +148,8 @@ def cmd_structure(args) -> int:
     return 0
 
 
-def cmd_lst_exact(args) -> int:
-    cfg = load_run_config(args.config)
-    u = _require(args.u if args.u is not None else cfg.u, "u (--u)")
+def cmd_lst_exact(cfg: RunConfig, args) -> int:
+    u = _u(cfg, args)
     omegas = _require(cfg.omegas, "omega block")
     n = cfg.spec.n
     header = _omega_header(n) + ["value"]
@@ -173,13 +177,12 @@ def cmd_lst_exact(args) -> int:
             )
             row += [ev.prefactor, *columns.ravel().tolist()]
         rows.append(row)
-    _write_csv(args, header, rows)
+    _emit(args, _csv(header, rows))
     return 0
 
 
-def cmd_lst_limit(args) -> int:
-    cfg = load_run_config(args.config)
-    regime = _require(args.regime if args.regime else cfg.regime, "regime (--regime)")
+def cmd_lst_limit(cfg: RunConfig, args) -> int:
+    regime = _regime(cfg, args)
     omegas = _require(cfg.omegas, "omega block")
     spec = cfg.spec
     partition = partition_rates(spec)
@@ -189,66 +192,43 @@ def cmd_lst_limit(args) -> int:
     for w in omegas:
         res = joint_lst_limit(spec, partition, tail, w)
         rows.append([float(x) for x in w] + [res.value] + res.factor_values.tolist())
-    _write_csv(args, header, rows)
+    _emit(args, _csv(header, rows))
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_run_config(args.config)
-    omegas = _require(cfg.omegas, "omega block")
-    u = _require(args.u if args.u is not None else cfg.u, "u (--u)")
-    sim = _sim_config(cfg, args, u)
-    samples = simulate_workload(cfg.spec, cfg.model, sim)
+def cmd_simulate(cfg: RunConfig, args) -> int:
+    _, estimates = _estimates(cfg, args)
     header = _omega_header(cfg.spec.n) + ["empirical", "se", "ci_low", "ci_high"]
-    rows = []
-    for est in empirical_lst(samples, omegas):
-        rows.append([float(x) for x in est.omega] + [est.mean, est.se, est.ci_low, est.ci_high])
-    _write_csv(args, header, rows)
+    rows = [[*map(float, est.omega), est.mean, est.se, est.ci_low, est.ci_high] for est in estimates]
+    _emit(args, _csv(header, rows))
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = load_run_config(args.config)
-    omegas = _require(cfg.omegas, "omega block")
-    u = _require(args.u if args.u is not None else cfg.u, "u (--u)")
-    sim = _sim_config(cfg, args, u)
-    samples = simulate_workload(cfg.spec, cfg.model, sim)
+def cmd_compare(cfg: RunConfig, args) -> int:
+    u, estimates = _estimates(cfg, args)
     header = _omega_header(cfg.spec.n) + ["empirical", "se", "exact", "abs_gap", "gap_over_se"]
     rows = []
-    for est in empirical_lst(samples, omegas):
-        exact = joint_lst_exact(cfg.spec, cfg.model, est.omega, sim.u).value
+    for est in estimates:
+        exact = joint_lst_exact(cfg.spec, cfg.model, est.omega, u).value
         gap = abs(est.mean - exact)
-        rows.append(
-            [float(x) for x in est.omega]
-            + [est.mean, est.se, exact, gap, gap / est.se if est.se > 0 else float("inf")]
-        )
-    _write_csv(args, header, rows)
+        # a zero gap is 0 SE off, also where the sample has no spread
+        gap_over_se = gap / est.se if est.se > 0 else (math.inf if gap else 0.0)
+        rows.append([*map(float, est.omega), est.mean, est.se, exact, gap, gap_over_se])
+    _emit(args, _csv(header, rows))
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_run_config(args.config)
-    regime = _require(args.regime if args.regime else cfg.regime, "regime (--regime)")
+def cmd_sweep(cfg: RunConfig, args) -> int:
+    regime = _regime(cfg, args)
     omegas = _require(cfg.omegas, "omega block")
     u_list = _require(cfg.u_list, "u_list")
     spec = cfg.spec
     partition = partition_rates(spec)
     sim = _sim_config(cfg, args, u_list[0]) if args.with_empirical else None
-    rows_out = []
+    columns = ["exact_scaled", "limit", "gap"] + (["empirical", "se"] if args.with_empirical else [])
     rows = convergence_study(spec, partition, cfg.model, regime, omegas, u_list, sim=sim)
-    header = ["u"] + _omega_header(spec.n) + ["exact_scaled", "limit", "gap"]
-    if args.with_empirical:
-        header += ["empirical", "se"]
-    for row in rows:
-        out = [row["u"]] + [float(x) for x in row["omega"]] + [
-            row["exact_scaled"],
-            row["limit"],
-            row["gap"],
-        ]
-        if args.with_empirical:
-            out += [row["empirical"], row["se"]]
-        rows_out.append(out)
-    _write_csv(args, header, rows_out)
+    table = [[row["u"], *map(float, row["omega"]), *(row[c] for c in columns)] for row in rows]
+    _emit(args, _csv(["u", *_omega_header(spec.n), *columns], table))
     return 0
 
 
@@ -276,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run-config JSON path")
         if u:
-            p.add_argument("--u", type=_finite_float, default=None, help="scaling parameter value")
+            p.add_argument("--u", type=_positive_u, default=None, help="scaling parameter value")
         seed_help = "Monte Carlo seed override; only simulate, compare and sweep --with-empirical use it"
         p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -302,15 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
-    except (ConfigError, StructuralError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return args.fn(load_run_config(args.config), args)
     except (LevynetError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(exc, (ConfigError, StructuralError)) else 3
 
 
 if __name__ == "__main__":

@@ -199,7 +199,7 @@ SIM_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "horizon": {"type": "number"},
+        "horizon": {"type": "number", "exclusiveMinimum": 0},
         "n_rep": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer"},
         "n_workers": {"type": "integer", "minimum": 1},
@@ -214,8 +214,8 @@ RUN_SCHEMA = {
         "network": {"type": "string"},
         "input": INPUT_SCHEMA,
         "omega": OMEGA_SCHEMA,
-        "u": {"type": "number"},
-        "u_list": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+        "u": {"type": "number", "exclusiveMinimum": 0},
+        "u_list": {"type": "array", "minItems": 1, "items": {"type": "number", "exclusiveMinimum": 0}},
         "regime": {"enum": ["light", "heavy"]},
         "sim": SIM_SCHEMA,
     },

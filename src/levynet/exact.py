@@ -63,10 +63,8 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray)
 
     For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
     whose sums of nonnegative terms do not cancel; otherwise each entry is
-    solved by Newton from x / r, where psi >= x.
+    solved by Newton from x / r, where psi >= x.  x must be >= 0.
     """
-    if (x < 0.0).any():  # kappa < 0: the rate ordering fails at this u
-        raise ValueError(f"cannot invert at negative value {x[x < 0.0][0]}")
     a = model.quadratic
     if a is not None:
         return 2.0 * x / (r + np.sqrt(r * r + 4.0 * a * (ph * ph) * x))
@@ -171,7 +169,8 @@ def _class_factors(model: LevyModel, r, w, sums, layout: ClassLayout):
     inner node's is slope(root, delta_hat) / slope(root, delta), with root
     the inverse of psi_j at kappa_{j+1} over the class slice.  Every secant
     argument is >= 0 by construction, so they go to phi's _secant ordered
-    but unchecked.
+    but unchecked.  A negative kappa, where r/phat rises within a class,
+    raises ValueError naming the first node whose factor reads one.
     """
     ph = layout.phat
     m = layout.inner.size
@@ -179,6 +178,13 @@ def _class_factors(model: LevyModel, r, w, sums, layout: ClassLayout):
         return r / (r + ph * model._secant(ph * w, 0.0)), _EMPTY, _EMPTY
 
     kap = _kappas(r / ph, sums, layout)
+    if (kap < 0.0).any():  # the rate ordering fails
+        i = np.flatnonzero(kap < 0.0)[0]
+        j = layout.inner[i] + 1
+        raise ValueError(
+            f"cannot invert at negative value {kap[i]}: kappa of node {j}'s factor is negative, "
+            f"so r/phat rises somewhere after node {j} at this u"
+        )
     r_at, ph_at = r[layout.slope_at], layout.phat_at
     roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap)
 

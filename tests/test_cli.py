@@ -291,6 +291,18 @@ def test_non_finite_u_is_a_usage_error(tmp_path, capsys):
             assert json.loads(out.err) == {"error": "ConfigError", "message": message}
 
 
+def test_u_at_or_below_zero_is_a_usage_error(tmp_path, capsys):
+    # these once reached the transforms and the sampler, and exited 3 with their ValueError
+    cfg = write_configs(tmp_path, FIGURE1_NETWORK, {"omega": {"list": [[0.5] * 6]}, "sim": {"n_rep": 100}})
+    for command in ("validate", "lst-exact", "simulate", "compare"):
+        for text in ("0", "-1", "-0", "1e-400"):
+            assert run_cli([command, "--config", str(cfg), f"--u={text}"]) == 2, (command, text)
+            out = capsys.readouterr()
+            assert out.out == ""
+            message = f"argument --u: u must be > 0, got '{text}'"
+            assert json.loads(out.err) == {"error": "ConfigError", "message": message}
+
+
 def test_simulate_refuses_a_node_faster_than_its_inflow(tmp_path, capsys):
     # node 2 drains at rate 2 but receives at most 1; the sample once gave a transform of 1.45
     rates = [{"node": j, "terms": [{"c": c, "e": 0}]} for j, c in ((1, 1), (2, 2))]
@@ -336,6 +348,17 @@ def test_compare_columns_and_reproducibility(tmp_path, capsys):
     assert len(first.splitlines()) == 5
     assert run_cli(["compare", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_compare_zero_gap_is_zero_se(capsys):
+    # at omega = 0 every replication gives exp(0) = 1: empirical = exact = 1, se = 0
+    assert run_cli(["compare", "--config", str(CONFIGS / "figure1.run.json"), "--seed", "1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    zero = rows[0]
+    assert [zero[f"omega_{j}"] for j in range(1, 7)] == ["0"] * 6
+    assert (zero["empirical"], zero["se"], zero["exact"], zero["abs_gap"]) == ("1", "0", "1", "0")
+    assert zero["gap_over_se"] == "0"
+    assert all(0.0 < float(row["gap_over_se"]) < 6.0 for row in rows[1:])
 
 
 def test_simulate_seed_flag_changes_output(tmp_path, capsys):
@@ -410,11 +433,22 @@ def test_config_that_cannot_be_read_exits_2(tmp_path, capsys):
 
 
 def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
-    # the JSON writer (validate) and the CSV writer (lst-exact)
-    cfg = write_configs(tmp_path, TANDEM_NETWORK, {"u": 1.0, "omega": {"list": [[0.5, 0.5]]}})
-    for command in ("validate", "lst-exact"):
+    # every command: the output is computed, then refused by the one writer
+    run = {
+        "u": 1.0,
+        "u_list": [1.0],
+        "regime": "heavy",
+        "omega": {"list": [[0.5, 0.5]]},
+        "sim": {"n_rep": 200, "seed": 3},
+    }
+    cfg = write_configs(tmp_path, TANDEM_NETWORK, run)
+    commands = (
+        ["validate"], ["structure"], ["lst-exact"], ["lst-limit"], ["simulate"], ["compare"],
+        ["sweep", "--with-empirical"],
+    )
+    for command in commands:
         out_path = tmp_path / "missing" / "out.txt"
-        assert run_cli([command, "--config", str(cfg), "--out", str(out_path)]) == 2
+        assert run_cli([*command, "--config", str(cfg), "--out", str(out_path)]) == 2, command
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err) == {
@@ -542,6 +576,42 @@ def test_shipped_config_output_is_bit_reproducible(config, command, code, digest
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (
         f"stdout differs from the digest computed with {DIGEST_ENVIRONMENT}; this run: {here}"
     )
+
+
+@pytest.mark.parametrize(
+    "config, command, code, digest", SHIPPED_OUTPUT, ids=[f"{c[0]}:{c[1]}" for c in SHIPPED_OUTPUT]
+)
+def test_out_file_holds_the_stdout_bytes(config, command, code, digest, tmp_path, capsys):
+    name, *flags = command.split()
+    out_path = tmp_path / "out"
+    assert run_cli([name, "--config", str(CONFIGS / config), *flags, "--out", str(out_path)]) == code
+    assert capsys.readouterr().out == ""
+    if code == 2:  # refused before anything was computed
+        assert not out_path.exists()
+    else:
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of each `levynet ...` line of README's sh blocks, comments dropped."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line.split("#")[0].split() for block in blocks for line in block.split("```")[0].splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["levynet"]]
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    monkeypatch.chdir(CONFIGS.parent)
+    examples = readme_cli_examples()
+    commands = {"validate", "structure", "lst-exact", "lst-limit", "simulate", "compare", "sweep"}
+    assert {argv[0] for argv in examples} == commands
+    for argv in examples:
+        assert run_cli(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] in ("validate", "structure"):
+            assert isinstance(json.loads(out), dict), argv
+        else:
+            assert out.startswith("omega_1," if argv[0] != "sweep" else "u,omega_1,"), argv
 
 
 def shipped_run(config: str, command: str, capsys) -> tuple[int, str]:

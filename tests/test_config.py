@@ -54,6 +54,12 @@ def test_invalid_network_document_message(doc, message):
             {"omega": {"list": [[0.5, "x"]]}},
             "invalid run config at omega/list/0/1: 'x' is not of type 'number'",
         ),
+        ({"u": -1}, "invalid run config at u: -1 is less than or equal to the minimum of 0"),
+        ({"u_list": [0, 10]}, "invalid run config at u_list/0: 0 is less than or equal to the minimum of 0"),
+        (
+            {"sim": {"horizon": -1}},
+            "invalid run config at sim/horizon: -1 is less than or equal to the minimum of 0",
+        ),
     ],
 )
 def test_invalid_run_config_message(tmp_path, overrides, message):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -509,11 +510,17 @@ def test_newton_iterates_never_pass_the_root(model, monkeypatch):
 
 @pytest.mark.parametrize("model", [Brownian(1.0), CenteredGamma(2.0, 1.5)], ids=repr)
 def test_negative_kappa_is_rejected(figure1_spec, model):
-    # the rate ordering of figure 1 fails at u = 1.2, and kappa_4 < 0 there:
-    # the closed-form inverse refuses it as the Newton solver does
+    # the rate ordering of figure 1 fails at u = 1.2, where r/phat rises from
+    # node 3 to node 4, and the kappa of node 3's factor is < 0: refused before
+    # either inverse, the closed form or Newton's, is taken
     w = [1.0, 0.2, 0.4, 0.8, 0.3, 0.6]
-    assert kappa(figure1_spec, w, 3, 1.2) < 0.0
-    with pytest.raises(ValueError, match="cannot invert at negative value"):
+    k = kappa(figure1_spec, w, 3, 1.2)
+    assert k < 0.0
+    message = (
+        f"cannot invert at negative value {k}: kappa of node 3's factor is negative, "
+        "so r/phat rises somewhere after node 3 at this u"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         joint_lst_exact(figure1_spec, model, w, 1.2)
 
 
