@@ -7,11 +7,12 @@ frequency vector.  Outputs are bit-reproducible for a given (config, seed).
 
 Exit codes: 0 success (validate: all assumptions pass), 1 failed validation
 verdict, 2 usage, structural or config errors (an unknown or missing flag, a
-u that is not a finite number > 0, an unreadable config or network file and
-an --out path that cannot be written included), 3 numerical errors; for
-codes 2 and 3 a machine-readable JSON object is written to stderr.  Each
-command is a function of the loaded run config and the parsed flags, and
-writes its whole output through _emit once it is computed.
+u that is not a finite number > 0, a seed below 0, an unreadable config or
+network file, an --out path that cannot be written and an r/phat that rises
+where a transform reads it included), 3 numerical errors; for codes 2 and 3
+a machine-readable JSON object is written to stderr.  Each command is a
+function of the loaded run config and the parsed flags, and writes its whole
+output through _emit once it is computed.
 """
 
 from __future__ import annotations
@@ -74,6 +75,16 @@ def _positive_u(text: str) -> float:
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"u must be > 0, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, else a usage error."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
 
 
 def _require(value, name: str):
@@ -258,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if u:
             p.add_argument("--u", type=_positive_u, default=None, help="scaling parameter value")
         seed_help = "Monte Carlo seed override; only simulate, compare and sweep --with-empirical use it"
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
+        p.add_argument("--seed", type=_seed, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if regime:
             p.add_argument("--regime", choices=["light", "heavy"], default=None)

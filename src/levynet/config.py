@@ -201,7 +201,7 @@ SIM_SCHEMA = {
     "properties": {
         "horizon": {"type": "number", "exclusiveMinimum": 0},
         "n_rep": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "n_workers": {"type": "integer", "minimum": 1},
     },
 }

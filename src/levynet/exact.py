@@ -36,8 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFactorError
-from .network import ClassLayout, NetworkSpec
+from .errors import SingularFactorError, StructuralError
+from .network import ClassLayout, NetworkSpec, first_rise
 from .models import LevyModel
 from .roots import invert_increasing
 
@@ -169,22 +169,19 @@ def _class_factors(model: LevyModel, r, w, sums, layout: ClassLayout):
     inner node's is slope(root, delta_hat) / slope(root, delta), with root
     the inverse of psi_j at kappa_{j+1} over the class slice.  Every secant
     argument is >= 0 by construction, so they go to phi's _secant ordered
-    but unchecked.  A negative kappa, where r/phat rises within a class,
-    raises ValueError naming the first node whose factor reads one.
+    but unchecked.  Where r/phat rises from a node to the next in its class
+    (first_rise over layout.inner) it raises StructuralError; elsewhere every
+    kappa term is >= 0.
     """
     ph = layout.phat
     m = layout.inner.size
     if not m:  # all classes singletons: every factor is a prefactor
         return r / (r + ph * model._secant(ph * w, 0.0)), _EMPTY, _EMPTY
 
-    kap = _kappas(r / ph, sums, layout)
-    if (kap < 0.0).any():  # the rate ordering fails
-        i = np.flatnonzero(kap < 0.0)[0]
-        j = layout.inner[i] + 1
-        raise ValueError(
-            f"cannot invert at negative value {kap[i]}: kappa of node {j}'s factor is negative, "
-            f"so r/phat rises somewhere after node {j} at this u"
-        )
+    ratios = r / ph
+    if j := first_rise(ratios, layout.inner):
+        raise StructuralError(f"r/phat rises from node {j} to node {j + 1}: rate ordering violated within class")
+    kap = _kappas(ratios, sums, layout)
     r_at, ph_at = r[layout.slope_at], layout.phat_at
     roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap)
 
@@ -210,10 +207,11 @@ def _assembled(factors: list[float], what: str) -> float:
 def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> LstEvaluation:
     """Exact stationary-workload transform E[exp(-<omega, Q>)] at parameter u.
 
-    Preconditions: omega >= 0 and the network assumptions hold at u (the rate
-    ordering in particular; it keeps every kappa nonnegative).  Every factor
-    is a ratio of positive slopes, zero entries of omega included; only a
-    product outside (0, 1] raises SingularFactorError.
+    Requires omega >= 0 and the rate ordering at u: r/phat must not rise
+    from a node to the next, else StructuralError (the u-probe rule of
+    validate_assumptions), which keeps every kappa nonnegative.  Every
+    factor is a ratio of positive slopes, zero entries of omega included;
+    only a product outside (0, 1] raises SingularFactorError.
     """
     w = as_omega(omega, spec.n)
     r, sums = spec.rate_vector(u), _front_sums(spec, w)

@@ -29,9 +29,9 @@ coeff * s**2 is quadratic and every root is taken in closed form.  All
 within-class front sums are one product with RateClassPartition.front_matrix,
 and every class factor comes from one np.multiply.reduceat over the factors
 of _class_factors in the partition's end-first order, its prefactor first.
-The partition builds that class layout and the within-class rate-ordering
-check once, and the tail pair its stable input (TailPair.stable_model), so a
-call builds neither.  No diagnostic is computed.
+The partition builds that class layout once, and the tail pair its stable
+input (TailPair.stable_model), so a call builds neither.  No diagnostic is
+computed.
 """
 
 from __future__ import annotations
@@ -76,19 +76,13 @@ def joint_lst_limit(
     """Limiting transform of the rescaled workload vector at omega >= 0.
 
     Requires fractions / phat to be non-increasing within each class (the
-    rate ordering in the limit); a rise raises StructuralError, and so does a
-    spec that is not the partition's network.  Classes whose frequencies are
-    all zero contribute factor one.
+    rate ordering in the limit): _class_factors raises StructuralError at a
+    rise, by the rule of the exact transform, and a spec that is not the
+    partition's network raises it too.  Classes whose frequencies are all
+    zero contribute factor one.
     """
     partition.require_spec(spec)
     w = as_omega(omega, spec.n)
-    j = partition.rising_node
-    if j:
-        raise StructuralError(
-            f"fraction/phat rises from node {j} to node {j + 1}: "
-            "rate ordering violated within class"
-        )
-
     fr, layout = partition.fractions, partition.layout
     scaled = fr**tail.beta * w
     sums = partition.front_matrix @ (spec.phat * scaled)

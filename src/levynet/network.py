@@ -69,13 +69,16 @@ class RateFunction:
         return RateFunction(tuple((c * factor, e) for c, e in self.terms))
 
 
-def first_rise(exps: np.ndarray) -> int:
-    """The first node j (1-based) whose successor's leading exponent is larger, or 0.
+def first_rise(values: np.ndarray, nodes: np.ndarray | None = None) -> int:
+    """The first node j (1-based) whose successor's value is larger, or 0.
 
-    exps holds the leading exponents in node order, as NetworkSpec.rate_exps[:, 0].
+    values holds one float per node: the leading exponents rate_exps[:, 0],
+    or r/phat at one u.  Exact ties pass.  nodes (0-based, increasing) keeps
+    the pairs (j, j + 1) for j in nodes only, as ClassLayout.inner does.
     """
-    rises = np.flatnonzero(exps[1:] > exps[:-1])
-    return int(rises[0]) + 1 if len(rises) else 0
+    rises = values[1:] > values[:-1]
+    at = np.flatnonzero(rises) if nodes is None else nodes[rises[nodes]]
+    return int(at[0]) + 1 if len(at) else 0
 
 
 def _cross_sign(a: float, b: float, c: float, d: float) -> int:
@@ -335,38 +338,32 @@ def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationR
     """Check the routing-shape, rate-ordering and ratio-limit requirements.
 
     The rate ordering r_j/phat_j > r_{j+1}/phat_{j+1} is required at every
-    u > 0 but is only decidable here (a) numerically at u_probe, where ties
-    within 1e-12 relative are accepted, and (b) for all large u by the sign
-    of the leading net monomial coefficient of each adjacent difference,
-    computed exactly.  A sign change among those coefficients means the pair
-    may cross at intermediate u (Descartes' rule of signs); it is reported
-    in the detail text, not as a failure.  Ratio limits r_i/r_j for i > j
-    must be finite, that is no leading exponent rises along the nodes (the
-    rule of partition_rates); failures are reported, never raised.  A
-    u_probe outside (0, inf) raises ValueError.
+    u > 0 but is only decidable here (a) at u_probe, by the rule the
+    transforms refuse a network with: first_rise of the float ratios r/phat,
+    so exact ties pass and any rise fails, and (b) for all large u by the
+    sign of the leading net monomial coefficient of each adjacent
+    difference, computed exactly.  A sign change among those coefficients
+    means the pair may cross at intermediate u (Descartes' rule of signs); it
+    is reported in the detail text, not as a failure.  Ratio limits r_i/r_j
+    for i > j must be finite, that is no leading exponent rises along the
+    nodes (the rule of partition_rates); failures are reported, never
+    raised.  A u_probe outside (0, inf) raises ValueError.
     """
-    n = spec.n
     shape = "strictly upper triangular, one parent per non-root column, row sums <= 1"
     checks = [AssumptionCheck("routing-shape", True, shape)]
 
     ratios = spec.rate_vector(u_probe) / spec.phat
-    viol = [
-        (j, ratios[j - 1], ratios[j])
-        for j in range(1, n)
-        if ratios[j - 1] < ratios[j] * (1.0 - 1e-12)
-    ]
-    ties = [j for j in range(1, n) if math.isclose(ratios[j - 1], ratios[j], rel_tol=1e-12)]
-    if viol:
-        j, a, b = viol[0]
-        detail = f"r_{j}/phat_{j} = {a:.6g} < r_{j+1}/phat_{j+1} = {b:.6g} at u = {u_probe:g}"
+    if j := first_rise(ratios):
+        a, b = float(ratios[j - 1]), float(ratios[j])
+        detail = f"r_{j}/phat_{j} = {a!r} < r_{j+1}/phat_{j+1} = {b!r} at u = {u_probe:g}"
     else:
         detail = f"rate/phat ratios non-increasing at u = {u_probe:g}"
-        if ties:
+        if ties := (np.flatnonzero(ratios[1:] == ratios[:-1]) + 1).tolist():
             detail += f" (equality at consecutive pair{'s' if len(ties) > 1 else ''} {ties})"
-    checks.append(AssumptionCheck("rate-ordering[u-probe]", not viol, detail))
+    checks.append(AssumptionCheck("rate-ordering[u-probe]", not j, detail))
 
     rates, phat, exps = spec.rates, spec.phat, spec.rate_exps[:, 0]
-    signs = [_net_signs(rates[j - 1], phat[j - 1], rates[j], phat[j]) for j in range(1, n)]
+    signs = [_net_signs(rates[j - 1], phat[j - 1], rates[j], phat[j]) for j in range(1, spec.n)]
     bad_pairs = [j for j, s in enumerate(signs, start=1) if not s or s[0] < 0]
     crossings = [j for j, s in enumerate(signs, start=1) if len(set(s)) > 1]
     if bad_pairs:

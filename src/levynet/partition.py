@@ -44,13 +44,12 @@ class RateClassPartition:
     class reference, the exact limit of r_i / reference.  front_matrix is the
     network's front matrix restricted to same-class pairs, read-only: entry
     [j-1, l-1] is 1.0 exactly when l lies in the within-class front of node j;
-    class_of, entry i-1 the 1-based class index of node i; layout, the class
-    layout of the limit transform; and rising_node, the first node j whose
-    fraction / phat rises to node j + 1 of its class, 0 when none does.
-    Raises StructuralError where a leading exponent rises along the nodes, or
-    unless there is one reference per class with its leading exponent.  Two
-    partitions are equal, and hash alike, when their spec and reference
-    rates are.
+    class_of, entry i-1 the 1-based class index of node i; and layout, the
+    class layout of the limit transform, whose factor formula checks the
+    within-class rate ordering of fraction / phat.  Raises StructuralError
+    where a leading exponent rises along the nodes, or unless there is one
+    reference per class with its leading exponent.  Two partitions are
+    equal, and hash alike, when their spec and reference rates are.
     """
 
     spec: NetworkSpec = field(repr=False)
@@ -60,7 +59,6 @@ class RateClassPartition:
     front_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     layout: ClassLayout = field(init=False, repr=False, compare=False)
-    rising_node: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec, refs = self.spec, tuple(self.reference_rates)
@@ -80,16 +78,12 @@ class RateClassPartition:
             front_matrix[block, block] = spec.front_matrix[block, block]
         for array in (fractions, front_matrix):
             array.setflags(write=False)
-        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes])
-        rising = np.diff(fractions / spec.phat) > 0.0
-        rising[layout.ends[:-1]] = False  # a class end and the next node lie in different classes
         object.__setattr__(self, "reference_rates", refs)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "front_matrix", front_matrix)
         object.__setattr__(self, "class_of", tuple(k for k, c in enumerate(classes, start=1) for _ in c))
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "rising_node", int(np.argmax(rising)) + 1 if rising.any() else 0)
+        object.__setattr__(self, "layout", ClassLayout(spec.phat, [members[-1] - 1 for members in classes]))
 
     @property
     def m(self) -> int:

@@ -53,6 +53,8 @@ class SimConfig:
             raise ValueError("horizon must be positive and finite")
         if self.n_rep < 1:
             raise ValueError("replication count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,55 @@ def test_simulate_refuses_a_node_faster_than_its_inflow(tmp_path, capsys):
         assert err["message"].startswith("node 2 is faster than its inflow from node 1 at u = 1:")
 
 
+def tandem_configs(tmp_path, rates, run):
+    """A tandem with p = 1 on each edge; rates holds each node's terms as (c, e) pairs."""
+    n = len(rates)
+    network = {
+        "n": n,
+        "edges": [{"from": j, "to": j + 1, "p": 1.0} for j in range(1, n)],
+        "rates": [{"node": j, "terms": [{"c": c, "e": e} for c, e in terms]} for j, terms in enumerate(rates, 1)],
+    }
+    return write_configs(tmp_path, network, run)
+
+
+def test_a_rise_within_the_tandem_exits_2(tmp_path, capsys):
+    # constant rates (4, 2, 3, 1): lst-exact once printed 0.73323 with exit 0;
+    # node 3 never holds work, so the true value, 0.76291, is the (4, 2, 1) tandem's
+    run = {"u": 1, "u_list": [1, 10], "regime": "light", "omega": {"list": [[0.3, 0.5, 0.2, 0.9]]}, "sim": {"n_rep": 100}}
+    cfg = tandem_configs(tmp_path, [[(c, 0)] for c in (4, 2, 3, 1)], run)
+    message = "r/phat rises from node 2 to node 3: rate ordering violated within class"
+    for command in ("lst-exact", "lst-limit", "sweep"):
+        assert run_cli([command, "--config", str(cfg)]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err) == {"error": "StructuralError", "message": message}
+    assert run_cli(["validate", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+
+
+def test_near_tie_that_rises_is_refused_by_every_command(tmp_path, capsys):
+    # rates u + 1 and 0.5 u + 2.0000000000002: at u = 2, r_2 exceeds r_1 = 3 by 2e-13.
+    # validate once passed it as a tie, while lst-exact exited 3 and simulate 2
+    run = {"u": 2, "omega": {"list": [[0.5, 0.5]]}, "sim": {"n_rep": 100}}
+    cfg = tandem_configs(tmp_path, [[(1, 1), (1, 0)], [(0.5, 1), (2.0000000000002, 0)]], run)
+    assert run_cli(["validate", "--config", str(cfg), "--u", "2"]) == 1
+    checks = {c["assumption"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["rate-ordering[u-probe]"] == {
+        "assumption": "rate-ordering[u-probe]",
+        "passed": False,
+        "detail": "r_1/phat_1 = 3.0 < r_2/phat_2 = 3.0000000000002 at u = 2",
+    }
+    messages = {
+        "lst-exact": "r/phat rises from node 1 to node 2: rate ordering violated within class",
+        "compare": "node 2 is faster than its inflow from node 1 at u = 2:",
+        "simulate": "node 2 is faster than its inflow from node 1 at u = 2:",
+    }
+    for command, message in messages.items():
+        assert run_cli([command, "--config", str(cfg)]) == 2, command
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "StructuralError" and err["message"].startswith(message), command
+
+
 def test_simulate_refuses_a_face_floor_that_underflows(capsys):
     # figure 1 at u = 1e100: finite rates, but stick-breaking would never reach a face floor of 0
     config = str(CONFIGS / "figure1.run.json")
@@ -371,6 +420,27 @@ def test_simulate_seed_flag_changes_output(tmp_path, capsys):
     base = capsys.readouterr().out
     assert run_cli(["simulate", "--config", str(cfg), "--seed", "2"]) == 0
     assert capsys.readouterr().out != base
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy's generator once refused it, exit 3, naming neither --seed nor the seed
+    cfg = write_configs(tmp_path, TANDEM_NETWORK, {"u": 1.0, "omega": {"list": [[0.5, 0.5]]}, "sim": {"n_rep": 100}})
+    for command in ("simulate", "compare", "sweep"):
+        for text in ("-1", "1.5", "abc"):
+            assert run_cli([command, "--config", str(cfg), f"--seed={text}"]) == 2, (command, text)
+            out = capsys.readouterr()
+            assert out.out == ""
+            message = f"argument --seed: seed must be an integer >= 0, got '{text}'"
+            assert json.loads(out.err) == {"error": "ConfigError", "message": message}
+    assert run_cli(["simulate", "--config", str(cfg), "--seed=0"]) == 0
+    capsys.readouterr()
+    negative = write_configs(tmp_path, TANDEM_NETWORK, {"u": 1.0, "omega": {"list": [[0.5, 0.5]]}, "sim": {"seed": -1}})
+    assert run_cli(["simulate", "--config", str(negative)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err) == {
+        "error": "ConfigError",
+        "message": "invalid run config at sim/seed: -1 is less than the minimum of 0",
+    }
 
 
 def test_sweep_gap_decreases(tmp_path, capsys):
@@ -539,7 +609,9 @@ def test_sweep_scaled_frequency_underflow_exits_3(tmp_path, capsys):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # sha256 of stdout and the exit code of each command on the shipped run
 # configs; a change to any printed digit changes these.  Empty stdout hashes
-# to e3b0c442...: tandem2_brownian has no regime, so its limit commands exit 2.
+# to e3b0c442...: tandem2_brownian has no regime, so its limit commands exit 2,
+# and r/phat of figure 1 rises from node 3 to node 4 at u = 1.2, so validate
+# fails there (exit 1) and lst-exact refuses (exit 2).
 # The printed digits come from np.power, libm and BLAS sums, which another
 # numpy build, BLAS or CPU may round differently: these digests were computed
 # with numpy 2.4.6 and OpenBLAS 0.3.31 under Python 3.11 on x86-64 (AVX-512).
@@ -551,6 +623,8 @@ SHIPPED_OUTPUT = (
     ("figure1.run.json", "lst-exact --u 4 --diagnostics", 0, "9a39f55838842dbbb6f2673fe2dc0d11b9ca9c795a0e6ad036896f11b36f57bc"),
     ("figure1.run.json", "lst-limit", 0, "ef5e03af7b4e0a8b732f87c4c6feeb60df02d46515119cb5d892ea86dbb63b2c"),
     ("figure1.run.json", "sweep", 0, "5f6f79cc26f8ebc47f27b533dea58027256eb7f62563886be5ea02e321e83369"),
+    ("figure1.run.json", "validate --u 1.2", 1, "34aead1560e12779516155729153216b2318a833f2fbd2d83a10a54c17ff7706"),
+    ("figure1.run.json", "lst-exact --u 1.2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tandem2_brownian.run.json", "validate", 0, "dad8efbe23a8563aa1c8d40e80c7cf3bdae69574c8d2526e71b614eb868a8a06"),
     ("tandem2_brownian.run.json", "structure", 0, "b1f4f19acbc86d75e86f90263a7d02f52a854e6c9864786d3622c04c3d95725d"),
     ("tandem2_brownian.run.json", "lst-exact --u 4", 0, "25c1436d918838461f3d30460e7c6bac1587e3e7b65d42895eddd048fdbaf481"),

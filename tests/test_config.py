@@ -60,6 +60,7 @@ def test_invalid_network_document_message(doc, message):
             {"sim": {"horizon": -1}},
             "invalid run config at sim/horizon: -1 is less than or equal to the minimum of 0",
         ),
+        ({"sim": {"seed": -1}}, "invalid run config at sim/seed: -1 is less than the minimum of 0"),
     ],
 )
 def test_invalid_run_config_message(tmp_path, overrides, message):

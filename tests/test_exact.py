@@ -16,6 +16,7 @@ from levynet import (
     ExponentialJob,
     StableSum,
     RateFunction,
+    StructuralError,
     TailPair,
     joint_lst_exact,
     exact,
@@ -514,14 +515,24 @@ def test_negative_kappa_is_rejected(figure1_spec, model):
     # node 3 to node 4, and the kappa of node 3's factor is < 0: refused before
     # either inverse, the closed form or Newton's, is taken
     w = [1.0, 0.2, 0.4, 0.8, 0.3, 0.6]
-    k = kappa(figure1_spec, w, 3, 1.2)
-    assert k < 0.0
-    message = (
-        f"cannot invert at negative value {k}: kappa of node 3's factor is negative, "
-        "so r/phat rises somewhere after node 3 at this u"
-    )
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    assert kappa(figure1_spec, w, 3, 1.2) < 0.0
+    message = "r/phat rises from node 3 to node 4: rate ordering violated within class"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
         joint_lst_exact(figure1_spec, model, w, 1.2)
+
+
+@pytest.mark.parametrize("model", [Brownian(1.0), CenteredGamma(2.0, 1.5)], ids=repr)
+def test_a_rise_with_nonnegative_kappas_is_refused(model):
+    # constant rates (4, 2, 3, 1): r/phat rises from node 2 to node 3, yet at
+    # this omega every kappa is >= 0, and the factor formula once returned
+    # 0.73323 for Brownian input.  Node 3 never holds work, so the workload is
+    # that of the tandem (4, 2, 1), 0.76291; the formula does not know that.
+    spec = tandem_spec([RateFunction.monomial(c, 0.0) for c in (4.0, 2.0, 3.0, 1.0)])
+    w = [0.3, 0.5, 0.2, 0.9]
+    assert min(kappa(spec, w, j, 1.0) for j in (1, 2, 3)) > 0.0
+    message = "r/phat rises from node 2 to node 3: rate ordering violated within class"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        joint_lst_exact(spec, model, w, 1.0)
 
 
 def test_brownian_input_makes_no_newton_solve(monkeypatch):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levynet import (
+    Brownian,
     NetworkSpec,
     RateFunction,
     RoutingMatrix,
     StructuralError,
     build_network,
+    joint_lst_exact,
     validate_assumptions,
 )
 from levynet import network
@@ -253,7 +255,35 @@ def test_nearly_equal_rates_are_ordered_exactly():
     assert validate_assumptions(tandem_spec([faster, slower])).passed
     checks = checks_of(validate_assumptions(tandem_spec([slower, faster])))
     assert checks["rate-ordering[u-large]"] == (False, "r_1/phat_1 does not dominate r_2/phat_2 for large u")
-    assert checks["rate-ordering[u-probe]"][0]  # a tie within 1e-12 at the probe
+    # at the probe u = 2 the float ratios rise, by 1e-13 relative: refused, as the transforms refuse it
+    assert checks["rate-ordering[u-probe]"] == (False, "r_1/phat_1 = 1.9999999999998 < r_2/phat_2 = 2.0 at u = 2")
+
+
+def test_u_probe_verdict_is_the_exact_transforms_refusal():
+    # one rule at u: the u-probe check passes exactly when joint_lst_exact at
+    # that u does not raise StructuralError.  Seeded random trees, ordered for
+    # u >= 1 only, and tandems of constant rates from {1, 2, 3}, whose ratios
+    # tie exactly, rise and fall
+    rng = np.random.default_rng(3501)
+    verdicts = []
+    for k in range(400):
+        n = int(rng.integers(2, 12))
+        if k % 2:
+            spec = random_spec(rng, n)
+        else:
+            spec = tandem_spec([RateFunction.monomial(float(c), 0.0) for c in rng.integers(1, 4, n)])
+        u, w = float(10.0 ** rng.uniform(-2.0, 2.0)), rng.uniform(0.0, 2.0, n)
+        passed, detail = checks_of(validate_assumptions(spec, u))["rate-ordering[u-probe]"]
+        try:
+            assert 0.0 < joint_lst_exact(spec, Brownian(1.0), w, u).value <= 1.0
+            refused = False
+        except StructuralError as err:  # both name the same first rising pair
+            refused = True
+            j = int(detail.split("/")[0].removeprefix("r_"))
+            assert str(err).startswith(f"r/phat rises from node {j} to node {j + 1}:"), (k, detail)
+        assert passed != refused, (k, detail)
+        verdicts.append((passed, "equality at" in detail))
+    assert {(True, True), (True, False), (False, False)} <= set(verdicts)
 
 
 def test_cross_sign_matches_fractions():

@@ -18,7 +18,7 @@ from levynet import (
     partition_rates,
     starred_sets,
 )
-from levynet.network import ClassLayout
+from levynet.network import ClassLayout, first_rise
 
 from conftest import CONFIGS, random_spec, rescaled_reference, seeded_and_shipped_specs, tandem_spec
 
@@ -98,7 +98,8 @@ def _assert_derived_partition(spec, part):
     for name, value in vars(fresh).items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(getattr(part.layout, name), value), name
-    assert part.rising_node == _first_rise(part, spec.phat)
+    # the factor formula reads the within-class pairs off layout.inner
+    assert first_rise(part.fractions / spec.phat, part.layout.inner) == _first_rise(part, spec.phat)
     for obj in (part, part.layout):
         arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
@@ -119,9 +120,11 @@ def test_derived_fields_are_not_constructor_arguments(figure1_spec, figure1_part
     for name in ("phat", "parent", "front_matrix", "rate_coeffs", "rate_exps", "layout"):
         with pytest.raises(TypeError, match=f"argument '{name}'"):
             NetworkSpec(spec.routing, spec.rates, **{name: getattr(spec, name)})
-    for name in ("classes", "fractions", "front_matrix", "class_of", "layout", "rising_node"):
+    for name in ("classes", "fractions", "front_matrix", "class_of", "layout"):
         with pytest.raises(TypeError, match=f"argument '{name}'"):
             RateClassPartition(spec, part.reference_rates, **{name: getattr(part, name)})
+    # the within-class rate ordering is checked where the limit reads it, not stored
+    assert "rising_node" not in {f.name for f in fields(RateClassPartition)}
 
 
 def test_constructor_inputs_are_pinned():
@@ -270,6 +273,17 @@ def _first_rise(part, phat) -> int:
     return next((j for j in range(1, len(phat)) if same[j - 1] and ratio[j] > ratio[j - 1]), 0)
 
 
+def _assert_limit_refuses_exactly_at(spec, part, tail, w, j):
+    """joint_lst_limit raises the rate-ordering StructuralError naming node j, or returns a value when j is 0."""
+    if j:
+        text = f"r/phat rises from node {j} to node {j + 1}: rate ordering violated within class"
+        with pytest.raises(StructuralError) as err:
+            joint_lst_limit(spec, part, tail, w)
+        assert str(err.value) == text
+    else:
+        assert 0.0 < joint_lst_limit(spec, part, tail, w).value <= 1.0
+
+
 def test_rescaled_partition_recomputes_the_ordering_check():
     rng = np.random.default_rng(227)
     # node 2 outgrows node 1 within the first class, node 4 node 3 within the second
@@ -277,6 +291,7 @@ def test_rescaled_partition_recomputes_the_ordering_check():
         tandem_spec([RateFunction.monomial(c, e) for c, e in [(1.0, 2), (2.0, 2), (1.0, 1), (3.0, 1)]]),
         tandem_spec([RateFunction.monomial(c, 1.0) for c in (1.0, 2.0, 0.5)]),
     ]
+    refused = set()
     for spec in rises + [random_spec(rng, int(rng.integers(2, 30))) for _ in range(8)]:
         part = partition_rates(spec)
         tail = TailPair(1.5, 0.7, "heavy")
@@ -284,15 +299,11 @@ def test_rescaled_partition_recomputes_the_ordering_check():
         for _ in range(4):
             part = rescaled_reference(part, int(rng.integers(1, part.m + 1)), rng.uniform(0.2, 5.0))
             j = _first_rise(part, spec.phat)
-            assert part.rising_node == j
-            if j:
-                text = f"fraction/phat rises from node {j} to node {j + 1}: rate ordering violated within class"
-                with pytest.raises(StructuralError) as err:
-                    joint_lst_limit(spec, part, tail, w)
-                assert str(err.value) == text
-            else:
-                assert 0.0 < joint_lst_limit(spec, part, tail, w).value <= 1.0
-    assert partition_rates(rises[0]).rising_node == 1 and partition_rates(rises[1]).rising_node == 1
+            _assert_limit_refuses_exactly_at(spec, part, tail, w, j)
+            refused.add(bool(j))
+    assert refused == {False, True}
+    for spec in rises:
+        _assert_limit_refuses_exactly_at(spec, partition_rates(spec), TailPair(1.5, 0.7, "heavy"), np.ones(spec.n), 1)
 
 
 def test_equal_inputs_compare_and_hash_alike():

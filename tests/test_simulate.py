@@ -332,6 +332,9 @@ def test_sim_config_validation():
     for horizon in (0.0, math.inf):
         with pytest.raises(ValueError):
             SimConfig(u=1.0, horizon=horizon)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SimConfig(u=1.0, seed=-1)
+    assert SimConfig(u=1.0, seed=0).seed == 0
 
 
 def test_convergence_study_names_a_scaled_frequency_that_overflows():
