@@ -31,7 +31,7 @@ from .exact import joint_lst_exact
 from .limit import joint_lst_limit
 from .network import validate_assumptions
 from .partition import partition_rates, starred_sets
-from .simulate import SimConfig, convergence_study, empirical_lst, simulate_workload
+from .simulate import SimConfig, convergence_study, empirical_lst, path_scales, simulate_workload
 
 
 def _fmt(x: float) -> str:
@@ -109,11 +109,10 @@ def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
     return SimConfig(u=u, **block)
 
 
-def _estimates(cfg: RunConfig, args) -> tuple[float, list]:
-    """u, and the Monte Carlo estimates at the config's frequencies there."""
+def _sampling(cfg: RunConfig, args) -> tuple[list, SimConfig]:
+    """The config's frequencies, and its sim block at u."""
     omegas = _require(cfg.omegas, "omega block")
-    sim = _sim_config(cfg, args, _u(cfg, args))
-    return sim.u, empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
+    return omegas, _sim_config(cfg, args, _u(cfg, args))
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
@@ -208,7 +207,8 @@ def cmd_lst_limit(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    _, estimates = _estimates(cfg, args)
+    omegas, sim = _sampling(cfg, args)
+    estimates = empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
     header = _omega_header(cfg.spec.n) + ["empirical", "se", "ci_low", "ci_high"]
     rows = [[*map(float, est.omega), est.mean, est.se, est.ci_low, est.ci_high] for est in estimates]
     _emit(args, _csv(header, rows))
@@ -216,11 +216,14 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    u, estimates = _estimates(cfg, args)
+    omegas, sim = _sampling(cfg, args)
+    # Refuse before sampling: first where the sampler would, then where the exact transform does.
+    path_scales(cfg.spec, cfg.model, sim)
+    exacts = [joint_lst_exact(cfg.spec, cfg.model, w, sim.u).value for w in omegas]
+    estimates = empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
     header = _omega_header(cfg.spec.n) + ["empirical", "se", "exact", "abs_gap", "gap_over_se"]
     rows = []
-    for est in estimates:
-        exact = joint_lst_exact(cfg.spec, cfg.model, est.omega, u).value
+    for est, exact in zip(estimates, exacts):
         gap = abs(est.mean - exact)
         # a zero gap is 0 SE off, also where the sample has no spread
         gap_over_se = gap / est.se if est.se > 0 else (math.inf if gap else 0.0)

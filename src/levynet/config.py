@@ -5,6 +5,10 @@ document by path (resolved relative to the config file), carries the input
 process block, and optional command-specific blocks: a frequency spec (an
 explicit list of vectors or per-coordinate ranges expanded to their cartesian
 product), a u value, a u list, a regime, and a simulation block.
+
+The schemas below are the one statement of the format.  _validated checks a
+document against them in-house and names the violation jsonschema's
+best_match would; jsonschema is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,27 +230,95 @@ RUN_SCHEMA = {
 
 _SCHEMAS = {"network document": NETWORK_SCHEMA, "run config": RUN_SCHEMA}
 
+# JSON Schema's types.  An integer is an int, so 2.0 is no node number, count or seed;
+# int and float come first because numbers.Number's abstract-class check is slow.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float, numbers.Number), "integer": int}
 
-@functools.cache
-def _validator(what: str):
-    """The validator for one of _SCHEMAS, its schema checked against the
-    meta-schema once per process rather than on every document.  jsonschema
-    is imported on first use: a run that reads no config never loads it."""
-    import jsonschema
-    schema = _SCHEMAS[what]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _is(doc, kind: str) -> bool:
+    return isinstance(doc, _TYPES[kind]) and not isinstance(doc, bool)
+
+
+class _Error(NamedTuple):
+    """One violation: its path below the instance the enclosing oneOf checks
+    (the document at top level), the keyword, the message, the instance and
+    schema it was found at, and, for a oneOf no branch passes, every branch's."""
+
+    path: tuple
+    keyword: str
+    message: str
+    instance: object
+    schema: dict
+    context: tuple = ()
+
+    def relevance(self) -> tuple:
+        """jsonschema's sort key: deeper, then earlier, then not oneOf, then off the schema's own type."""
+        kind = self.schema.get("type")
+        return (-len(self.path), self.path, self.keyword != "oneOf", kind is None or not _is(self.instance, kind))
+
+
+def _walk(doc, schema: dict, path: tuple, out: list) -> list:
+    """out, with doc's violations of schema appended in jsonschema's order:
+    keyword by keyword as the schema lists them, properties in its order.
+    It reads the keywords of the schemas above, each as they use it: one
+    type name, additionalProperties false, enum and const of strings."""
+    for key, value in schema.items():
+        message, context = None, ()
+        if key == "type":
+            if not _is(doc, value):
+                message = f"{doc!r} is not of type {value!r}"
+        elif key == "properties" and isinstance(doc, dict):
+            for name, sub in value.items():
+                if name in doc:
+                    _walk(doc[name], sub, (*path, name), out)
+        elif key == "items" and isinstance(doc, list):
+            for index, item in enumerate(doc):
+                _walk(item, value, (*path, index), out)
+        elif key == "required" and isinstance(doc, dict):
+            for name in value:
+                if name not in doc:
+                    out.append(_Error(path, key, f"{name!r} is a required property", doc, schema))
+        elif key == "additionalProperties" and not value and isinstance(doc, dict):
+            if extras := sorted(doc.keys() - schema.get("properties", {}).keys(), key=str):
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        elif key == "minimum" and _is(doc, "number") and doc < value:
+            message = f"{doc!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum" and _is(doc, "number") and doc <= value:
+            message = f"{doc!r} is less than or equal to the minimum of {value!r}"
+        elif key == "minItems" and isinstance(doc, list) and len(doc) < value:
+            message = f"{doc!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "enum" and doc not in value:
+            message = f"{doc!r} is not one of {value!r}"
+        elif key == "const" and doc != value:
+            message = f"{value!r} was expected"
+        elif key == "oneOf":
+            branches = [_walk(doc, sub, (), []) for sub in value]
+            valid = [sub for sub, errors in zip(value, branches) if not errors]
+            if not valid:
+                message = f"{doc!r} is not valid under any of the given schemas"
+                context = tuple(e for errors in branches for e in errors)
+            elif len(valid) > 1:  # named as jsonschema does: the later branches, then the first
+                message = f"{doc!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+        if message:
+            out.append(_Error(path, key, message, doc, schema, context))
+    return out
 
 
 def _validated(doc, what: str):
-    """doc, or ConfigError naming the best-matching violation as jsonschema.validate would."""
-    from jsonschema.exceptions import best_match
-    error = best_match(_validator(what).iter_errors(doc))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
-        raise ConfigError(f"invalid {what} at {where}: {error.message}") from error
-    return doc
+    """doc, or ConfigError naming the violation jsonschema 4.26's best_match
+    picks: the most relevant, then down its oneOf context to the least
+    relevant there while that is unique."""
+    best = max(_walk(doc, _SCHEMAS[what], (), []), key=_Error.relevance, default=None)
+    if best is None:
+        return doc
+    path = best.path
+    while best.context:
+        first, *second = sorted(best.context, key=_Error.relevance)[:2]
+        if second and first.relevance() == second[0].relevance():
+            break
+        best, path = first, path + first.path
+    raise ConfigError(f"invalid {what} at {'/'.join(map(str, path)) or '(top level)'}: {best.message}")
 
 
 def _reject_constant(token: str):
@@ -252,7 +327,7 @@ def _reject_constant(token: str):
 
 def _within_float(token: str, parse=float):
     """A JSON number hook: parse(token), or ValueError where a float overflows."""
-    if np.isinf(float(token)):
+    if math.isinf(float(token)):
         raise ValueError(f"{token if len(token) <= 20 else token[:17] + '...'} overflows a float")
     return parse(token)
 

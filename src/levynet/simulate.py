@@ -95,7 +95,7 @@ def default_horizon(spec: NetworkSpec, model: LevyModel, u: float) -> float:
     return horizon
 
 
-def _path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
+def path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
     """Rates, horizon and the length below which the remainder is one face.
 
     StructuralError where a node is faster than its inflow, r_j > p_ij r_i
@@ -180,7 +180,7 @@ def workload_from_suprema(spec: NetworkSpec, xbar: np.ndarray) -> np.ndarray:
 
 def simulate_workload(spec: NetworkSpec, model: LevyModel, cfg: SimConfig) -> np.ndarray:
     """Stationary workload samples, shape (n_rep, n); deterministic in (seed, cfg)."""
-    r, horizon, floor = _path_scales(spec, model, cfg)
+    r, horizon, floor = path_scales(spec, model, cfg)
     xbar = _run_chunks(cfg, lambda rng, m: _suprema(spec, model, r, horizon, floor, rng, m)[0])
     return workload_from_suprema(spec, xbar)
 
@@ -213,7 +213,7 @@ def horizon_diagnostic(
     The difference per omega is then a paired estimate whose standard error
     reflects only the mass beyond T.
     """
-    r, horizon, floor = _path_scales(spec, model, cfg)
+    r, horizon, floor = path_scales(spec, model, cfg)
 
     def draw(rng, m):
         xbar, j_end = _suprema(spec, model, r, horizon, floor, rng, m)

@@ -365,6 +365,27 @@ def test_near_tie_that_rises_is_refused_by_every_command(tmp_path, capsys):
         assert out.out == "" and err["error"] == "StructuralError" and err["message"].startswith(message), command
 
 
+def test_compare_refuses_a_rise_before_it_samples(tmp_path, capsys, monkeypatch):
+    # 1 -> {2, 3} with fractions 0.5 and rates (4, 1, 1.5): the sampler's edge rule
+    # accepts it, but r/phat rises from node 2 (2) to node 3 (3); compare once sampled
+    # every replication before the exact transform refused it
+    network = {
+        "n": 3,
+        "edges": [{"from": 1, "to": j, "p": 0.5} for j in (2, 3)],
+        "rates": [{"node": j, "terms": [{"c": c, "e": 0}]} for j, c in ((1, 4), (2, 1), (3, 1.5))],
+    }
+    cfg = write_configs(tmp_path, network, {"u": 1, "omega": {"list": [[0.5, 0.5, 0.5]]}, "sim": {"n_rep": 200000}})
+
+    def never(*args, **kwargs):
+        raise AssertionError("compare sampled a network the exact transform refuses")
+
+    monkeypatch.setattr(cli, "simulate_workload", never)
+    assert run_cli(["compare", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    message = "r/phat rises from node 2 to node 3: rate ordering violated within class"
+    assert out.out == "" and json.loads(out.err) == {"error": "StructuralError", "message": message}
+
+
 def test_simulate_refuses_a_face_floor_that_underflows(capsys):
     # figure 1 at u = 1e100: finite rates, but stick-breaking would never reach a face floor of 0
     config = str(CONFIGS / "figure1.run.json")

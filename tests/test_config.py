@@ -1,10 +1,23 @@
+import copy
+import functools
 import json
+import operator
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import pytest
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from levynet import config
 from levynet.errors import ConfigError
+
+from conftest import CONFIGS
 
 NETWORK = {
     "n": 2,
@@ -67,29 +80,170 @@ def test_invalid_run_config_message(tmp_path, overrides, message):
     (tmp_path / "net.json").write_text(json.dumps(NETWORK))
     run = {"network": "net.json", "input": {"kind": "brownian", "sigma2": 1.0}, **overrides}
     (tmp_path / "run.json").write_text(json.dumps(run))
-    # twice: the second load reuses the compiled validators
+    # twice: a load leaves nothing behind that changes the next one
     for _ in range(2):
         with pytest.raises(ConfigError) as info:
             config.load_run_config(tmp_path / "run.json")
         assert str(info.value) == message
 
 
-def test_schemas_checked_once(monkeypatch):
-    calls = []
-    original = jsonschema.validators.validator_for
+def test_a_shipped_config_command_never_imports_jsonschema():
+    """jsonschema is only the tests' oracle: a CLI process runs without it."""
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import os, sys; from levynet import cli; "
+        f"code = cli.main(['lst-exact', '--config', {str(CONFIGS / 'figure1.run.json')!r}, '--out', os.devnull]); "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))"
+    )
+    shell = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert shell.stdout == "0 []\n", shell.stderr
 
-    def counted(schema, *args, **kwargs):
-        calls.append(schema)
-        return original(schema, *args, **kwargs)
 
-    monkeypatch.setattr(jsonschema.validators, "validator_for", counted)
-    config._validator.cache_clear()
-    try:
-        for _ in range(3):
-            config.network_from_dict(NETWORK)
-        assert sum(schema is config.NETWORK_SCHEMA for schema in calls) == 1
-    finally:
-        config._validator.cache_clear()
+KEYWORDS = {"type", "properties", "additionalProperties", "required", "minimum", "exclusiveMinimum"}
+KEYWORDS |= {"items", "minItems", "enum", "const", "oneOf"}
+
+
+@pytest.mark.parametrize("schema", [config.NETWORK_SCHEMA, config.RUN_SCHEMA], ids=["network", "run"])
+def test_schemas_are_valid_json_schemas(schema):
+    """Each schema passes the meta-schema, and uses only the keywords and forms
+    the in-house validator reads: one type name, additionalProperties false,
+    enum and const of strings."""
+    Draft202012Validator.check_schema(schema)
+    stack = [schema]
+    while stack:
+        sub = stack.pop()
+        assert set(sub) <= KEYWORDS, sub
+        assert isinstance(sub.get("type", ""), str) and sub.get("additionalProperties", False) is False, sub
+        assert all(isinstance(v, str) for v in [*sub.get("enum", []), sub.get("const", "")]), sub
+        stack += [*sub.get("properties", {}).values(), *sub.get("oneOf", []), *([sub["items"]] if "items" in sub else [])]
+
+
+# A run config for the integral-float cases: every integer field of both documents is set.
+INTEGERS_RUN = {
+    "network": "net.json",
+    "input": {"kind": "compound_poisson", "lambda": 1.0, "job": {"kind": "erlang", "stages": 3, "mu": 4.0}},
+    "omega": {"grid": [{"start": 0.1, "stop": 1.0, "points": 2}, {"start": 0.1, "stop": 1.0, "points": 2}]},
+    "u": 1.0,
+    "sim": {"n_rep": 100, "seed": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "what, path, value, message",
+    [
+        ("network document", ("n",), 2.0, None),
+        ("network document", ("edges", 0, "from"), 1.0, None),
+        ("network document", ("rates", 0, "node"), 1.0, None),
+        ("run config", ("omega", "grid", 0, "points"), 5.0, None),
+        ("run config", ("sim", "n_rep"), 100.0, None),
+        ("run config", ("sim", "seed"), 1.0, None),
+        # inside a oneOf, best_match names the job block: every job kind fails there
+        (
+            "run config",
+            ("input", "job", "stages"),
+            3.0,
+            "invalid run config at input/job: {'kind': 'erlang', 'stages': 3.0, 'mu': 4.0} "
+            "is not valid under any of the given schemas",
+        ),
+    ],
+)
+def test_an_integral_float_is_not_an_integer(tmp_path, capsys, what, path, value, message):
+    """2.0 once passed the schema, and then crashed a loader with a TypeError (exit 1) or read as node 1."""
+    from levynet import cli
+
+    docs = {"network document": copy.deepcopy(NETWORK), "run config": copy.deepcopy(INTEGERS_RUN)}
+    for name, doc in zip(("net.json", "run.json"), docs.values()):
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = ["lst-exact", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, docs[what])[last] = value
+    (tmp_path / ("net.json" if what == "network document" else "run.json")).write_text(json.dumps(docs[what]))
+    assert cli.main(argv) == 2
+    message = message or f"invalid {what} at {'/'.join(map(str, path))}: {value!r} is not of type 'integer'"
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+
+# The mutation corpus: each document is a shipped one, or a run config with
+# one of the input kinds, changed in one to three random places.
+INPUT_KINDS = [
+    {"kind": "brownian", "sigma2": 1.0},
+    {"kind": "compound_poisson", "lambda": 1.0, "job": {"kind": "deterministic", "size": 1.0}},
+    {"kind": "compound_poisson", "lambda": 2.0, "job": {"kind": "exponential", "mu": 4.0}},
+    {"kind": "compound_poisson", "lambda": 1.0, "job": {"kind": "erlang", "stages": 3, "mu": 4.0}},
+    {"kind": "centered_gamma", "shape": 2.0, "rate": 1.0},
+    {"kind": "stable_sum", "components": [{"alpha": 1.5, "scale": 0.5}, {"alpha": 2, "scale": 0.4}]},
+]
+VALUES = [
+    0, 1, -1, 2, 0.0, 2.0, 0.5, -0.5, True, False, None, "x", "log", "heavy", "brownian", "erlang",
+    [], [0.5], [[1, 0.5]], {}, {"kind": "brownian"}, {"c": 1, "e": 0}, {"start": 0.1, "stop": 1, "points": 2},
+]
+KEYS = ["extra", "step", "kind", "mu", "sigma2", "job", "list", "grid", "scale", "c", "e", "p", "node", "terms"]
+
+
+def _mutated(doc, rng: random.Random):
+    """doc, deep-copied, with a random node replaced, or a key or element removed or added."""
+    holder = [copy.deepcopy(doc)]
+    for _ in range(rng.randint(1, 3)):
+        slots, stack = [], [holder]
+        while stack:  # every (container, key) pair of the document, the root's included
+            node = stack.pop()
+            for key in node if isinstance(node, dict) else range(len(node)):
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    stack.append(node[key])
+        container, key = rng.choice(slots)
+        target, op = container[key], rng.randrange(4)
+        if op == 0 or not isinstance(target, (dict, list)) or not target:
+            container[key] = copy.deepcopy(rng.choice(VALUES))
+        elif op == 1:
+            del target[rng.choice(list(target) if isinstance(target, dict) else range(len(target)))]
+        elif isinstance(target, dict):
+            target[rng.choice(KEYS)] = copy.deepcopy(rng.choice(VALUES + [target]))
+        else:
+            target.append(copy.deepcopy(rng.choice(VALUES + target)))
+    return holder[0]
+
+
+def _oracle_message(oracle, doc, what):
+    error = best_match(oracle.iter_errors(doc))
+    if error is None:
+        return None, None
+    where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+    return error.validator, f"invalid {what} at {where}: {error.message}"
+
+
+@pytest.mark.parametrize("what", ["network document", "run config"])
+def test_the_validator_picks_the_error_jsonschema_does(what):
+    """On a seeded corpus of mutated documents, the in-house validator and
+    jsonschema's best_match, with an int-only integer, agree in verdict,
+    path and message; the corpus reaches every keyword the schemas use."""
+    schema = config.NETWORK_SCHEMA if what == "network document" else config.RUN_SCHEMA
+    integer_only = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    )
+    oracle = jsonschema.validators.extend(Draft202012Validator, type_checker=integer_only)(schema)
+    shipped = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob(f"*.{what.split()[0]}.json"))]
+    if what == "run config":
+        shipped += [dict(shipped[0], input=block, sim={"horizon": 10.0, "n_rep": 100, "seed": 0, "n_workers": 1}) for block in INPUT_KINDS]
+    rng = random.Random(36)
+    keywords = Counter()
+    for doc in shipped + [_mutated(rng.choice(shipped), rng) for _ in range(5000)]:
+        keyword, expected = _oracle_message(oracle, doc, what)
+        keywords[keyword] += 1
+        try:
+            config._validated(doc, what)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == expected, doc
+    # properties and items only descend; a const error always ties with
+    # another branch's at the same kind, so best_match never picks one
+    picked = {"type", "additionalProperties", "required", "minimum", "minItems"}
+    picked |= {"exclusiveMinimum", "enum", "oneOf"} if what == "run config" else set()
+    assert set(keywords) - {None} == picked
+    assert keywords[None] >= len(shipped)
 
 
 @pytest.mark.parametrize(
