@@ -34,17 +34,7 @@ from .exact import (
     joint_lst_exact,
     kappa,
 )
-from .limit import (
-    LimitLst,
-    TandemParams,
-    TwoLayerParams,
-    closed_form_tandem,
-    closed_form_two_layer,
-    joint_lst_limit,
-    psi_limit_inverse,
-    scaling_coefficients,
-    singular_limit,
-)
+from .limit import LimitLst, joint_lst_limit, singular_limit
 from .simulate import (
     EmpiricalLst,
     SimConfig,

@@ -13,7 +13,6 @@ best_match would; jsonschema is only the tests' oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -325,18 +324,28 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
-def _within_float(token: str, parse=float):
-    """A JSON number hook: parse(token), or ValueError where a float overflows."""
+def _overflows(token: str) -> ValueError:
+    return ValueError(f"{token if len(token) <= 20 else token[:17] + '...'} overflows a float")
+
+
+def _parse_float(token: str) -> float:
+    """The JSON float hook: float(token), or ValueError where it overflows."""
+    if math.isinf(value := float(token)):
+        raise _overflows(token)
+    return value
+
+
+def _parse_int(token: str) -> int:
+    """The JSON integer hook: int(token), or ValueError where its float overflows."""
     if math.isinf(float(token)):
-        raise ValueError(f"{token if len(token) <= 20 else token[:17] + '...'} overflows a float")
-    return parse(token)
+        raise _overflows(token)
+    return int(token)
 
 
 def _load_json(path: Path, what: str) -> dict:
-    hooks = {"parse_float": _within_float, "parse_int": functools.partial(_within_float, parse=int)}
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant, **hooks)
+            return json.load(fh, parse_float=_parse_float, parse_int=_parse_int, parse_constant=_reject_constant)
     except OSError as exc:  # missing, a directory, no permission, ...
         raise ConfigError(f"{what} file {path} cannot be read: {exc.strerror or exc}") from exc
     except ValueError as exc:

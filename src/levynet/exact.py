@@ -41,7 +41,6 @@ from .network import ClassLayout, NetworkSpec, first_rise
 from .models import LevyModel
 from .roots import invert_increasing
 
-KAPPA_FORMS = ("sum-over-s", "max-ancestor")
 _EMPTY = np.empty(0)
 _ZERO = np.zeros(1)
 
@@ -94,30 +93,20 @@ def _kappas(ratios: np.ndarray, front_sums: np.ndarray, layout: ClassLayout) -> 
     return terms[layout.kappa_at].cumsum(axis=1).ravel()[layout.kappa_back]
 
 
-def kappa(spec: NetworkSpec, omega, j: int, u: float, form: str = "sum-over-s") -> float:
+# perfbench/tracing.py counts calls to kappa by name
+def kappa(spec: NetworkSpec, omega, j: int, u: float) -> float:
     """Drift-gap aggregate attached to the factor of node j (1 <= j <= n-1).
 
-    Both forms are algebraic rearrangements of the same quantity; under the
-    rate ordering every term is nonnegative, so they agree to relative
-    rounding error and the result is >= 0.
+    The sum over nodes l > j of (r_{l-1}/phat_{l-1} - r_l/phat_l) times the
+    front sum of l, read from the arrays the transform computes.  Under the
+    rate ordering every term is nonnegative, so the result is >= 0.
     """
     n = spec.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"kappa index {j} outside 1..{n-1}")
-    if form not in KAPPA_FORMS:
-        raise ValueError(f"unknown kappa form {form!r}; expected one of {KAPPA_FORMS}")
     w = as_omega(omega, n)
-    ph = spec.phat
-    ratios = spec.rate_vector(u) / ph
-
-    if form == "sum-over-s":
-        return float(_kappas(ratios, _front_sums(spec, w), spec.layout)[j - 1])
-
-    total = 0.0
-    for i in range(j + 1, n + 1):
-        anc = max(j, spec.parent[i])
-        total += (ratios[anc - 1] - ratios[i - 1]) * ph[i - 1] * w[i - 1]
-    return total
+    ratios = spec.rate_vector(u) / spec.phat
+    return float(_kappas(ratios, _front_sums(spec, w), spec.layout)[j - 1])
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,6 @@ class RateClassPartition:
         """The smallest node id of each class."""
         return tuple(members[0] for members in self.classes)
 
-    def class_index(self, i: int) -> int:
-        return self.class_of[i - 1]
-
     def require_spec(self, spec: NetworkSpec) -> None:
         """Raise StructuralError unless spec is this partition's network.
 
@@ -130,6 +127,6 @@ def starred_sets(
     partition.require_spec(spec)
     if not 1 <= j <= spec.n:
         raise IndexError(f"node index {j} outside 1..{spec.n}")
-    last = partition.classes[partition.class_index(j) - 1][-1]
+    last = partition.classes[partition.class_of[j - 1] - 1][-1]
     rows = (partition.front_matrix[j - 1], spec.routing.p[j - 1, :last])
     return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in rows)

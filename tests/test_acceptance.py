@@ -16,18 +16,13 @@ from levynet import (
     SimConfig,
     StableSum,
     TailPair,
-    TandemParams,
-    TwoLayerParams,
     build_network,
-    closed_form_tandem,
-    closed_form_two_layer,
     convergence_study,
     empirical_lst,
     joint_lst_exact,
     joint_lst_limit,
     kappa,
     partition_rates,
-    scaling_coefficients,
     simulate_workload,
     singular_limit,
     starred_sets,
@@ -43,6 +38,14 @@ from conftest import (
     random_tail,
     rescaled_reference,
     tandem_spec,
+)
+from oracles import (
+    TandemParams,
+    TwoLayerParams,
+    closed_form_tandem,
+    closed_form_two_layer,
+    kappa_max_ancestor,
+    scaling_coefficients,
 )
 
 
@@ -111,8 +114,8 @@ def test_03_kappa_form_equivalence():
         u = rng.uniform(1.0, 8.0)
         w = rng.uniform(0.0, 4.0, spec.n)
         j = int(rng.integers(1, spec.n))
-        a = kappa(spec, w, j, u, form="sum-over-s")
-        b = kappa(spec, w, j, u, form="max-ancestor")
+        a = kappa(spec, w, j, u)
+        b = kappa_max_ancestor(spec, w, j, u)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0

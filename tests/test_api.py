@@ -43,15 +43,9 @@ PUBLIC_NAMES = {
     "LstEvaluation",
     "joint_lst_exact",
     "kappa",
-    # limit transform and its closed-form oracles
+    # limit transform (its displayed-formula oracles are tests/oracles.py)
     "LimitLst",
-    "TandemParams",
-    "TwoLayerParams",
-    "closed_form_tandem",
-    "closed_form_two_layer",
     "joint_lst_limit",
-    "psi_limit_inverse",
-    "scaling_coefficients",
     "singular_limit",
     # simulation
     "EmpiricalLst",
@@ -76,13 +70,10 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES
 
 
-def test_reference_oracle_imports_only_model_classes():
-    # tests/reference.py checks both transforms at 60 digits; it stays an
-    # independent check only while it shares no code with exact, limit,
-    # roots or partition, so from levynet it may import model classes alone
-    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+def _levynet_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for every levynet import in the file, name None for `import levynet...`."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported += [(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "levynet"]
         elif isinstance(node, ast.ImportFrom):
@@ -91,8 +82,46 @@ def test_reference_oracle_imports_only_model_classes():
                 imported += [(node.module, alias.name) for alias in node.names]
         elif isinstance(node, ast.Name):
             assert node.id not in ("__import__", "importlib"), node.id
+    return imported
+
+
+def test_reference_oracle_imports_only_model_classes():
+    # tests/reference.py checks both transforms at 60 digits; it stays an
+    # independent check only while it shares no code with exact, limit,
+    # roots or partition, so from levynet it may import model classes alone
+    imported = _levynet_imports(Path(__file__).parent / "reference.py")
     assert imported, "the oracle reads the input models from levynet"
     for module, name in imported:
         assert module in ("levynet", "levynet.models") and name is not None, (module, name)
         value = getattr(levynet.models, name)
         assert isinstance(value, type) and value.__module__ == "levynet.models", name
+
+
+def test_formula_oracles_share_no_code_with_the_limit():
+    # tests/oracles.py evaluates the paper's displayed limit formulas; it
+    # checks joint_lst_limit only while it uses neither exact nor limit,
+    # nor anything built on _class_factors
+    imported = _levynet_imports(Path(__file__).parent / "oracles.py")
+    assert imported, "the oracles read networks and partitions from levynet"
+    for module, name in imported:
+        assert name is not None, module
+        assert module not in ("levynet.exact", "levynet.limit"), (module, name)
+        assert name not in ("joint_lst_limit", "LimitLst", "singular_limit", "convergence_study"), name
+        if module == "levynet":
+            assert getattr(levynet, name).__module__ not in ("levynet.exact", "levynet.limit"), name
+
+
+def test_moved_oracles_are_gone_from_the_package():
+    moved = (
+        "psi_limit_inverse",
+        "ScalingCoefficients",
+        "scaling_coefficients",
+        "TwoLayerParams",
+        "closed_form_two_layer",
+        "TandemParams",
+        "closed_form_tandem",
+        "kappa_max_ancestor",
+        "KAPPA_FORMS",
+    )
+    for module in (levynet.exact, levynet.limit):
+        assert not [name for name in moved if hasattr(module, name)], module.__name__

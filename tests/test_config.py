@@ -274,6 +274,22 @@ def test_numbers_beyond_the_float_range_rejected(tmp_path, capsys, run_text):
     _assert_config_error(tmp_path, capsys, run_text, "overflows a float")
 
 
+def test_a_network_number_beyond_the_float_range_is_rejected(tmp_path, capsys):
+    """A rate exponent of 1e400 in the network document: the run config
+    that names it exits 2 with the network file's ConfigError."""
+    from levynet import cli
+
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(NETWORK).replace('"e": 0}', '"e": 1e400}', 1))
+    with pytest.raises(ConfigError, match=r"network file .*net\.json is not valid JSON: 1e400 overflows a float"):
+        config.load_network(net)
+    path = tmp_path / "run.json"
+    path.write_text('{"network": "net.json", "u": 4.0, "input": {"kind": "brownian", "sigma2": 1.0}}')
+    assert cli.main(["lst-exact", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "1e400 overflows a float" in err["message"]
+
+
 def _assert_config_error(tmp_path, capsys, run_text, message):
     from levynet import cli
 

@@ -31,6 +31,7 @@ from levynet.exact import _psi_inverse
 from levynet.roots import invert_increasing
 
 from conftest import delta, delta_hat, psi, random_model, random_spec, random_tail, tandem_spec
+from oracles import kappa_max_ancestor
 
 
 def brownian_single(rate=1.0, sigma2=1.0):
@@ -148,15 +149,13 @@ def test_kappa_zero_and_tandem_value():
     spec = tandem_spec([RateFunction.monomial(2.0, 0.0), RateFunction.monomial(1.0, 0.0)])
     assert kappa(spec, [0.0, 0.0], 1, 1.0) == 0.0
     assert kappa(spec, [0.0, 1.0], 1, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert kappa(spec, [0.0, 1.0], 1, 1.0, form="max-ancestor") == pytest.approx(1.0, rel=1e-15)
+    assert kappa_max_ancestor(spec, [0.0, 1.0], 1, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_kappa_index_and_form_validation():
+def test_kappa_index_validation():
     spec = tandem_spec([RateFunction.monomial(2.0, 0.0), RateFunction.monomial(1.0, 0.0)])
     with pytest.raises(IndexError):
         kappa(spec, [0.0, 0.0], 2, 1.0)
-    with pytest.raises(ValueError):
-        kappa(spec, [0.0, 0.0], 1, 1.0, form="bogus")
 
 
 def test_kappa_forms_agree_on_random_instances():
@@ -166,8 +165,8 @@ def test_kappa_forms_agree_on_random_instances():
         u = rng.uniform(1.0, 6.0)
         w = rng.uniform(0.0, 3.0, spec.n)
         for j in range(1, spec.n):
-            a = kappa(spec, w, j, u, form="sum-over-s")
-            b = kappa(spec, w, j, u, form="max-ancestor")
+            a = kappa(spec, w, j, u)
+            b = kappa_max_ancestor(spec, w, j, u)
             assert a >= -1e-15 and b >= -1e-15
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 
@@ -298,7 +297,7 @@ def test_breakdown_matches_scalar_kappa_and_deltas_on_deep_trees():
             assert getattr(ev, name).shape == (spec.n - 1,)
         for j in range(1, spec.n):
             for got, want in (
-                (ev.kappa[j - 1], kappa(spec, w, j, u, form="max-ancestor")),
+                (ev.kappa[j - 1], kappa_max_ancestor(spec, w, j, u)),
                 (ev.delta[j - 1], delta(spec, w, j)),
                 (ev.delta_hat[j - 1], delta_hat(spec, w, j)),
             ):

@@ -15,16 +15,10 @@ from levynet import (
     RateFunction,
     StructuralError,
     TailPair,
-    TandemParams,
-    TwoLayerParams,
-    closed_form_tandem,
-    closed_form_two_layer,
     convergence_study,
     joint_lst_limit,
     load_network,
     partition_rates,
-    psi_limit_inverse,
-    scaling_coefficients,
     StableSum,
     singular_limit,
     starred_sets,
@@ -33,6 +27,14 @@ from levynet import build_network, RoutingMatrix
 from levynet.exact import _class_factors
 
 from conftest import random_spec, random_tail, rescaled_reference, tandem_spec
+from oracles import (
+    TandemParams,
+    TwoLayerParams,
+    closed_form_tandem,
+    closed_form_two_layer,
+    psi_limit_inverse,
+    scaling_coefficients,
+)
 
 
 def two_layer_spec(p, fr, lead_exp=3.0, leaf_exp=1.0):

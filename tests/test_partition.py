@@ -70,7 +70,6 @@ def test_interval_property_and_anchor_recursion():
         for k in range(1, part.m):
             assert part.anchors[k] == part.anchors[k - 1] + len(part.classes[k - 1])
         assert np.all(part.fractions > 0.0) and np.all(part.fractions <= 1.0)
-        assert part.class_of == tuple(part.class_index(i) for i in range(1, spec.n + 1))
 
 
 def test_front_matrix_rows_are_the_starred_fronts(figure1_spec, figure1_partition):
@@ -269,7 +268,7 @@ def test_class_layouts_are_built_once(monkeypatch):
 
 def _first_rise(part, phat) -> int:
     ratio = part.fractions / phat
-    same = [part.class_index(j) == part.class_index(j + 1) for j in range(1, len(phat))]
+    same = [part.class_of[j - 1] == part.class_of[j] for j in range(1, len(phat))]
     return next((j for j in range(1, len(phat)) if same[j - 1] and ratio[j] > ratio[j - 1]), 0)
 
 
