@@ -32,8 +32,3 @@ class RootFindingError(LevynetError):
 
 class SingularFactorError(LevynetError):
     """A transform value falls outside (0, 1], or a displayed closed form is degenerate."""
-
-    def __init__(self, message: str, factor_index: int | None = None):
-        super().__init__(message)
-        self.factor_index = factor_index
-

@@ -189,7 +189,7 @@ def _assembled(factors: list[float], what: str) -> float:
     """
     value = math.prod(factors)
     if not math.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
-        raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]", factor_index=0)
+        raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]")
     return min(value, 1.0)
 
 

@@ -7,6 +7,12 @@ exploding ones.  The sign convention is phi >= 0 with coeff > 0, which is
 forced by convexity of the exponent of a centered process (phi(0) = 0,
 phi'(0) = 0).
 
+LevyModel states the rules all families share (the regime names, the refusal
+of a regime without a power law, the increment lengths), so a family gives
+only its formulas.  Each parameter must be a finite number > 0
+(check_positive); a compound-Poisson rate may also be 0, and an Erlang stage
+count is an int >= 1 (check_integer).
+
 Models are immutable; sampling takes a caller-owned numpy Generator, so
 concurrent use needs one generator per thread and nothing else.
 """
@@ -25,25 +31,33 @@ LIGHT = "light"
 HEAVY = "heavy"
 
 
+def check_positive(name: str, value) -> None:
+    """Refuse a parameter that is not a finite number > 0, naming it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Refuse a count that is not an int (a bool is none) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class TailPair:
-    """Power-law description of the Laplace exponent in one traffic regime.
+    """The power law phi(s) ~ coeff * s**alpha of an exponent in one traffic regime.
 
     stable_model is the alpha-stable input with exponent coeff * s**alpha,
-    the input of the limit transform, built once."""
+    the input of the limit transform, built once; building it refuses alpha
+    outside (1, 2] and a coeff that is not a finite number > 0."""
 
     alpha: float
     coeff: float
-    regime: str
     stable_model: StableSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"tail exponent must lie in (1, 2], got {self.alpha}")
-        if self.coeff <= 0.0:
-            raise ValueError(f"tail coefficient must be positive, got {self.coeff}")
-        if self.regime not in (LIGHT, HEAVY):
-            raise ValueError(f"regime must be 'light' or 'heavy', got {self.regime!r}")
         object.__setattr__(self, "stable_model", StableSum(((self.alpha, self.coeff),)))
 
     @property
@@ -103,14 +117,6 @@ def _power_secant(alpha, hi, lo):
         return hi ** (alpha - 1.0) * ratio
 
 
-def _lengths(dt) -> np.ndarray:
-    """dt as an array of positive increment lengths."""
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0.0):
-        raise ValueError("dt must be positive")
-    return dt
-
-
 class JobSize:
     """Job-size law B with transform b(s) = E[exp(-s B)].
 
@@ -140,8 +146,7 @@ class DeterministicJob(JobSize):
     size: float
 
     def __post_init__(self):
-        if self.size <= 0.0:
-            raise ValueError("job size must be positive")
+        check_positive("job size", self.size)
 
     @property
     def mean(self):
@@ -183,10 +188,8 @@ class ErlangJob(JobSize):
     mu: float
 
     def __post_init__(self):
-        if self.stages < 1:
-            raise ValueError("Erlang stage count must be >= 1")
-        if self.mu <= 0.0:
-            raise ValueError("job rate mu must be positive")
+        check_integer("Erlang stage count", self.stages, 1)
+        check_positive("job rate mu", self.mu)
 
     @property
     def mean(self):
@@ -243,14 +246,31 @@ class LevyModel:
         return None
 
     def tail_pair(self, regime: str) -> TailPair:
-        raise NotImplementedError
+        """The pair (alpha, coeff) with phi(s) ~ coeff * s**alpha as s -> 0 in
+        the heavy regime and as s -> infinity in the light one.
+
+        Each family gives its pair in _tail(regime), None where it has none
+        with alpha > 1: the light regime of compound Poisson and gamma input,
+        whose exponents grow linearly at infinity.  That raises
+        UnsupportedRegimeError, and another regime name ValueError."""
+        if regime not in (LIGHT, HEAVY):
+            raise ValueError(f"unknown regime {regime!r}")
+        pair = self._tail(regime)
+        if pair is None:
+            name = type(self).__name__
+            raise UnsupportedRegimeError(f"{name} input has no power tail with alpha > 1 in the {regime} regime")
+        return TailPair(*pair)
 
     def sample_increment(self, dt, rng: np.random.Generator):
         """Independent draws of J(t + dt) - J(t), mean zero, one per entry of dt.
 
-        dt is an array of lengths, which may differ; the draws have its shape.
+        dt is an array of lengths > 0, which may differ; the draws have its
+        shape.  Each family draws them in _draw(dt, rng) from the checked array.
         """
-        raise NotImplementedError
+        dt = np.asarray(dt, dtype=float)
+        if not (dt > 0.0).all():
+            raise ValueError("dt must be positive")
+        return self._draw(dt, rng)
 
 
 @dataclass(frozen=True)
@@ -262,8 +282,8 @@ class CompoundPoisson(LevyModel):
 
     def __post_init__(self):
         # lam = 0 is allowed as the degenerate no-input process.
-        if self.lam < 0.0:
-            raise ValueError("jump intensity must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"jump intensity must be finite and >= 0, got {self.lam}")
 
     def laplace_exponent(self, s):
         s = _check_s(s)
@@ -276,18 +296,10 @@ class CompoundPoisson(LevyModel):
     def _secant(self, hi, lo):
         return self.lam * self.job.unit_exponent_secant(hi, lo)
 
-    def tail_pair(self, regime: str) -> TailPair:
-        if regime == HEAVY:
-            return TailPair(2.0, self.lam * self.job.second_moment / 2.0, HEAVY)
-        if regime == LIGHT:
-            raise UnsupportedRegimeError(
-                "compound Poisson exponents grow linearly at infinity; "
-                "no power tail with alpha > 1 exists in the light regime"
-            )
-        raise ValueError(f"unknown regime {regime!r}")
+    def _tail(self, regime):
+        return (2.0, self.lam * self.job.second_moment / 2.0) if regime == HEAVY else None
 
-    def sample_increment(self, dt, rng):
-        dt = _lengths(dt)
+    def _draw(self, dt, rng):
         counts = rng.poisson(self.lam * dt, dt.shape)
         return self.job.sample_total(counts, rng) - self.lam * dt * self.job.mean
 
@@ -300,8 +312,8 @@ class CenteredGamma(LevyModel):
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0.0 or self.rate <= 0.0:
-            raise ValueError("gamma shape and rate must be positive")
+        check_positive("gamma shape", self.shape)
+        check_positive("gamma rate", self.rate)
 
     def laplace_exponent(self, s):
         s = _check_s(s)
@@ -321,18 +333,10 @@ class CenteredGamma(LevyModel):
             hz = _series_where_small(z, (z - np.log1p(z)) / z, _X_MINUS_LOG1P, power=1)
         return (self.shape / self.rate) * (q + hz) / (1.0 + q)
 
-    def tail_pair(self, regime: str) -> TailPair:
-        if regime == HEAVY:
-            return TailPair(2.0, self.shape / (2.0 * self.rate**2), HEAVY)
-        if regime == LIGHT:
-            raise UnsupportedRegimeError(
-                "centered gamma exponents grow linearly at infinity; "
-                "no power tail with alpha > 1 exists in the light regime"
-            )
-        raise ValueError(f"unknown regime {regime!r}")
+    def _tail(self, regime):
+        return (2.0, self.shape / (2.0 * self.rate**2)) if regime == HEAVY else None
 
-    def sample_increment(self, dt, rng):
-        dt = _lengths(dt)
+    def _draw(self, dt, rng):
         return rng.gamma(self.shape * dt, 1.0 / self.rate, dt.shape) - dt * self.shape / self.rate
 
 
@@ -369,8 +373,7 @@ class StableSum(LevyModel):
         for a, c in comps:
             if not 1.0 < a <= 2.0:
                 raise ValueError(f"stable index must lie in (1, 2], got {a}")
-            if c <= 0.0:
-                raise ValueError(f"stable scale must be positive, got {c}")
+            check_positive("stable scale", c)
         object.__setattr__(self, "components", comps)
 
     def laplace_exponent(self, s):
@@ -390,18 +393,11 @@ class StableSum(LevyModel):
             return sum(c for _, c in self.components)
         return None
 
-    def tail_pair(self, regime: str) -> TailPair:
-        if regime == HEAVY:
-            alpha = min(a for a, _ in self.components)
-        elif regime == LIGHT:
-            alpha = max(a for a, _ in self.components)
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
-        coeff = sum(c for a, c in self.components if a == alpha)
-        return TailPair(alpha, coeff, regime)
+    def _tail(self, regime):
+        alpha = (min if regime == HEAVY else max)(a for a, _ in self.components)
+        return alpha, sum(c for a, c in self.components if a == alpha)
 
-    def sample_increment(self, dt, rng):
-        dt = _lengths(dt)
+    def _draw(self, dt, rng):
         out = np.zeros(dt.shape)
         for a, c in self.components:
             if a == 2.0:
@@ -419,8 +415,7 @@ class Brownian(LevyModel):
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise ValueError("variance must be positive")
+        check_positive("variance sigma2", self.sigma2)
 
     def laplace_exponent(self, s):
         s = _check_s(s)
@@ -437,11 +432,8 @@ class Brownian(LevyModel):
     def quadratic(self) -> float:
         return 0.5 * self.sigma2
 
-    def tail_pair(self, regime: str) -> TailPair:
-        if regime not in (LIGHT, HEAVY):
-            raise ValueError(f"unknown regime {regime!r}")
-        return TailPair(2.0, self.sigma2 / 2.0, regime)
+    def _tail(self, regime):
+        return 2.0, self.sigma2 / 2.0
 
-    def sample_increment(self, dt, rng):
-        dt = _lengths(dt)
+    def _draw(self, dt, rng):
         return rng.standard_normal(dt.shape) * np.sqrt(self.sigma2 * dt)

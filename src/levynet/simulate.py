@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScalingRangeError, StructuralError
-from .exact import joint_lst_exact
+from .exact import as_omega, joint_lst_exact
 from .limit import joint_lst_limit
-from .models import HEAVY, CompoundPoisson, LevyModel, TailPair
+from .models import HEAVY, CompoundPoisson, LevyModel, TailPair, check_integer, check_positive
 from .network import NetworkSpec
 from .partition import RateClassPartition
 
@@ -38,7 +38,7 @@ _LATE_SUPREMUM = 1e-4
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; the horizon falls back to default_horizon."""
+    """Simulation parameters under the run schema's rules; the horizon falls back to default_horizon."""
 
     u: float
     horizon: float | None = None
@@ -47,14 +47,13 @@ class SimConfig:
     n_workers: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.u < math.inf:
-            raise ValueError(f"u must be positive and finite, got {self.u}")
-        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
-        if self.n_rep < 1:
-            raise ValueError("replication count must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_positive("u", self.u)
+        if self.horizon is not None:
+            check_positive("horizon", self.horizon)
+        check_integer("n_rep", self.n_rep, 1)
+        check_integer("seed", self.seed, 0)
+        if self.n_workers is not None:
+            check_integer("n_workers", self.n_workers, 1)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _worker_count(cfg: SimConfig) -> int:
     cap = os.environ.get("LEVYNET_THREADS")
     if cap:
         workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
+    return workers
 
 
 def _run_chunks(cfg: SimConfig, draw) -> np.ndarray:
@@ -186,15 +185,14 @@ def simulate_workload(spec: NetworkSpec, model: LevyModel, cfg: SimConfig) -> np
 
 
 def empirical_lst(samples: np.ndarray, omegas) -> list[EmpiricalLst]:
-    """Sample mean, standard error and 95% CI of exp(-<omega, Q>) per omega."""
+    """Sample mean, standard error and 95% CI of exp(-<omega, Q>) per omega,
+    each omega checked by exact.as_omega."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need a 2-d sample array with at least two replications")
     out = []
     for omega in omegas:
-        w = np.asarray(omega, dtype=float)
-        if w.shape != (samples.shape[1],):
-            raise ValueError("omega length does not match the sampled dimension")
+        w = as_omega(omega, samples.shape[1])
         vals = np.exp(-(samples @ w))
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
@@ -211,8 +209,10 @@ def horizon_diagnostic(
     sum of the first set's faces: per node sup over [0, 2T] = max(sup over
     [0, T], phat J(T) - r T + sup over [T, 2T] of the path restarted at T).
     The difference per omega is then a paired estimate whose standard error
-    reflects only the mass beyond T.
+    reflects only the mass beyond T.  Each omega is checked by exact.as_omega
+    before any path is drawn.
     """
+    omegas = [as_omega(w, spec.n) for w in omegas]
     r, horizon, floor = path_scales(spec, model, cfg)
 
     def draw(rng, m):
@@ -225,8 +225,7 @@ def horizon_diagnostic(
     q_half = workload_from_suprema(spec, both[:, : spec.n])
     q_full = workload_from_suprema(spec, both[:, spec.n :])
     rows = []
-    for omega in omegas:
-        w = np.asarray(omega, dtype=float)
+    for w in omegas:
         v_half = np.exp(-(q_half @ w))
         v_full = np.exp(-(q_full @ w))
         diff = v_half - v_full

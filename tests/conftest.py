@@ -122,8 +122,8 @@ def rescaled_reference(partition, k: int, factor: float):
     return RateClassPartition(partition.spec, tuple(refs))
 
 
-def random_tail(rng: np.random.Generator, regime: str = "heavy") -> TailPair:
-    return TailPair(rng.uniform(1.15, 2.0), rng.uniform(0.2, 2.0), regime)
+def random_tail(rng: np.random.Generator) -> TailPair:
+    return TailPair(rng.uniform(1.15, 2.0), rng.uniform(0.2, 2.0))
 
 
 def random_model(rng: np.random.Generator):

@@ -210,8 +210,7 @@ def closed_form_two_layer(params: TwoLayerParams, omega) -> float:
     if scaled[n - 1] == 0.0:
         raise SingularFactorError(
             "two-layer closed form is degenerate when the last leaf frequency "
-            "vanishes but others do not; jitter omega",
-            factor_index=2,
+            "vanishes but others do not; jitter omega"
         )
 
     den = sum(scaled[l - 1] * fr[l - 1] for l in range(2, n + 1)) + c * (
@@ -279,8 +278,7 @@ def closed_form_tandem(params: TandemParams, omega) -> float:
         if w[last - 1] == 0.0:
             raise SingularFactorError(
                 "tandem closed form is degenerate when a class's last frequency "
-                "vanishes but others do not; jitter omega",
-                factor_index=k + 1,
+                "vanishes but others do not; jitter omega"
             )
         den = (
             sum(

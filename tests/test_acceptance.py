@@ -165,7 +165,7 @@ def _random_two_layer(rng):
     rates = [RateFunction.monomial(5.0, 3.0)]
     rates += [RateFunction.monomial(f, 1.0) for f in fr]
     spec = build_network(routing, rates)
-    return spec, TwoLayerParams(p, fr, alpha, coeff), TailPair(alpha, coeff, "light")
+    return spec, TwoLayerParams(p, fr, alpha, coeff), TailPair(alpha, coeff)
 
 
 def _random_split_tandem(rng, n_max=7):
@@ -183,7 +183,7 @@ def _random_split_tandem(rng, n_max=7):
     alpha, coeff = rng.uniform(1.15, 2.0), rng.uniform(0.3, 1.5)
     spec = tandem_spec([RateFunction.monomial(c, e) for c, e in zip(fr, exps)])
     params = TandemParams(anchors, tuple(fr), alpha, coeff)
-    return spec, params, TailPair(alpha, coeff, "heavy")
+    return spec, params, TailPair(alpha, coeff)
 
 
 def test_05_closed_form_oracles():
@@ -211,7 +211,7 @@ def test_05_closed_form_oracles():
         spec = tandem_spec([RateFunction.monomial(1.0, float(n - j)) for j in range(n)])
         part = partition_rates(spec)
         alpha, coeff = rng.uniform(1.15, 2.0), rng.uniform(0.3, 1.5)
-        tail = TailPair(alpha, coeff, "heavy")
+        tail = TailPair(alpha, coeff)
         w = rng.uniform(0.05, 2.5, n)
         got = joint_lst_limit(spec, part, tail, w).value
         ml = float(np.prod(1.0 / (1.0 + coeff * w ** (alpha - 1.0))))
@@ -313,7 +313,7 @@ def test_09_singular_points():
             [RateFunction.monomial(c, 2.0) for c in (1.0, fr2, fr3)]
         )
         part = partition_rates(spec)
-        tail = TailPair(alpha, coeff, "heavy")
+        tail = TailPair(alpha, coeff)
         w2 = rng.uniform(0.4, 1.2)
         w3 = (fr2 * w2 + coeff * w2**alpha) / (fr2 - fr3)
         scaled = np.array([rng.uniform(0.3, 1.0), w2, w3])

@@ -82,7 +82,7 @@ def test_traced_limit_solves_once_per_inner_node(monkeypatch):
 
     spec = trees.random_tree(np.random.default_rng([50, 1]), 50)
     part = partition_rates(spec)
-    tail = TailPair(1.5, 0.5, "heavy")
+    tail = TailPair(1.5, 0.5)
     w = np.random.default_rng(5).uniform(0.05, 2.5, spec.n)
     with tracing.Tracer().installed() as tr:
         value = limit.joint_lst_limit(spec, part, tail, w).value

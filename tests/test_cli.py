@@ -658,6 +658,23 @@ SHIPPED_OUTPUT = (
     ("tandem2_heavy_sweep.run.json", "lst-exact --u 4 --diagnostics", 0, "4ab832d159f3189bfcbc1e43ab32069cd742ce92cb732a32d64f96ce949dbff8"),
     ("tandem2_heavy_sweep.run.json", "lst-limit", 0, "edf8a9feb238c3795dfe4be0bbcb9eb70b96447dbc1103f8aaebee00555037b3"),
     ("tandem2_heavy_sweep.run.json", "sweep", 0, "a75a1b41b64eb4778d4299d65317a0fef97eec676fc236d466cab530481adccc"),
+    # gamma, Erlang-3 compound-Poisson and stable-1.5 input on the same tandem:
+    # each family's exponent, tail pair and sampler
+    ("tandem2_heavy_gamma.run.json", "lst-exact --u 4", 0, "d85e1856673366586e62fd3efeaf8171cf1eb04ff08fd9afd7425839b5dcd859"),
+    ("tandem2_heavy_gamma.run.json", "lst-exact --u 4 --diagnostics", 0, "1d592f953d01ffdbb048b78ce0774f4f24a7800a1bd4a9a726749c0025f407ef"),
+    ("tandem2_heavy_gamma.run.json", "lst-limit", 0, "b65bb50695c62e073d6a9a96b199e142804257883466c3e5d258ef74b15cf70d"),
+    ("tandem2_heavy_gamma.run.json", "sweep", 0, "3462745b27a032ef05b64ed7d07e6a3a87d6a1ceab4684a94e03ca4b0600d6e1"),
+    ("tandem2_heavy_gamma.run.json", "simulate", 0, "05458f45de8b865d98ae8e6a3d4fbc36ff2fa805cbebe1beb2edb34a20c31149"),
+    ("tandem2_heavy_erlang3.run.json", "lst-exact --u 4", 0, "f058b060155ae943da2048b2a7ddc98069c953e742cfb0d122bbd3bb480aa936"),
+    ("tandem2_heavy_erlang3.run.json", "lst-exact --u 4 --diagnostics", 0, "8d331f36481137bd1bc821540af5c2450260d98f15f82bf9f25c71ee826cd273"),
+    ("tandem2_heavy_erlang3.run.json", "lst-limit", 0, "402861f4786ea8de882e788b9463a426dcdd5272a3fd7e4e94a7172fdbdf8035"),
+    ("tandem2_heavy_erlang3.run.json", "sweep", 0, "3abcbe5725b61a3ef8fd5f4828b1c5691716cdc43d59f54c4a4a13c318800ae5"),
+    ("tandem2_heavy_erlang3.run.json", "simulate", 0, "75bd0ad74d3c74763c38a60aebb3ba3d4f1ea938e86d6c4b25b0a8f7152ba7b0"),
+    ("tandem2_heavy_stable.run.json", "lst-exact --u 4", 0, "04e47c951488cd33f07e3b7b375fdb09b5fd00cc9e823f8135ea0e7b2171e559"),
+    ("tandem2_heavy_stable.run.json", "lst-exact --u 4 --diagnostics", 0, "a15138bc1c4511848e69cf82262c1e16ba257e5f91e6df06a0d2bf2e3ef6d2f0"),
+    ("tandem2_heavy_stable.run.json", "lst-limit", 0, "869f4cf1949d141b803e29ce856fc3aea3ef666e413ec3598a4f84903234f398"),
+    ("tandem2_heavy_stable.run.json", "sweep", 0, "d739a02765c457f652e03510d55081d9fe83e362a9c36602f466efcf183261c0"),
+    ("tandem2_heavy_stable.run.json", "simulate", 0, "293378c0985495458ba3d76bfd613444fe873c2868f17332d1b762ceeb826af4"),
 )
 
 

@@ -391,7 +391,7 @@ def test_one_evaluation_makes_one_secant_call_and_no_argument_check(monkeypatch)
     part = partition_rates(spec)
     w = rng.uniform(0.05, 2.0, spec.n)
     r = spec.rate_vector(2.0)
-    tails = [TailPair(2.0, 0.7, "heavy"), TailPair(1.5, 0.7, "heavy")]
+    tails = [TailPair(2.0, 0.7), TailPair(1.5, 0.7)]
     gamma = CenteredGamma(2.0, 1.5)
     calls = {"secant": 0, "check_s": 0, "stable": 0}
 

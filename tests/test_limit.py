@@ -98,7 +98,7 @@ def test_psi_limit_inverse_validation():
 def test_constants_singleton_class():
     spec = split_tandem_spec((1, 2), [1.0, 1.0])
     part = partition_rates(spec)
-    tail = TailPair(1.5, 0.8, "heavy")
+    tail = TailPair(1.5, 0.8)
     w = np.array([0.7, 1.1])
     sc = scaling_coefficients(spec, part, tail, w)
     factors = joint_lst_limit(spec, part, tail, w).factor_values
@@ -108,7 +108,7 @@ def test_constants_singleton_class():
 
 
 def test_constants_vanish_at_zero(figure1_spec, figure1_partition):
-    tail = TailPair(2.0, 0.5, "heavy")
+    tail = TailPair(2.0, 0.5)
     sc = scaling_coefficients(figure1_spec, figure1_partition, tail, np.zeros(6))
     for values in (sc.drift_gap, sc.kappa_lead, sc.num_lead, sc.den_lead):
         assert all(v == 0.0 for v in values)
@@ -122,7 +122,7 @@ def test_tandem_pair_class_denominator_matches_display():
     fr2 = 0.55
     spec = split_tandem_spec((1,), [1.0, fr2])
     part = partition_rates(spec)
-    tail = TailPair(1.7, 0.9, "heavy")
+    tail = TailPair(1.7, 0.9)
     w = np.array([0.8, 1.3])
     sc = scaling_coefficients(spec, part, tail, w)
     expected = (1.0 - fr2) * w[1] * fr2**tail.beta - w[0] - 0.9 * w[0] ** 1.7
@@ -133,7 +133,7 @@ def test_decoupled_tandem_mittag_leffler_product():
     n = 4
     spec = tandem_spec([RateFunction.monomial(1.0, float(n - j)) for j in range(n)])
     part = partition_rates(spec)
-    tail = TailPair(1.6, 0.7, "heavy")
+    tail = TailPair(1.6, 0.7)
     rng = np.random.default_rng(67)
     for _ in range(20):
         w = rng.uniform(0.0, 3.0, n)
@@ -169,7 +169,7 @@ def test_two_layer_root_marginal_and_uniform_split():
     fr = [1.0] * 4
     spec = two_layer_spec(p, fr)
     part = partition_rates(spec)
-    tail = TailPair(1.5, 1.1, "light")
+    tail = TailPair(1.5, 1.1)
     w1 = 0.9
     w = np.zeros(5)
     w[0] = w1
@@ -194,7 +194,7 @@ def test_two_layer_oracle_agreement():
         alpha, coeff = rng.uniform(1.15, 2.0), rng.uniform(0.3, 1.5)
         spec = two_layer_spec(p, fr)
         part = partition_rates(spec)
-        tail = TailPair(alpha, coeff, "light")
+        tail = TailPair(alpha, coeff)
         params = TwoLayerParams(p, fr, alpha, coeff)
         w = rng.uniform(0.05, 2.5, 1 + n_leaves)
         got = joint_lst_limit(spec, part, tail, w).value
@@ -217,7 +217,7 @@ def test_tandem_oracle_agreement():
         alpha, coeff = rng.uniform(1.15, 2.0), rng.uniform(0.3, 1.5)
         spec = split_tandem_spec(anchors, list(fr))
         part = partition_rates(spec)
-        tail = TailPair(alpha, coeff, "heavy")
+        tail = TailPair(alpha, coeff)
         params = TandemParams(tuple(int(a) for a in anchors), tuple(fr), alpha, coeff)
         w = rng.uniform(0.05, 2.5, n)
         got = joint_lst_limit(spec, part, tail, w).value
@@ -262,7 +262,7 @@ def test_class_layout_and_factors_match_the_classes():
             [members[-1] - 1, *(i - 1 for i in members[:-1])] for members in part.classes
         ]
         for alpha in (2.0, 1.5):
-            tail = TailPair(alpha, rng.uniform(0.2, 2.0), "heavy")
+            tail = TailPair(alpha, rng.uniform(0.2, 2.0))
             w = rng.uniform(0.05, 2.5, spec.n)
             scaled = part.fractions**tail.beta * w
             f = _class_factors(
@@ -303,7 +303,7 @@ def test_singular_limit_at_constructed_zero():
     fr = [1.0, 0.6, 0.3]
     spec = split_tandem_spec((1,), fr)
     part = partition_rates(spec)
-    tail = TailPair(1.6, 0.9, "heavy")
+    tail = TailPair(1.6, 0.9)
     w2t, w3t = _singular_point(0.6, 0.3, tail)
     scaled = np.array([0.5, w2t, w3t])
     raw = scaled / part.fractions**tail.beta
@@ -317,7 +317,7 @@ def test_singular_limit_at_constructed_zero():
 def test_singular_limit_matches_regular_point():
     spec = split_tandem_spec((1,), [1.0, 0.6, 0.3])
     part = partition_rates(spec)
-    tail = TailPair(1.6, 0.9, "heavy")
+    tail = TailPair(1.6, 0.9)
     w = np.array([0.5, 0.8, 1.1])
     regular = joint_lst_limit(spec, part, tail, w)
     resolved = singular_limit(spec, part, tail, w, 1)
@@ -345,7 +345,7 @@ def test_vanishing_last_frequency_alpha_two_resolves_to_marginal():
     fr2 = 0.55
     spec = split_tandem_spec((1,), [1.0, fr2])
     part = partition_rates(spec)
-    tail = TailPair(2.0, 0.9, "heavy")
+    tail = TailPair(2.0, 0.9)
     w = np.array([0.9, 0.0])
     res = joint_lst_limit(spec, part, tail, w)
     expected = 1.0 / (1.0 + 0.9 * 0.9)
@@ -359,7 +359,7 @@ def test_vanishing_last_frequency_fractional_alpha_gives_marginal(alpha):
     # returns the Mittag-Leffler marginal of node 1
     spec = split_tandem_spec((1,), [1.0, 0.55])
     part = partition_rates(spec)
-    tail = TailPair(alpha, 0.9, "heavy")
+    tail = TailPair(alpha, 0.9)
     res = joint_lst_limit(spec, part, tail, np.array([0.9, 0.0]))
     assert res.value == pytest.approx(1.0 / (1.0 + 0.9 * 0.9 ** (alpha - 1.0)), rel=1e-12)
 
@@ -419,7 +419,7 @@ def test_tandem_limit_matches_high_precision_formula(alpha, coeff, anchors, fr, 
     # class factor formula keeps full precision
     spec = split_tandem_spec(anchors, list(fr))
     part = partition_rates(spec)
-    tail = TailPair(alpha, coeff, "heavy")
+    tail = TailPair(alpha, coeff)
     got = joint_lst_limit(spec, part, tail, np.array(omega)).value
     assert got == pytest.approx(_tandem_mp(anchors, fr, alpha, coeff, omega), rel=1e-12)
 
@@ -429,7 +429,7 @@ def test_rate_ordering_checked_within_class():
     spec = split_tandem_spec((1,), [0.5, 1.0])
     part = partition_rates(spec)
     with pytest.raises(StructuralError, match="within class"):
-        joint_lst_limit(spec, part, TailPair(1.5, 1.0, "heavy"), np.array([0.5, 0.5]))
+        joint_lst_limit(spec, part, TailPair(1.5, 1.0), np.array([0.5, 0.5]))
 
 
 def test_spec_that_is_not_the_partitions_network_is_refused():
@@ -438,7 +438,7 @@ def test_spec_that_is_not_the_partitions_network_is_refused():
     tandem = build_network(RoutingMatrix.from_edges(3, chain), rates)
     tree = build_network(RoutingMatrix.from_edges(3, [(1, 2, 0.5), (1, 3, 0.5)]), rates)
     part = partition_rates(tandem)
-    tail, w = TailPair(1.5, 1.0, "heavy"), np.array([0.5, 0.7, 0.9])
+    tail, w = TailPair(1.5, 1.0), np.array([0.5, 0.7, 0.9])
     assert joint_lst_limit(tree, partition_rates(tree), tail, w).value != joint_lst_limit(tandem, part, tail, w).value
     calls = (
         lambda spec: joint_lst_limit(spec, part, tail, w),

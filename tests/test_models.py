@@ -108,14 +108,14 @@ def test_tail_pairs_heavy():
 
 
 def test_light_regime_unsupported_for_bounded_variation_families():
-    with pytest.raises(UnsupportedRegimeError):
+    with pytest.raises(UnsupportedRegimeError, match="^CompoundPoisson input has no power tail"):
         CompoundPoisson(1.0, ExponentialJob(1.0)).tail_pair("light")
-    with pytest.raises(UnsupportedRegimeError):
+    with pytest.raises(UnsupportedRegimeError, match="^CenteredGamma input has no power tail"):
         CenteredGamma(1.0, 1.0).tail_pair("light")
 
 
 def test_tail_pair_beta_identity():
-    pair = TailPair(1.5, 1.0, "light")
+    pair = TailPair(1.5, 1.0)
     assert pair.beta * (pair.alpha - 1.0) == pytest.approx(1.0, rel=1e-15)
     assert pair.alpha * pair.beta == pytest.approx(pair.beta + 1.0, rel=1e-15)
 
@@ -196,6 +196,30 @@ def test_invalid_parameters_rejected():
         Brownian(1.0).sample_increment(0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         Brownian(1.0).sample_increment(np.array([0.5, 0.0]), np.random.default_rng(0))
+    # every family and job law refuses a parameter that is nan or infinite
+    for bad in (math.nan, math.inf):
+        for make in (
+            lambda x: Brownian(x),
+            lambda x: CenteredGamma(x, 1.0),
+            lambda x: CenteredGamma(1.0, x),
+            lambda x: CompoundPoisson(x, ExponentialJob(1.0)),
+            lambda x: StableSum(((1.5, x),)),
+            lambda x: StableSum(((x, 1.0),)),
+            lambda x: DeterministicJob(x),
+            lambda x: ErlangJob(2, x),
+        ):
+            with pytest.raises(ValueError):
+                make(bad)
+    for stages in (2.5, True, 0):
+        with pytest.raises(ValueError, match="^Erlang stage count must be"):
+            ErlangJob(stages, 1.0)
+    # a tail pair is the stable input it builds: alpha in (1, 2], a finite coeff > 0
+    with pytest.raises(ValueError, match=r"^stable index must lie in \(1, 2\], got 2.5"):
+        TailPair(2.5, 1.0)
+    with pytest.raises(ValueError, match="^stable scale must be positive and finite, got nan"):
+        TailPair(1.5, math.nan)
+    with pytest.raises(ValueError, match="^unknown regime 'x'"):
+        Brownian(1.0).tail_pair("x")
 
 
 def _family(kind, a, b):

@@ -253,12 +253,12 @@ def test_class_layouts_are_built_once(monkeypatch):
     monkeypatch.setattr(ClassLayout, "__post_init__", lambda self: built.append(post_init(self)))
     w = rng.uniform(0.05, 2.0, spec.n)
     joint_lst_exact(spec, Brownian(1.0), w, 2.0)
-    joint_lst_limit(spec, part, TailPair(1.5, 0.7, "heavy"), w)
+    joint_lst_limit(spec, part, TailPair(1.5, 0.7), w)
     assert built == []
     assert (spec.layout, part.layout) == layouts
     # a rescaled partition derives its own layout, equal to the one it came from
     rescaled = rescaled_reference(part, 1, 2.5)
-    joint_lst_limit(spec, rescaled, TailPair(2.0, 0.7, "heavy"), w)
+    joint_lst_limit(spec, rescaled, TailPair(2.0, 0.7), w)
     assert len(built) == 1
     for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
         assert np.array_equal(getattr(rescaled.layout, name), getattr(part.layout, name)), name
@@ -293,7 +293,7 @@ def test_rescaled_partition_recomputes_the_ordering_check():
     refused = set()
     for spec in rises + [random_spec(rng, int(rng.integers(2, 30))) for _ in range(8)]:
         part = partition_rates(spec)
-        tail = TailPair(1.5, 0.7, "heavy")
+        tail = TailPair(1.5, 0.7)
         w = rng.uniform(0.05, 2.0, spec.n)
         for _ in range(4):
             part = rescaled_reference(part, int(rng.integers(1, part.m + 1)), rng.uniform(0.2, 5.0))
@@ -302,7 +302,7 @@ def test_rescaled_partition_recomputes_the_ordering_check():
             refused.add(bool(j))
     assert refused == {False, True}
     for spec in rises:
-        _assert_limit_refuses_exactly_at(spec, partition_rates(spec), TailPair(1.5, 0.7, "heavy"), np.ones(spec.n), 1)
+        _assert_limit_refuses_exactly_at(spec, partition_rates(spec), TailPair(1.5, 0.7), np.ones(spec.n), 1)
 
 
 def test_equal_inputs_compare_and_hash_alike():

@@ -128,7 +128,7 @@ def test_limit_matches_reference(alpha):
     specs += [_singleton_class_tree(rng, n) for n in (3, 12)]
     for spec in specs:
         part = partition_rates(spec)
-        tail = TailPair(alpha, rng.uniform(0.2, 2.0), "heavy")
+        tail = TailPair(alpha, rng.uniform(0.2, 2.0))
         for _ in range(2):
             w = rng.uniform(0.05, 2.5, spec.n)
             got = joint_lst_limit(spec, part, tail, w).value

@@ -335,6 +335,30 @@ def test_sim_config_validation():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         SimConfig(u=1.0, seed=-1)
     assert SimConfig(u=1.0, seed=0).seed == 0
+    # the run schema's rules: counts and seeds are ints (a bool is none), a
+    # worker count is >= 1
+    for field, value in (("n_rep", 2.5), ("n_rep", True), ("seed", 1.5), ("seed", True), ("n_workers", 2.5)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            SimConfig(u=1.0, **{field: value})
+    for n_workers in (0, -3):
+        with pytest.raises(ValueError, match=f"^n_workers must be >= 1, got {n_workers}$"):
+            SimConfig(u=1.0, n_workers=n_workers)
+
+
+def test_sampler_estimates_check_each_frequency_as_the_transforms_do(brownian_tandem):
+    # a negative or nan frequency is refused, as joint_lst_exact refuses it,
+    # not turned into a mean above 1 or a nan
+    spec, model = brownian_tandem
+    cfg = SimConfig(u=1.0, n_rep=2000, seed=4, n_workers=1)
+    samples = simulate_workload(spec, model, cfg)
+    for omega, message in (([-1.0, 0.0], "nonnegative"), ([math.nan, 0.0], "non-finite"), ([0.5], "length 2")):
+        for estimate in (
+            lambda: empirical_lst(samples, [omega]),
+            lambda: horizon_diagnostic(spec, model, cfg, [omega]),
+            lambda: joint_lst_exact(spec, model, omega, cfg.u),
+        ):
+            with pytest.raises(ValueError, match=message):
+                estimate()
 
 
 def test_convergence_study_names_a_scaled_frequency_that_overflows():
