@@ -1,0 +1,139 @@
+"""Stored values of both transforms and the sampler, bit for bit.
+
+The corpus: 40 seeded random trees (2 to 12 nodes, conftest.random_spec) times
+six inputs.  For each (tree seed, input) group it holds the exact transform at
+u in U_EXACT and the heavy-traffic limit, each at the same three frequency
+vectors, as float hex, or the name of the error a point raised.  A sample group holds
+the sha256 of simulate_workload's samples for one input on the heavy tandem
+or on figure 1; they are bit-identical whatever the worker count.  test_values.py compares a fresh computation against
+tests/data/values.json.  To regenerate it after a change that moves a value
+on purpose, run
+
+    PYTHONPATH=src python tests/values.py --write
+
+and list each changed group in CHANGES.md.  Without --write it prints the
+groups that differ from the file and writes nothing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from levynet import (
+    Brownian,
+    CenteredGamma,
+    CompoundPoisson,
+    DeterministicJob,
+    ErlangJob,
+    LevynetError,
+    SimConfig,
+    StableSum,
+    joint_lst_exact,
+    joint_lst_limit,
+    load_network,
+    partition_rates,
+    simulate_workload,
+)
+from levynet.models import HEAVY
+
+from conftest import CONFIGS, random_spec
+from test_cli import DIGEST_ENVIRONMENT
+
+PATH = Path(__file__).resolve().parent / "data" / "values.json"
+INPUTS = {
+    "brownian": Brownian(1.3),
+    "gamma": CenteredGamma(2.0, 2.0),
+    "erlang3": CompoundPoisson(1.0, ErlangJob(3, 3.0)),
+    "deterministic": CompoundPoisson(0.8, DeterministicJob(1.25)),
+    "stable1.5": StableSum(((1.5, 0.5),)),
+    "stable_sum": StableSum(((1.3, 0.5), (2.0, 0.4))),
+}
+TREE_SEEDS = range(40)
+U_EXACT = (1.0, 2.0, 7.5)
+SAMPLE_NETWORKS = {"tandem": "tandem2_heavy.network.json", "figure1": "figure1.network.json"}
+SAMPLE_CONFIG = SimConfig(u=4.0, n_rep=4096, seed=11)
+
+
+def _tree(seed: int):
+    """Tree `seed` and its three frequency vectors: dense, half zero, and one large."""
+    rng = np.random.default_rng([41, seed])
+    spec = random_spec(rng, int(rng.integers(2, 13)))
+    dense = rng.uniform(0.1, 2.0, spec.n)
+    half = np.where(rng.random(spec.n) < 0.5, 0.0, rng.uniform(0.1, 2.0, spec.n))
+    return spec, (dense, half, 5.0 * dense)
+
+
+def _hex(evaluate) -> str:
+    try:
+        return float(evaluate().value).hex()
+    except LevynetError as err:
+        return type(err).__name__
+
+
+def transform_values() -> dict[str, list[str]]:
+    """Group 'tree <seed> <input>': the exact values at each u, then the limit values."""
+    groups = {}
+    for seed in TREE_SEEDS:
+        spec, omegas = _tree(seed)
+        partition = partition_rates(spec)
+        for name, model in INPUTS.items():
+            tail = model.tail_pair(HEAVY)
+            exact = [_hex(lambda: joint_lst_exact(spec, model, w, u)) for u in U_EXACT for w in omegas]
+            limit = [_hex(lambda: joint_lst_limit(spec, partition, tail, w)) for w in omegas]
+            groups[f"tree {seed} {name}"] = exact + limit
+    return groups
+
+
+def sample_digests() -> dict[str, str]:
+    """Group 'samples <network> <input>': sha256 of the samples' bytes."""
+    digests = {}
+    for net, file in SAMPLE_NETWORKS.items():
+        spec = load_network(CONFIGS / file)
+        for name, model in INPUTS.items():
+            samples = simulate_workload(spec, model, SAMPLE_CONFIG)
+            digests[f"samples {net} {name}"] = hashlib.sha256(samples.tobytes()).hexdigest()
+    return digests
+
+
+def compute() -> dict:
+    return {"environment": DIGEST_ENVIRONMENT, "groups": {**transform_values(), **sample_digests()}}
+
+
+def changed_groups(stored: dict, fresh: dict) -> list[str]:
+    """The groups whose entries differ, each with its largest relative change where both are floats."""
+    out = []
+    for key in sorted(stored.keys() | fresh.keys()):
+        old, new = stored.get(key), fresh.get(key)
+        if old == new:
+            continue
+        note = ""
+        if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+            try:
+                rel = max(abs(float.fromhex(b) / float.fromhex(a) - 1.0) for a, b in zip(old, new))
+                note = f" (largest relative change {rel:.3g})"
+            except ValueError:  # an entry that is an error name
+                note = " (a point changed between a value and a refusal)"
+        out.append(key + note)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    fresh = compute()
+    if "--write" in argv:
+        PATH.parent.mkdir(exist_ok=True)
+        rows = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in fresh["groups"].items())
+        PATH.write_text(f'{{"environment": {json.dumps(fresh["environment"])}, "groups": {{\n{rows}\n}}}}\n')
+        print(f"wrote {len(fresh['groups'])} groups to {PATH}")
+        return 0
+    changed = changed_groups(json.loads(PATH.read_text())["groups"], fresh["groups"])
+    print("\n".join(changed) or "no group changed")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
