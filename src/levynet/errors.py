@@ -18,16 +18,13 @@ class UnsupportedRegimeError(LevynetError):
 
 
 class ScalingRangeError(LevynetError):
-    """A value scaled by u leaves the float range: a nonzero frequency times a
-    rate power, or a rate, horizon or face length of the sampler."""
+    """A scaled value leaves the float range: a nonzero frequency times a rate
+    power at u, or a fraction power in the limit, or a rate, horizon or face
+    length of the sampler."""
 
 
 class RootFindingError(LevynetError):
-    """Monotone inversion failed to reach the residual tolerance."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Monotone inversion failed to reach the residual tolerance; the message gives the residual."""
 
 
 class SingularFactorError(LevynetError):

@@ -36,13 +36,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFactorError, StructuralError
+from .errors import ScalingRangeError, SingularFactorError, StructuralError
 from .network import ClassLayout, NetworkSpec, first_rise
 from .models import LevyModel
 from .roots import invert_increasing
 
 _EMPTY = np.empty(0)
 _ZERO = np.zeros(1)
+_TINY = np.finfo(float).tiny
 
 
 def as_omega(omega, n: int) -> np.ndarray:
@@ -50,11 +51,35 @@ def as_omega(omega, n: int) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"frequency vector must have length {n}, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("frequency vector has non-finite entries")
-    if (w < 0.0).any():
+    if not 0.0 <= np.minimum.reduce(w) <= np.maximum.reduce(w) < math.inf:  # nan fails each comparison
+        if not np.isfinite(w).all():
+            raise ValueError("frequency vector has non-finite entries")
         raise ValueError("frequency vector must be componentwise nonnegative")
     return w
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, name: str) -> np.ndarray:
+    """w * base**beta for w >= 0, 0 where w is: the frequencies at which both
+    transforms are scaled.  A nonzero entry that overflows, or underflows
+    below the normal float range (to 0 or to a subnormal, which keeps few
+    digits), raises ScalingRangeError naming the node, where it is scaled
+    ("at u = 10", "in the limit") and the base (name, with {} for the node).
+    The check reads a min and a max unless an entry is 0 or out of range."""
+    factor = base**beta
+    scaled = w * factor
+    if _TINY <= np.minimum.reduce(scaled) and np.maximum.reduce(scaled) < math.inf:
+        return scaled
+    nonzero = w != 0.0
+    scaled[~nonzero] = 0.0  # 0 * inf is nan
+    if (lost := nonzero & ((scaled < _TINY) | (scaled == math.inf))).any():
+        j = int(np.argmax(lost))
+        raise ScalingRangeError(
+            f"scaled frequency of node {j + 1} "
+            f"{'overflows' if np.isinf(scaled[j]) else f'underflows to {scaled[j]:g}'} {where}: "
+            f"omega_{j + 1} = {w[j]:g}, {name.format(j + 1)}**beta = {factor[j]:g}"
+        )
+    return scaled
 
 
 def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _assembled, _class_factors, as_omega
+from .exact import _assembled, _class_factors, _scaled_frequency, as_omega
 from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: perfbench/tracing.py counts calls through it
@@ -51,16 +51,17 @@ def joint_lst_limit(
 ) -> LimitLst:
     """Limiting transform of the rescaled workload vector at omega >= 0.
 
-    Requires fractions / phat to be non-increasing within each class (the
-    rate ordering in the limit): _class_factors raises StructuralError at a
-    rise, by the rule of the exact transform, and a spec that is not the
-    partition's network raises it too.  Classes whose frequencies are all
-    zero contribute factor one.
+    The classes are evaluated at fractions**beta * omega by the sweep's rule
+    (exact._scaled_frequency): a nonzero entry that leaves the normal float
+    range raises ScalingRangeError naming the node.  Requires fractions /
+    phat to be non-increasing within each class (the rate ordering in the
+    limit): _class_factors raises StructuralError at a rise, by the rule of
+    the exact transform, and a spec that is not the partition's network
+    raises it too.  Classes whose frequencies are all zero contribute 1.
     """
     partition.require_spec(spec)
-    w = as_omega(omega, spec.n)
     fr, layout = partition.fractions, partition.layout
-    scaled = fr**tail.beta * w
+    scaled = _scaled_frequency(as_omega(omega, spec.n), fr, tail.beta, "in the limit", "fraction_{}")
     sums = partition.front_matrix @ (spec.phat * scaled)
     f = _class_factors(tail.stable_model, fr, scaled, sums, layout)[0]
     # class k's factor: its prefactor, at its end, then its other nodes in order

@@ -10,8 +10,7 @@ phi'(0) = 0).
 LevyModel states the rules all families share (the regime names, the refusal
 of a regime without a power law, the increment lengths), so a family gives
 only its formulas.  Each parameter must be a finite number > 0
-(check_positive); a compound-Poisson rate may also be 0, and an Erlang stage
-count is an int >= 1 (check_integer).
+(check_positive), and an Erlang stage count an int >= 1 (check_integer).
 
 Models are immutable; sampling takes a caller-owned numpy Generator, so
 concurrent use needs one generator per thread and nothing else.
@@ -281,9 +280,7 @@ class CompoundPoisson(LevyModel):
     job: JobSize
 
     def __post_init__(self):
-        # lam = 0 is allowed as the degenerate no-input process.
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"jump intensity must be finite and >= 0, got {self.lam}")
+        check_positive("jump intensity", self.lam)
 
     def laplace_exponent(self, s):
         s = _check_s(s)

@@ -22,13 +22,13 @@ def _require_u(u: float) -> None:
 
 
 def _merge_terms(terms) -> tuple[tuple[float, float], ...]:
-    """Combine coefficients of equal exponents, drop zeros, sort exponent-descending."""
+    """Sum the coefficients (all > 0) of equal exponents, exponent-descending; ValueError where a sum overflows."""
     by_exp: dict[float, float] = {}
     for c, e in terms:
         by_exp[float(e)] = by_exp.get(float(e), 0.0) + float(c)
-    merged = [(c, e) for e, c in by_exp.items() if c != 0.0]
-    merged.sort(key=lambda t: -t[1])
-    return tuple((c, e) for c, e in merged)
+    if overflow := [e for e, c in by_exp.items() if c == math.inf]:
+        raise ValueError(f"monomial coefficients of u**{overflow[0]} sum past the float range")
+    return tuple((c, e) for e, c in sorted(by_exp.items(), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -288,9 +288,6 @@ class NetworkSpec:
     @property
     def n(self) -> int:
         return self.routing.n
-
-    def rate(self, j: int, u: float) -> float:
-        return self.rates[j - 1](u)
 
     def rate_vector(self, u: float) -> np.ndarray:
         _require_u(u)

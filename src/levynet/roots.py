@@ -42,6 +42,4 @@ def invert_increasing(f, x, deriv, hi):
 
     if abs(fs - x) <= _TOL * max(1.0, x):
         return s
-    raise RootFindingError(
-        f"Newton iteration stopped with residual {fs - x:.3e} at s = {s:.6e}", residual=fs - x
-    )
+    raise RootFindingError(f"Newton iteration stopped with residual {fs - x:.3e} at s = {s:.6e}")

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScalingRangeError, StructuralError
-from .exact import as_omega, joint_lst_exact
+from .errors import ConfigError, ScalingRangeError, StructuralError
+from .exact import _scaled_frequency, as_omega, joint_lst_exact
 from .limit import joint_lst_limit
-from .models import HEAVY, CompoundPoisson, LevyModel, TailPair, check_integer, check_positive
+from .models import HEAVY, LevyModel, TailPair, check_integer, check_positive
 from .network import NetworkSpec
 from .partition import RateClassPartition
 
@@ -113,9 +113,6 @@ def path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
             f"node {j} is faster than its inflow from node {i} at u = {u:g}: "
             f"r_{j} = {r[j - 1]:g} > p_{i},{j} r_{i} = {inflow[j - 1]:g}, so its workload would be negative"
         )
-    if isinstance(model, CompoundPoisson) and model.lam == 0.0:
-        # no input: one face, every supremum is 0 whatever the horizon
-        return r, cfg.horizon or 1.0, math.inf
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(spec, model, u)
     floor = _FACE_FLOOR * float(np.min(_relaxation_time(model.tail_pair(HEAVY), spec.phat, r)))
     for name, value in (("horizon", horizon), ("face floor", floor)):
@@ -149,10 +146,13 @@ def _suprema(spec, model, r, horizon, floor, rng, m):
 
 
 def _worker_count(cfg: SimConfig) -> int:
+    """cfg.n_workers, else up to 4, capped by LEVYNET_THREADS where that is set
+    and not empty: an int >= 1, or ConfigError naming the variable."""
     workers = cfg.n_workers if cfg.n_workers is not None else min(4, os.cpu_count() or 1)
-    cap = os.environ.get("LEVYNET_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
+    if cap := os.environ.get("LEVYNET_THREADS"):
+        if not (cap.strip().isdecimal() and int(cap) >= 1):
+            raise ConfigError(f"LEVYNET_THREADS must be an integer >= 1, got {cap!r}")
+        workers = min(workers, int(cap))
     return workers
 
 
@@ -242,24 +242,6 @@ def horizon_diagnostic(
     return rows
 
 
-def _scaled_frequency(w: np.ndarray, r_beta: np.ndarray, u: float) -> np.ndarray:
-    """w * r_beta, 0 where w is; a nonzero entry that overflows or underflows
-    below the normal float range (to 0 or to a subnormal, which keeps few
-    digits) raises ScalingRangeError."""
-    nonzero = w != 0.0
-    with np.errstate(over="ignore"):
-        scaled = np.multiply(w, r_beta, out=np.zeros_like(w), where=nonzero)
-    lost = nonzero & ((np.abs(scaled) < np.finfo(float).tiny) | np.isinf(scaled))
-    if lost.any():
-        j = int(np.argmax(lost))
-        raise ScalingRangeError(
-            f"scaled frequency of node {j + 1} "
-            f"{'overflows' if np.isinf(scaled[j]) else f'underflows to {scaled[j]:g}'} at u = {u:g}: "
-            f"omega_{j + 1} = {w[j]:g}, r_{j + 1}(u)**beta = {r_beta[j]:g}"
-        )
-    return scaled
-
-
 def convergence_study(
     spec: NetworkSpec,
     partition: RateClassPartition,
@@ -273,29 +255,28 @@ def convergence_study(
 
     For each u the exact transform is evaluated at omega * r(u)**beta, the
     frequency scaling under which the workload law converges; the limit
-    column is u-independent.  A nonzero frequency whose scaled value
-    overflows or underflows below the normal float range raises
-    ScalingRangeError, naming the node and u.  When `sim` is given, an
-    empirical column at the same scaled frequencies is added (seed offset by
-    the u index).  A spec that is not the partition's network raises
-    StructuralError.
+    column is u-independent.  Both scale through exact._scaled_frequency:
+    a nonzero frequency whose scaled value overflows or underflows below the
+    normal float range raises ScalingRangeError, naming the node and u (or
+    the limit).  When `sim` is given, an empirical column at the same scaled
+    frequencies is added (seed offset by the u index).  A spec that is not
+    the partition's network raises StructuralError.
     """
     partition.require_spec(spec)
     tail = model.tail_pair(regime)
-    beta = tail.beta
     omegas = [np.asarray(w, dtype=float) for w in omegas]
     limit_vals = [joint_lst_limit(spec, partition, tail, w).value for w in omegas]
 
     rows = []
     for iu, u in enumerate(u_list):
         with np.errstate(over="ignore"):
-            r_beta = spec.rate_vector(u) ** beta
+            r = spec.rate_vector(u)
         samples = None
         if sim is not None:
             cfg = replace(sim, u=u, seed=sim.seed + iu)
             samples = simulate_workload(spec, model, cfg)
         for w, lim in zip(omegas, limit_vals):
-            scaled = _scaled_frequency(w, r_beta, u)
+            scaled = _scaled_frequency(w, r, tail.beta, f"at u = {u:g}", "r_{}(u)")
             exact = joint_lst_exact(spec, model, scaled, u).value
             row = {
                 "u": float(u),

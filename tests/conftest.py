@@ -40,7 +40,7 @@ def psi(spec, model, j: int, s: float, u: float) -> float:
     """Drifted-input exponent of node j: r_j(u) * s + phi(phat_j * s)."""
     if s < 0.0:
         raise ValueError("psi is defined for s >= 0")
-    return spec.rate(j, u) * s + float(model.laplace_exponent(spec.phat[j - 1] * s))
+    return spec.rates[j - 1](u) * s + float(model.laplace_exponent(spec.phat[j - 1] * s))
 
 
 def fronts(spec, j: int) -> frozenset[int]:

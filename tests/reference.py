@@ -81,7 +81,7 @@ def exact_lst(spec, model, omega, u) -> float:
     """E[exp(-<omega, Q>)] at u, to 60 digits."""
     with mp.workdps(DPS):
         nodes = list(range(1, spec.n + 1))
-        rates = {j: mp.mpf(spec.rate(j, u)) for j in nodes}
+        rates = {j: mp.mpf(spec.rates[j - 1](u)) for j in nodes}
         phat = {j: mp.mpf(spec.phat[j - 1]) for j in nodes}
         w = {j: mp.mpf(float(omega[j - 1])) for j in nodes}
         return float(_factor_formula(model, nodes, spec.parent, rates, phat, w))

@@ -133,7 +133,7 @@ def test_04_single_queue_reduction():
     grid = np.linspace(0.0, 10.0, 50)
     worst = 0.0
     for model in models:
-        r = spec.rate(1, u)
+        r = spec.rates[0](u)
         for w in grid:
             got = joint_lst_exact(spec, model, [w], u).value
             expected = 1.0 if w == 0.0 else r * w / psi(spec, model, 1, w, u)

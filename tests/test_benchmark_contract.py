@@ -43,14 +43,14 @@ def test_tracer_installs_and_restores(monkeypatch):
         assert cli.joint_lst_exact is exact.joint_lst_exact
         value = exact.joint_lst_exact(spec, CenteredGamma(2.0, 1.5), w, 1.0).value
         transform_rate_calls = tr.counts["network.rate"]
-        spec.rate(1, 1.0)
+        spec.rates[0](1.0)
     assert exact.joint_lst_exact is original and cli.joint_lst_exact is original
     assert value == original(spec, CenteredGamma(2.0, 1.5), w, 1.0).value
     assert len(tr.durations("exact.joint_lst_exact")) == 1
     assert tr.counts["roots.solve"] == spec.n - 1
     assert tr.counts["models.exponent"] > 0
     # rate_vector reads the packed monomials, so the transform calls no
-    # RateFunction; a direct spec.rate call is still counted
+    # RateFunction; a direct call of one is still counted
     assert transform_rate_calls == 0 and tr.counts["network.rate"] == 1
 
 

@@ -627,6 +627,75 @@ def test_sweep_scaled_frequency_underflow_exits_3(tmp_path, capsys):
         assert f"node 2 {lost} at u = {u}" in err["message"]
 
 
+ONE_CLASS_TANDEM_NETWORK = dict(
+    TANDEM_NETWORK,
+    rates=[
+        {"node": 1, "terms": [{"c": 1, "e": -1}]},
+        {"node": 2, "terms": [{"c": 1e-4, "e": -1}]},
+    ],
+)
+
+
+def test_limit_refuses_a_fraction_power_that_leaves_the_float_range(tmp_path, capsys):
+    # one class with fractions (1, 1e-4): beta = 1 / (alpha - 1) is 50 at
+    # alpha = 1.02, where fraction_2**beta = 1e-200 is kept, and 100 at
+    # alpha = 1.01, where 1e-400 underflows to 0 and node 2's frequency is lost
+    run = {"regime": "heavy", "omega": {"list": [[0, 1], [1, 1]]}, "u_list": [10, 100]}
+    cfg = write_configs(tmp_path, ONE_CLASS_TANDEM_NETWORK, dict(run, input=stable_input(1.02)))
+    assert run_cli(["lst-limit", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "omega_1,omega_2,value,factor_1",
+        "0,1,0.66666733334900175,0.66666733334900175",
+        "1,1,0.44446711107711123,0.44446711107711123",
+    ]
+    assert run_cli(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "u,omega_1,omega_2,exact_scaled,limit,gap",
+        "10,0,1,0.66666733334900186,0.66666733334900175,1.1102230246251565e-16",
+        "10,1,1,0.44446711107711129,0.44446711107711123,5.5511151231257827e-17",
+        "100,0,1,0.66666733334900175,0.66666733334900175,0",
+        "100,1,1,0.44446711107711123,0.44446711107711123,0",
+    ]
+    cfg = write_configs(tmp_path, ONE_CLASS_TANDEM_NETWORK, dict(run, input=stable_input(1.01)))
+    for command in ("lst-limit", "sweep"):
+        assert run_cli([command, "--config", str(cfg)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "ScalingRangeError",
+            "message": "scaled frequency of node 2 underflows to 0 in the limit: omega_2 = 1, fraction_2**beta = 0",
+        }
+
+
+def test_zero_jump_rate_is_a_config_error_for_every_command(tmp_path, capsys):
+    cp = {"kind": "compound_poisson", "lambda": 0, "job": {"kind": "deterministic", "size": 1.0}}
+    run = {"input": cp, "omega": {"list": [[0.5, 0.5]]}, "u": 4, "u_list": [10], "regime": "heavy"}
+    cfg = write_configs(tmp_path, HEAVY_TANDEM_NETWORK, run)
+    for command in ("validate", "structure", "lst-exact", "lst-limit", "simulate", "compare", "sweep"):
+        assert run_cli([command, "--config", str(cfg)]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "ConfigError",
+            "message": "invalid input block: jump intensity must be positive and finite, got 0",
+        }
+
+
+def test_rate_terms_that_sum_past_the_float_range_are_a_config_error(tmp_path, capsys):
+    # each term is finite, but 1e308 + 1e308 is not: refused after merging,
+    # before validate reads the rates
+    huge = {"c": 1e308, "e": 1.0}
+    network = dict(TANDEM_NETWORK, rates=[{"node": 1, "terms": [huge, huge]}, TANDEM_NETWORK["rates"][1]])
+    cfg = write_configs(tmp_path, network, {"u": 1.0, "omega": {"list": [[0.5, 0.5]]}})
+    assert run_cli(["validate", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "ConfigError",
+        "message": "invalid rate for node 1: monomial coefficients of u**1.0 sum past the float range",
+    }
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # sha256 of stdout and the exit code of each command on the shipped run
 # configs; a change to any printed digit changes these.  Empty stdout hashes

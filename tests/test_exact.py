@@ -62,7 +62,7 @@ def test_psi_negative_rejected():
 
 def phi_inverse(spec, model, j: int, x: float, u: float) -> float:
     """Phi_j(x), the inverse of psi_j at x, as the exact transform solves it."""
-    r, ph = np.array([spec.rate(j, u)]), spec.phat[j - 1 : j]
+    r, ph = np.array([spec.rates[j - 1](u)]), spec.phat[j - 1 : j]
     return float(_psi_inverse(model, r, ph, np.array([x]))[0])
 
 
@@ -193,7 +193,7 @@ def test_single_node_is_rate_times_omega_over_psi():
         model = random_model(rng)
         u = rng.uniform(1.0, 4.0)
         w = rng.uniform(1e-3, 10.0)
-        expected = spec.rate(1, u) * w / psi(spec, model, 1, w, u)
+        expected = spec.rates[0](u) * w / psi(spec, model, 1, w, u)
         assert joint_lst_exact(spec, model, [w], u).value == pytest.approx(expected, rel=1e-13)
 
 
@@ -208,7 +208,7 @@ def test_root_marginal_is_single_queue_transform():
         w = np.zeros(spec.n)
         w[0] = w1
         got = joint_lst_exact(spec, model, w, u).value
-        expected = spec.rate(1, u) * w1 / psi(spec, model, 1, w1, u)
+        expected = spec.rates[0](u) * w1 / psi(spec, model, 1, w1, u)
         assert got == pytest.approx(expected, rel=1e-11)
 
 
@@ -344,7 +344,7 @@ def test_deep_trees_have_no_spurious_singular_factor(n, seed):
     w = np.zeros(n)
     w[0] = x
     root = joint_lst_exact(spec, model, w, u).value
-    assert root == pytest.approx(1.0 / (1.0 + sigma2 * x / (2.0 * spec.rate(1, u))), rel=1e-12)
+    assert root == pytest.approx(1.0 / (1.0 + sigma2 * x / (2.0 * spec.rates[0](u))), rel=1e-12)
     for _ in range(3):
         w = np.zeros(n)
         picks = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)

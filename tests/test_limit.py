@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from levynet import (
     ErlangJob,
     ExponentialJob,
     RateFunction,
+    ScalingRangeError,
     StructuralError,
     TailPair,
     convergence_study,
@@ -574,3 +576,27 @@ def test_heavy_traffic_convergence_for_gamma_and_compound_poisson(job):
     assert np.all((values > 0.0) & (values <= 1.0))
     slope = np.polyfit(np.log(us), np.log([r["gap"] for r in rows]), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.05)
+
+
+def test_limit_refuses_a_scaled_frequency_outside_the_float_range():
+    # one class with fractions (1, 1e-4): the limit scales omega_2 by
+    # 1e-4**beta, which leaves the normal float range as alpha -> 1
+    spec = tandem_spec([RateFunction.monomial(1.0, -1.0), RateFunction.monomial(1e-4, -1.0)])
+    part = partition_rates(spec)
+    lost = "scaled frequency of node 2 underflows to {} in the limit: omega_2 = 1, fraction_2**beta = {}"
+    with pytest.raises(ScalingRangeError, match=f"^{re.escape(lost.format(0, 0))}$"):
+        joint_lst_limit(spec, part, TailPair(1.01, 0.5), [0.0, 1.0])  # beta = 100: 1e-400 is 0
+    subnormal = lost.format("(\\S+)", "(\\S+)").replace("**", r"\*\*")
+    with pytest.raises(ScalingRangeError) as err:
+        joint_lst_limit(spec, part, TailPair(1.0 + 1.0 / 77.0, 0.5), [0.0, 1.0])  # 1e-308 keeps few digits
+    to, factor = re.fullmatch(subnormal, str(err.value)).groups()
+    assert to == factor and 0.0 < float(to) < np.finfo(float).tiny
+    # a frequency of 0 is not scaled, so it loses nothing
+    assert 0.0 < joint_lst_limit(spec, part, TailPair(1.01, 0.5), [1.0, 0.0]).value < 1.0
+    # a reference 1e4 times slower makes fraction_1 = 1e4, and 1e4**100 overflows
+    # (and without a warning); there node 2 is scaled by 1 and is kept
+    slow = rescaled_reference(part, 1, 1e-4)
+    overflow = "^scaled frequency of node 1 overflows in the limit: omega_1 = 0.5, fraction_1\\*\\*beta = inf$"
+    with pytest.raises(ScalingRangeError, match=overflow):
+        joint_lst_limit(spec, slow, TailPair(1.01, 0.5), [0.5, 1.0])
+    assert 0.0 < joint_lst_limit(spec, slow, TailPair(1.01, 0.5), [0.0, 1.0]).value < 1.0

@@ -188,6 +188,9 @@ def test_invalid_parameters_rejected():
         Brownian(0.0)
     with pytest.raises(ValueError):
         CompoundPoisson(-1.0, ExponentialJob(1.0))
+    # a jump rate of 0 is no input process: refused like every other parameter at 0
+    with pytest.raises(ValueError, match="^jump intensity must be positive and finite, got 0.0"):
+        CompoundPoisson(0.0, ExponentialJob(1.0))
     with pytest.raises(ValueError):
         StableSum(((1.0, 1.0),))
     with pytest.raises(ValueError):
@@ -276,7 +279,6 @@ _NOT_QUADRATIC = [
     CompoundPoisson(1.5, DeterministicJob(0.8)),
     CompoundPoisson(0.9, ExponentialJob(1.2)),
     CompoundPoisson(1.1, ErlangJob(3, 2.0)),
-    CompoundPoisson(0.0, ExponentialJob(1.2)),
     StableSum(((1.5, 0.7),)),
     StableSum(((1.999, 0.7),)),
     StableSum(((1.5, 0.7), (2.0, 0.4))),

@@ -225,6 +225,12 @@ def test_rate_function_merges_and_rejects():
         RateFunction(((-1.0, 1.0),))
     with pytest.raises(ValueError):
         f(0.0)
+    # every term is checked, and so is each merged sum: 1e308 + 1e308 is inf
+    with pytest.raises(ValueError, match=r"^monomial coefficient must be positive and finite, got inf\*u\*\*1.0$"):
+        RateFunction(((1e308, 1.0), (math.inf, 1.0)))
+    with pytest.raises(ValueError, match=r"^monomial coefficients of u\*\*1.0 sum past the float range$"):
+        RateFunction(((1e308, 1.0), (1e308, 1.0)))
+    assert RateFunction(((1e308, 1.0), (1e308, 2.0))).terms == ((1e308, 2.0), (1e308, 1.0))
 
 
 def checks_of(report):
@@ -420,7 +426,7 @@ def test_packed_rates_are_read_only_and_reject_nonpositive_u(figure1_spec):
         with pytest.raises(ValueError) as packed_error:
             figure1_spec.rate_vector(u)
         with pytest.raises(ValueError) as scalar_error:
-            figure1_spec.rate(1, u)
+            figure1_spec.rates[0](u)
         message = f"rate functions are defined for 0 < u < inf, got u={u}"
         assert str(packed_error.value) == str(scalar_error.value) == message
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -9,7 +9,7 @@ from levynet import (
     Brownian,
     CenteredGamma,
     CompoundPoisson,
-    DeterministicJob,
+    ConfigError,
     ExponentialJob,
     RateFunction,
     RoutingMatrix,
@@ -43,23 +43,6 @@ FAMILIES = {
 def brownian_tandem():
     spec = tandem_spec([RateFunction.monomial(2.0, 0.0), RateFunction.monomial(1.0, 0.0)])
     return spec, Brownian(1.0)
-
-
-def test_zero_input_process_gives_zero_workload():
-    spec = tandem_spec([RateFunction.monomial(1.0, 0.0), RateFunction.monomial(0.5, 0.0)])
-    model = CompoundPoisson(0.0, DeterministicJob(1.0))
-    q = simulate_workload(spec, model, SimConfig(u=1.0, n_rep=500, seed=1, horizon=10.0))
-    assert np.all(q == 0.0)
-
-
-def test_zero_input_needs_no_horizon():
-    # zero input has no tail pair to set a default horizon from; every
-    # supremum is 0, so any horizon gives the same all-zero workload
-    model = CompoundPoisson(0.0, DeterministicJob(1.0))
-    for rates in ([1.0], [1.0, 0.5]):
-        spec = tandem_spec([RateFunction.monomial(c, 0.0) for c in rates])
-        q = simulate_workload(spec, model, SimConfig(u=1.0, n_rep=500, seed=1))
-        assert q.shape == (500, spec.n) and np.all(q == 0.0)
 
 
 def test_single_node_brownian_is_exponential():
@@ -109,6 +92,14 @@ def test_worker_count_does_not_change_results(brownian_tandem, monkeypatch):
             m.setenv("LEVYNET_THREADS", "1")
             q3 = simulate_workload(spec, model, multi)
         assert np.array_equal(q1, q3)
+    # the cap is outside input: an int >= 1, or a usage error naming it; empty means no cap
+    for cap, workers in (("", 3), ("2", 2), (" 7 ", 3)):
+        monkeypatch.setenv("LEVYNET_THREADS", cap)
+        assert simulate._worker_count(multi) == workers
+    for cap in ("abc", "0", "-2", "2.5", "1e3", "²"):
+        monkeypatch.setenv("LEVYNET_THREADS", cap)
+        with pytest.raises(ConfigError, match=f"^LEVYNET_THREADS must be an integer >= 1, got {re.escape(repr(cap))}$"):
+            simulate_workload(spec, Brownian(1.0), multi)
 
 
 def test_empirical_lst_basics(brownian_tandem):

@@ -5,13 +5,14 @@ import platform
 
 import numpy as np
 
-from values import PATH, changed_groups, compute
+from values import INPUTS, PATH, SAMPLE_NETWORKS, TREE_SEEDS, changed_groups, compute
 
 
 def test_stored_values_are_bit_identical():
     stored = json.loads(PATH.read_text())
     fresh = compute()
-    assert len(fresh["groups"]) == 252 and fresh["environment"] == stored["environment"]
+    assert len(fresh["groups"]) == (len(TREE_SEEDS) + len(SAMPLE_NETWORKS)) * len(INPUTS) == 252
+    assert fresh["environment"] == stored["environment"]
     here = f"numpy {np.__version__}, Python {platform.python_version()}, {platform.machine()}"
     changed = changed_groups(stored["groups"], fresh["groups"])
     assert not changed, (
