@@ -19,9 +19,9 @@ factor formula is written once, over classes of nodes (_class_factors), with
 one factor per node: a class end holds its prefactor and every other node
 its ratio.  The exact transform is one class; limit.py applies the formula
 to each rate class.  Where the formula reads and in which order its factors
-come out is fixed per network by a ClassLayout built once
-(NetworkSpec.layout), so a call pays only for what depends on u and omega:
-the rates, one array expression over NetworkSpec's packed monomials; all
+come out is fixed per network by a ClassLayout (NetworkSpec.layout), and
+what it reads of the rates at u by a ClassRates (NetworkSpec.class_rates
+keeps the last u's), both built once, so a point pays only for omega: all
 front sums, one product with NetworkSpec.front_matrix; every kappa, one
 reverse cumulative sum; every slope, one call of the family's _secant on
 arguments built >= 0, which skips laplace_exponent_secant's checks.  The
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ScalingRangeError, SingularFactorError, StructuralError
-from .network import ClassLayout, NetworkSpec, first_rise
+from .network import ClassRates, NetworkSpec
 from .models import LevyModel
 from .roots import invert_increasing
 
@@ -58,6 +58,11 @@ def as_omega(omega, n: int) -> np.ndarray:
     return w
 
 
+def _all_normal(x: np.ndarray) -> bool:
+    """Every entry is a normal float >= tiny and < inf; nan fails."""
+    return _TINY <= np.minimum.reduce(x) and np.maximum.reduce(x) < math.inf
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, name: str) -> np.ndarray:
     """w * base**beta for w >= 0, 0 where w is: the frequencies at which both
@@ -68,7 +73,7 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     The check reads a min and a max unless an entry is 0 or out of range."""
     factor = base**beta
     scaled = w * factor
-    if _TINY <= np.minimum.reduce(scaled) and np.maximum.reduce(scaled) < math.inf:
+    if _all_normal(scaled):
         return scaled
     nonzero = w != 0.0
     scaled[~nonzero] = 0.0  # 0 * inf is nan
@@ -82,16 +87,17 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     return scaled
 
 
-def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray, squares=None) -> np.ndarray:
     """Inverse at x of s -> r * s + phi(ph * s), elementwise over the arrays.
 
     For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
-    whose sums of nonnegative terms do not cancel; otherwise each entry is
-    solved by Newton from x / r, where psi >= x.  x must be >= 0.
+    with r**2 and ph**2 from squares if given, whose sums of nonnegative terms
+    do not cancel; otherwise Newton from x / r, where psi >= x.  x >= 0.
     """
     a = model.quadratic
     if a is not None:
-        return 2.0 * x / (r + np.sqrt(r * r + 4.0 * a * (ph * ph) * x))
+        r_sq, ph_sq = (r * r, ph * ph) if squares is None else squares
+        return 2.0 * x / (r + np.sqrt(r_sq + 4.0 * a * ph_sq * x))
     return np.array(
         [
             invert_increasing(
@@ -110,28 +116,19 @@ def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:
     return spec.front_matrix @ (spec.phat * w)
 
 
-def _kappas(ratios: np.ndarray, front_sums: np.ndarray, layout: ClassLayout) -> np.ndarray:
-    """Entry i, for the i-th inner node j of layout (1-based): kappa_j, the sum
-    over l > j in j's class of (ratios[l-2] - ratios[l-1]) * front_sums[l-1],
-    added up from the class end down."""
-    terms = np.concatenate(((ratios[:-1] - ratios[1:]) * front_sums[1:], _ZERO))
-    return terms[layout.kappa_at].cumsum(axis=1).ravel()[layout.kappa_back]
-
-
 # perfbench/tracing.py counts calls to kappa by name
 def kappa(spec: NetworkSpec, omega, j: int, u: float) -> float:
     """Drift-gap aggregate attached to the factor of node j (1 <= j <= n-1).
 
     The sum over nodes l > j of (r_{l-1}/phat_{l-1} - r_l/phat_l) times the
-    front sum of l, read from the arrays the transform computes.  Under the
-    rate ordering every term is nonnegative, so the result is >= 0.
+    front sum of l, as the transform computes it (ClassRates.kappas).  Under
+    the rate ordering every term is nonnegative, so the result is >= 0.
     """
     n = spec.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"kappa index {j} outside 1..{n-1}")
     w = as_omega(omega, n)
-    ratios = spec.rate_vector(u) / spec.phat
-    return float(_kappas(ratios, _front_sums(spec, w), spec.layout)[j - 1])
+    return float(spec.class_rates(u).kappas(_front_sums(spec, w))[j - 1])
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class LstEvaluation:
     Entry j-1 of every array belongs to the factor of node j < n: kappa_{j+1},
     delta_j, delta_hat_j, the root Phi_j(kappa_{j+1}), psi_j at delta_j and
     at delta_hat_j, and the factor value.  The deltas, psi and the residual
-    come on first read from model, rates, phat and front_sums (one phi call).
+    come on first read from model, rates (ClassRates) and front_sums.
     """
 
     value: float
@@ -150,17 +147,15 @@ class LstEvaluation:
     phi_at_kappa: np.ndarray
     factor_values: np.ndarray
     model: LevyModel = field(repr=False)
-    rates: np.ndarray = field(repr=False)
-    phat: np.ndarray = field(repr=False)
+    rates: ClassRates = field(repr=False)
     front_sums: np.ndarray = field(repr=False)
 
     @cached_property
     def _psi_points(self) -> list[np.ndarray]:
         """The roots, delta and delta_hat, then psi at each, from one exponent call."""
-        r, ph, sums = self.rates[:-1], self.phat[:-1], self.front_sums
-        s3 = np.concatenate((self.phi_at_kappa, sums[:-1] / ph, sums[1:] / ph))
-        psi3 = np.tile(r, 3) * s3 + self.model.laplace_exponent(np.tile(ph, 3) * s3)
-        return np.split(s3, 3) + np.split(psi3, 3)
+        r, ph, sums = self.rates.r_at[: len(self.kappa)], self.rates.layout.phat[:-1], self.front_sums
+        s = np.concatenate((self.phi_at_kappa, sums[:-1] / ph, sums[1:] / ph)).reshape(3, len(ph))
+        return [*s, *(r * s + self.model.laplace_exponent(ph * s))]
 
     @cached_property
     def max_root_residual(self) -> float:
@@ -172,32 +167,32 @@ class LstEvaluation:
     psi_delta_hat = property(lambda self: self._psi_points[5])
 
 
-def _class_factors(model: LevyModel, r, w, sums, layout: ClassLayout):
-    """The factor formula over the classes of `layout`.
+def _class_factors(model: LevyModel, rates: ClassRates, w, sums):
+    """The factor formula over the classes of rates.layout.
 
-    r and w hold each node's rate and frequency, and sums its front sum
-    within its class.  Returns the factors in the layout's order (the inner
-    nodes, then the class ends), then kappa and the roots for the inner
-    nodes.  With slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant
-    of phi, a class end's factor is its prefactor r / slope(w, 0) and every
-    inner node's is slope(root, delta_hat) / slope(root, delta), with root
-    the inverse of psi_j at kappa_{j+1} over the class slice.  Every secant
-    argument is >= 0 by construction, so they go to phi's _secant ordered
-    but unchecked.  Where r/phat rises from a node to the next in its class
-    (first_rise over layout.inner) it raises StructuralError; elsewhere every
-    kappa term is >= 0.
+    rates holds what the formula reads of the rates, and w and sums each
+    node's frequency and its front sum within its class.  Returns the
+    factors in the layout's order (the inner nodes, then the class ends),
+    then kappa and the roots for the inner nodes.  With slope(s, y) = r + ph
+    * S(ph * s, ph * y) and S the secant of phi, a class end's factor is its
+    prefactor r / slope(w, 0) and every inner node's is slope(root,
+    delta_hat) / slope(root, delta), with root the inverse of psi_j at
+    kappa_{j+1} over the class slice.  Every secant argument is >= 0 by
+    construction, so they go to phi's _secant ordered but unchecked.  Where
+    r/phat rises from a node to the next in its class (rates.rise) it raises
+    StructuralError; elsewhere every kappa term is >= 0.
     """
+    layout = rates.layout
     ph = layout.phat
     m = layout.inner.size
     if not m:  # all classes singletons: every factor is a prefactor
-        return r / (r + ph * model._secant(ph * w, 0.0)), _EMPTY, _EMPTY
+        return rates.r / (rates.r + ph * model._secant(ph * w, 0.0)), _EMPTY, _EMPTY
 
-    ratios = r / ph
-    if j := first_rise(ratios, layout.inner):
+    if j := rates.rise:
         raise StructuralError(f"r/phat rises from node {j} to node {j + 1}: rate ordering violated within class")
-    kap = _kappas(ratios, sums, layout)
-    r_at, ph_at = r[layout.slope_at], layout.phat_at
-    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap)
+    kap = rates.kappas(sums)
+    r_at, ph_at = rates.r_at, layout.phat_at
+    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap, (rates.r_sq, layout.phat_sq))
 
     # the slopes from each root to delta_hat and to delta, and from w to 0 at
     # the class ends, from one secant call
@@ -228,8 +223,8 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     only a product outside (0, 1] raises SingularFactorError.
     """
     w = as_omega(omega, spec.n)
-    r, sums = spec.rate_vector(u), _front_sums(spec, w)
-    factors, kap, roots = _class_factors(model, r, w, sums, spec.layout)
+    rates, sums = spec.class_rates(u), _front_sums(spec, w)
+    factors, kap, roots = _class_factors(model, rates, w, sums)
     prefactor, values = float(factors[-1]), factors[:-1]
     value = _assembled([prefactor, *values.tolist()], "transform")
-    return LstEvaluation(value, prefactor, kap, roots, values, model, r, spec.phat, sums)
+    return LstEvaluation(value, prefactor, kap, roots, values, model, rates, sums)

@@ -21,9 +21,9 @@ coeff * s**2 is quadratic and every root is taken in closed form.  All
 within-class front sums are one product with RateClassPartition.front_matrix,
 and every class factor comes from one np.multiply.reduceat over the factors
 of _class_factors in the partition's end-first order, its prefactor first.
-The partition builds that class layout once, and the tail pair its stable
-input (TailPair.stable_model), so a call builds neither.  No diagnostic is
-computed.
+The partition builds that class layout, its ClassRates and fractions**beta
+once, and the tail pair its stable input, so a call builds none and scales a
+positive omega by one multiply and a min/max test.  No diagnostic is computed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _assembled, _class_factors, _scaled_frequency, as_omega
+from .exact import _all_normal, _assembled, _class_factors, _scaled_frequency, as_omega
 from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: perfbench/tracing.py counts calls through it
@@ -60,10 +60,11 @@ def joint_lst_limit(
     raises it too.  Classes whose frequencies are all zero contribute 1.
     """
     partition.require_spec(spec)
-    fr, layout = partition.fractions, partition.layout
-    scaled = _scaled_frequency(as_omega(omega, spec.n), fr, tail.beta, "in the limit", "fraction_{}")
-    sums = partition.front_matrix @ (spec.phat * scaled)
-    f = _class_factors(tail.stable_model, fr, scaled, sums, layout)[0]
+    w, power = np.asarray(omega, dtype=float), partition.fraction_power(tail.beta)
+    if power is None or w.shape != power.shape or not _all_normal(scaled := w * power):  # zeros, refusals
+        scaled = _scaled_frequency(as_omega(w, spec.n), partition.fractions, tail.beta, "in the limit", "fraction_{}")
+    sums, layout = partition.front_matrix @ (spec.phat * scaled), partition.layout
+    f = _class_factors(tail.stable_model, partition.class_rates, scaled, sums)[0]
     # class k's factor: its prefactor, at its end, then its other nodes in order
     class_values = np.multiply.reduceat(f[layout.order], layout.starts)
     return LimitLst(_assembled(class_values.tolist(), "limit"), class_values)

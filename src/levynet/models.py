@@ -382,7 +382,8 @@ class StableSum(LevyModel):
         return sum(c * a * s ** (a - 1.0) for a, c in self.components)
 
     def _secant(self, hi, lo):
-        return sum(c * _power_secant(alpha, hi, lo) for alpha, c in self.components)
+        terms = (c * _power_secant(alpha, hi, lo) for alpha, c in self.components)
+        return sum(terms, next(terms))  # from the first term: no pass adding it to 0
 
     @cached_property
     def quadratic(self) -> float | None:

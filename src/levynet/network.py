@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ScalingRangeError, StructuralError
 
 
 def _require_u(u: float) -> None:
@@ -173,15 +174,16 @@ class ClassLayout:
     ends holds each class's last node and inner every other node, both
     increasing.  kappa is a reverse running sum within each class: row k of
     kappa_at lists the inner nodes of the k-th class that has any, last
-    first, padded with n - 1 (a zero after the n - 1 running-sum terms), and
-    kappa_back is each inner node's position in that array, flattened.  The
-    formula takes one slope per entry of slope_at = (inner, inner, ends), at
-    phat_at = phat[slope_at]: from each root to the front sum at sum_at, the
-    next node's (delta_hat), then its own (delta), and from each class end's
-    frequency to 0 (sum_at is n there, a zero after the n front sums).  Its
-    factors come in the order (inner, ends); order lists, as positions in
-    that order, each class's end, then its other nodes, and starts where
-    each class begins in order.
+    first, padded with n - 1; kappa_from, kappa_at + 1 with the pad 0, reads
+    ClassRates.kappa_weights * front sums, whose entry 0 is 0, and kappa_back
+    is each inner node's position in that array, flattened.  The formula
+    takes one slope per entry of slope_at = (inner, inner, ends), at phat_at
+    = phat[slope_at]: from each root to the front sum at sum_at, the next
+    node's (delta_hat), then its own (delta), and from each class end's
+    frequency to 0 (sum_at is n there, a zero after the n front sums), with
+    phat_sq = phat**2 at the inner nodes.  Its factors come in the order
+    (inner, ends); order lists, as positions in that order, each class's
+    end, then its other nodes, and starts where each class begins in order.
     """
 
     phat: np.ndarray
@@ -189,9 +191,11 @@ class ClassLayout:
     inner: np.ndarray = field(init=False)
     kappa_at: np.ndarray = field(init=False)
     kappa_back: np.ndarray = field(init=False)
+    kappa_from: np.ndarray = field(init=False)
     slope_at: np.ndarray = field(init=False)
     sum_at: np.ndarray = field(init=False)
     phat_at: np.ndarray = field(init=False)
+    phat_sq: np.ndarray = field(init=False)
     order: np.ndarray = field(init=False)
     starts: np.ndarray = field(init=False)
 
@@ -214,15 +218,48 @@ class ClassLayout:
             inner=inner,
             kappa_at=kappa_at,
             kappa_back=np.array(kappa_back, dtype=int),
+            kappa_from=(kappa_at + 1) % n,  # the pad n - 1, never an inner node, to 0
             slope_at=slope_at,
             sum_at=np.concatenate((inner + 1, inner, np.full(len(last), n))),
             phat_at=self.phat[slope_at],
+            phat_sq=self.phat[inner] ** 2,
             order=positions[[i for a, b in zip(firsts, last) for i in (b, *range(a, b))]],
             starts=np.array(firsts),
         )
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassRates:
+    """What the factor formula reads of rates r on a ClassLayout, built once per
+    network and u or per partition.  rise: first_rise of r/phat over
+    layout.inner, refused when the formula is called, never when built.
+    kappa_weights[l]: r_l/phat_l - r_{l+1}/phat_{l+1}, after a leading 0.
+    r_at: r[layout.slope_at]; r_sq, r**2 at the inner nodes, on first read."""
+
+    layout: ClassLayout
+    r: np.ndarray
+    rise: int = field(init=False)
+    kappa_weights: np.ndarray = field(init=False)
+    r_at: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        layout, ratios = self.layout, self.r / self.layout.phat
+        weights = np.concatenate(((0.0,), ratios[:-1] - ratios[1:]))
+        for name, value in dict(r=self.r, kappa_weights=weights, r_at=self.r[layout.slope_at]).items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rise", first_rise(ratios, layout.inner))
+
+    @cached_property
+    def r_sq(self) -> np.ndarray:
+        return self.r_at[: self.layout.inner.size] ** 2
+
+    def kappas(self, sums: np.ndarray) -> np.ndarray:
+        """kappa of each inner node: reverse running sums of kappa_weights * sums in each class."""
+        return (self.kappa_weights * sums)[self.layout.kappa_from].cumsum(axis=1).ravel()[self.layout.kappa_back]
 
 
 @dataclass(frozen=True)
@@ -239,9 +276,10 @@ class NetworkSpec:
     read-only arrays rate_coeffs and rate_exps holds node j's monomials,
     zero-padded (column 0 the leading term), so rate_vector is one array
     expression.  layout is the class layout of the
-    exact transform: all n nodes in one class.  Two specs are equal, and
-    hash alike, when their routing fractions and rate functions are.  Raises
-    StructuralError when the rate count is not n.  Immutable and safe to share.
+    exact transform: all n nodes in one class; class_rates(u) keeps the last
+    (u, ClassRates) as one tuple, which eq, hash and repr ignore.  Two specs
+    are equal, and hash alike, when their routing fractions and rate
+    functions are.  Raises StructuralError when the rate count is not n.
     """
 
     routing: RoutingMatrix
@@ -252,6 +290,7 @@ class NetworkSpec:
     rate_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     rate_exps: np.ndarray = field(init=False, repr=False, compare=False)
     layout: ClassLayout = field(init=False, repr=False, compare=False)
+    _memo: tuple = field(init=False, default=(None, None), repr=False, compare=False)
 
     def __post_init__(self):
         routing, rates = self.routing, tuple(self.rates)
@@ -292,6 +331,18 @@ class NetworkSpec:
     def rate_vector(self, u: float) -> np.ndarray:
         _require_u(u)
         return (self.rate_coeffs * u**self.rate_exps).sum(axis=1)
+
+    def class_rates(self, u: float) -> ClassRates:
+        """The layout's ClassRates at u, the last u's kept; ScalingRangeError where a rate is 0 or inf."""
+        memo = self._memo
+        if memo[0] != u:
+            with np.errstate(over="ignore"):
+                r = self.rate_vector(u)
+            if not np.all((r > 0.0) & (r < math.inf)):
+                raise ScalingRangeError(f"service rates leave the float range at u = {u:g}: {r.min():g} to {r.max():g}")
+            memo = (u, ClassRates(self.layout, r))
+            object.__setattr__(self, "_memo", memo)
+        return memo[1]
 
 
 @dataclass(frozen=True)
@@ -334,30 +385,34 @@ def build_network(routing: RoutingMatrix, rates) -> NetworkSpec:
 def validate_assumptions(spec: NetworkSpec, u_probe: float = 2.0) -> ValidationReport:
     """Check the routing-shape, rate-ordering and ratio-limit requirements.
 
-    The rate ordering r_j/phat_j > r_{j+1}/phat_{j+1} is required at every
-    u > 0 but is only decidable here (a) at u_probe, by the rule the
-    transforms refuse a network with: first_rise of the float ratios r/phat,
-    so exact ties pass and any rise fails, and (b) for all large u by the
-    sign of the leading net monomial coefficient of each adjacent
-    difference, computed exactly.  A sign change among those coefficients
-    means the pair may cross at intermediate u (Descartes' rule of signs); it
-    is reported in the detail text, not as a failure.  Ratio limits r_i/r_j
-    for i > j must be finite, that is no leading exponent rises along the
-    nodes (the rule of partition_rates); failures are reported, never
+    The rate ordering r_j/phat_j > r_{j+1}/phat_{j+1} is required at every u >
+    0 but is only decidable here (a) at u_probe, by the rules the transforms
+    refuse a network with: a rate of 0 or inf fails, and so does any rise in
+    first_rise of the float ratios r/phat (exact ties pass), and (b) for all
+    large u by the sign of the leading net monomial coefficient of each
+    adjacent difference, computed exactly.  A sign change among those
+    coefficients means the pair may cross at intermediate u (Descartes' rule of
+    signs); it is reported in the detail text, not as a failure.  Ratio limits
+    r_i/r_j for i > j must be finite, that is no leading exponent rises along
+    the nodes (the rule of partition_rates); failures are reported, never
     raised.  A u_probe outside (0, inf) raises ValueError.
     """
     shape = "strictly upper triangular, one parent per non-root column, row sums <= 1"
     checks = [AssumptionCheck("routing-shape", True, shape)]
 
-    ratios = spec.rate_vector(u_probe) / spec.phat
-    if j := first_rise(ratios):
-        a, b = float(ratios[j - 1]), float(ratios[j])
-        detail = f"r_{j}/phat_{j} = {a!r} < r_{j+1}/phat_{j+1} = {b!r} at u = {u_probe:g}"
+    try:
+        ratios = spec.class_rates(u_probe).r / spec.phat
+    except ScalingRangeError as exc:
+        checks.append(AssumptionCheck("rate-ordering[u-probe]", False, str(exc)))
     else:
-        detail = f"rate/phat ratios non-increasing at u = {u_probe:g}"
-        if ties := (np.flatnonzero(ratios[1:] == ratios[:-1]) + 1).tolist():
-            detail += f" (equality at consecutive pair{'s' if len(ties) > 1 else ''} {ties})"
-    checks.append(AssumptionCheck("rate-ordering[u-probe]", not j, detail))
+        if j := first_rise(ratios):
+            a, b = float(ratios[j - 1]), float(ratios[j])
+            detail = f"r_{j}/phat_{j} = {a!r} < r_{j+1}/phat_{j+1} = {b!r} at u = {u_probe:g}"
+        else:
+            detail = f"rate/phat ratios non-increasing at u = {u_probe:g}"
+            if ties := (np.flatnonzero(ratios[1:] == ratios[:-1]) + 1).tolist():
+                detail += f" (equality at consecutive pair{'s' if len(ties) > 1 else ''} {ties})"
+        checks.append(AssumptionCheck("rate-ordering[u-probe]", not j, detail))
 
     rates, phat, exps = spec.rates, spec.phat, spec.rate_exps[:, 0]
     signs = [_net_signs(rates[j - 1], phat[j - 1], rates[j], phat[j]) for j in range(1, spec.n)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .network import ClassLayout, NetworkSpec, RateFunction, first_rise
+from .network import ClassLayout, ClassRates, NetworkSpec, RateFunction, first_rise
 
 
 def _classes(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
@@ -40,16 +40,16 @@ class RateClassPartition:
     Fixed by its network and one reference rate per class, in class order;
     everything else is derived on construction.  classes[k-1] is the tuple of
     1-based node ids of class k, a run of equal leading exponent.
-    fractions[i-1] is node i's leading coefficient divided by that of its
-    class reference, the exact limit of r_i / reference.  front_matrix is the
+    fractions[i-1] is node i's leading coefficient divided by that of its class
+    reference, the exact limit of r_i / reference.  front_matrix is the
     network's front matrix restricted to same-class pairs, read-only: entry
     [j-1, l-1] is 1.0 exactly when l lies in the within-class front of node j;
-    class_of, entry i-1 the 1-based class index of node i; and layout, the
-    class layout of the limit transform, whose factor formula checks the
-    within-class rate ordering of fraction / phat.  Raises StructuralError
+    class_of, entry i-1 the 1-based class index of node i; and layout and
+    class_rates, the limit's ClassLayout and its ClassRates at the fractions,
+    whose rise of fraction / phat the formula refuses.  Raises StructuralError
     where a leading exponent rises along the nodes, or unless there is one
-    reference per class with its leading exponent.  Two partitions are
-    equal, and hash alike, when their spec and reference rates are.
+    reference per class with its leading exponent.  Two partitions are equal,
+    and hash alike, when their spec and reference rates are.
     """
 
     spec: NetworkSpec = field(repr=False)
@@ -59,6 +59,8 @@ class RateClassPartition:
     front_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     layout: ClassLayout = field(init=False, repr=False, compare=False)
+    class_rates: ClassRates = field(init=False, repr=False, compare=False)
+    _fraction_powers: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         spec, refs = self.spec, tuple(self.reference_rates)
@@ -84,6 +86,7 @@ class RateClassPartition:
         object.__setattr__(self, "front_matrix", front_matrix)
         object.__setattr__(self, "class_of", tuple(k for k, c in enumerate(classes, start=1) for _ in c))
         object.__setattr__(self, "layout", ClassLayout(spec.phat, [members[-1] - 1 for members in classes]))
+        object.__setattr__(self, "class_rates", ClassRates(self.layout, fractions))
 
     @property
     def m(self) -> int:
@@ -93,6 +96,15 @@ class RateClassPartition:
     def anchors(self) -> tuple[int, ...]:
         """The smallest node id of each class."""
         return tuple(members[0] for members in self.classes)
+
+    def fraction_power(self, beta: float) -> np.ndarray | None:
+        """fractions**beta, kept per beta, if all in (0, 1]: scaling by it cannot overflow; else None."""
+        if beta not in self._fraction_powers:
+            with np.errstate(over="ignore"):
+                power = self.fractions**beta
+            power.setflags(write=False)
+            self._fraction_powers[beta] = power if 0.0 < power.min() and power.max() <= 1.0 else None
+        return self._fraction_powers[beta]
 
     def require_spec(self, spec: NetworkSpec) -> None:
         """Raise StructuralError unless spec is this partition's network.

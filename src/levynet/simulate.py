@@ -102,10 +102,7 @@ def path_scales(spec: NetworkSpec, model: LevyModel, cfg: SimConfig):
     where a rate, the horizon or that length is not a positive float.
     """
     u = cfg.u
-    with np.errstate(over="ignore"):
-        r = spec.rate_vector(u)
-    if not np.all((r > 0.0) & (r < math.inf)):
-        raise ScalingRangeError(f"service rates leave the float range at u = {u:g}: {r.min():g} to {r.max():g}")
+    r = spec.class_rates(u).r
     inflow = (spec.routing.p * r[:, None]).max(axis=0)  # p_ij r_i from the parent i of each node j
     if (faster := np.flatnonzero(r[1:] > inflow[1:]) + 2).size:
         j, i = int(faster[0]), spec.parent[int(faster[0])]
@@ -269,8 +266,7 @@ def convergence_study(
 
     rows = []
     for iu, u in enumerate(u_list):
-        with np.errstate(over="ignore"):
-            r = spec.rate_vector(u)
+        r = spec.class_rates(u).r
         samples = None
         if sim is not None:
             cfg = replace(sim, u=u, seed=sim.seed + iu)

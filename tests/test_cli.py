@@ -398,6 +398,23 @@ def test_simulate_refuses_a_face_floor_that_underflows(capsys):
         }
 
 
+def test_rates_outside_the_float_range_are_refused_by_lst_exact_and_validate(capsys):
+    # figure 1 at u = 1e160: a rate overflows to inf.  The exact transform
+    # refuses it by the sampler's rule, where it once printed four
+    # RuntimeWarnings and a nan; validate fails its u-probe check with it
+    config = str(CONFIGS / "figure1.run.json")
+    message = "service rates leave the float range at u = 1e+160: 1e+160 to inf"
+    for command in ("lst-exact", "simulate"):
+        assert run_cli([command, "--config", config, "--u", "1e160"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err) == {"error": "ScalingRangeError", "message": message}
+    assert run_cli(["validate", "--config", config, "--u", "1e160"]) == 1
+    out = capsys.readouterr()
+    checks = {c["assumption"]: c for c in json.loads(out.out)["checks"]}
+    assert checks["rate-ordering[u-probe]"] == {"assumption": "rate-ordering[u-probe]", "passed": False, "detail": message}
+    assert all(c["passed"] for name, c in checks.items() if name != "rate-ordering[u-probe]")
+
+
 def test_compare_columns_and_reproducibility(tmp_path, capsys):
     cfg = write_configs(
         tmp_path,

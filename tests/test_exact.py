@@ -27,7 +27,9 @@ from levynet import (
     partition,
     partition_rates,
 )
+from levynet.errors import ScalingRangeError
 from levynet.exact import _psi_inverse
+from levynet.network import ClassLayout, ClassRates, NetworkSpec, build_network
 from levynet.roots import invert_increasing
 
 from conftest import delta, delta_hat, psi, random_model, random_spec, random_tail, tandem_spec
@@ -380,6 +382,74 @@ def test_one_evaluation_makes_n_rate_calls_and_no_starred_sets(monkeypatch):
     assert calls["rate"] == 0  # rate_vector reads the packed monomials
     joint_lst_limit(spec, part, random_tail(rng), w)
     assert calls["starred"] == 0
+
+
+def test_rate_arrays_are_built_once_per_u_and_the_limit_builds_none(monkeypatch):
+    # the exact transform reads what depends on the rates from a one-entry
+    # memo of the last u; the limit reads its partition's, built with it, and
+    # the fraction powers, kept per beta
+    rng = np.random.default_rng(137)
+    spec = random_spec(rng, 30)
+    part = partition_rates(spec)
+    tail = TailPair(1.5, 0.7)
+    ws = rng.uniform(0.05, 2.0, (25, spec.n))
+    calls = {"rate_vector": 0, "ClassRates": 0, "ClassLayout": 0}
+    for cls, name in ((NetworkSpec, "rate_vector"), (ClassRates, "__post_init__"), (ClassLayout, "__post_init__")):
+        original = getattr(cls, name)
+
+        def counted(*args, key=cls.__name__ if name == "__post_init__" else name, fn=original):
+            calls[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    def count(evaluate):
+        calls.update(dict.fromkeys(calls, 0))
+        evaluate()
+        return calls["rate_vector"], calls["ClassRates"], calls["ClassLayout"]
+
+    assert count(lambda: [joint_lst_exact(spec, Brownian(1.0), w, 2.0) for w in ws]) == (1, 1, 0)
+    assert count(lambda: [joint_lst_exact(spec, Brownian(1.0), ws[0], u) for u in (1.0, 2.0, 1.0)]) == (3, 3, 0)
+    assert count(lambda: kappa(spec, ws[0], 1, 1.0)) == (0, 0, 0)
+    power = part.fraction_power(tail.beta)
+    assert count(lambda: [joint_lst_limit(spec, part, tail, w) for w in ws]) == (0, 0, 0)
+    assert part.fraction_power(tail.beta) is power and not power.flags.writeable
+
+
+def test_interleaved_u_give_the_bits_of_a_fresh_network():
+    # the memo is keyed by u alone and takes no part in eq, hash or repr
+    rng = np.random.default_rng(139)
+    names = ("kappa", "phi_at_kappa", "factor_values", "front_sums", "delta", "delta_hat", "psi_delta", "psi_delta_hat")
+    for model in (Brownian(1.3), CenteredGamma(2.0, 1.5), StableSum(((1.5, 0.5), (2.0, 0.3)))):
+        spec = random_spec(rng, int(rng.integers(2, 40)))
+        before = (spec, hash(spec), repr(spec))
+        for u in (1.0, 2.0, 7.5, 1.0, 2.0):
+            w = rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.7)
+            got = joint_lst_exact(spec, model, w, u)
+            want = joint_lst_exact(build_network(spec.routing, spec.rates), model, w, u)
+            assert (got.value, got.prefactor, got.max_root_residual) == (want.value, want.prefactor, want.max_root_residual)
+            for name in names:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert kappa(spec, w, 1, u) == float(want.kappa[0])
+        assert (spec, hash(spec), repr(spec)) == before
+
+
+def test_rates_outside_the_float_range_are_refused():
+    # figure 1's rates grow like u**2: at u = 1e160 the fastest is inf, and the
+    # exact transform refuses it by the sampler's rule, with no RuntimeWarning
+    spec = tandem_spec([RateFunction.monomial(2.0, 2.0), RateFunction.monomial(1.0, 1.0)])
+    message = "^service rates leave the float range at u = 1e\\+160: 1e\\+160 to inf$"
+    for evaluate in (
+        lambda: joint_lst_exact(spec, Brownian(1.0), [0.5, 0.5], 1e160),
+        lambda: kappa(spec, [0.5, 0.5], 1, 1e160),
+        lambda: spec.class_rates(1e160),
+    ):
+        with pytest.raises(ScalingRangeError, match=message):
+            evaluate()
+    tiny = tandem_spec([RateFunction.monomial(2.0, -2.0), RateFunction.monomial(1.0, -2.0)])
+    with pytest.raises(ScalingRangeError, match="^service rates leave the float range at u = 1e\\+200: 0 to 0$"):
+        joint_lst_exact(tiny, Brownian(1.0), [0.5, 0.5], 1e200)
+    assert 0.0 < joint_lst_exact(spec, Brownian(1.0), [0.5, 0.5], 1e60).value <= 1.0
 
 
 def test_one_evaluation_makes_one_secant_call_and_no_argument_check(monkeypatch):

@@ -25,8 +25,9 @@ from levynet import (
     singular_limit,
     starred_sets,
 )
-from levynet import build_network, RoutingMatrix
+from levynet import build_network, limit, RateClassPartition, RoutingMatrix
 from levynet.exact import _class_factors
+from levynet.network import ClassRates
 
 from conftest import random_spec, random_tail, rescaled_reference, tandem_spec
 from oracles import (
@@ -269,10 +270,9 @@ def test_class_layout_and_factors_match_the_classes():
             scaled = part.fractions**tail.beta * w
             f = _class_factors(
                 StableSum(((tail.alpha, tail.coeff),)),
-                part.fractions,
+                ClassRates(lay, part.fractions),
                 scaled,
                 part.front_matrix @ (spec.phat * scaled),
-                lay,
             )[0]
             f = dict(zip(node_at.tolist(), f.tolist()))  # node -> factor
             want = [math.prod([f[c[-1] - 1], *(f[i - 1] for i in c[:-1])]) for c in part.classes]
@@ -600,3 +600,42 @@ def test_limit_refuses_a_scaled_frequency_outside_the_float_range():
     with pytest.raises(ScalingRangeError, match=overflow):
         joint_lst_limit(spec, slow, TailPair(1.01, 0.5), [0.5, 1.0])
     assert 0.0 < joint_lst_limit(spec, slow, TailPair(1.01, 0.5), [0.0, 1.0]).value < 1.0
+
+
+def test_limit_scaling_takes_one_rule_on_and_off_its_fast_path(monkeypatch):
+    # a frequency vector whose scaled entries are all normal floats takes one
+    # multiply by the kept fraction powers; every other vector goes through
+    # as_omega and _scaled_frequency, with the same bits and messages
+    rng = np.random.default_rng(149)
+    cases = [(random_spec(rng, int(n)), random_tail(rng)) for n in (1, 2, 9, 30)]
+    cases.append((tandem_spec([RateFunction.monomial(1.0, -1.0), RateFunction.monomial(1e-4, -1.0)]), TailPair(1.02, 0.5)))
+    scalings = []
+    scaled_frequency = limit._scaled_frequency
+    monkeypatch.setattr(limit, "_scaled_frequency", lambda *args: scalings.append(1) or scaled_frequency(*args))
+    for spec, tail in cases:
+        part = partition_rates(spec)
+        for zeros in (False, True):
+            w = rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.5 if zeros else 1.0)
+            scalings.clear()
+            got = joint_lst_limit(spec, part, tail, w)
+            assert len(scalings) == int(bool((w == 0.0).any()))
+            with monkeypatch.context() as m:
+                m.setattr(RateClassPartition, "fraction_power", lambda self, beta: None)
+                want = joint_lst_limit(spec, part, tail, w)
+            assert len(scalings) == 1 + int(bool((w == 0.0).any()))
+            assert got.value == want.value and np.array_equal(got.factor_values, want.factor_values)
+    spec, tail = cases[0][0], TailPair(1.5, 0.7)
+    part = partition_rates(spec)
+    w = np.ones(spec.n)
+    for omega, message in (
+        (np.ones(spec.n + 1), f"^frequency vector must have length {spec.n}, got shape \\({spec.n + 1},\\)$"),
+        (np.where(np.arange(spec.n) == 0, np.nan, w), "^frequency vector has non-finite entries$"),
+        (np.where(np.arange(spec.n) == 0, np.inf, w), "^frequency vector has non-finite entries$"),
+        (np.where(np.arange(spec.n) == 0, -1.0, w), "^frequency vector must be componentwise nonnegative$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            joint_lst_limit(spec, part, tail, omega)
+    # fractions above 1 (a reference 1e4 times slower) never take the fast path
+    slow = rescaled_reference(part, 1, 1e-4)
+    assert slow.fraction_power(tail.beta) is None and part.fraction_power(tail.beta) is not None
+    assert 0.0 < joint_lst_limit(spec, slow, tail, w).value <= 1.0
