@@ -1,14 +1,18 @@
 """JSON config ingestion: strict schemas, loaders, frequency-grid expansion.
 
-Unknown keys are rejected everywhere.  A run config references the network
-document by path (resolved relative to the config file), carries the input
-process block, and optional command-specific blocks: a frequency spec (an
-explicit list of vectors or per-coordinate ranges expanded to their cartesian
-product), a u value, a u list, a regime, and a simulation block.
+A run config references the network document by path (resolved relative to
+the config file), carries the input process block, and optional
+command-specific blocks: a frequency spec (an explicit list of vectors or
+per-coordinate ranges expanded to their cartesian product), a u value, a u
+list, a regime, and a simulation block.
 
-The schemas below are the one statement of the format.  _validated checks a
-document against them in-house and names the violation jsonschema's
-best_match would; jsonschema is only the tests' oracle.
+The schemas below are the one statement of the format.  Every object in them
+is built by _closed, so unknown keys are rejected everywhere.  The tables
+INPUTS and JOBS are the one statement of each input and job kind and of its
+fields: a kind's oneOf branch and the model model_from_dict builds both come
+from its row, so a new kind is one more row.  _validated checks a document
+against the schemas in-house and names the violation jsonschema's best_match
+would; jsonschema is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -36,196 +40,78 @@ from .models import (
 )
 from .network import NetworkSpec, RateFunction, RoutingMatrix, build_network
 
-NETWORK_SCHEMA = {
-    "type": "object",
-    "required": ["n", "edges", "rates"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["from", "to", "p"],
-                "additionalProperties": False,
-                "properties": {
-                    "from": {"type": "integer", "minimum": 1},
-                    "to": {"type": "integer", "minimum": 1},
-                    "p": {"type": "number"},
-                },
-            },
-        },
-        "rates": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["node", "terms"],
-                "additionalProperties": False,
-                "properties": {
-                    "node": {"type": "integer", "minimum": 1},
-                    "terms": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "required": ["c", "e"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "c": {"type": "number"},
-                                "e": {"type": "number"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
+
+def _closed(required: dict, optional: dict = {}) -> dict:
+    """An object schema with the given required and optional properties, in that order, and no others."""
+    return {
+        "type": "object",
+        **({"required": list(required)} if required else {}),
+        "additionalProperties": False,
+        "properties": {**required, **optional},
+    }
+
+
+def _array(items: dict, min_items: int = 0) -> dict:
+    return {"type": "array", **({"minItems": min_items} if min_items else {}), "items": items}
+
+
+def _integer(least: int) -> dict:
+    return {"type": "integer", "minimum": least}
+
+
+def _kinds(table: dict) -> dict:
+    """One closed branch per kind of table: its "kind" constant, then its fields."""
+    return {"oneOf": [_closed({"kind": {"const": kind}, **fields}) for kind, (_, fields) in table.items()]}
+
+
+def _built(table: dict, block: dict):
+    """The object a schema-checked block of one of table's kinds stands for."""
+    constructor, fields = table[block["kind"]]
+    return constructor(*(block[name] for name in fields))
+
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+# Each kind maps to (constructor, fields): the fields are all required, listed in
+# the order the constructor takes them, and each carries its schema.
+JOBS = {
+    "deterministic": (DeterministicJob, {"size": _NUMBER}),
+    "exponential": (ExponentialJob, {"mu": _NUMBER}),
+    "erlang": (ErlangJob, {"stages": _integer(1), "mu": _NUMBER}),
+}
+INPUTS = {
+    "brownian": (Brownian, {"sigma2": _NUMBER}),
+    "compound_poisson": (  # the job is built first, so a bad job is reported before a bad jump rate
+        lambda lam, job: CompoundPoisson(lam, _built(JOBS, job)),
+        {"lambda": _NUMBER, "job": _kinds(JOBS)},
+    ),
+    "centered_gamma": (CenteredGamma, {"shape": _NUMBER, "rate": _NUMBER}),
+    "stable_sum": (
+        lambda components: StableSum(tuple((c["alpha"], c["scale"]) for c in components)),
+        {"components": _array(_closed({"alpha": _NUMBER, "scale": _NUMBER}), 1)},
+    ),
 }
 
-_JOB_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["kind", "size"],
-            "additionalProperties": False,
-            "properties": {"kind": {"const": "deterministic"}, "size": {"type": "number"}},
-        },
-        {
-            "type": "object",
-            "required": ["kind", "mu"],
-            "additionalProperties": False,
-            "properties": {"kind": {"const": "exponential"}, "mu": {"type": "number"}},
-        },
-        {
-            "type": "object",
-            "required": ["kind", "stages", "mu"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "erlang"},
-                "stages": {"type": "integer", "minimum": 1},
-                "mu": {"type": "number"},
-            },
-        },
-    ]
-}
+NETWORK_SCHEMA = _closed(
+    {
+        "n": _integer(1),
+        "edges": _array(_closed({"from": _integer(1), "to": _integer(1), "p": _NUMBER})),
+        "rates": _array(_closed({"node": _integer(1), "terms": _array(_closed({"c": _NUMBER, "e": _NUMBER}), 1)}), 1),
+    }
+)
 
-INPUT_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["kind", "sigma2"],
-            "additionalProperties": False,
-            "properties": {"kind": {"const": "brownian"}, "sigma2": {"type": "number"}},
-        },
-        {
-            "type": "object",
-            "required": ["kind", "lambda", "job"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "compound_poisson"},
-                "lambda": {"type": "number"},
-                "job": _JOB_SCHEMA,
-            },
-        },
-        {
-            "type": "object",
-            "required": ["kind", "shape", "rate"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "centered_gamma"},
-                "shape": {"type": "number"},
-                "rate": {"type": "number"},
-            },
-        },
-        {
-            "type": "object",
-            "required": ["kind", "components"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "stable_sum"},
-                "components": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["alpha", "scale"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "alpha": {"type": "number"},
-                            "scale": {"type": "number"},
-                        },
-                    },
-                },
-            },
-        },
-    ]
-}
-
-OMEGA_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["list"],
-            "additionalProperties": False,
-            "properties": {
-                "list": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "array", "items": {"type": "number"}},
-                }
-            },
-        },
-        {
-            "type": "object",
-            "required": ["grid"],
-            "additionalProperties": False,
-            "properties": {
-                "grid": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["start", "stop", "points"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "start": {"type": "number"},
-                            "stop": {"type": "number"},
-                            "points": {"type": "integer", "minimum": 1},
-                            "scale": {"enum": ["linear", "log"]},
-                        },
-                    },
-                }
-            },
-        },
-    ]
-}
-
-SIM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-        "n_rep": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "n_workers": {"type": "integer", "minimum": 1},
-    },
-}
-
-RUN_SCHEMA = {
-    "type": "object",
-    "required": ["network", "input"],
-    "additionalProperties": False,
-    "properties": {
-        "network": {"type": "string"},
-        "input": INPUT_SCHEMA,
-        "omega": OMEGA_SCHEMA,
-        "u": {"type": "number", "exclusiveMinimum": 0},
-        "u_list": {"type": "array", "minItems": 1, "items": {"type": "number", "exclusiveMinimum": 0}},
+_GRID_AXIS = _closed({"start": _NUMBER, "stop": _NUMBER, "points": _integer(1)}, {"scale": {"enum": ["linear", "log"]}})
+RUN_SCHEMA = _closed(
+    {"network": {"type": "string"}, "input": _kinds(INPUTS)},
+    {
+        "omega": {"oneOf": [_closed({"list": _array(_array(_NUMBER), 1)}), _closed({"grid": _array(_GRID_AXIS, 1)})]},
+        "u": _POSITIVE,
+        "u_list": _array(_POSITIVE, 1),
         "regime": {"enum": ["light", "heavy"]},
-        "sim": SIM_SCHEMA,
+        "sim": _closed({}, {"horizon": _POSITIVE, "n_rep": _integer(1), "seed": _integer(0), "n_workers": _integer(1)}),
     },
-}
+)
 
 _SCHEMAS = {"network document": NETWORK_SCHEMA, "run config": RUN_SCHEMA}
 
@@ -380,22 +266,8 @@ def load_network(path) -> NetworkSpec:
 
 def model_from_dict(block: dict) -> LevyModel:
     """The input process of a run config's input block, already schema-checked."""
-    kind = block["kind"]
     try:
-        if kind == "brownian":
-            return Brownian(block["sigma2"])
-        if kind == "centered_gamma":
-            return CenteredGamma(block["shape"], block["rate"])
-        if kind == "stable_sum":
-            return StableSum(tuple((c["alpha"], c["scale"]) for c in block["components"]))
-        job_block = block["job"]
-        if job_block["kind"] == "deterministic":
-            job = DeterministicJob(job_block["size"])
-        elif job_block["kind"] == "exponential":
-            job = ExponentialJob(job_block["mu"])
-        else:
-            job = ErlangJob(job_block["stages"], job_block["mu"])
-        return CompoundPoisson(block["lambda"], job)
+        return _built(INPUTS, block)
     except ValueError as exc:
         raise ConfigError(f"invalid input block: {exc}") from exc
 

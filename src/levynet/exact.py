@@ -87,16 +87,16 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     return scaled
 
 
-def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray, squares=None) -> np.ndarray:
+def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray, squares: tuple) -> np.ndarray:
     """Inverse at x of s -> r * s + phi(ph * s), elementwise over the arrays.
 
     For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
-    with r**2 and ph**2 from squares if given, whose sums of nonnegative terms
-    do not cancel; otherwise Newton from x / r, where psi >= x.  x >= 0.
+    with (r**2, ph**2) given as squares, whose sums of nonnegative terms do not
+    cancel; otherwise Newton from x / r, where psi >= x.  x >= 0.
     """
     a = model.quadratic
     if a is not None:
-        r_sq, ph_sq = (r * r, ph * ph) if squares is None else squares
+        r_sq, ph_sq = squares
         return 2.0 * x / (r + np.sqrt(r_sq + 4.0 * a * ph_sq * x))
     return np.array(
         [

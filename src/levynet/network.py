@@ -8,7 +8,7 @@ rejects inputs that are not in this form instead of re-ordering them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -361,13 +361,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"assumption": c.assumption, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
     def pretty(self) -> str:
         lines = []

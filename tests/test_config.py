@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import operator
 import os
@@ -16,6 +17,15 @@ from jsonschema.exceptions import best_match
 
 from levynet import config
 from levynet.errors import ConfigError
+from levynet.models import (
+    Brownian,
+    CenteredGamma,
+    CompoundPoisson,
+    DeterministicJob,
+    ErlangJob,
+    ExponentialJob,
+    StableSum,
+)
 
 from conftest import CONFIGS
 
@@ -117,6 +127,21 @@ def test_schemas_are_valid_json_schemas(schema):
         assert isinstance(sub.get("type", ""), str) and sub.get("additionalProperties", False) is False, sub
         assert all(isinstance(v, str) for v in [*sub.get("enum", []), sub.get("const", "")]), sub
         stack += [*sub.get("properties", {}).values(), *sub.get("oneOf", []), *([sub["items"]] if "items" in sub else [])]
+
+
+SCHEMA_DIGESTS = {
+    "network": "62f51bb4447ad7c37e84b9eec7d049a7f19f0e104a0974494ed152a1ce0817f1",
+    "run": "e49d8c954b2f0c1d0d95d5d2bc1e3beb79dd2a6dd6840f24ba3641582addafa4",
+}
+
+
+@pytest.mark.parametrize("name", SCHEMA_DIGESTS)
+def test_schema_content_and_key_order_are_pinned(name):
+    """The corpus test hands one document to both validators, so it cannot see
+    a change of schema content or of keyword order, the order _walk reports in.
+    A new config kind updates these digests on purpose."""
+    schema = config.NETWORK_SCHEMA if name == "network" else config.RUN_SCHEMA
+    assert hashlib.sha256(json.dumps(schema).encode()).hexdigest() == SCHEMA_DIGESTS[name]
 
 
 # A run config for the integral-float cases: every integer field of both documents is set.
@@ -244,6 +269,63 @@ def test_the_validator_picks_the_error_jsonschema_does(what):
     picked |= {"exclusiveMinimum", "enum", "oneOf"} if what == "run config" else set()
     assert set(keywords) - {None} == picked
     assert keywords[None] >= len(shipped)
+
+
+@pytest.mark.parametrize(
+    "block, model",
+    zip(
+        INPUT_KINDS,
+        [
+            Brownian(1.0),
+            CompoundPoisson(1.0, DeterministicJob(1.0)),
+            CompoundPoisson(2.0, ExponentialJob(4.0)),
+            CompoundPoisson(1.0, ErlangJob(3, 4.0)),
+            CenteredGamma(2.0, 1.0),
+            StableSum(((1.5, 0.5), (2, 0.4))),
+        ],
+    ),
+    ids=[block.get("job", block)["kind"] for block in INPUT_KINDS],
+)
+def test_every_input_kind_builds_the_model_its_constructor_does(block, model):
+    assert config.model_from_dict(block) == model
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"kind": "brownian", "sigma2": 0.0}, "variance sigma2 must be positive and finite, got 0.0"),
+        (
+            {"kind": "compound_poisson", "lambda": 1.0, "job": {"kind": "deterministic", "size": 0.0}},
+            "job size must be positive and finite, got 0.0",
+        ),
+        (
+            {"kind": "compound_poisson", "lambda": 1.0, "job": {"kind": "exponential", "mu": -1.0}},
+            "job rate mu must be positive and finite, got -1.0",
+        ),
+        # a bad job is reported before a bad jump rate
+        (
+            {"kind": "compound_poisson", "lambda": 0.0, "job": {"kind": "erlang", "stages": 3, "mu": 0.0}},
+            "job rate mu must be positive and finite, got 0.0",
+        ),
+        ({"kind": "centered_gamma", "shape": 2.0, "rate": -1.0}, "gamma rate must be positive and finite, got -1.0"),
+        (
+            {"kind": "stable_sum", "components": [{"alpha": 2.5, "scale": 0.5}]},
+            "stable index must lie in (1, 2], got 2.5",
+        ),
+    ],
+    ids=["brownian", "deterministic", "exponential", "erlang", "centered_gamma", "stable_sum"],
+)
+def test_an_out_of_range_parameter_is_an_input_block_error(block, message):
+    """The schema admits any number; the kind's constructor refuses, and its message is kept."""
+    with pytest.raises(ConfigError) as info:
+        config.model_from_dict(block)
+    assert str(info.value) == f"invalid input block: {message}"
+
+
+def test_the_corpus_has_a_block_of_every_kind():
+    """A kind added to the tables without a corpus block fails here, so the corpus test always reaches it."""
+    assert {block["kind"] for block in INPUT_KINDS} == set(config.INPUTS)
+    assert {block["job"]["kind"] for block in INPUT_KINDS if "job" in block} == set(config.JOBS)
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def test_psi_negative_rejected():
 def phi_inverse(spec, model, j: int, x: float, u: float) -> float:
     """Phi_j(x), the inverse of psi_j at x, as the exact transform solves it."""
     r, ph = np.array([spec.rates[j - 1](u)]), spec.phat[j - 1 : j]
-    return float(_psi_inverse(model, r, ph, np.array([x]))[0])
+    return float(_psi_inverse(model, r, ph, np.array([x]), (r * r, ph * ph))[0])
 
 
 def test_phi_inverse_zero_and_quadratic():
@@ -91,7 +91,7 @@ def _quadratic_groups(size=2000):
 def test_quadratic_psi_inverse_matches_high_precision():
     mp = pytest.importorskip("mpmath")
     for a, r, ph, x in _quadratic_groups():
-        got = _psi_inverse(Brownian(2.0 * a), r, ph, x)  # quadratic coefficient exactly a
+        got = _psi_inverse(Brownian(2.0 * a), r, ph, x, (r * r, ph * ph))  # quadratic coefficient exactly a
         assert np.all(got[x == 0.0] == 0.0)
         with mp.workdps(50):
             for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), got.tolist()):
@@ -104,7 +104,7 @@ def test_quadratic_psi_inverse_matches_newton():
     # the solver stops at residual 1e-12 x, and a root of a convex psi with
     # psi(0) = 0 is then good to 1e-12 relative
     for a, r, ph, x in _quadratic_groups():
-        got = _psi_inverse(Brownian(2.0 * a), r, ph, x)
+        got = _psi_inverse(Brownian(2.0 * a), r, ph, x, (r * r, ph * ph))
         for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), got.tolist()):
             q = a * pj * pj
             ref = invert_increasing(lambda s: rj * s + q * s * s, xj, lambda s: rj + 2 * q * s, xj / rj)
