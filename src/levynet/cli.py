@@ -11,8 +11,9 @@ u that is not a finite number > 0, a seed below 0, an unreadable config or
 network file, an --out path that cannot be written and an r/phat that rises
 where a transform reads it included), 3 numerical errors; for codes 2 and 3
 a machine-readable JSON object is written to stderr.  Each command is a
-function of the loaded run config and the parsed flags, and writes its whole
-output through _emit once it is computed.
+function of the loaded run config and the parsed flags, reads each setting
+through _setting (its flag, else the config) and writes its whole output
+through _emit once it is computed, each CSV table through _table.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .partition import partition_rates, starred_sets
 from .simulate import SimConfig, convergence_study, empirical_lst, path_scales, simulate_workload
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _emit(args, text: str) -> None:
     """Write a command's output to --out, or to stdout."""
     if not args.out:
@@ -50,18 +47,21 @@ def _emit(args, text: str) -> None:
         raise ConfigError(f"--out {args.out} cannot be written: {exc.strerror or exc}") from exc
 
 
-def _csv(header: list[str], rows) -> str:
-    """A CSV table, floats at 17 significant digits; no field needs quoting."""
-    lines = [header, *([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
-    return "".join(",".join(line) + "\n" for line in lines)
+def _table(args, n: int, columns: list[str], rows, lead: tuple[str, ...] = ()) -> int:
+    """Write a CSV table: the lead columns, omega_1..omega_n, then columns.
+
+    Each row is (*lead values, omega, values).  Floats print at 17
+    significant digits; no field needs quoting.
+    """
+    lines = [[*lead, *(f"omega_{j}" for j in range(1, n + 1)), *columns]]
+    lines += [[*row[:-2], *map(float, row[-2]), *row[-1]] for row in rows]
+    text = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in line) + "\n" for line in lines)
+    _emit(args, "".join(text))
+    return 0
 
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _omega_header(n: int) -> list[str]:
-    return [f"omega_{j}" for j in range(1, n + 1)]
 
 
 def _positive_u(text: str) -> float:
@@ -87,18 +87,19 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
 
 
-def _require(value, name: str):
+def _setting(cfg: RunConfig, args, name: str):
+    """The command's --name flag where it has one and it was given, else the run config's setting.
+
+    name is a run-config key: omega, u, u_list or regime.  A ConfigError
+    where neither is set names the flag only where the command has it.
+    """
+    value = getattr(args, name, None)
     if value is None:
-        raise ConfigError(f"missing {name}: set it in the config or pass the flag")
+        value = getattr(cfg, "omegas" if name == "omega" else name)
+    if value is None:
+        flag = f" or pass --{name}" if hasattr(args, name) else ""
+        raise ConfigError(f"missing {name}: set it in the config{flag}")
     return value
-
-
-def _u(cfg: RunConfig, args) -> float:
-    return _require(cfg.u if args.u is None else args.u, "u (--u)")
-
-
-def _regime(cfg: RunConfig, args) -> str:
-    return _require(args.regime or cfg.regime, "regime (--regime)")
 
 
 def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
@@ -109,10 +110,13 @@ def _sim_config(cfg: RunConfig, args, u: float) -> SimConfig:
     return SimConfig(u=u, **block)
 
 
-def _sampling(cfg: RunConfig, args) -> tuple[list, SimConfig]:
-    """The config's frequencies, and its sim block at u."""
-    omegas = _require(cfg.omegas, "omega block")
-    return omegas, _sim_config(cfg, args, _u(cfg, args))
+# the --diagnostics columns, one per node j < n each: name -> the LstEvaluation fields it subtracts
+_DIAGNOSTICS = {
+    "phi_minus_delta": ("phi_at_kappa", "delta"),
+    "phi_minus_delta_hat": ("phi_at_kappa", "delta_hat"),
+    "kappa_minus_psi_delta_hat": ("kappa", "psi_delta_hat"),
+    "kappa_minus_psi_delta": ("kappa", "psi_delta"),
+}
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
@@ -159,91 +163,64 @@ def cmd_structure(cfg: RunConfig, args) -> int:
 
 
 def cmd_lst_exact(cfg: RunConfig, args) -> int:
-    u = _u(cfg, args)
-    omegas = _require(cfg.omegas, "omega block")
-    n = cfg.spec.n
-    header = _omega_header(n) + ["value"]
+    u, omegas = _setting(cfg, args, "u"), _setting(cfg, args, "omega")
+    columns = ["value"]
     if args.diagnostics:
-        header += ["prefactor"]
-        for j in range(1, n):
-            header += [
-                f"phi_minus_delta_{j}",
-                f"phi_minus_delta_hat_{j}",
-                f"kappa_minus_psi_delta_hat_{j}",
-                f"kappa_minus_psi_delta_{j}",
-            ]
+        columns += ["prefactor", *(f"{name}_{j}" for j in range(1, cfg.spec.n) for name in _DIAGNOSTICS)]
     rows = []
     for w in omegas:
         ev = joint_lst_exact(cfg.spec, cfg.model, w, u)
-        row = [float(x) for x in w] + [ev.value]
+        values = [ev.value]
         if args.diagnostics:
-            columns = np.column_stack(
-                [
-                    ev.phi_at_kappa - ev.delta,
-                    ev.phi_at_kappa - ev.delta_hat,
-                    ev.kappa - ev.psi_delta_hat,
-                    ev.kappa - ev.psi_delta,
-                ]
-            )
-            row += [ev.prefactor, *columns.ravel().tolist()]
-        rows.append(row)
-    _emit(args, _csv(header, rows))
-    return 0
+            diagnostics = np.column_stack([getattr(ev, a) - getattr(ev, b) for a, b in _DIAGNOSTICS.values()])
+            values += [ev.prefactor, *diagnostics.ravel().tolist()]
+        rows.append((w, values))
+    return _table(args, cfg.spec.n, columns, rows)
 
 
 def cmd_lst_limit(cfg: RunConfig, args) -> int:
-    regime = _regime(cfg, args)
-    omegas = _require(cfg.omegas, "omega block")
+    regime, omegas = _setting(cfg, args, "regime"), _setting(cfg, args, "omega")
     spec = cfg.spec
     partition = partition_rates(spec)
     tail = cfg.model.tail_pair(regime)
-    header = _omega_header(spec.n) + ["value"] + [f"factor_{k}" for k in range(1, partition.m + 1)]
     rows = []
     for w in omegas:
         res = joint_lst_limit(spec, partition, tail, w)
-        rows.append([float(x) for x in w] + [res.value] + res.factor_values.tolist())
-    _emit(args, _csv(header, rows))
-    return 0
+        rows.append((w, [res.value, *res.factor_values.tolist()]))
+    return _table(args, spec.n, ["value", *(f"factor_{k}" for k in range(1, partition.m + 1))], rows)
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    omegas, sim = _sampling(cfg, args)
-    estimates = empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
-    header = _omega_header(cfg.spec.n) + ["empirical", "se", "ci_low", "ci_high"]
-    rows = [[*map(float, est.omega), est.mean, est.se, est.ci_low, est.ci_high] for est in estimates]
-    _emit(args, _csv(header, rows))
-    return 0
+    omegas, u = _setting(cfg, args, "omega"), _setting(cfg, args, "u")
+    estimates = empirical_lst(simulate_workload(cfg.spec, cfg.model, _sim_config(cfg, args, u)), omegas)
+    rows = [(est.omega, [est.mean, est.se, est.ci_low, est.ci_high]) for est in estimates]
+    return _table(args, cfg.spec.n, ["empirical", "se", "ci_low", "ci_high"], rows)
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    omegas, sim = _sampling(cfg, args)
+    omegas, u = _setting(cfg, args, "omega"), _setting(cfg, args, "u")
+    sim = _sim_config(cfg, args, u)
     # Refuse before sampling: first where the sampler would, then where the exact transform does.
     path_scales(cfg.spec, cfg.model, sim)
-    exacts = [joint_lst_exact(cfg.spec, cfg.model, w, sim.u).value for w in omegas]
+    exacts = [joint_lst_exact(cfg.spec, cfg.model, w, u).value for w in omegas]
     estimates = empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
-    header = _omega_header(cfg.spec.n) + ["empirical", "se", "exact", "abs_gap", "gap_over_se"]
     rows = []
     for est, exact in zip(estimates, exacts):
         gap = abs(est.mean - exact)
         # a zero gap is 0 SE off, also where the sample has no spread
         gap_over_se = gap / est.se if est.se > 0 else (math.inf if gap else 0.0)
-        rows.append([*map(float, est.omega), est.mean, est.se, exact, gap, gap_over_se])
-    _emit(args, _csv(header, rows))
-    return 0
+        rows.append((est.omega, [est.mean, est.se, exact, gap, gap_over_se]))
+    return _table(args, cfg.spec.n, ["empirical", "se", "exact", "abs_gap", "gap_over_se"], rows)
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    regime = _regime(cfg, args)
-    omegas = _require(cfg.omegas, "omega block")
-    u_list = _require(cfg.u_list, "u_list")
+    regime, omegas, u_list = (_setting(cfg, args, name) for name in ("regime", "omega", "u_list"))
     spec = cfg.spec
     partition = partition_rates(spec)
     sim = _sim_config(cfg, args, u_list[0]) if args.with_empirical else None
     columns = ["exact_scaled", "limit", "gap"] + (["empirical", "se"] if args.with_empirical else [])
     rows = convergence_study(spec, partition, cfg.model, regime, omegas, u_list, sim=sim)
-    table = [[row["u"], *map(float, row["omega"]), *(row[c] for c in columns)] for row in rows]
-    _emit(args, _csv(["u", *_omega_header(spec.n), *columns], table))
-    return 0
+    return _table(args, spec.n, columns, [(row["u"], row["omega"], [row[c] for c in columns]) for row in rows], ("u",))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -109,7 +109,7 @@ RUN_SCHEMA = _closed(
         "u": _POSITIVE,
         "u_list": _array(_POSITIVE, 1),
         "regime": {"enum": ["light", "heavy"]},
-        "sim": _closed({}, {"horizon": _POSITIVE, "n_rep": _integer(1), "seed": _integer(0), "n_workers": _integer(1)}),
+        "sim": _closed({}, {"horizon": _POSITIVE, "n_rep": _integer(2), "seed": _integer(0), "n_workers": _integer(1)}),
     },
 )
 

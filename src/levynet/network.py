@@ -22,6 +22,14 @@ def _require_u(u: float) -> None:
         raise ValueError(f"rate functions are defined for 0 < u < inf, got u={u}")
 
 
+def _derive(obj, **fields) -> None:
+    """Set the fields a frozen dataclass derives in __post_init__, each ndarray made read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 def _merge_terms(terms) -> tuple[tuple[float, float], ...]:
     """Sum the coefficients (all > 0) of equal exponents, exponent-descending; ValueError where a sum overflows."""
     by_exp: dict[float, float] = {}
@@ -139,9 +147,7 @@ class RoutingMatrix:
         if np.any(rowsums > 1.0 + 1e-9):
             bad = int(np.argmax(rowsums))
             raise StructuralError(f"row {bad+1} routing fractions sum to {rowsums[bad]} > 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", len(p))
+        _derive(self, p=p, n=len(p))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RoutingMatrix":
@@ -213,7 +219,8 @@ class ClassLayout:
         positions = np.empty(n, dtype=int)  # node -> its position in (inner, ends)
         positions[np.concatenate((inner, ends))] = np.arange(n)
         slope_at = np.concatenate((inner, inner, ends))
-        arrays = dict(
+        _derive(
+            self,
             ends=ends,
             inner=inner,
             kappa_at=kappa_at,
@@ -226,9 +233,6 @@ class ClassLayout:
             order=positions[[i for a, b in zip(firsts, last) for i in (b, *range(a, b))]],
             starts=np.array(firsts),
         )
-        for name, value in arrays.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +252,8 @@ class ClassRates:
     def __post_init__(self):
         layout, ratios = self.layout, self.r / self.layout.phat
         weights = np.concatenate(((0.0,), ratios[:-1] - ratios[1:]))
-        for name, value in dict(r=self.r, kappa_weights=weights, r_at=self.r[layout.slope_at]).items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "rise", first_rise(ratios, layout.inner))
+        rise = first_rise(ratios, layout.inner)
+        _derive(self, r=self.r, kappa_weights=weights, r_at=self.r[layout.slope_at], rise=rise)
 
     @cached_property
     def r_sq(self) -> np.ndarray:
@@ -313,16 +315,11 @@ class NetworkSpec:
 
         k = max(len(r.terms) for r in rates)
         padded = [(*r.terms, *((0.0, 0.0),) * (k - len(r.terms))) for r in rates]
-        packed = np.array(padded).transpose(2, 0, 1).copy()  # [0] coefficients, [1] exponents
-        for array in (phat, front_matrix, packed):
-            array.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "phat", phat)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "front_matrix", front_matrix)
-        object.__setattr__(self, "rate_coeffs", packed[0])
-        object.__setattr__(self, "rate_exps", packed[1])
-        object.__setattr__(self, "layout", ClassLayout(phat, [n - 1]))
+        coeffs, exps = np.array(padded).transpose(2, 0, 1).copy()
+        _derive(
+            self, rates=rates, phat=phat, parent=parent, front_matrix=front_matrix,
+            rate_coeffs=coeffs, rate_exps=exps, layout=ClassLayout(phat, [n - 1]),
+        )
 
     @property
     def n(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .network import ClassLayout, ClassRates, NetworkSpec, RateFunction, first_rise
+from .network import ClassLayout, ClassRates, NetworkSpec, RateFunction, _derive, first_rise
 
 
 def _classes(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
@@ -67,26 +67,21 @@ class RateClassPartition:
         classes = _classes(spec)
         if len(refs) != len(classes):
             raise StructuralError(f"expected {len(classes)} reference rates, one per rate class, got {len(refs)}")
-        fractions, front_matrix = np.empty(spec.n), np.zeros((spec.n, spec.n))
         exps = spec.rate_exps[:, 0].tolist()
         for k, (members, ref) in enumerate(zip(classes, refs), start=1):
-            (ref_coeff, ref_exp), exp = ref.leading, exps[members[0] - 1]
+            ref_exp, exp = ref.leading[1], exps[members[0] - 1]
             if ref_exp != exp:
                 raise StructuralError(
                     f"reference rate {k} grows like u**{ref_exp}, but class {k} (nodes {list(members)}) like u**{exp}"
                 )
-            block = slice(members[0] - 1, members[-1])
-            fractions[block] = spec.rate_coeffs[block, 0] / ref_coeff
-            front_matrix[block, block] = spec.front_matrix[block, block]
-        for array in (fractions, front_matrix):
-            array.setflags(write=False)
-        object.__setattr__(self, "reference_rates", refs)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "fractions", fractions)
-        object.__setattr__(self, "front_matrix", front_matrix)
-        object.__setattr__(self, "class_of", tuple(k for k, c in enumerate(classes, start=1) for _ in c))
-        object.__setattr__(self, "layout", ClassLayout(spec.phat, [members[-1] - 1 for members in classes]))
-        object.__setattr__(self, "class_rates", ClassRates(self.layout, fractions))
+        class_of = tuple(k for k, c in enumerate(classes, start=1) for _ in c)
+        fractions = spec.rate_coeffs[:, 0] / [refs[k - 1].leading[0] for k in class_of]
+        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes])
+        _derive(
+            self, reference_rates=refs, classes=classes, fractions=fractions, class_of=class_of, layout=layout,
+            front_matrix=np.where(np.equal.outer(class_of, class_of), spec.front_matrix, 0.0),
+            class_rates=ClassRates(layout, fractions),
+        )
 
     @property
     def m(self) -> int:

@@ -50,7 +50,7 @@ class SimConfig:
         check_positive("u", self.u)
         if self.horizon is not None:
             check_positive("horizon", self.horizon)
-        check_integer("n_rep", self.n_rep, 1)
+        check_integer("n_rep", self.n_rep, 2)
         check_integer("seed", self.seed, 0)
         if self.n_workers is not None:
             check_integer("n_workers", self.n_workers, 1)

@@ -125,3 +125,11 @@ def test_moved_oracles_are_gone_from_the_package():
     )
     for module in (levynet.exact, levynet.limit):
         assert not [name for name in moved if hasattr(module, name)], module.__name__
+
+
+def test_no_source_line_is_wider_than_121_characters():
+    # a line count that falls by cramming statements onto one line has not
+    # shrunk the code
+    for path in sorted(Path(levynet.__file__).parent.glob("*.py")):
+        wide = [i for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 121]
+        assert not wide, f"{path.name}: lines {wide}"

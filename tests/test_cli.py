@@ -573,6 +573,52 @@ def test_missing_u_is_config_error(tmp_path, capsys):
     assert "u" in err["message"]
 
 
+def test_a_missing_setting_is_named_with_its_flag_where_the_command_has_one(tmp_path, capsys):
+    # each command reports the first setting it reads; omega and u_list have no flag
+    cases = {
+        "lst-exact": "missing u: set it in the config or pass --u",
+        "lst-exact --u 4": "missing omega: set it in the config",
+        "lst-limit": "missing regime: set it in the config or pass --regime",
+        "lst-limit --regime heavy": "missing omega: set it in the config",
+        "simulate": "missing omega: set it in the config",
+        "compare": "missing omega: set it in the config",
+        "sweep": "missing regime: set it in the config or pass --regime",
+        "sweep --with-empirical": "missing regime: set it in the config or pass --regime",
+    }
+    cfg = write_configs(tmp_path, TANDEM_NETWORK, {"sim": {"n_rep": 100}})
+    for command, message in cases.items():
+        name, *flags = command.split()
+        assert run_cli([name, "--config", str(cfg), *flags]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err) == {"error": "ConfigError", "message": message}, command
+    for run in ({"regime": "heavy", "omega": {"list": [[0.5, 0.5]]}}, {"omega": {"list": [[0.5, 0.5]]}}):
+        cfg = write_configs(tmp_path, TANDEM_NETWORK, run)
+        command = ["sweep", "--config", str(cfg)] + ([] if "regime" in run else ["--regime", "light"])
+        assert run_cli(command) == 2
+        out = capsys.readouterr()
+        message = "missing u_list: set it in the config"
+        assert out.out == "" and json.loads(out.err) == {"error": "ConfigError", "message": message}
+
+
+def test_one_replication_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    # one replication has no standard error: simulate and compare once drew it,
+    # then exited 3 with a ValueError from the estimator
+    run = {"u": 1.0, "u_list": [1.0], "regime": "heavy", "omega": {"list": [[0.5, 0.5]]}, "sim": {"n_rep": 1}}
+    cfg = write_configs(tmp_path, TANDEM_NETWORK, run)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a command sampled one replication")
+
+    monkeypatch.setattr(cli, "simulate_workload", never)
+    for command in (["simulate"], ["compare"], ["sweep", "--with-empirical"]):
+        assert run_cli([*command, "--config", str(cfg)]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err) == {
+            "error": "ConfigError",
+            "message": "invalid run config at sim/n_rep: 1 is less than the minimum of 2",
+        }
+
+
 def test_unsupported_regime_is_numerical_error(tmp_path, capsys):
     run = {
         "network": "network.json",
@@ -761,6 +807,13 @@ SHIPPED_OUTPUT = (
     ("tandem2_heavy_stable.run.json", "lst-limit", 0, "869f4cf1949d141b803e29ce856fc3aea3ef666e413ec3598a4f84903234f398"),
     ("tandem2_heavy_stable.run.json", "sweep", 0, "d739a02765c457f652e03510d55081d9fe83e362a9c36602f466efcf183261c0"),
     ("tandem2_heavy_stable.run.json", "simulate", 0, "293378c0985495458ba3d76bfd613444fe873c2868f17332d1b762ceeb826af4"),
+    # compare and sweep --with-empirical: the Monte Carlo columns beside the transforms
+    ("tandem2_brownian.run.json", "compare", 0, "8069bbf99d904976d49d35ac6574deee90dfd8a2a0541694093039675f0a2b4e"),
+    ("tandem2_heavy_gamma.run.json", "compare", 0, "5f3ad445aa6ea776f138af06828d88e74355e8e3250d98a8aba467732cb343aa"),
+    ("tandem2_heavy_erlang3.run.json", "compare", 0, "c671c4c7184ffb55628335918bcf4ec50539c6b206422c6257200dfe43169279"),
+    ("tandem2_heavy_stable.run.json", "compare", 0, "e149de35ca0dd7cd72d2c68fb48a6a2404f127c24ba413828363184cd238b0ab"),
+    ("tandem2_brownian.run.json", "simulate", 0, "8460020ab0cba41a307aaf1a01ebf3d478512cf7a5c82b86a3233e9905385a60"),
+    ("tandem2_heavy_gamma.run.json", "sweep --with-empirical", 0, "3dffdd245279fe5bba8a2d9a157eb2ad3b31671bc1db2796dbea094be5f27e0e"),
 )
 
 

@@ -63,7 +63,7 @@ def test_invalid_network_document_message(doc, message):
     "overrides, message",
     [
         ({"u": "fast"}, "invalid run config at u: 'fast' is not of type 'number'"),
-        ({"sim": {"n_rep": 0}}, "invalid run config at sim/n_rep: 0 is less than the minimum of 1"),
+        ({"sim": {"n_rep": 0}}, "invalid run config at sim/n_rep: 0 is less than the minimum of 2"),
         (
             {"sim": {"n_rep": 10, "step": 0.01}},
             "invalid run config at sim: Additional properties are not allowed ('step' was unexpected)",
@@ -131,7 +131,7 @@ def test_schemas_are_valid_json_schemas(schema):
 
 SCHEMA_DIGESTS = {
     "network": "62f51bb4447ad7c37e84b9eec7d049a7f19f0e104a0974494ed152a1ce0817f1",
-    "run": "e49d8c954b2f0c1d0d95d5d2bc1e3beb79dd2a6dd6840f24ba3641582addafa4",
+    "run": "6678dae451b284f95050adae3b3b9ff03c94a6007b90b6a59fcd3e9080e3990f",
 }
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from dataclasses import fields
 
@@ -107,6 +109,19 @@ def _assert_derived_partition(spec, part):
 def test_partition_structure_restates_the_definitions():
     for spec in seeded_and_shipped_specs(41):
         _assert_derived_partition(spec, partition_rates(spec))
+
+
+def test_spec_and_partition_round_trip_through_pickle_and_deepcopy():
+    for spec in seeded_and_shipped_specs(43):
+        part = partition_rates(spec)
+        for again_spec, again_part in (pickle.loads(pickle.dumps((spec, part))), copy.deepcopy((spec, part))):
+            assert again_spec == spec and hash(again_spec) == hash(spec) and again_spec.parent == spec.parent
+            assert again_part == part and hash(again_part) == hash(part) and again_part.spec is again_spec
+            assert again_part.classes == part.classes and again_part.class_of == part.class_of
+            for obj, again in ((spec, again_spec), (part, again_part), (part.layout, again_part.layout)):
+                for name, value in vars(obj).items():
+                    if isinstance(value, np.ndarray):
+                        assert np.array_equal(getattr(again, name), value), name
 
 
 def test_derived_fields_are_not_constructor_arguments(figure1_spec, figure1_partition):

@@ -336,6 +336,14 @@ def test_sim_config_validation():
             SimConfig(u=1.0, n_workers=n_workers)
 
 
+def test_sim_config_needs_two_replications():
+    # the run schema's minimum: the estimates and the horizon check need a
+    # standard error, which one replication does not give
+    with pytest.raises(ValueError, match="^n_rep must be >= 2, got 1$"):
+        SimConfig(u=1.0, n_rep=1)
+    assert SimConfig(u=1.0, n_rep=2).n_rep == 2
+
+
 def test_sampler_estimates_check_each_frequency_as_the_transforms_do(brownian_tandem):
     # a negative or nan frequency is refused, as joint_lst_exact refuses it,
     # not turned into a mean above 1 or a nan
