@@ -164,29 +164,22 @@ def cmd_structure(cfg: RunConfig, args) -> int:
 
 def cmd_lst_exact(cfg: RunConfig, args) -> int:
     u, omegas = _setting(cfg, args, "u"), _setting(cfg, args, "omega")
-    columns = ["value"]
+    n = cfg.spec.n
+    ev = joint_lst_exact(cfg.spec, cfg.model, omegas, u)
+    columns, values = ["value"], [ev.value[:, None]]
     if args.diagnostics:
-        columns += ["prefactor", *(f"{name}_{j}" for j in range(1, cfg.spec.n) for name in _DIAGNOSTICS)]
-    rows = []
-    for w in omegas:
-        ev = joint_lst_exact(cfg.spec, cfg.model, w, u)
-        values = [ev.value]
-        if args.diagnostics:
-            diagnostics = np.column_stack([getattr(ev, a) - getattr(ev, b) for a, b in _DIAGNOSTICS.values()])
-            values += [ev.prefactor, *diagnostics.ravel().tolist()]
-        rows.append((w, values))
-    return _table(args, cfg.spec.n, columns, rows)
+        columns += ["prefactor", *(f"{name}_{j}" for j in range(1, n) for name in _DIAGNOSTICS)]
+        diagnostics = np.stack([getattr(ev, a) - getattr(ev, b) for a, b in _DIAGNOSTICS.values()], axis=2)
+        values += [ev.prefactor[:, None], diagnostics.reshape(len(omegas), len(_DIAGNOSTICS) * (n - 1))]
+    return _table(args, n, columns, zip(omegas, np.hstack(values).tolist()))
 
 
 def cmd_lst_limit(cfg: RunConfig, args) -> int:
     regime, omegas = _setting(cfg, args, "regime"), _setting(cfg, args, "omega")
     spec = cfg.spec
     partition = partition_rates(spec)
-    tail = cfg.model.tail_pair(regime)
-    rows = []
-    for w in omegas:
-        res = joint_lst_limit(spec, partition, tail, w)
-        rows.append((w, [res.value, *res.factor_values.tolist()]))
+    res = joint_lst_limit(spec, partition, cfg.model.tail_pair(regime), omegas)
+    rows = zip(omegas, np.column_stack((res.value, res.factor_values)).tolist())
     return _table(args, spec.n, ["value", *(f"factor_{k}" for k in range(1, partition.m + 1))], rows)
 
 
@@ -202,7 +195,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     sim = _sim_config(cfg, args, u)
     # Refuse before sampling: first where the sampler would, then where the exact transform does.
     path_scales(cfg.spec, cfg.model, sim)
-    exacts = [joint_lst_exact(cfg.spec, cfg.model, w, u).value for w in omegas]
+    exacts = joint_lst_exact(cfg.spec, cfg.model, omegas, u).value.tolist()
     estimates = empirical_lst(simulate_workload(cfg.spec, cfg.model, sim), omegas)
     rows = []
     for est, exact in zip(estimates, exacts):

@@ -272,40 +272,40 @@ def model_from_dict(block: dict) -> LevyModel:
         raise ConfigError(f"invalid input block: {exc}") from exc
 
 
-def omega_vectors(block: dict, n: int) -> list[np.ndarray]:
-    """Expand a schema-checked frequency spec into explicit nonnegative vectors of length n."""
+def omega_vectors(block: dict, n: int) -> np.ndarray:
+    """Expand a schema-checked frequency spec into a read-only grid of nonnegative vectors, one a row (shape (N, n))."""
     if "list" in block:
-        out = []
         for row in block["list"]:
             if len(row) != n:
                 raise ConfigError(f"omega vector {row} must have length {n}")
-            w = np.asarray(row, dtype=float)
-            if np.any(w < 0.0):
+            if any(x < 0.0 for x in row):
                 raise ConfigError(f"omega vector {row} has negative entries")
-            out.append(w)
-        return out
-    axes = []
-    if len(block["grid"]) != n:
-        raise ConfigError(f"omega grid needs one range per coordinate ({n}), got {len(block['grid'])}")
-    for coord in block["grid"]:
-        scale = coord.get("scale", "linear")
-        start, stop, points = coord["start"], coord["stop"], coord["points"]
-        if start < 0.0 or stop < start:
-            raise ConfigError(f"invalid omega range [{start}, {stop}]")
-        if scale == "log":
-            if start <= 0.0:
-                raise ConfigError("log-spaced omega ranges need start > 0")
-            axes.append(np.logspace(np.log10(start), np.log10(stop), points))
-        else:
-            axes.append(np.linspace(start, stop, points))
-    return [np.array(combo) for combo in itertools.product(*axes)]
+        grid = np.array(block["list"], dtype=float)
+    else:
+        axes = []
+        if len(block["grid"]) != n:
+            raise ConfigError(f"omega grid needs one range per coordinate ({n}), got {len(block['grid'])}")
+        for coord in block["grid"]:
+            scale = coord.get("scale", "linear")
+            start, stop, points = coord["start"], coord["stop"], coord["points"]
+            if start < 0.0 or stop < start:
+                raise ConfigError(f"invalid omega range [{start}, {stop}]")
+            if scale == "log":
+                if start <= 0.0:
+                    raise ConfigError("log-spaced omega ranges need start > 0")
+                axes.append(np.logspace(np.log10(start), np.log10(stop), points))
+            else:
+                axes.append(np.linspace(start, stop, points))
+        grid = np.array(list(itertools.product(*axes)))
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
 class RunConfig:
     spec: NetworkSpec
     model: LevyModel
-    omegas: tuple[np.ndarray, ...] | None
+    omegas: np.ndarray | None
     u: float | None
     u_list: tuple[float, ...] | None
     regime: str | None
@@ -320,13 +320,10 @@ def load_run_config(path) -> RunConfig:
         network_path = path.parent / network_path
     spec = load_network(network_path)
     model = model_from_dict(doc["input"])
-    omegas = None
-    if "omega" in doc:
-        omegas = tuple(omega_vectors(doc["omega"], spec.n))
     return RunConfig(
         spec=spec,
         model=model,
-        omegas=omegas,
+        omegas=omega_vectors(doc["omega"], spec.n) if "omega" in doc else None,
         u=doc.get("u"),
         u_list=tuple(doc["u_list"]) if "u_list" in doc else None,
         regime=doc.get("regime"),

@@ -26,6 +26,13 @@ front sums, one product with NetworkSpec.front_matrix; every kappa, one
 reverse cumulative sum; every slope, one call of the family's _secant on
 arguments built >= 0, which skips laplace_exponent_secant's checks.  The
 diagnostics are computed only when read.
+
+Both transforms also take a grid of N frequency vectors, one per row, in one
+call.  Inside, the grid is held node-major, one column per vector, so every
+gather reads x[idx] as for a single vector; the front sums are one
+matrix-vector product per row and the products run left to right, so each
+row gets the bits of a call of its own.  Newton still solves one root per
+entry.
 """
 
 from __future__ import annotations
@@ -47,8 +54,25 @@ _TINY = np.finfo(float).tiny
 
 
 def as_omega(omega, n: int) -> np.ndarray:
-    """Validate a frequency vector: length n, finite, componentwise >= 0."""
-    w = np.asarray(omega, dtype=float)
+    """Validate a frequency vector: length n, finite, componentwise >= 0.
+
+    A grid of N >= 1 vectors, one per row (shape (N, n)), is checked at once;
+    where it fails, each row is checked in turn, so that the first bad row
+    raises the error it raises alone.
+    """
+    try:
+        w = np.asarray(omega, dtype=float)
+    except ValueError:  # rows of unequal length: each is checked, so the first bad one raises
+        if not isinstance(omega, (list, tuple)):
+            raise
+        return np.array([as_omega(row, n) for row in omega])
+    if w.ndim == 2:
+        if not (len(w) and w.shape[1] == n and 0.0 <= np.minimum.reduce(w, axis=None)
+                and np.maximum.reduce(w, axis=None) < math.inf):  # nan fails a comparison
+            for row in w:
+                as_omega(row, n)
+            raise ValueError(f"frequency grid needs at least one row, got shape {w.shape}")
+        return w
     if w.shape != (n,):
         raise ValueError(f"frequency vector must have length {n}, got shape {w.shape}")
     if not 0.0 <= np.minimum.reduce(w) <= np.maximum.reduce(w) < math.inf:  # nan fails each comparison
@@ -59,8 +83,8 @@ def as_omega(omega, n: int) -> np.ndarray:
 
 
 def _all_normal(x: np.ndarray) -> bool:
-    """Every entry is a normal float >= tiny and < inf; nan fails."""
-    return _TINY <= np.minimum.reduce(x) and np.maximum.reduce(x) < math.inf
+    """Every entry, of a vector or a grid, is a normal float >= tiny and < inf; nan fails."""
+    return _TINY <= np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < math.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -70,7 +94,9 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     below the normal float range (to 0 or to a subnormal, which keeps few
     digits), raises ScalingRangeError naming the node, where it is scaled
     ("at u = 10", "in the limit") and the base (name, with {} for the node).
-    The check reads a min and a max unless an entry is 0 or out of range."""
+    For a grid w of shape (N, n) it names the first such entry in row
+    order.  The check reads a min and a max unless an entry is 0 or out of
+    range."""
     factor = base**beta
     scaled = w * factor
     if _all_normal(scaled):
@@ -78,11 +104,12 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     nonzero = w != 0.0
     scaled[~nonzero] = 0.0  # 0 * inf is nan
     if (lost := nonzero & ((scaled < _TINY) | (scaled == math.inf))).any():
-        j = int(np.argmax(lost))
+        at = np.unravel_index(np.argmax(lost), lost.shape)
+        j = int(at[-1])
         raise ScalingRangeError(
             f"scaled frequency of node {j + 1} "
-            f"{'overflows' if np.isinf(scaled[j]) else f'underflows to {scaled[j]:g}'} {where}: "
-            f"omega_{j + 1} = {w[j]:g}, {name.format(j + 1)}**beta = {factor[j]:g}"
+            f"{'overflows' if np.isinf(scaled[at]) else f'underflows to {scaled[at]:g}'} {where}: "
+            f"omega_{j + 1} = {w[at]:g}, {name.format(j + 1)}**beta = {factor[j]:g}"
         )
     return scaled
 
@@ -92,12 +119,16 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray,
 
     For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
     with (r**2, ph**2) given as squares, whose sums of nonnegative terms do not
-    cancel; otherwise Newton from x / r, where psi >= x.  x >= 0.
+    cancel; otherwise Newton from x / r, where psi >= x, one solve per entry
+    of x.  x >= 0, of shape (m,) or (m, N), with r, ph and squares broadcasting
+    against it.
     """
     a = model.quadratic
     if a is not None:
         r_sq, ph_sq = squares
         return 2.0 * x / (r + np.sqrt(r_sq + 4.0 * a * ph_sq * x))
+    if x.ndim > 1:  # a grid: each node's rates along its row
+        r, ph = np.broadcast_to(r, x.shape).ravel(), np.broadcast_to(ph, x.shape).ravel()
     return np.array(
         [
             invert_increasing(
@@ -106,29 +137,36 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray,
                 lambda s: rj + pj * float(model.laplace_exponent_deriv(pj * s)),
                 xj / rj,
             )
-            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.tolist())
+            for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.ravel().tolist())
         ]
-    )
+    ).reshape(x.shape)
 
 
-def _front_sums(spec: NetworkSpec, w: np.ndarray) -> np.ndarray:
-    """Entry j-1: the sum of phat_l * w_l over l in the front of node j, for every j."""
-    return spec.front_matrix @ (spec.phat * w)
+def _front_sums(front: np.ndarray, phat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Entry j-1: the sum of phat_l * w_l over l in the front of node j (row j-1 of front), for every j.
+
+    A grid w of shape (N, n) gives a row of sums per vector, each from the
+    matrix-vector product of its own row: a matrix-matrix product would
+    round differently."""
+    x = phat * w
+    return front @ x if x.ndim == 1 else (front @ x[..., None])[..., 0]
 
 
 # perfbench/tracing.py counts calls to kappa by name
-def kappa(spec: NetworkSpec, omega, j: int, u: float) -> float:
+def kappa(spec: NetworkSpec, omega, j: int, u: float) -> float | np.ndarray:
     """Drift-gap aggregate attached to the factor of node j (1 <= j <= n-1).
 
     The sum over nodes l > j of (r_{l-1}/phat_{l-1} - r_l/phat_l) times the
     front sum of l, as the transform computes it (ClassRates.kappas).  Under
-    the rate ordering every term is nonnegative, so the result is >= 0.
+    the rate ordering every term is nonnegative, so the result is >= 0.  A
+    grid of N vectors gives an array of N.
     """
     n = spec.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"kappa index {j} outside 1..{n-1}")
     w = as_omega(omega, n)
-    return float(spec.class_rates(u).kappas(_front_sums(spec, w))[j - 1])
+    k = spec.class_rates(u).kappas(_front_sums(spec.front_matrix, spec.phat, w).T)[j - 1]
+    return k if k.ndim else float(k)
 
 
 @dataclass(frozen=True)
@@ -138,11 +176,14 @@ class LstEvaluation:
     Entry j-1 of every array belongs to the factor of node j < n: kappa_{j+1},
     delta_j, delta_hat_j, the root Phi_j(kappa_{j+1}), psi_j at delta_j and
     at delta_hat_j, and the factor value.  The deltas, psi and the residual
-    come on first read from model, rates (ClassRates) and front_sums.
+    come on first read from model, rates (ClassRates) and front_sums.  The
+    evaluation of a grid of N vectors gives every field and diagnostic a
+    leading axis of N: value, prefactor and max_root_residual are arrays of
+    N, the others have a row per vector.
     """
 
-    value: float
-    prefactor: float
+    value: float | np.ndarray
+    prefactor: float | np.ndarray
     kappa: np.ndarray
     phi_at_kappa: np.ndarray
     factor_values: np.ndarray
@@ -153,13 +194,15 @@ class LstEvaluation:
     @cached_property
     def _psi_points(self) -> list[np.ndarray]:
         """The roots, delta and delta_hat, then psi at each, from one exponent call."""
-        r, ph, sums = self.rates.r_at[: len(self.kappa)], self.rates.layout.phat[:-1], self.front_sums
-        s = np.concatenate((self.phi_at_kappa, sums[:-1] / ph, sums[1:] / ph)).reshape(3, len(ph))
+        ph, sums = self.rates.layout.phat[:-1], self.front_sums
+        r = self.rates.r_at[: len(ph)]
+        s = np.stack((self.phi_at_kappa, sums[..., :-1] / ph, sums[..., 1:] / ph))
         return [*s, *(r * s + self.model.laplace_exponent(ph * s))]
 
     @cached_property
-    def max_root_residual(self) -> float:
-        return float(np.abs(self._psi_points[3] - self.kappa).max(initial=0.0))
+    def max_root_residual(self) -> float | np.ndarray:
+        residual = np.abs(self._psi_points[3] - self.kappa).max(axis=-1, initial=0.0)
+        return residual if residual.ndim else float(residual)
 
     delta = property(lambda self: self._psi_points[1])
     delta_hat = property(lambda self: self._psi_points[2])
@@ -171,43 +214,53 @@ def _class_factors(model: LevyModel, rates: ClassRates, w, sums):
     """The factor formula over the classes of rates.layout.
 
     rates holds what the formula reads of the rates, and w and sums each
-    node's frequency and its front sum within its class.  Returns the
-    factors in the layout's order (the inner nodes, then the class ends),
-    then kappa and the roots for the inner nodes.  With slope(s, y) = r + ph
-    * S(ph * s, ph * y) and S the secant of phi, a class end's factor is its
-    prefactor r / slope(w, 0) and every inner node's is slope(root,
-    delta_hat) / slope(root, delta), with root the inverse of psi_j at
-    kappa_{j+1} over the class slice.  Every secant argument is >= 0 by
-    construction, so they go to phi's _secant ordered but unchecked.  Where
-    r/phat rises from a node to the next in its class (rates.rise) it raises
-    StructuralError; elsewhere every kappa term is >= 0.
+    node's frequency and its front sum within its class, or for a grid of N
+    vectors a column of them per vector (shape (n, N)).  Returns the factors
+    in the layout's order (the inner nodes, then the class ends), then kappa
+    and the roots for the inner nodes, for a grid with a column per vector.
+    With slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant of phi, a
+    class end's factor is its prefactor r / slope(w, 0) and every inner
+    node's is slope(root, delta_hat) / slope(root, delta), with root the
+    inverse of psi_j at kappa_{j+1} over the class slice.  Every secant
+    argument is >= 0 by construction, so they go to phi's _secant ordered
+    but unchecked.  Where r/phat rises from a node to the next in its class
+    (rates.rise) it raises StructuralError; elsewhere every kappa term is >= 0.
     """
     layout = rates.layout
-    ph = layout.phat
+    if w.ndim > 1:  # a grid: the per-node constants as columns, and r_at at every entry for the numerators
+        r, ph, r_at, ph_at, squares = rates.columns
+        r_at, zero, empty = r_at.repeat(w.shape[1], 1), np.zeros((1, w.shape[1])), w[:0]
+    else:
+        r, ph, r_at, ph_at, squares = rates.r, layout.phat, rates.r_at, layout.phat_at, rates.squares
+        zero, empty = _ZERO, _EMPTY
     m = layout.inner.size
-    if not m:  # all classes singletons: every factor is a prefactor
-        return rates.r / (rates.r + ph * model._secant(ph * w, 0.0)), _EMPTY, _EMPTY
+    if not m:  # all classes singletons: every factor is a prefactor, and there is no kappa or root
+        return r / (r + ph * model._secant(ph * w, 0.0)), empty, empty
 
     if j := rates.rise:
         raise StructuralError(f"r/phat rises from node {j} to node {j + 1}: rate ordering violated within class")
     kap = rates.kappas(sums)
-    r_at, ph_at = rates.r_at, layout.phat_at
-    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap, (rates.r_sq, layout.phat_sq))
+    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap, squares)
 
     # the slopes from each root to delta_hat and to delta, and from w to 0 at
     # the class ends, from one secant call
     hi = ph_at * np.concatenate((roots, roots, w[layout.ends]))
-    lo = np.concatenate((sums, _ZERO))[layout.sum_at]
+    lo = np.concatenate((sums, zero))[layout.sum_at]
     slopes = r_at + ph_at * model._secant(np.maximum(hi, lo), np.minimum(hi, lo))
     return np.concatenate((slopes[:m], r_at[2 * m :])) / slopes[m:], kap, roots
 
 
-def _assembled(factors: list[float], what: str) -> float:
-    """The product of factors, left to right, clamped to 1.
+def _assembled(value: float | np.ndarray, what: str) -> float | np.ndarray:
+    """A product of factors, or for a grid an array of them, clamped to 1.
 
-    A product outside (0, 1] by more than rounding raises SingularFactorError.
+    A value outside (0, 1] by more than rounding raises SingularFactorError,
+    for a grid the first such.
     """
-    value = math.prod(factors)
+    if isinstance(value, np.ndarray):
+        bad = ~((value > 0.0) & (value <= 1.0 + 1e-9))  # nan fails both
+        if bad.any():
+            _assembled(float(value[np.argmax(bad)]), what)
+        return np.minimum(value, 1.0)
     if not math.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]")
     return min(value, 1.0)
@@ -220,11 +273,24 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
     from a node to the next, else StructuralError (the u-probe rule of
     validate_assumptions), which keeps every kappa nonnegative.  Every
     factor is a ratio of positive slopes, zero entries of omega included;
-    only a product outside (0, 1] raises SingularFactorError.
+    only a product outside (0, 1] raises SingularFactorError.  The value is
+    the product of the factors, left to right, the prefactor first.
+
+    omega may be a grid of N vectors, one per row (shape (N, n)): the call
+    then evaluates every row with the bits of a call of its own, and every
+    field of the result gains a leading axis of N.  A grid raises the error
+    its first bad row raises alone, where as_omega or the rate ordering
+    refuses it; the ordering is a property of the network at u.
     """
     w = as_omega(omega, spec.n)
-    rates, sums = spec.class_rates(u), _front_sums(spec, w)
+    rates = spec.class_rates(u)
+    if w.ndim > 1:  # a grid, node-major inside
+        sums = _front_sums(spec.front_matrix, spec.phat, w)
+        factors, kap, roots = _class_factors(model, rates, w.T, sums.T)
+        value = _assembled(np.multiply.reduce(factors[rates.layout.order]), "transform")
+        return LstEvaluation(value, factors[-1], kap.T, roots.T, factors[:-1].T, model, rates, sums)
+    sums = spec.front_matrix @ (spec.phat * w)
     factors, kap, roots = _class_factors(model, rates, w, sums)
     prefactor, values = float(factors[-1]), factors[:-1]
-    value = _assembled([prefactor, *values.tolist()], "transform")
+    value = _assembled(math.prod([prefactor, *values.tolist()]), "transform")
     return LstEvaluation(value, prefactor, kap, roots, values, model, rates, sums)

@@ -24,15 +24,17 @@ of _class_factors in the partition's end-first order, its prefactor first.
 The partition builds that class layout, its ClassRates and fractions**beta
 once, and the tail pair its stable input, so a call builds none and scales a
 positive omega by one multiply and a min/max test.  No diagnostic is computed.
+A grid of N frequency vectors, one per row, is one call, as in exact.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _all_normal, _assembled, _class_factors, _scaled_frequency, as_omega
+from .exact import _all_normal, _assembled, _class_factors, _front_sums, _scaled_frequency, as_omega
 from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: perfbench/tracing.py counts calls through it
@@ -40,9 +42,12 @@ from .partition import RateClassPartition, starred_sets  # starred_sets: perfben
 
 @dataclass(frozen=True)
 class LimitLst:
-    """Limit value and the class factors, the factor of class k in entry k-1."""
+    """Limit value and the class factors, the factor of class k in entry k-1.
 
-    value: float
+    For a grid of N vectors, value is an array of N and factor_values has a
+    row per vector."""
+
+    value: float | np.ndarray
     factor_values: np.ndarray
 
 
@@ -58,16 +63,30 @@ def joint_lst_limit(
     limit): _class_factors raises StructuralError at a rise, by the rule of
     the exact transform, and a spec that is not the partition's network
     raises it too.  Classes whose frequencies are all zero contribute 1.
+
+    omega may be a grid of N vectors, one per row (shape (N, n)): every row
+    is evaluated with the bits of a call of its own, and a grid raises the
+    first bad row's error of as_omega, then of the scaling.
     """
     partition.require_spec(spec)
-    w, power = np.asarray(omega, dtype=float), partition.fraction_power(tail.beta)
-    if power is None or w.shape != power.shape or not _all_normal(scaled := w * power):  # zeros, refusals
+    try:
+        w = np.asarray(omega, dtype=float)
+    except ValueError:  # rows of unequal length: as_omega raises the first bad one's error
+        w = as_omega(omega, spec.n)
+    power = partition.fraction_power(tail.beta)
+    if power is None or w.shape != power.shape or not _all_normal(scaled := w * power):  # grids, zeros, refusals
         scaled = _scaled_frequency(as_omega(w, spec.n), partition.fractions, tail.beta, "in the limit", "fraction_{}")
-    sums, layout = partition.front_matrix @ (spec.phat * scaled), partition.layout
-    f = _class_factors(tail.stable_model, partition.class_rates, scaled, sums)[0]
+    layout = partition.layout
     # class k's factor: its prefactor, at its end, then its other nodes in order
+    if scaled.ndim > 1:  # a grid, node-major inside
+        sums = _front_sums(partition.front_matrix, spec.phat, scaled)
+        f = _class_factors(tail.stable_model, partition.class_rates, scaled.T, sums.T)[0]
+        class_values = np.multiply.reduceat(f[layout.order], layout.starts)
+        return LimitLst(_assembled(np.multiply.reduce(class_values), "limit"), class_values.T)
+    sums = partition.front_matrix @ (spec.phat * scaled)
+    f = _class_factors(tail.stable_model, partition.class_rates, scaled, sums)[0]
     class_values = np.multiply.reduceat(f[layout.order], layout.starts)
-    return LimitLst(_assembled(class_values.tolist(), "limit"), class_values)
+    return LimitLst(_assembled(math.prod(class_values.tolist()), "limit"), class_values)
 
 
 # perfbench/tracing.py spans calls to singular_limit by name

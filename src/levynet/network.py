@@ -8,7 +8,7 @@ rejects inputs that are not in this form instead of re-ordering them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +28,14 @@ def _derive(obj, **fields) -> None:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
+
+
+class _Rebuilt:
+    """Base of the frozen dataclasses that pickle and copy rebuild from their constructor inputs:
+    __post_init__ runs again, so the derived arrays come back read-only and the memos empty."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _merge_terms(terms) -> tuple[tuple[float, float], ...]:
@@ -106,7 +114,7 @@ def _net_signs(f: RateFunction, ph_f: float, g: RateFunction, ph_g: float) -> li
 
 
 @dataclass(frozen=True)
-class RoutingMatrix:
+class RoutingMatrix(_Rebuilt):
     """Strictly upper-triangular routing fractions with one parent per column.
 
     p[i, j] (0-based storage) is the fraction of node i+1's output feeding
@@ -173,7 +181,7 @@ class RoutingMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassLayout:
+class ClassLayout(_Rebuilt):
     """Where the factor formula (exact._class_factors) reads, for nodes cut
     into intervals, the classes: read-only 0-based arrays built once.
 
@@ -221,6 +229,7 @@ class ClassLayout:
         slope_at = np.concatenate((inner, inner, ends))
         _derive(
             self,
+            phat=self.phat,
             ends=ends,
             inner=inner,
             kappa_at=kappa_at,
@@ -236,12 +245,14 @@ class ClassLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassRates:
+class ClassRates(_Rebuilt):
     """What the factor formula reads of rates r on a ClassLayout, built once per
     network and u or per partition.  rise: first_rise of r/phat over
     layout.inner, refused when the formula is called, never when built.
     kappa_weights[l]: r_l/phat_l - r_{l+1}/phat_{l+1}, after a leading 0.
-    r_at: r[layout.slope_at]; r_sq, r**2 at the inner nodes, on first read."""
+    r_at: r[layout.slope_at]; squares, r**2 and phat**2 at the inner nodes,
+    and columns, the arrays a grid reads (r, phat, r_at, phat_at and squares)
+    as columns of shape (k, 1), each on first read."""
 
     layout: ClassLayout
     r: np.ndarray
@@ -256,16 +267,28 @@ class ClassRates:
         _derive(self, r=self.r, kappa_weights=weights, r_at=self.r[layout.slope_at], rise=rise)
 
     @cached_property
-    def r_sq(self) -> np.ndarray:
-        return self.r_at[: self.layout.inner.size] ** 2
+    def squares(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.r_at[: self.layout.inner.size] ** 2, self.layout.phat_sq
+
+    @cached_property
+    def columns(self) -> tuple:
+        r, ph, r_at, ph_at = (x[:, None] for x in (self.r, self.layout.phat, self.r_at, self.layout.phat_at))
+        return r, ph, r_at, ph_at, tuple(x[:, None] for x in self.squares)
 
     def kappas(self, sums: np.ndarray) -> np.ndarray:
-        """kappa of each inner node: reverse running sums of kappa_weights * sums in each class."""
-        return (self.kappa_weights * sums)[self.layout.kappa_from].cumsum(axis=1).ravel()[self.layout.kappa_back]
+        """kappa of each inner node: reverse running sums of kappa_weights * sums in each class.
+
+        sums holds a front sum per node, or for a grid a column of them per
+        vector (shape (n, N)), which gives a column of kappas per vector."""
+        layout = self.layout
+        if sums.ndim == 1:
+            return (self.kappa_weights * sums)[layout.kappa_from].cumsum(axis=1).ravel()[layout.kappa_back]
+        terms = (self.kappa_weights[:, None] * sums)[layout.kappa_from].cumsum(axis=1)
+        return terms.reshape(-1, sums.shape[1])[layout.kappa_back]
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_Rebuilt):
     """A validated tree network; everything but routing and rates is derived.
 
     phat[j-1] is the cumulative routing fraction from the root into node j

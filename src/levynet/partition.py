@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .network import ClassLayout, ClassRates, NetworkSpec, RateFunction, _derive, first_rise
+from .network import ClassLayout, ClassRates, NetworkSpec, RateFunction, _derive, _Rebuilt, first_rise
 
 
 def _classes(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
@@ -34,7 +34,7 @@ def _classes(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class RateClassPartition:
+class RateClassPartition(_Rebuilt):
     """Ordered interval classes of a network with fractions and reference rates.
 
     Fixed by its network and one reference rate per class, in class order;

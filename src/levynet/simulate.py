@@ -255,14 +255,15 @@ def convergence_study(
     column is u-independent.  Both scale through exact._scaled_frequency:
     a nonzero frequency whose scaled value overflows or underflows below the
     normal float range raises ScalingRangeError, naming the node and u (or
-    the limit).  When `sim` is given, an empirical column at the same scaled
-    frequencies is added (seed offset by the u index).  A spec that is not
-    the partition's network raises StructuralError.
+    the limit).  The limit and each u's exact column are one call over the
+    grid of omegas.  When `sim` is given, an empirical column at the same
+    scaled frequencies is added (seed offset by the u index).  A spec that
+    is not the partition's network raises StructuralError.
     """
     partition.require_spec(spec)
     tail = model.tail_pair(regime)
-    omegas = [np.asarray(w, dtype=float) for w in omegas]
-    limit_vals = [joint_lst_limit(spec, partition, tail, w).value for w in omegas]
+    omegas = np.atleast_2d(as_omega(omegas, spec.n))  # one vector is a grid of one row
+    limit_vals = joint_lst_limit(spec, partition, tail, omegas).value.tolist()
 
     rows = []
     for iu, u in enumerate(u_list):
@@ -271,9 +272,10 @@ def convergence_study(
         if sim is not None:
             cfg = replace(sim, u=u, seed=sim.seed + iu)
             samples = simulate_workload(spec, model, cfg)
-        for w, lim in zip(omegas, limit_vals):
-            scaled = _scaled_frequency(w, r, tail.beta, f"at u = {u:g}", "r_{}(u)")
-            exact = joint_lst_exact(spec, model, scaled, u).value
+        scaled = _scaled_frequency(omegas, r, tail.beta, f"at u = {u:g}", "r_{}(u)")
+        exacts = joint_lst_exact(spec, model, scaled, u).value.tolist()
+        estimates = empirical_lst(samples, scaled) if samples is not None else [None] * len(omegas)
+        for w, lim, exact, est in zip(omegas, limit_vals, exacts, estimates):
             row = {
                 "u": float(u),
                 "omega": w,
@@ -281,8 +283,7 @@ def convergence_study(
                 "limit": lim,
                 "gap": abs(exact - lim),
             }
-            if samples is not None:
-                est = empirical_lst(samples, [scaled])[0]
+            if est is not None:
                 row["empirical"] = est.mean
                 row["se"] = est.se
             rows.append(row)

@@ -640,6 +640,39 @@ def test_bad_omega_length_rejected(tmp_path, capsys):
     assert run_cli(["lst-exact", "--config", str(cfg)]) == 2
 
 
+def _tandem_with(**changes) -> dict:
+    return dict(TANDEM_NETWORK, **changes)
+
+
+def _rate(node: int, c: float = 1.0) -> dict:
+    return {"node": node, "terms": [{"c": c, "e": 0}]}
+
+
+_AXIS = {"start": 0.1, "stop": 1, "points": 3}
+CONFIG_REFUSALS = {  # message: (error, network, omega block)
+    "rate entry references node 3 outside 1..2": ("ConfigError", _tandem_with(rates=[_rate(1, 2), _rate(2), _rate(3)]), None),
+    "duplicate rate entry for node 1": ("ConfigError", _tandem_with(rates=[_rate(1, 2), _rate(1), _rate(2)]), None),
+    "missing rate entries for nodes [2]": ("ConfigError", _tandem_with(rates=[_rate(1, 2)]), None),
+    "edge (1 -> 3) references a node outside 1..2": (
+        "StructuralError", _tandem_with(edges=[{"from": 1, "to": 3, "p": 1.0}]), None
+    ),
+    "omega vector [0.5, -0.5] has negative entries": ("ConfigError", TANDEM_NETWORK, {"list": [[0.5, 0.5], [0.5, -0.5]]}),
+    "omega grid needs one range per coordinate (2), got 1": ("ConfigError", TANDEM_NETWORK, {"grid": [_AXIS]}),
+    "invalid omega range [1, 0.1]": ("ConfigError", TANDEM_NETWORK, {"grid": [_AXIS, {**_AXIS, "start": 1, "stop": 0.1}]}),
+    "log-spaced omega ranges need start > 0": (
+        "ConfigError", TANDEM_NETWORK, {"grid": [{**_AXIS, "start": 0, "scale": "log"}] * 2}
+    ),
+}
+
+
+@pytest.mark.parametrize("message", CONFIG_REFUSALS)
+def test_config_refusals_exit_2_with_their_message(tmp_path, capsys, message):
+    error, network, omega = CONFIG_REFUSALS[message]
+    cfg = write_configs(tmp_path, network, {"u": 1.0, **({"omega": omega} if omega else {})})
+    assert run_cli(["lst-exact", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+
+
 HEAVY_TANDEM_NETWORK = dict(  # configs/tandem2_heavy.network.json
     TANDEM_NETWORK,
     rates=[

@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
@@ -383,3 +384,15 @@ def _assert_config_error(tmp_path, capsys, run_text, message):
     assert str(path) in str(info.value)
     assert cli.main(["lst-exact", "--config", str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_the_omega_block_is_one_read_only_grid():
+    # a list keeps its rows; a grid range block is the cartesian product, omega_1 major
+    for name, width in (("figure1.run.json", 6), ("tandem2_brownian.run.json", 2)):
+        omegas = config.load_run_config(CONFIGS / name).omegas
+        assert omegas.ndim == 2 and omegas.shape[1] == width and not omegas.flags.writeable
+    axis = np.logspace(np.log10(0.1), np.log10(2.0), 5)
+    grid = config.load_run_config(CONFIGS / "tandem2_brownian.run.json").omegas
+    assert np.array_equal(grid, [[a, b] for a in axis for b in axis])
+    listed = config.omega_vectors({"list": [[0, 0.5], [1, 2]]}, 2)
+    assert listed.tolist() == [[0.0, 0.5], [1.0, 2.0]] and not listed.flags.writeable

@@ -28,6 +28,7 @@ from levynet import (
     partition_rates,
 )
 from levynet.errors import ScalingRangeError
+from levynet.models import HEAVY
 from levynet.exact import _psi_inverse
 from levynet.network import ClassLayout, ClassRates, NetworkSpec, build_network
 from levynet.roots import invert_increasing
@@ -611,3 +612,76 @@ def test_brownian_input_makes_no_newton_solve(monkeypatch):
     monkeypatch.setattr(exact, "invert_increasing", refused)
     for spec, w, u in _guard_points():
         assert 0.0 < joint_lst_exact(spec, Brownian(1.0), w, u).value <= 1.0
+
+
+# every field and diagnostic of an exact evaluation
+GRID_FIELDS = (
+    "value", "prefactor", "kappa", "phi_at_kappa", "factor_values",
+    "delta", "delta_hat", "psi_delta", "psi_delta_hat", "max_root_residual",
+)
+
+
+def _grid_trees(rng):
+    """Seeded random trees from 1 to 21 nodes, and one whose every node is its own rate class."""
+    specs = [random_spec(rng, n) for n in (1, 2, 3, 5, 8, 13, 21)]
+    tree = random_spec(rng, 5)
+    rates = [RateFunction.monomial(3.0 * 0.7**j * tree.phat[j], 2.0 - j) for j in range(5)]
+    return specs + [build_network(tree.routing, rates)]
+
+
+def test_a_grid_call_gives_each_row_the_bits_of_its_own_call():
+    from values import INPUTS
+
+    rng = np.random.default_rng(451)
+    specs = _grid_trees(rng)
+    assert specs[0].n == 1 and partition_rates(specs[-1]).m == specs[-1].n == 5
+    for spec in specs:
+        part = partition_rates(spec)
+        grid = rng.uniform(0.05, 2.5, (5, spec.n)) * (rng.random((5, spec.n)) < 0.7)  # zero entries
+        grid[0] = 0.0
+        for model in INPUTS.values():
+            for u in (1.0, 3.0):
+                got = joint_lst_exact(spec, model, grid, u)
+                assert got.value.shape == (5,) and got.kappa.shape == got.delta.shape == (5, spec.n - 1)
+                for k, w in enumerate(grid):
+                    want = joint_lst_exact(spec, model, w, u)
+                    for name in GRID_FIELDS:
+                        assert np.array_equal(getattr(got, name)[k], getattr(want, name)), (spec.n, model, name)
+            got = joint_lst_limit(spec, part, model.tail_pair(HEAVY), grid)
+            assert got.factor_values.shape == (5, part.m)
+            for k, w in enumerate(grid):
+                want = joint_lst_limit(spec, part, model.tail_pair(HEAVY), w)
+                assert got.value[k] == want.value and np.array_equal(got.factor_values[k], want.factor_values)
+
+
+def _error(evaluate, w):
+    """The type and message of the error evaluate(w) raises."""
+    with pytest.raises((ValueError, ScalingRangeError)) as raised:
+        evaluate(w)
+    return type(raised.value), str(raised.value)
+
+
+def test_a_grid_raises_the_error_its_bad_row_raises_alone():
+    rng = np.random.default_rng(457)
+    spec = random_spec(rng, 9)
+    part, model, tail = partition_rates(spec), CenteredGamma(2.0, 1.5), TailPair(1.5, 0.7)
+    exact_at = lambda w: joint_lst_exact(spec, model, w, 2.0)
+    limit_at = lambda w: joint_lst_limit(spec, part, tail, w)
+    good = rng.uniform(0.1, 2.0, (4, spec.n)).tolist()
+    row = good[2]
+    bad_rows = {  # the bad row 2, and the transforms that refuse it
+        "length": (row[:-1], (exact_at, limit_at)),
+        "nan": ([*row[:3], math.nan, *row[4:]], (exact_at, limit_at)),
+        "negative": ([*row[:5], -0.5, *row[6:]], (exact_at, limit_at)),
+        # a nonzero entry that the limit's fraction power takes below the normal float range
+        "lost scaling": ([*row[:4], 1e-310, *row[5:]], (limit_at,)),
+    }
+    for kind, (bad, refusing) in bad_rows.items():
+        rows = [*good[:2], bad, good[3]]
+        for evaluate in refusing:
+            want = _error(evaluate, bad)
+            for grid in (rows, np.array(rows)) if kind != "length" else (rows,):  # a ragged list has no array
+                assert _error(evaluate, grid) == want, kind
+    # the exact transform scales nothing: there that row is a value like any other
+    lost = bad_rows["lost scaling"][0]
+    assert exact_at(np.array([*good[:2], lost, good[3]])).value[2] == exact_at(lost).value

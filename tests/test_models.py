@@ -225,6 +225,11 @@ def test_invalid_parameters_rejected():
         Brownian(1.0).tail_pair("x")
 
 
+def test_a_stable_sum_needs_a_component():
+    with pytest.raises(ValueError, match="^at least one stable component required$"):
+        StableSum(())
+
+
 def _family(kind, a, b):
     """One input of each family, with two parameters drawn in [0.2, 5]."""
     return {

@@ -233,6 +233,17 @@ def test_rate_function_merges_and_rejects():
     assert RateFunction(((1e308, 1.0), (1e308, 2.0))).terms == ((1e308, 2.0), (1e308, 1.0))
 
 
+def test_empty_rates_non_positive_scales_and_non_finite_routing_are_refused():
+    with pytest.raises(ValueError, match="^rate function needs at least one monomial term$"):
+        RateFunction(())
+    for factor in (0.0, -2.0):
+        with pytest.raises(ValueError, match="^scale factor must be positive$"):
+            RateFunction.monomial(1.0, 1.0).scaled(factor)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(StructuralError, match="^routing matrix has non-finite entries$"):
+            RoutingMatrix(np.array([[0.0, bad], [0.0, 0.0]]))
+
+
 def checks_of(report):
     return {c.assumption: (c.passed, c.detail) for c in report.checks}
 

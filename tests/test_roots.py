@@ -42,3 +42,26 @@ def test_round_trip(x, a, b, alpha):
     df = lambda s: a + b * alpha * s ** (alpha - 1.0)
     s = invert_increasing(f, x, df, x / a)
     assert f(s) == pytest.approx(x, rel=1e-11)
+
+
+def test_a_step_that_no_longer_moves_s_ends_at_the_looser_tolerance():
+    # f(s) = s**p with p = 1e5: next to the root, adjacent floats move f by
+    # about p * eps = 1e-11 relative, more than the 1e-12 x tolerance, while
+    # a Newton step from there is below half an ulp of s, so the iteration
+    # stalls within a few dozen steps
+    p = 1e5
+    f, df = lambda s: s**p, lambda s: p * s ** (p - 1.0)
+    steps = []
+
+    def counted(s):
+        steps.append(s)
+        return df(s)
+
+    s = invert_increasing(f, 0.1, counted, 1.0)
+    assert len(steps) < 100 and s - (f(s) - 0.1) / df(s) == s  # the last step did not move s
+    assert 1e-12 * 0.1 < abs(f(s) - 0.1) <= 1e-12  # above the sharp tolerance, within 1e-12 max(1, x)
+    # at x = 0.5 the stalled residual is above the looser tolerance too
+    steps.clear()
+    with pytest.raises(RootFindingError, match="^Newton iteration stopped with residual"):
+        invert_increasing(f, 0.5, counted, 1.0)
+    assert len(steps) < 100

@@ -4,8 +4,12 @@ import json
 import platform
 
 import numpy as np
+import pytest
 
-from values import INPUTS, PATH, SAMPLE_NETWORKS, TREE_SEEDS, changed_groups, compute
+from levynet import LevynetError, joint_lst_exact, joint_lst_limit, partition_rates
+from levynet.models import HEAVY
+
+from values import INPUTS, PATH, SAMPLE_NETWORKS, TREE_SEEDS, U_EXACT, _tree, changed_groups, compute
 
 
 def test_stored_values_are_bit_identical():
@@ -19,3 +23,27 @@ def test_stored_values_are_bit_identical():
         f"groups differ from the values computed with {stored['environment']} (this run: {here}): "
         + "; ".join(changed)
     )
+
+
+def test_each_stored_group_is_one_grid_call_per_u_and_one_in_the_limit():
+    # a group's three frequency vectors as one (3, n) grid: where all three
+    # stored entries are values the grid gives their bits, else it raises
+    # the error of the first row that raised one
+    stored = json.loads(PATH.read_text())["groups"]
+    for seed in TREE_SEEDS:
+        spec, omegas = _tree(seed)
+        grid, partition = np.array(omegas), partition_rates(spec)
+        for name, model in INPUTS.items():
+            tail = model.tail_pair(HEAVY)
+            calls = [lambda u=u: joint_lst_exact(spec, model, grid, u) for u in U_EXACT]
+            calls.append(lambda: joint_lst_limit(spec, partition, tail, grid))
+            entries = stored[f"tree {seed} {name}"]
+            for k, evaluate in enumerate(calls):
+                want = entries[3 * k : 3 * k + 3]
+                errors = [e for e in want if e[:1].isupper()]  # an error name, not float hex
+                if errors:
+                    with pytest.raises(LevynetError) as raised:
+                        evaluate()
+                    assert type(raised.value).__name__ == errors[0], (seed, name, k)
+                else:
+                    assert [v.hex() for v in evaluate().value.tolist()] == want, (seed, name, k)
