@@ -13,26 +13,30 @@ phi' at the removable point Phi_j(x) = y.  So every factor is a ratio of two
 positive slopes, and zero frequencies need no special case.
 
 Cost of one evaluation: O(n^2) array work, plus n - 1 scalar Newton solves
-unless phi(s) = a s**2 (LevyModel.quadratic: Brownian input and every
-alpha = 2 limit), where the roots are one closed-form array expression.  The
-factor formula is written once, over classes of nodes (_class_factors), with
-one factor per node: a class end holds its prefactor and every other node
-its ratio.  The exact transform is one class; limit.py applies the formula
-to each rate class.  Where the formula reads and in which order its factors
+and one secant call unless phi(s) = a s**2 (LevyModel.quadratic: Brownian
+input and every alpha = 2 limit).  There the single-queue algebra gives
+every factor in closed form, a ratio of sums of positive terms, so the
+factors are a few array expressions with no root and no secant; the roots
+are computed only when LstEvaluation.phi_at_kappa is read.  The factor
+formula is written once, over classes of nodes (_class_factors), with one
+factor per node: a class end holds its prefactor and every other node its
+ratio.  The exact transform is one class; limit.py applies the formula to
+each rate class.  Where the formula reads and in which order its factors
 come out is fixed per network by a ClassLayout (NetworkSpec.layout), and
 what it reads of the rates at u by a ClassRates (NetworkSpec.class_rates
-keeps the last u's), both built once, so a point pays only for omega: all
-front sums, one product with NetworkSpec.front_matrix; every kappa, one
-reverse cumulative sum; every slope, one call of the family's _secant on
-arguments built >= 0, which skips laplace_exponent_secant's checks.  The
-diagnostics are computed only when read.
+keeps the last u's), both built once, and so are the closed form's
+coefficients (ClassRates.quadratic_terms, kept per a), so a point pays only
+for omega: all front sums, one product with NetworkSpec.front_matrix; every
+kappa, one reverse cumulative sum; every other family's slopes, one call of
+its _secant on arguments built >= 0, which skips laplace_exponent_secant's
+checks.  The diagnostics are computed only when read.
 
 Both transforms also take a grid of N frequency vectors, one per row, in one
 call.  Inside, the grid is held node-major, one column per vector, so every
 gather reads x[idx] as for a single vector; the front sums are one
 matrix-vector product per row and the products run left to right, so each
-row gets the bits of a call of its own.  Newton still solves one root per
-entry.
+row gets the bits of a call of its own.  Newton, where it is needed, still
+solves one root per entry.
 """
 
 from __future__ import annotations
@@ -114,19 +118,11 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     return scaled
 
 
-def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray, squares: tuple) -> np.ndarray:
-    """Inverse at x of s -> r * s + phi(ph * s), elementwise over the arrays.
-
-    For phi(s) = a s**2 it is the root 2 x / (r + sqrt(r**2 + 4 a ph**2 x)),
-    with (r**2, ph**2) given as squares, whose sums of nonnegative terms do not
-    cancel; otherwise Newton from x / r, where psi >= x, one solve per entry
-    of x.  x >= 0, of shape (m,) or (m, N), with r, ph and squares broadcasting
-    against it.
+def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse at x of s -> r * s + phi(ph * s), elementwise over the arrays,
+    by Newton from x / r, where psi >= x: one solve per entry of x.  x >= 0,
+    of shape (m,) or (m, N), with r and ph broadcasting against it.
     """
-    a = model.quadratic
-    if a is not None:
-        r_sq, ph_sq = squares
-        return 2.0 * x / (r + np.sqrt(r_sq + 4.0 * a * ph_sq * x))
     if x.ndim > 1:  # a grid: each node's rates along its row
         r, ph = np.broadcast_to(r, x.shape).ravel(), np.broadcast_to(ph, x.shape).ravel()
     return np.array(
@@ -140,6 +136,23 @@ def _psi_inverse(model: LevyModel, r: np.ndarray, ph: np.ndarray, x: np.ndarray,
             for rj, pj, xj in zip(r.tolist(), ph.tolist(), x.ravel().tolist())
         ]
     ).reshape(x.shape)
+
+
+def _quadratic_gap(x: np.ndarray, kap: np.ndarray) -> np.ndarray:
+    """D / r = sqrt(1 + 4 a phat**2 kappa / r**2) for phi(s) = a s**2, with D =
+    sqrt(r**2 + 4 a phat**2 kappa), from x = 2 sqrt(a) phat / r
+    (ClassRates.quadratic_terms) as sqrt(1 + (x kappa) x): no rate is squared."""
+    t = x * kap
+    t *= x
+    t += 1.0
+    return np.sqrt(t, out=t)
+
+
+def _quadratic_root(rates: ClassRates, a: float, kap: np.ndarray) -> np.ndarray:
+    """The root Phi = 2 kappa / (r + D) of r s + a phat**2 s**2 = kappa at the
+    inner nodes, a sum of positive terms; kap of shape (m,), or (N, m) for a grid."""
+    r = rates.r_at[: rates.layout.inner.size]
+    return 2.0 * kap / (r * (1.0 + _quadratic_gap(rates.quadratic_terms(a)[0], kap)))
 
 
 def _front_sums(front: np.ndarray, phat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -176,7 +189,8 @@ class LstEvaluation:
     Entry j-1 of every array belongs to the factor of node j < n: kappa_{j+1},
     delta_j, delta_hat_j, the root Phi_j(kappa_{j+1}), psi_j at delta_j and
     at delta_hat_j, and the factor value.  The deltas, psi and the residual
-    come on first read from model, rates (ClassRates) and front_sums.  The
+    come on first read from model, rates (ClassRates) and front_sums, and so
+    do the roots where the evaluation took none (_roots is None).  The
     evaluation of a grid of N vectors gives every field and diagnostic a
     leading axis of N: value, prefactor and max_root_residual are arrays of
     N, the others have a row per vector.
@@ -185,11 +199,18 @@ class LstEvaluation:
     value: float | np.ndarray
     prefactor: float | np.ndarray
     kappa: np.ndarray
-    phi_at_kappa: np.ndarray
     factor_values: np.ndarray
     model: LevyModel = field(repr=False)
     rates: ClassRates = field(repr=False)
     front_sums: np.ndarray = field(repr=False)
+    _roots: np.ndarray | None = field(repr=False)
+
+    @cached_property
+    def phi_at_kappa(self) -> np.ndarray:
+        """Newton's roots, kept from the evaluation, or where phi(s) = a s**2 the closed form on first read."""
+        if self._roots is not None:
+            return self._roots
+        return _quadratic_root(self.rates, self.model.quadratic, self.kappa)
 
     @cached_property
     def _psi_points(self) -> list[np.ndarray]:
@@ -217,30 +238,57 @@ def _class_factors(model: LevyModel, rates: ClassRates, w, sums):
     node's frequency and its front sum within its class, or for a grid of N
     vectors a column of them per vector (shape (n, N)).  Returns the factors
     in the layout's order (the inner nodes, then the class ends), then kappa
-    and the roots for the inner nodes, for a grid with a column per vector.
-    With slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant of phi, a
+    and the roots for the inner nodes, for a grid with a column per vector;
+    the roots are None where phi(s) = a s**2, which needs none.  With
+    slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant of phi, a
     class end's factor is its prefactor r / slope(w, 0) and every inner
     node's is slope(root, delta_hat) / slope(root, delta), with root the
-    inverse of psi_j at kappa_{j+1} over the class slice.  Every secant
-    argument is >= 0 by construction, so they go to phi's _secant ordered
-    but unchecked.  Where r/phat rises from a node to the next in its class
-    (rates.rise) it raises StructuralError; elsewhere every kappa term is >= 0.
+    inverse of psi_j at kappa_{j+1} over the class slice.  Where r/phat
+    rises from a node to the next in its class (rates.rise) it raises
+    StructuralError; elsewhere every kappa term is >= 0.
+
+    For phi(s) = a s**2 (model.quadratic) the root is 2 kappa / (r + D), D =
+    sqrt(r**2 + 4 a ph**2 kappa), so r + a ph**2 root = (r + D) / 2, and
+    with s the front sums each factor is a ratio of sums of positive terms,
+    no root taken: (r + D + 2 a ph s_{j+1}) / (r + D + 2 a ph s_j) at an
+    inner node, and r / (r + a ph s_j) at a class end.  They are computed
+    divided through by 2 a ph and by a ph, as (u + s_{j+1}) / (u + s_j) with
+    u = v (1 + D / r) and e / (e + s_j), from ClassRates.quadratic_terms;
+    the shared u and e keep each within about an ulp.  Every other family
+    takes one Newton solve per root and every slope from one secant call,
+    on arguments >= 0 by construction, so they go to phi's _secant ordered
+    but unchecked.
     """
     layout = rates.layout
-    if w.ndim > 1:  # a grid: the per-node constants as columns, and r_at at every entry for the numerators
-        r, ph, r_at, ph_at, squares = rates.columns
-        r_at, zero, empty = r_at.repeat(w.shape[1], 1), np.zeros((1, w.shape[1])), w[:0]
-    else:
-        r, ph, r_at, ph_at, squares = rates.r, layout.phat, rates.r_at, layout.phat_at, rates.squares
-        zero, empty = _ZERO, _EMPTY
     m = layout.inner.size
-    if not m:  # all classes singletons: every factor is a prefactor, and there is no kappa or root
-        return r / (r + ph * model._secant(ph * w, 0.0)), empty, empty
-
+    empty = w[:0] if w.ndim > 1 else _EMPTY  # no kappa or root
     if j := rates.rise:
         raise StructuralError(f"r/phat rises from node {j} to node {j + 1}: rate ordering violated within class")
+    if (a := model.quadratic) is not None:
+        x, v, e, at = rates.quadratic_terms(a)
+        if w.ndim > 1:
+            x, v, e = x[:, None], v[:, None], e[:, None]
+        if not m:  # all classes singletons: every factor is a prefactor, and each front sum is a class end's
+            return e / (e + sums), empty, None
+        kap = rates.kappas(sums)
+        u = _quadratic_gap(x, kap)
+        u *= v
+        u += v
+        terms = sums[at]
+        terms[:, :m] += u
+        terms[0, m:] = e  # a class end's numerator is e + 0
+        terms[1, m:] += e
+        return terms[0] / terms[1], kap, None
+
+    if w.ndim > 1:  # a grid: the per-node constants as columns, and r_at at every entry for the numerators
+        r, ph, r_at, ph_at = rates.columns
+        r_at, zero = r_at.repeat(w.shape[1], 1), np.zeros((1, w.shape[1]))
+    else:
+        r, ph, r_at, ph_at, zero = rates.r, layout.phat, rates.r_at, layout.phat_at, _ZERO
+    if not m:  # all classes singletons: every factor is a prefactor, and there is no kappa or root
+        return r / (r + ph * model._secant(ph * w, 0.0)), empty, empty
     kap = rates.kappas(sums)
-    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap, squares)
+    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap)
 
     # the slopes from each root to delta_hat and to delta, and from w to 0 at
     # the class ends, from one secant call
@@ -288,9 +336,10 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
         sums = _front_sums(spec.front_matrix, spec.phat, w)
         factors, kap, roots = _class_factors(model, rates, w.T, sums.T)
         value = _assembled(np.multiply.reduce(factors[rates.layout.order]), "transform")
-        return LstEvaluation(value, factors[-1], kap.T, roots.T, factors[:-1].T, model, rates, sums)
+        roots = roots if roots is None else roots.T
+        return LstEvaluation(value, factors[-1], kap.T, factors[:-1].T, model, rates, sums, roots)
     sums = spec.front_matrix @ (spec.phat * w)
     factors, kap, roots = _class_factors(model, rates, w, sums)
     prefactor, values = float(factors[-1]), factors[:-1]
     value = _assembled(math.prod([prefactor, *values.tolist()]), "transform")
-    return LstEvaluation(value, prefactor, kap, roots, values, model, rates, sums)
+    return LstEvaluation(value, prefactor, kap, values, model, rates, sums, roots)

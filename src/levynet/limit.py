@@ -17,14 +17,16 @@ Both regimes share the formula; the regime enters only through the tail pair
 
 Cost of one evaluation: O(n^2) array work, plus one scalar root solve per node
 that does not end its class when alpha < 2.  At alpha = 2 the input exponent
-coeff * s**2 is quadratic and every root is taken in closed form.  All
-within-class front sums are one product with RateClassPartition.front_matrix,
-and every class factor comes from one np.multiply.reduceat over the factors
-of _class_factors in the partition's end-first order, its prefactor first.
-The partition builds that class layout, its ClassRates and fractions**beta
-once, and the tail pair its stable input, so a call builds none and scales a
-positive omega by one multiply and a min/max test.  No diagnostic is computed.
-A grid of N frequency vectors, one per row, is one call, as in exact.py.
+coeff * s**2 is quadratic, and every factor is taken in closed form with no
+root and no secant, as in exact.py.  All within-class front sums are one
+product with RateClassPartition.front_matrix, and every class factor comes
+from one np.multiply.reduceat over the factors of _class_factors in the
+partition's end-first order, its prefactor first.  The partition builds that
+class layout, its ClassRates and fractions**beta once, and the tail pair its
+stable input, so a call builds none.  A positive omega, or grid, is scaled
+by one multiply and a min/max test, and one with zero entries by one more,
+unless an entry is refused.  No diagnostic is computed.  A grid of N
+frequency vectors, one per row, is one call, as in exact.py.
 """
 
 from __future__ import annotations
@@ -51,6 +53,23 @@ class LimitLst:
     factor_values: np.ndarray
 
 
+def _scaled_at_once(w: np.ndarray, power: np.ndarray | None) -> np.ndarray | None:
+    """w * power for a vector, or a grid of rows, of n frequencies >= 0 and
+    finite, whose nonzero entries all scale to normal floats; else None.
+
+    power is the partition's fraction_power, in (0, 1].  Where every product
+    is a normal float that takes a min and a max of them; where not (zero
+    entries, or a refusal), a min and a max again with 1 added where w is 0,
+    which a negative, nan or infinite entry fails as before."""
+    if power is None:
+        return None
+    if w.shape == power.shape or (w.ndim == 2 and len(w) and w.shape[1] == power.size):
+        scaled = w * power
+        if _all_normal(scaled) or _all_normal(scaled + (w == 0.0)):
+            return scaled
+    return None
+
+
 def joint_lst_limit(
     spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, omega
 ) -> LimitLst:
@@ -73,8 +92,7 @@ def joint_lst_limit(
         w = np.asarray(omega, dtype=float)
     except ValueError:  # rows of unequal length: as_omega raises the first bad one's error
         w = as_omega(omega, spec.n)
-    power = partition.fraction_power(tail.beta)
-    if power is None or w.shape != power.shape or not _all_normal(scaled := w * power):  # grids, zeros, refusals
+    if (scaled := _scaled_at_once(w, partition.fraction_power(tail.beta))) is None:  # refusals take the checked path
         scaled = _scaled_frequency(as_omega(w, spec.n), partition.fractions, tail.beta, "in the limit", "fraction_{}")
     layout = partition.layout
     # class k's factor: its prefactor, at its end, then its other nodes in order

@@ -194,10 +194,10 @@ class ClassLayout(_Rebuilt):
     takes one slope per entry of slope_at = (inner, inner, ends), at phat_at
     = phat[slope_at]: from each root to the front sum at sum_at, the next
     node's (delta_hat), then its own (delta), and from each class end's
-    frequency to 0 (sum_at is n there, a zero after the n front sums), with
-    phat_sq = phat**2 at the inner nodes.  Its factors come in the order
-    (inner, ends); order lists, as positions in that order, each class's
-    end, then its other nodes, and starts where each class begins in order.
+    frequency to 0 (sum_at is n there, a zero after the n front sums).  Its
+    factors come in the order (inner, ends); order lists, as positions in
+    that order, each class's end, then its other nodes, and starts where
+    each class begins in order.
     """
 
     phat: np.ndarray
@@ -209,7 +209,6 @@ class ClassLayout(_Rebuilt):
     slope_at: np.ndarray = field(init=False)
     sum_at: np.ndarray = field(init=False)
     phat_at: np.ndarray = field(init=False)
-    phat_sq: np.ndarray = field(init=False)
     order: np.ndarray = field(init=False)
     starts: np.ndarray = field(init=False)
 
@@ -238,7 +237,6 @@ class ClassLayout(_Rebuilt):
             slope_at=slope_at,
             sum_at=np.concatenate((inner + 1, inner, np.full(len(last), n))),
             phat_at=self.phat[slope_at],
-            phat_sq=self.phat[inner] ** 2,
             order=positions[[i for a, b in zip(firsts, last) for i in (b, *range(a, b))]],
             starts=np.array(firsts),
         )
@@ -250,15 +248,15 @@ class ClassRates(_Rebuilt):
     network and u or per partition.  rise: first_rise of r/phat over
     layout.inner, refused when the formula is called, never when built.
     kappa_weights[l]: r_l/phat_l - r_{l+1}/phat_{l+1}, after a leading 0.
-    r_at: r[layout.slope_at]; squares, r**2 and phat**2 at the inner nodes,
-    and columns, the arrays a grid reads (r, phat, r_at, phat_at and squares)
-    as columns of shape (k, 1), each on first read."""
+    r_at: r[layout.slope_at]; and columns, the arrays a grid reads (r, phat,
+    r_at and phat_at) as columns of shape (k, 1), on first read."""
 
     layout: ClassLayout
     r: np.ndarray
     rise: int = field(init=False)
     kappa_weights: np.ndarray = field(init=False)
     r_at: np.ndarray = field(init=False)
+    _quadratic: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         layout, ratios = self.layout, self.r / self.layout.phat
@@ -267,13 +265,33 @@ class ClassRates(_Rebuilt):
         _derive(self, r=self.r, kappa_weights=weights, r_at=self.r[layout.slope_at], rise=rise)
 
     @cached_property
-    def squares(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.r_at[: self.layout.inner.size] ** 2, self.layout.phat_sq
-
-    @cached_property
     def columns(self) -> tuple:
-        r, ph, r_at, ph_at = (x[:, None] for x in (self.r, self.layout.phat, self.r_at, self.layout.phat_at))
-        return r, ph, r_at, ph_at, tuple(x[:, None] for x in self.squares)
+        return tuple(x[:, None] for x in (self.r, self.layout.phat, self.r_at, self.layout.phat_at))
+
+    def quadratic_terms(self, a: float) -> tuple[np.ndarray, ...]:
+        """What the closed-form factors of phi(s) = a s**2 read, read-only and kept per a.
+
+        At the inner nodes x = 2 sqrt(a) phat / r, so that (x kappa) x is
+        4 a phat**2 kappa / r**2 with no rate squared, and v = r / (2 a
+        phat); at the class ends e = r / (a phat).  at reads, for the factor
+        order (inner, ends), the front sums of the numerators, then of the
+        denominators: an inner node's next node's, then its own; a class
+        end's own in both rows (phat times its frequency), of which the
+        numerator takes none."""
+        if a not in self._quadratic:
+            layout = self.layout
+            inner, ends = layout.inner, layout.ends
+            lean = layout.phat / self.r
+            terms = (
+                2.0 * math.sqrt(a) * lean[inner],
+                0.5 / (a * lean[inner]),
+                1.0 / (a * lean[ends]),
+                np.array([np.concatenate((inner + 1, ends)), np.concatenate((inner, ends))]),
+            )
+            for t in terms:
+                t.setflags(write=False)
+            self._quadratic[a] = terms
+        return self._quadratic[a]
 
     def kappas(self, sums: np.ndarray) -> np.ndarray:
         """kappa of each inner node: reverse running sums of kappa_weights * sums in each class.

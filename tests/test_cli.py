@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levynet import cli, load_network
+from levynet import Brownian, cli, joint_lst_exact, load_network
 from levynet.cli import main
 
 from conftest import random_spec
@@ -396,6 +396,25 @@ def test_simulate_refuses_a_face_floor_that_underflows(capsys):
             "error": "ScalingRangeError",
             "message": "sampler face floor 0 is not a positive float at u = 1e+100",
         }
+
+
+def test_lst_exact_at_rates_whose_squares_overflow_gives_finite_nonzero_roots():
+    # figure 1 at u = 1e100: the rates reach 1e201, whose squares overflow,
+    # but the closed-form root squares no rate, so a shell run prints no
+    # warning and each printed Phi - delta is that of a finite root > 0
+    config = str(CONFIGS / "figure1.run.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["lst-exact", "--config", config, "--u", "1e100", "--diagnostics"]
+    shell = subprocess.run([sys.executable, "-m", "levynet.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert (shell.returncode, shell.stderr) == (0, b"")
+    rows = list(csv.DictReader(io.StringIO(shell.stdout.decode())))
+    omega = np.array([[float(row[f"omega_{j}"]) for j in range(1, 7)] for row in rows])
+    ev = joint_lst_exact(load_network(CONFIGS / "figure1.network.json"), Brownian(1.0), omega, 1e100)
+    roots = ev.phi_at_kappa
+    assert np.all(np.isfinite(roots)) and np.all((roots > 0.0) == (ev.kappa > 0.0)) and (roots[1:] > 0.0).all()
+    printed = np.array([[float(row[f"phi_minus_delta_{j}"]) for j in range(1, 6)] for row in rows])
+    assert np.array_equal(printed, roots - ev.delta)
 
 
 def test_rates_outside_the_float_range_are_refused_by_lst_exact_and_validate(capsys):
@@ -805,24 +824,24 @@ DIGEST_ENVIRONMENT = "numpy 2.4.6, OpenBLAS 0.3.31, Python 3.11, x86_64"
 SHIPPED_OUTPUT = (
     ("figure1.run.json", "validate", 0, "b0214817f79756cf70588e084f0121a70614c99dcfdd71dbaafd42671f9f1ac5"),
     ("figure1.run.json", "structure", 0, "4cf3765b6cccf9aa41efd8a63311ed38d59f10de6fdce3f8d4c53adc7f83aa7f"),
-    ("figure1.run.json", "lst-exact --u 4", 0, "c07a4d3efbcd5c9ee137f48c2ba0b5dd6e047e9f0e6018157a74ccc10660f1cb"),
-    ("figure1.run.json", "lst-exact --u 4 --diagnostics", 0, "9a39f55838842dbbb6f2673fe2dc0d11b9ca9c795a0e6ad036896f11b36f57bc"),
-    ("figure1.run.json", "lst-limit", 0, "ef5e03af7b4e0a8b732f87c4c6feeb60df02d46515119cb5d892ea86dbb63b2c"),
-    ("figure1.run.json", "sweep", 0, "5f6f79cc26f8ebc47f27b533dea58027256eb7f62563886be5ea02e321e83369"),
+    ("figure1.run.json", "lst-exact --u 4", 0, "841217a7fd02dda27eb665974a84136ff50082e547a283f594b7f7856e658e46"),
+    ("figure1.run.json", "lst-exact --u 4 --diagnostics", 0, "973fe33cf47628eb60ea2842c3d12b15f0a645355c38b8927ebe28f3c61c799a"),
+    ("figure1.run.json", "lst-limit", 0, "21c6f4731031a8bc64d76c6426024aa4d1073a962917c4f2651b12016c4af437"),
+    ("figure1.run.json", "sweep", 0, "4805eea4b2282c0d7dfdd4f3e9c6c2bb844b5317e6490b48dae7ad6386a64c2d"),
     ("figure1.run.json", "validate --u 1.2", 1, "34aead1560e12779516155729153216b2318a833f2fbd2d83a10a54c17ff7706"),
     ("figure1.run.json", "lst-exact --u 1.2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tandem2_brownian.run.json", "validate", 0, "dad8efbe23a8563aa1c8d40e80c7cf3bdae69574c8d2526e71b614eb868a8a06"),
     ("tandem2_brownian.run.json", "structure", 0, "b1f4f19acbc86d75e86f90263a7d02f52a854e6c9864786d3622c04c3d95725d"),
-    ("tandem2_brownian.run.json", "lst-exact --u 4", 0, "25c1436d918838461f3d30460e7c6bac1587e3e7b65d42895eddd048fdbaf481"),
-    ("tandem2_brownian.run.json", "lst-exact --u 4 --diagnostics", 0, "a46cc2e8089efbb65180fe19549049edf7380c5151194cbf4b85266ca03cdc88"),
+    ("tandem2_brownian.run.json", "lst-exact --u 4", 0, "2100d72381cf2038d9d4eee88422cfc145dac1e677f4885024b8e681021bb430"),
+    ("tandem2_brownian.run.json", "lst-exact --u 4 --diagnostics", 0, "e6e1d8c74262f5f04c59ef25352da1df7ca053827f5ed31094af0cf271204850"),
     ("tandem2_brownian.run.json", "lst-limit", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tandem2_brownian.run.json", "sweep", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tandem2_heavy_sweep.run.json", "validate", 0, "85f4ceba4e52ec71d2bb4f475d5fa065aa5efdbe558ed045219b2c4e98f543a4"),
     ("tandem2_heavy_sweep.run.json", "structure", 0, "1cf4805b811a8e6b1a98a6e6f49bab6715fbb22416384f433ce6ca2cdf32fe08"),
-    ("tandem2_heavy_sweep.run.json", "lst-exact --u 4", 0, "d19d865e634f5b6da074cb6363fc00c50c291c5e3d4f53c9ec3623628867bd8d"),
-    ("tandem2_heavy_sweep.run.json", "lst-exact --u 4 --diagnostics", 0, "4ab832d159f3189bfcbc1e43ab32069cd742ce92cb732a32d64f96ce949dbff8"),
+    ("tandem2_heavy_sweep.run.json", "lst-exact --u 4", 0, "895615f5762351a5e8e4d5fb6ee093d4a9567b8b62451cde75a40644b2b18267"),
+    ("tandem2_heavy_sweep.run.json", "lst-exact --u 4 --diagnostics", 0, "7a517d1235a0379ccbbd921ff8b2f867da900e57dd66e053de244f5af0dba176"),
     ("tandem2_heavy_sweep.run.json", "lst-limit", 0, "edf8a9feb238c3795dfe4be0bbcb9eb70b96447dbc1103f8aaebee00555037b3"),
-    ("tandem2_heavy_sweep.run.json", "sweep", 0, "a75a1b41b64eb4778d4299d65317a0fef97eec676fc236d466cab530481adccc"),
+    ("tandem2_heavy_sweep.run.json", "sweep", 0, "55b140f79647c31dce257e856c39711649b489f1ddc0991491f92006a7326bef"),
     # gamma, Erlang-3 compound-Poisson and stable-1.5 input on the same tandem:
     # each family's exponent, tail pair and sampler
     ("tandem2_heavy_gamma.run.json", "lst-exact --u 4", 0, "d85e1856673366586e62fd3efeaf8171cf1eb04ff08fd9afd7425839b5dcd859"),
@@ -832,8 +851,8 @@ SHIPPED_OUTPUT = (
     ("tandem2_heavy_gamma.run.json", "simulate", 0, "05458f45de8b865d98ae8e6a3d4fbc36ff2fa805cbebe1beb2edb34a20c31149"),
     ("tandem2_heavy_erlang3.run.json", "lst-exact --u 4", 0, "f058b060155ae943da2048b2a7ddc98069c953e742cfb0d122bbd3bb480aa936"),
     ("tandem2_heavy_erlang3.run.json", "lst-exact --u 4 --diagnostics", 0, "8d331f36481137bd1bc821540af5c2450260d98f15f82bf9f25c71ee826cd273"),
-    ("tandem2_heavy_erlang3.run.json", "lst-limit", 0, "402861f4786ea8de882e788b9463a426dcdd5272a3fd7e4e94a7172fdbdf8035"),
-    ("tandem2_heavy_erlang3.run.json", "sweep", 0, "3abcbe5725b61a3ef8fd5f4828b1c5691716cdc43d59f54c4a4a13c318800ae5"),
+    ("tandem2_heavy_erlang3.run.json", "lst-limit", 0, "e7c0efdcebdc203cb91a30779dd310e988cd37a32fd95e10926f11a184d5e7e9"),
+    ("tandem2_heavy_erlang3.run.json", "sweep", 0, "a868d934366a103895400f25162f0b8c7321548f4cd5d27b678af69a4546d220"),
     ("tandem2_heavy_erlang3.run.json", "simulate", 0, "75bd0ad74d3c74763c38a60aebb3ba3d4f1ea938e86d6c4b25b0a8f7152ba7b0"),
     ("tandem2_heavy_stable.run.json", "lst-exact --u 4", 0, "04e47c951488cd33f07e3b7b375fdb09b5fd00cc9e823f8135ea0e7b2171e559"),
     ("tandem2_heavy_stable.run.json", "lst-exact --u 4 --diagnostics", 0, "a15138bc1c4511848e69cf82262c1e16ba257e5f91e6df06a0d2bf2e3ef6d2f0"),
@@ -841,7 +860,7 @@ SHIPPED_OUTPUT = (
     ("tandem2_heavy_stable.run.json", "sweep", 0, "d739a02765c457f652e03510d55081d9fe83e362a9c36602f466efcf183261c0"),
     ("tandem2_heavy_stable.run.json", "simulate", 0, "293378c0985495458ba3d76bfd613444fe873c2868f17332d1b762ceeb826af4"),
     # compare and sweep --with-empirical: the Monte Carlo columns beside the transforms
-    ("tandem2_brownian.run.json", "compare", 0, "8069bbf99d904976d49d35ac6574deee90dfd8a2a0541694093039675f0a2b4e"),
+    ("tandem2_brownian.run.json", "compare", 0, "03e0c21224623437db711596bbac1e70c605b9b83584795e1b4ba39125f0405f"),
     ("tandem2_heavy_gamma.run.json", "compare", 0, "5f3ad445aa6ea776f138af06828d88e74355e8e3250d98a8aba467732cb343aa"),
     ("tandem2_heavy_erlang3.run.json", "compare", 0, "c671c4c7184ffb55628335918bcf4ec50539c6b206422c6257200dfe43169279"),
     ("tandem2_heavy_stable.run.json", "compare", 0, "e149de35ca0dd7cd72d2c68fb48a6a2404f127c24ba413828363184cd238b0ab"),

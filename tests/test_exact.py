@@ -29,7 +29,7 @@ from levynet import (
 )
 from levynet.errors import ScalingRangeError
 from levynet.models import HEAVY
-from levynet.exact import _psi_inverse
+from levynet.exact import _front_sums, _psi_inverse
 from levynet.network import ClassLayout, ClassRates, NetworkSpec, build_network
 from levynet.roots import invert_increasing
 
@@ -63,10 +63,19 @@ def test_psi_negative_rejected():
         psi(spec, model, 1, -1.0, 1.0)
 
 
+def closed_form_root(a: float, r: np.ndarray, ph: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The exact transform's root of r s + a ph**2 s**2 = x, elementwise: the
+    inner nodes of one class, with a last node appended to end it."""
+    rates = ClassRates(ClassLayout(np.append(ph, 1.0), [len(ph)]), np.append(r, 1.0))
+    return exact._quadratic_root(rates, a, x)
+
+
 def phi_inverse(spec, model, j: int, x: float, u: float) -> float:
-    """Phi_j(x), the inverse of psi_j at x, as the exact transform solves it."""
+    """Phi_j(x), the inverse of psi_j at x, as the exact transform takes it."""
     r, ph = np.array([spec.rates[j - 1](u)]), spec.phat[j - 1 : j]
-    return float(_psi_inverse(model, r, ph, np.array([x]), (r * r, ph * ph))[0])
+    if model.quadratic is not None:
+        return float(closed_form_root(model.quadratic, r, ph, np.array([x]))[0])
+    return float(_psi_inverse(model, r, ph, np.array([x]))[0])
 
 
 def test_phi_inverse_zero_and_quadratic():
@@ -76,7 +85,7 @@ def test_phi_inverse_zero_and_quadratic():
 
 
 def _quadratic_groups(size=2000):
-    """(a, r, phat, x) arrays for the closed-form inverse: for each of ten
+    """(a, r, phat, x) arrays for the closed-form root: for each of ten
     quadratic coefficients a in [1e-3, 1e3], seeded log-uniform r in
     [1e-10, 1e10], phat in [1e-6, 1] and x in [1e-12, 1e12], every 20th x
     set to 0, and the corners of the box."""
@@ -92,7 +101,7 @@ def _quadratic_groups(size=2000):
 def test_quadratic_psi_inverse_matches_high_precision():
     mp = pytest.importorskip("mpmath")
     for a, r, ph, x in _quadratic_groups():
-        got = _psi_inverse(Brownian(2.0 * a), r, ph, x, (r * r, ph * ph))  # quadratic coefficient exactly a
+        got = closed_form_root(a, r, ph, x)
         assert np.all(got[x == 0.0] == 0.0)
         with mp.workdps(50):
             for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), got.tolist()):
@@ -105,11 +114,49 @@ def test_quadratic_psi_inverse_matches_newton():
     # the solver stops at residual 1e-12 x, and a root of a convex psi with
     # psi(0) = 0 is then good to 1e-12 relative
     for a, r, ph, x in _quadratic_groups():
-        got = _psi_inverse(Brownian(2.0 * a), r, ph, x, (r * r, ph * ph))
+        got = closed_form_root(a, r, ph, x)
         for rj, pj, xj, sj in zip(r.tolist(), ph.tolist(), x.tolist(), got.tolist()):
             q = a * pj * pj
             ref = invert_increasing(lambda s: rj * s + q * s * s, xj, lambda s: rj + 2 * q * s, xj / rj)
             assert abs(sj - ref) <= 1e-12 * ref, (a, rj, pj, xj)
+
+
+def test_quadratic_factors_match_the_slope_ratios_at_high_precision():
+    # each closed-form factor against the slope ratio of its definition at 50
+    # digits, slope(s) = r + ph a (ph Phi + s) with the root Phi of r Phi + a
+    # ph**2 Phi**2 = kappa: inner nodes slope(s_{j+1}) / slope(s_j), class
+    # ends r / slope(w); from the same kappa and front sums, on one class and
+    # on rate classes, with every rate scaled by up to 1e160 either way.  The
+    # frequencies are of the order of the rates, up to 1e80: kappa grows like
+    # r * omega, and omega ~ r = 1e160 would take it past the float range
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(461)
+    for n in (2, 5, 13, 30):
+        spec = random_spec(rng, n)
+        part = partition_rates(spec)
+        a = float(10.0 ** rng.uniform(-2, 2))
+        for layout, base in ((spec.layout, spec.rate_vector(2.0)), (part.layout, part.fractions)):
+            for scale in (1e-160, 1e-40, 1.0, 1e40, 1e160):
+                r = base * scale
+                rates = ClassRates(layout, r)
+                w = base * min(scale, 1e80) * rng.uniform(0.05, 2.5, n) * 10.0 ** rng.uniform(-3, 3, n)
+                w[rng.random(n) < 0.2] = 0.0
+                sums = _front_sums(spec.front_matrix if layout is spec.layout else part.front_matrix, spec.phat, w)
+                got, kap, _ = exact._class_factors(Brownian(2.0 * a), rates, w, sums)
+                roots = exact._quadratic_root(rates, a, kap)
+                with mp.workdps(50):
+                    ma, want = mp.mpf(a), []
+                    for i, j in enumerate(layout.inner.tolist()):
+                        rj, pj, kj = mp.mpf(r[j]), mp.mpf(spec.phat[j]), mp.mpf(kap[i])
+                        root = 2 * kj / (rj + mp.sqrt(rj**2 + 4 * ma * pj**2 * kj))
+                        assert abs(roots[i] - root) <= 1e-14 * root, (n, scale)
+                        slope = lambda s: rj + pj * ma * (pj * root + mp.mpf(s))  # noqa: E731
+                        want.append(slope(sums[j + 1]) / slope(sums[j]))
+                    for j in layout.ends.tolist():
+                        rj, pj = mp.mpf(r[j]), mp.mpf(spec.phat[j])
+                        want.append(rj / (rj + pj * ma * pj * mp.mpf(w[j])))
+                    for g, h in zip(got.tolist(), want):
+                        assert abs(g - h) <= 1e-14 * h, (n, scale)
 
 
 BENCHMARK_TREES = [
@@ -415,6 +462,12 @@ def test_rate_arrays_are_built_once_per_u_and_the_limit_builds_none(monkeypatch)
     power = part.fraction_power(tail.beta)
     assert count(lambda: [joint_lst_limit(spec, part, tail, w) for w in ws]) == (0, 0, 0)
     assert part.fraction_power(tail.beta) is power and not power.flags.writeable
+    # the closed form's coefficients: once per ClassRates and quadratic coefficient a
+    rates = spec.class_rates(2.0)
+    terms = rates.quadratic_terms(0.65)
+    assert count(lambda: [joint_lst_exact(spec, Brownian(1.3), w, 2.0) for w in ws]) == (0, 0, 0)
+    assert rates.quadratic_terms(0.65) is terms and not any(t.flags.writeable for t in terms)
+    assert rates.quadratic_terms(0.5) is not terms
 
 
 def test_interleaved_u_give_the_bits_of_a_fresh_network():
@@ -455,8 +508,8 @@ def test_rates_outside_the_float_range_are_refused():
 
 def test_one_evaluation_makes_one_secant_call_and_no_argument_check(monkeypatch):
     # the layouts are built once, so a transform point takes its secants in
-    # one family call on arguments it built >= 0, and the limit's stable
-    # model comes with its tail pair
+    # at most one family call on arguments it built >= 0, and the limit's
+    # stable model comes with its tail pair
     rng = np.random.default_rng(131)
     spec = random_spec(rng, 40)
     part = partition_rates(spec)
@@ -483,8 +536,9 @@ def test_one_evaluation_makes_one_secant_call_and_no_argument_check(monkeypatch)
         assert 0.0 < evaluate().value <= 1.0
         return calls["secant"], calls["check_s"], calls["stable"]
 
-    assert counts(lambda: joint_lst_exact(spec, Brownian(1.0), w * r, 2.0)) == (1, 0, 0)
-    assert counts(lambda: joint_lst_limit(spec, part, tails[0], w)) == (1, 0, 0)
+    # quadratic exponents take their factors in closed form, with no secant
+    assert counts(lambda: joint_lst_exact(spec, Brownian(1.0), w * r, 2.0)) == (0, 0, 0)
+    assert counts(lambda: joint_lst_limit(spec, part, tails[0], w)) == (0, 0, 0)
     # Newton's exponent calls check their scalar arguments; the secant call does not
     assert counts(lambda: joint_lst_exact(spec, gamma, w * r, 2.0))[::2] == (1, 0)
     assert counts(lambda: joint_lst_limit(spec, part, tails[1], w))[::2] == (1, 0)

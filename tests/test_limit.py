@@ -603,9 +603,10 @@ def test_limit_refuses_a_scaled_frequency_outside_the_float_range():
 
 
 def test_limit_scaling_takes_one_rule_on_and_off_its_fast_path(monkeypatch):
-    # a frequency vector whose scaled entries are all normal floats takes one
-    # multiply by the kept fraction powers; every other vector goes through
-    # as_omega and _scaled_frequency, with the same bits and messages
+    # a frequency vector or grid whose nonzero scaled entries are all normal
+    # floats takes one multiply by the kept fraction powers, zero entries
+    # included; every other goes through as_omega and _scaled_frequency, with
+    # the same bits and messages
     rng = np.random.default_rng(149)
     cases = [(random_spec(rng, int(n)), random_tail(rng)) for n in (1, 2, 9, 30)]
     cases.append((tandem_spec([RateFunction.monomial(1.0, -1.0), RateFunction.monomial(1e-4, -1.0)]), TailPair(1.02, 0.5)))
@@ -614,16 +615,16 @@ def test_limit_scaling_takes_one_rule_on_and_off_its_fast_path(monkeypatch):
     monkeypatch.setattr(limit, "_scaled_frequency", lambda *args: scalings.append(1) or scaled_frequency(*args))
     for spec, tail in cases:
         part = partition_rates(spec)
-        for zeros in (False, True):
-            w = rng.uniform(0.05, 2.5, spec.n) * (rng.random(spec.n) < 0.5 if zeros else 1.0)
+        for shape, zeros in (((spec.n,), False), ((spec.n,), True), ((4, spec.n), False), ((4, spec.n), True)):
+            w = rng.uniform(0.05, 2.5, shape) * (rng.random(shape) < 0.5 if zeros else 1.0)
             scalings.clear()
             got = joint_lst_limit(spec, part, tail, w)
-            assert len(scalings) == int(bool((w == 0.0).any()))
+            assert not scalings
             with monkeypatch.context() as m:
                 m.setattr(RateClassPartition, "fraction_power", lambda self, beta: None)
                 want = joint_lst_limit(spec, part, tail, w)
-            assert len(scalings) == 1 + int(bool((w == 0.0).any()))
-            assert got.value == want.value and np.array_equal(got.factor_values, want.factor_values)
+            assert len(scalings) == 1
+            assert np.array_equal(got.value, want.value) and np.array_equal(got.factor_values, want.factor_values)
     spec, tail = cases[0][0], TailPair(1.5, 0.7)
     part = partition_rates(spec)
     w = np.ones(spec.n)

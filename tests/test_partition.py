@@ -114,7 +114,7 @@ def test_partition_structure_restates_the_definitions():
 def test_spec_and_partition_round_trip_through_pickle_and_deepcopy():
     for spec in seeded_and_shipped_specs(43):
         part = partition_rates(spec)
-        spec.class_rates(2.0), part.fraction_power(2.0)  # fill both memos
+        spec.class_rates(2.0), part.fraction_power(2.0), part.class_rates.quadratic_terms(0.5)  # fill the memos
         for again_spec, again_part in (pickle.loads(pickle.dumps((spec, part))), copy.deepcopy((spec, part))):
             assert again_spec == spec and hash(again_spec) == hash(spec) and again_spec.parent == spec.parent
             assert again_part == part and hash(again_part) == hash(part) and again_part.spec is again_spec
@@ -126,6 +126,7 @@ def test_spec_and_partition_round_trip_through_pickle_and_deepcopy():
             # a copy is rebuilt from its inputs: every array is read-only, as on
             # construction, and the memos start empty
             assert again_spec._memo == (None, None) and not again_part._fraction_powers
+            assert not again_part.class_rates._quadratic
             copies = (again_spec, again_spec.routing, again_spec.layout, again_part, again_part.layout)
             for obj in (*copies, again_part.class_rates, again_spec.class_rates(2.0)):
                 for name, value in vars(obj).items():

@@ -9,7 +9,7 @@ import pytest
 from levynet import LevynetError, joint_lst_exact, joint_lst_limit, partition_rates
 from levynet.models import HEAVY
 
-from values import INPUTS, PATH, SAMPLE_NETWORKS, TREE_SEEDS, U_EXACT, _tree, changed_groups, compute
+from values import INPUTS, PATH, SAMPLE_NETWORKS, TREE_SEEDS, U_EXACT, _tree, changed_groups, compute, family_summary
 
 
 def test_stored_values_are_bit_identical():
@@ -47,3 +47,34 @@ def test_each_stored_group_is_one_grid_call_per_u_and_one_in_the_limit():
                     assert type(raised.value).__name__ == errors[0], (seed, name, k)
                 else:
                     assert [v.hex() for v in evaluate().value.tolist()] == want, (seed, name, k)
+
+
+def test_the_summary_gives_each_family_its_changed_groups_and_largest_change():
+    def group(*values):
+        return [v if isinstance(v, str) else v.hex() for v in values]
+
+    stored = {
+        "tree 0 brownian": group(0.5, 0.25, "SingularFactorError"),
+        "tree 1 brownian": group(0.5, 0.125),
+        "tree 2 brownian": group(0.75),
+        "tree 0 gamma": group(0.5, 0.5),
+        "tree 1 gamma": group(0.5, 0.5),
+        "samples tandem gamma": "0" * 64,
+        "tree 0 stable1.5": group(0.5),
+    }
+    fresh = dict(stored)
+    fresh["tree 0 brownian"] = group(0.5, 0.25 * (1.0 + 2.0**-50), "SingularFactorError")
+    fresh["tree 1 brownian"] = group(0.5 * (1.0 - 2.0**-52), 0.125 * (1.0 + 2.0**-52))
+    fresh["tree 0 gamma"] = group(0.5, "SingularFactorError")
+    fresh["samples tandem gamma"] = "1" * 64
+    assert changed_groups(stored, fresh) == [
+        "samples tandem gamma (a digest, or a group added, removed or resized)",
+        f"tree 0 brownian (largest relative change {2.0**-50:.3g})",
+        "tree 0 gamma (a point changed between a value and a refusal)",
+        f"tree 1 brownian (largest relative change {2.0**-52:.3g})",
+    ]
+    assert family_summary(stored, fresh) == [
+        f"brownian: 2 of 3 groups changed, largest relative change {2.0**-50:.3g}",
+        "gamma: 2 of 3 groups changed, 2 with a digest or a refusal changed",
+        "stable1.5: 0 of 1 groups changed",
+    ]

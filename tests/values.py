@@ -12,7 +12,9 @@ on purpose, run
     PYTHONPATH=src python tests/values.py --write
 
 and list each changed group in CHANGES.md.  Without --write it prints the
-groups that differ from the file and writes nothing.
+groups that differ from the file, then one line per input family: its
+groups that changed out of its total and the largest relative change.  It
+writes nothing.
 """
 
 from __future__ import annotations
@@ -104,22 +106,45 @@ def compute() -> dict:
     return {"environment": DIGEST_ENVIRONMENT, "groups": {**transform_values(), **sample_digests()}}
 
 
+def _change(old, new) -> float | str:
+    """The largest relative change between two unequal groups' float entries, or
+    a note where they are not both lists of floats of one length."""
+    if not (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)):
+        return "a digest, or a group added, removed or resized"
+    try:
+        return max(abs(float.fromhex(b) / float.fromhex(a) - 1.0) for a, b in zip(old, new) if a != b)
+    except ValueError:  # an entry that is an error name
+        return "a point changed between a value and a refusal"
+
+
 def changed_groups(stored: dict, fresh: dict) -> list[str]:
     """The groups whose entries differ, each with its largest relative change where both are floats."""
     out = []
     for key in sorted(stored.keys() | fresh.keys()):
         old, new = stored.get(key), fresh.get(key)
-        if old == new:
-            continue
-        note = ""
-        if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-            try:
-                rel = max(abs(float.fromhex(b) / float.fromhex(a) - 1.0) for a, b in zip(old, new))
-                note = f" (largest relative change {rel:.3g})"
-            except ValueError:  # an entry that is an error name
-                note = " (a point changed between a value and a refusal)"
-        out.append(key + note)
+        if old != new:
+            change = _change(old, new)
+            out.append(f"{key} ({change if isinstance(change, str) else f'largest relative change {change:.3g}'})")
     return out
+
+
+def family_summary(stored: dict, fresh: dict) -> list[str]:
+    """One line per input family (the last word of a group's name): its groups
+    that changed out of its total, and the largest relative change among them."""
+    families: dict[str, list] = {}
+    for key in sorted(stored.keys() | fresh.keys(), key=lambda k: k.split()[-1]):
+        old, new = stored.get(key), fresh.get(key)
+        families.setdefault(key.split()[-1], []).append(None if old == new else _change(old, new))
+    lines = []
+    for family, changes in families.items():
+        changed = [c for c in changes if c is not None]
+        line = f"{family}: {len(changed)} of {len(changes)} groups changed"
+        if rel := [c for c in changed if not isinstance(c, str)]:
+            line += f", largest relative change {max(rel):.3g}"
+        if notes := len(changed) - len(rel):
+            line += f", {notes} with a digest or a refusal changed"
+        lines.append(line)
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -130,8 +155,9 @@ def main(argv: list[str]) -> int:
         PATH.write_text(f'{{"environment": {json.dumps(fresh["environment"])}, "groups": {{\n{rows}\n}}}}\n')
         print(f"wrote {len(fresh['groups'])} groups to {PATH}")
         return 0
-    changed = changed_groups(json.loads(PATH.read_text())["groups"], fresh["groups"])
-    print("\n".join(changed) or "no group changed")
+    stored = json.loads(PATH.read_text())["groups"]
+    changed = changed_groups(stored, fresh["groups"])
+    print("\n".join([*(changed or ["no group changed"]), *family_summary(stored, fresh["groups"])]))
     return 1 if changed else 0
 
 
