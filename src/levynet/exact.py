@@ -16,27 +16,32 @@ Cost of one evaluation: O(n^2) array work, plus n - 1 scalar Newton solves
 and one secant call unless phi(s) = a s**2 (LevyModel.quadratic: Brownian
 input and every alpha = 2 limit).  There the single-queue algebra gives
 every factor in closed form, a ratio of sums of positive terms, so the
-factors are a few array expressions with no root and no secant; the roots
-are computed only when LstEvaluation.phi_at_kappa is read.  The factor
-formula is written once, over classes of nodes (_class_factors), with one
-factor per node: a class end holds its prefactor and every other node its
-ratio.  The exact transform is one class; limit.py applies the formula to
-each rate class.  Where the formula reads and in which order its factors
-come out is fixed per network by a ClassLayout (NetworkSpec.layout), and
-what it reads of the rates at u by a ClassRates (NetworkSpec.class_rates
-keeps the last u's), both built once, and so are the closed form's
-coefficients (ClassRates.quadratic_terms, kept per a), so a point pays only
-for omega: all front sums, one product with NetworkSpec.front_matrix; every
-kappa, one reverse cumulative sum; every other family's slopes, one call of
-its _secant on arguments built >= 0, which skips laplace_exponent_secant's
-checks.  The diagnostics are computed only when read.
+factors are a few array expressions in node order with no root and no
+secant; the roots are computed only when LstEvaluation.phi_at_kappa is
+read.  The factor formula is written once, over classes of nodes
+(_class_factors), with one factor per node: a class end holds its
+prefactor and every other node its ratio.  The exact transform is one
+class; limit.py applies the formula to each rate class.  Where the formula
+reads and in which order its factors come out is fixed per network by a
+ClassLayout (NetworkSpec.layout), and what it reads of the rates at u by a
+ClassRates (NetworkSpec.class_rates keeps the last u's), both built once.
+So are the closed form's coefficients (ClassRates.quadratic_terms, kept per
+a) and, on first read, ClassRates.sum_matrix: every front sum and every
+kappa is linear in omega, so one matrix-vector product with it gives them
+all.  A point pays only for omega: that product, after one comparison of
+the largest frequency against a bound built with the matrix (_sums); the
+closed form, or each other family's Newton roots and its slopes from one
+call of its _secant on arguments built >= 0, which skips
+laplace_exponent_secant's checks; and the product of the factors.  The
+diagnostics are computed only when read.
 
 Both transforms also take a grid of N frequency vectors, one per row, in one
 call.  Inside, the grid is held node-major, one column per vector, so every
-gather reads x[idx] as for a single vector; the front sums are one
-matrix-vector product per row and the products run left to right, so each
-row gets the bits of a call of its own.  Newton, where it is needed, still
-solves one root per entry.
+gather reads x[idx] as for a single vector; the front sums and kappa are
+one matrix-vector product per row (one matrix-matrix product would be
+quicker but round differently), and the products run left to right, so
+each row gets the bits of a call of its own.  Newton, where it is needed,
+still solves one root per entry.
 """
 
 from __future__ import annotations
@@ -48,12 +53,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ScalingRangeError, SingularFactorError, StructuralError
-from .network import ClassRates, NetworkSpec
+from .network import _BIG, ClassRates, NetworkSpec
 from .models import LevyModel
 from .roots import invert_increasing
 
-_EMPTY = np.empty(0)
-_ZERO = np.zeros(1)
 _TINY = np.finfo(float).tiny
 
 
@@ -64,31 +67,39 @@ def as_omega(omega, n: int) -> np.ndarray:
     where it fails, each row is checked in turn, so that the first bad row
     raises the error it raises alone.
     """
+    return _omega_and_top(omega, n)[0]
+
+
+def _omega_and_top(omega, n: int) -> tuple[np.ndarray, float]:
+    """as_omega's array and its largest entry, from the one max that the check reads."""
     try:
         w = np.asarray(omega, dtype=float)
     except ValueError:  # rows of unequal length: each is checked, so the first bad one raises
         if not isinstance(omega, (list, tuple)):
             raise
-        return np.array([as_omega(row, n) for row in omega])
+        w = np.array([as_omega(row, n) for row in omega])
+        return w, np.maximum.reduce(w, axis=None)
     if w.ndim == 2:
         if not (len(w) and w.shape[1] == n and 0.0 <= np.minimum.reduce(w, axis=None)
-                and np.maximum.reduce(w, axis=None) < math.inf):  # nan fails a comparison
+                and (top := np.maximum.reduce(w, axis=None)) < math.inf):  # nan fails a comparison
             for row in w:
                 as_omega(row, n)
             raise ValueError(f"frequency grid needs at least one row, got shape {w.shape}")
-        return w
+        return w, top
     if w.shape != (n,):
         raise ValueError(f"frequency vector must have length {n}, got shape {w.shape}")
-    if not 0.0 <= np.minimum.reduce(w) <= np.maximum.reduce(w) < math.inf:  # nan fails each comparison
+    if not 0.0 <= np.minimum.reduce(w) <= (top := np.maximum.reduce(w)) < math.inf:  # nan fails each comparison
         if not np.isfinite(w).all():
             raise ValueError("frequency vector has non-finite entries")
         raise ValueError("frequency vector must be componentwise nonnegative")
-    return w
+    return w, top
 
 
-def _all_normal(x: np.ndarray) -> bool:
-    """Every entry, of a vector or a grid, is a normal float >= tiny and < inf; nan fails."""
-    return _TINY <= np.minimum.reduce(x, axis=None) and np.maximum.reduce(x, axis=None) < math.inf
+def _normal_top(x: np.ndarray) -> float | None:
+    """The largest entry of x, a vector or a grid, if every entry is a normal
+    float >= tiny and < inf, else None; nan fails."""
+    top = np.maximum.reduce(x, axis=None)
+    return top if _TINY <= np.minimum.reduce(x, axis=None) and top < math.inf else None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -103,7 +114,7 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     range."""
     factor = base**beta
     scaled = w * factor
-    if _all_normal(scaled):
+    if _normal_top(scaled) is not None:
         return scaled
     nonzero = w != 0.0
     scaled[~nonzero] = 0.0  # 0 * inf is nan
@@ -151,18 +162,39 @@ def _quadratic_gap(x: np.ndarray, kap: np.ndarray) -> np.ndarray:
 def _quadratic_root(rates: ClassRates, a: float, kap: np.ndarray) -> np.ndarray:
     """The root Phi = 2 kappa / (r + D) of r s + a phat**2 s**2 = kappa at the
     inner nodes, a sum of positive terms; kap of shape (m,), or (N, m) for a grid."""
-    r = rates.r_at[: rates.layout.inner.size]
-    return 2.0 * kap / (r * (1.0 + _quadratic_gap(rates.quadratic_terms(a)[0], kap)))
+    layout = rates.layout
+    r = rates.r[layout.inner]
+    x = 2.0 * math.sqrt(a) * (layout.phat[layout.inner] / r)  # quadratic_terms' x, which reads a matrix
+    return 2.0 * kap / (r * (1.0 + _quadratic_gap(x, kap)))
 
 
-def _front_sums(front: np.ndarray, phat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Entry j-1: the sum of phat_l * w_l over l in the front of node j (row j-1 of front), for every j.
+def _sums(rates: ClassRates, w: np.ndarray, top: float, max_frequency: float, x: np.ndarray | None = None):
+    """y = rates.sum_matrix @ w: every front sum, then every kappa, in node order.
 
-    A grid w of shape (N, n) gives a row of sums per vector, each from the
-    matrix-vector product of its own row: a matrix-matrix product would
-    round differently."""
-    x = phat * w
-    return front @ x if x.ndim == 1 else (front @ x[..., None])[..., 0]
+    top is the largest entry of w, and max_frequency a frequency below which
+    every entry, and x**2 kappa where x is given, stays far inside the float
+    range (ClassRates.max_frequency, or quadratic_terms' for x): then the one
+    comparison is all the check.  Else the entries are computed and a
+    front sum, kappa or x**2 kappa that leaves the float range raises
+    ScalingRangeError naming the node.  A grid w of N rows gives a column
+    per row (shape (2n, N)), each from the matrix-vector product of its own
+    row, which has the bits of a call of its own (a matrix-matrix product
+    would round differently), and the first bad row raises."""
+    g = rates.sum_matrix
+    if top < max_frequency:
+        return g.dot(w) if w.ndim == 1 else (g @ w[..., None])[..., 0].T
+    n = g.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = g.dot(w) if w.ndim == 1 else (g @ w[..., None])[..., 0]  # a row per vector
+        parts = [y[..., :n], y[..., n:]] + ([] if x is None else [y[..., n:] * x * x])
+        bad = ~(np.abs(np.stack(parts, axis=-2)) < _BIG)  # nan fails the comparison
+    if bad.any():
+        *_, part, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ScalingRangeError(
+            f"{('front sum', 'kappa_{}', '4 a phat**2 kappa_{} / r**2')[part].format(j + 2)} of node {j + 1} "
+            f"leaves the float range: frequencies up to {top:g}, rates {rates.r.min():g} to {rates.r.max():g}"
+        )
+    return y if w.ndim == 1 else y.T
 
 
 # perfbench/tracing.py counts calls to kappa by name
@@ -170,15 +202,16 @@ def kappa(spec: NetworkSpec, omega, j: int, u: float) -> float | np.ndarray:
     """Drift-gap aggregate attached to the factor of node j (1 <= j <= n-1).
 
     The sum over nodes l > j of (r_{l-1}/phat_{l-1} - r_l/phat_l) times the
-    front sum of l, as the transform computes it (ClassRates.kappas).  Under
-    the rate ordering every term is nonnegative, so the result is >= 0.  A
-    grid of N vectors gives an array of N.
+    front sum of l, as the transform computes it (ClassRates.sum_matrix).
+    Under the rate ordering every term is nonnegative, so the result is >=
+    0.  A grid of N vectors gives an array of N.
     """
     n = spec.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"kappa index {j} outside 1..{n-1}")
-    w = as_omega(omega, n)
-    k = spec.class_rates(u).kappas(_front_sums(spec.front_matrix, spec.phat, w).T)[j - 1]
+    w, top = _omega_and_top(omega, n)
+    rates = spec.class_rates(u)
+    k = _sums(rates, w, top, rates.max_frequency)[n + j - 1]
     return k if k.ndim else float(k)
 
 
@@ -215,8 +248,7 @@ class LstEvaluation:
     @cached_property
     def _psi_points(self) -> list[np.ndarray]:
         """The roots, delta and delta_hat, then psi at each, from one exponent call."""
-        ph, sums = self.rates.layout.phat[:-1], self.front_sums
-        r = self.rates.r_at[: len(ph)]
+        ph, r, sums = self.rates.layout.phat[:-1], self.rates.r[:-1], self.front_sums
         s = np.stack((self.phi_at_kappa, sums[..., :-1] / ph, sums[..., 1:] / ph))
         return [*s, *(r * s + self.model.laplace_exponent(ph * s))]
 
@@ -231,84 +263,79 @@ class LstEvaluation:
     psi_delta_hat = property(lambda self: self._psi_points[5])
 
 
-def _class_factors(model: LevyModel, rates: ClassRates, w, sums):
+def _class_factors(model: LevyModel, rates: ClassRates, w: np.ndarray, top: float):
     """The factor formula over the classes of rates.layout.
 
-    rates holds what the formula reads of the rates, and w and sums each
-    node's frequency and its front sum within its class, or for a grid of N
-    vectors a column of them per vector (shape (n, N)).  Returns the factors
-    in the layout's order (the inner nodes, then the class ends), then kappa
-    and the roots for the inner nodes, for a grid with a column per vector;
-    the roots are None where phi(s) = a s**2, which needs none.  With
-    slope(s, y) = r + ph * S(ph * s, ph * y) and S the secant of phi, a
-    class end's factor is its prefactor r / slope(w, 0) and every inner
-    node's is slope(root, delta_hat) / slope(root, delta), with root the
-    inverse of psi_j at kappa_{j+1} over the class slice.  Where r/phat
-    rises from a node to the next in its class (rates.rise) it raises
-    StructuralError; elsewhere every kappa term is >= 0.
+    rates holds what the formula reads of the rates, w the frequencies, a
+    vector or a grid of N rows, and top its largest entry.  Returns the
+    factors in node order, a class end's its prefactor, then y, the front
+    sums and kappa of _sums, and the roots for the inner nodes; for a grid,
+    with a column per vector (node-major).  The roots are None where phi(s) =
+    a s**2, which needs none.  With slope(s, y) = r + ph * S(ph * s, ph *
+    y) and S the secant of phi, every node's factor is slope(root,
+    delta_hat) / slope(root, delta), with root the inverse of psi_j at
+    kappa_{j+1} over the class slice.  At a class end kappa, root and
+    delta_hat are 0, so the numerator is r (S(0, 0) = phi'(0) = 0) and the
+    factor is the prefactor r / slope(0, w).  Where r/phat rises from a
+    node to the next in its class (rates.rise) it raises StructuralError;
+    elsewhere every kappa term is >= 0.
 
     For phi(s) = a s**2 (model.quadratic) the root is 2 kappa / (r + D), D =
     sqrt(r**2 + 4 a ph**2 kappa), so r + a ph**2 root = (r + D) / 2, and
     with s the front sums each factor is a ratio of sums of positive terms,
-    no root taken: (r + D + 2 a ph s_{j+1}) / (r + D + 2 a ph s_j) at an
-    inner node, and r / (r + a ph s_j) at a class end.  They are computed
-    divided through by 2 a ph and by a ph, as (u + s_{j+1}) / (u + s_j) with
-    u = v (1 + D / r) and e / (e + s_j), from ClassRates.quadratic_terms;
-    the shared u and e keep each within about an ulp.  Every other family
-    takes one Newton solve per root and every slope from one secant call,
-    on arguments >= 0 by construction, so they go to phi's _secant ordered
-    but unchecked.
+    no root taken: (r + D + 2 a ph s_{j+1}) / (r + D + 2 a ph s_j), with
+    s_{j+1} and D - r read as 0 at a class end.  They are computed divided
+    through by 2 a ph, as (c + s_{j+1}) / (c + s_j) with c = v (1 + D / r)
+    from ClassRates.quadratic_terms; the shared c keeps each within about an
+    ulp, and at a class end c = 2 v = r / (a ph).  Every other family takes
+    one Newton solve per root and every slope from one secant call, on
+    arguments >= 0 by construction, so they go to phi's _secant ordered but
+    unchecked.
     """
     layout = rates.layout
-    m = layout.inner.size
-    empty = w[:0] if w.ndim > 1 else _EMPTY  # no kappa or root
+    n = layout.phat.size
     if j := rates.rise:
         raise StructuralError(f"r/phat rises from node {j} to node {j + 1}: rate ordering violated within class")
     if (a := model.quadratic) is not None:
-        x, v, e, at = rates.quadratic_terms(a)
-        if w.ndim > 1:
-            x, v, e = x[:, None], v[:, None], e[:, None]
-        if not m:  # all classes singletons: every factor is a prefactor, and each front sum is a class end's
-            return e / (e + sums), empty, None
-        kap = rates.kappas(sums)
-        u = _quadratic_gap(x, kap)
-        u *= v
-        u += v
-        terms = sums[at]
-        terms[:, :m] += u
-        terms[0, m:] = e  # a class end's numerator is e + 0
-        terms[1, m:] += e
-        return terms[0] / terms[1], kap, None
+        x, v, max_frequency = rates.quadratic_terms(a)
+        y = _sums(rates, w, top, max_frequency, x)
+        if y.ndim > 1:
+            x, v = x[:, None], v[:, None]
+        if not layout.inner.size:  # every node ends its class: x = kappa = 0, so c = v + v with no gap
+            c = v + v
+            return c / (c + y[:n]), y, None
+        c = _quadratic_gap(x, y[n:])
+        c *= v
+        c += v
+        terms = y[layout.sum_at]
+        terms += c
+        return terms[0] / terms[1], y, None
 
-    if w.ndim > 1:  # a grid: the per-node constants as columns, and r_at at every entry for the numerators
-        r, ph, r_at, ph_at = rates.columns
-        r_at, zero = r_at.repeat(w.shape[1], 1), np.zeros((1, w.shape[1]))
-    else:
-        r, ph, r_at, ph_at, zero = rates.r, layout.phat, rates.r_at, layout.phat_at, _ZERO
-    if not m:  # all classes singletons: every factor is a prefactor, and there is no kappa or root
-        return r / (r + ph * model._secant(ph * w, 0.0)), empty, empty
-    kap = rates.kappas(sums)
-    roots = _psi_inverse(model, r_at[:m], ph_at[:m], kap)
-
-    # the slopes from each root to delta_hat and to delta, and from w to 0 at
-    # the class ends, from one secant call
-    hi = ph_at * np.concatenate((roots, roots, w[layout.ends]))
-    lo = np.concatenate((sums, zero))[layout.sum_at]
-    slopes = r_at + ph_at * model._secant(np.maximum(hi, lo), np.minimum(hi, lo))
-    return np.concatenate((slopes[:m], r_at[2 * m :])) / slopes[m:], kap, roots
+    y = _sums(rates, w, top, rates.max_frequency)
+    r, ph = rates.columns if y.ndim > 1 else (rates.r, layout.phat)
+    inner = layout.inner
+    roots = _psi_inverse(model, r[inner], ph[inner], y[n:][inner])
+    hi = np.zeros_like(y[:n])  # ph * root at every node, 0 at a class end
+    hi[inner] = roots
+    hi *= ph
+    # the slopes from each root to delta_hat, then to delta, from one secant call
+    lo = y[layout.sum_at]
+    slopes = r + ph * model._secant(np.maximum(hi, lo), np.minimum(hi, lo))
+    return slopes[0] / slopes[1], y, roots
 
 
-def _assembled(value: float | np.ndarray, what: str) -> float | np.ndarray:
+def _assembled(value: np.float64 | np.ndarray, what: str) -> float | np.ndarray:
     """A product of factors, or for a grid an array of them, clamped to 1.
 
     A value outside (0, 1] by more than rounding raises SingularFactorError,
     for a grid the first such.
     """
-    if isinstance(value, np.ndarray):
+    if value.ndim:
         bad = ~((value > 0.0) & (value <= 1.0 + 1e-9))  # nan fails both
         if bad.any():
-            _assembled(float(value[np.argmax(bad)]), what)
+            _assembled(value[np.argmax(bad)], what)
         return np.minimum(value, 1.0)
+    value = float(value)
     if not math.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]")
     return min(value, 1.0)
@@ -319,27 +346,25 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
 
     Requires omega >= 0 and the rate ordering at u: r/phat must not rise
     from a node to the next, else StructuralError (the u-probe rule of
-    validate_assumptions), which keeps every kappa nonnegative.  Every
-    factor is a ratio of positive slopes, zero entries of omega included;
-    only a product outside (0, 1] raises SingularFactorError.  The value is
-    the product of the factors, left to right, the prefactor first.
+    validate_assumptions), which keeps every kappa nonnegative.  A front sum
+    or kappa that leaves the float range raises ScalingRangeError naming the
+    node.  Every factor is a ratio of positive slopes, zero entries of omega
+    included; only a product outside (0, 1] raises SingularFactorError.  The
+    value is the product of the factors, left to right, the prefactor first.
 
     omega may be a grid of N vectors, one per row (shape (N, n)): the call
     then evaluates every row with the bits of a call of its own, and every
     field of the result gains a leading axis of N.  A grid raises the error
-    its first bad row raises alone, where as_omega or the rate ordering
-    refuses it; the ordering is a property of the network at u.
+    its first bad row raises alone, where as_omega, the rate ordering or the
+    float range refuses it, in that order of checks; the ordering is a
+    property of the network at u.
     """
-    w = as_omega(omega, spec.n)
+    w, top = _omega_and_top(omega, spec.n)
     rates = spec.class_rates(u)
-    if w.ndim > 1:  # a grid, node-major inside
-        sums = _front_sums(spec.front_matrix, spec.phat, w)
-        factors, kap, roots = _class_factors(model, rates, w.T, sums.T)
-        value = _assembled(np.multiply.reduce(factors[rates.layout.order]), "transform")
+    factors, y, roots = _class_factors(model, rates, w, top)
+    n = spec.n
+    value = _assembled(np.multiply.reduce(factors[rates.layout.order]), "transform")
+    if w.ndim > 1:  # node-major inside
         roots = roots if roots is None else roots.T
-        return LstEvaluation(value, factors[-1], kap.T, factors[:-1].T, model, rates, sums, roots)
-    sums = spec.front_matrix @ (spec.phat * w)
-    factors, kap, roots = _class_factors(model, rates, w, sums)
-    prefactor, values = float(factors[-1]), factors[:-1]
-    value = _assembled(math.prod([prefactor, *values.tolist()]), "transform")
-    return LstEvaluation(value, prefactor, kap, values, model, rates, sums, roots)
+        return LstEvaluation(value, factors[-1], y[n:-1].T, factors[:-1].T, model, rates, y[:n].T, roots)
+    return LstEvaluation(value, float(factors[-1]), y[n:-1], factors[:-1], model, rates, y[:n], roots)

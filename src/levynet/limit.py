@@ -18,15 +18,18 @@ Both regimes share the formula; the regime enters only through the tail pair
 Cost of one evaluation: O(n^2) array work, plus one scalar root solve per node
 that does not end its class when alpha < 2.  At alpha = 2 the input exponent
 coeff * s**2 is quadratic, and every factor is taken in closed form with no
-root and no secant, as in exact.py.  All within-class front sums are one
-product with RateClassPartition.front_matrix, and every class factor comes
-from one np.multiply.reduceat over the factors of _class_factors in the
-partition's end-first order, its prefactor first.  The partition builds that
-class layout, its ClassRates and fractions**beta once, and the tail pair its
-stable input, so a call builds none.  A positive omega, or grid, is scaled
-by one multiply and a min/max test, and one with zero entries by one more,
-unless an entry is refused.  No diagnostic is computed.  A grid of N
-frequency vectors, one per row, is one call, as in exact.py.
+root and no secant, as in exact.py.  All within-class front sums and every
+kappa are one matrix-vector product with the partition's
+ClassRates.sum_matrix, whose rows are masked to same-class pairs, and every
+class factor comes from one np.multiply.reduceat over the node-order factors
+of _class_factors in the partition's end-first order, its prefactor first.
+The partition builds that class layout, its ClassRates and fractions**beta
+once, and the tail pair its stable input, so a call builds none, and the
+matrix is built on the first call.  A positive omega, or grid, is scaled by
+one multiply and a min/max test, and one with zero entries by one more,
+unless an entry is refused; that test's max is the one the product's range
+check compares.  No diagnostic is computed.  A grid of N frequency vectors,
+one per row, is one call, as in exact.py.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _all_normal, _assembled, _class_factors, _front_sums, _scaled_frequency, as_omega
+from .exact import _assembled, _class_factors, _normal_top, _scaled_frequency, as_omega
 from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: perfbench/tracing.py counts calls through it
@@ -53,20 +56,24 @@ class LimitLst:
     factor_values: np.ndarray
 
 
-def _scaled_at_once(w: np.ndarray, power: np.ndarray | None) -> np.ndarray | None:
-    """w * power for a vector, or a grid of rows, of n frequencies >= 0 and
-    finite, whose nonzero entries all scale to normal floats; else None.
+def _scaled_at_once(w: np.ndarray, power: np.ndarray | None) -> tuple[np.ndarray, float] | None:
+    """w * power and its largest entry, for a vector, or a grid of rows, of n
+    frequencies >= 0 and finite, whose nonzero entries all scale to normal
+    floats; else None.
 
     power is the partition's fraction_power, in (0, 1].  Where every product
     is a normal float that takes a min and a max of them; where not (zero
     entries, or a refusal), a min and a max again with 1 added where w is 0,
-    which a negative, nan or infinite entry fails as before."""
+    which a negative, nan or infinite entry fails as before, and whose max
+    bounds the largest entry."""
     if power is None:
         return None
     if w.shape == power.shape or (w.ndim == 2 and len(w) and w.shape[1] == power.size):
         scaled = w * power
-        if _all_normal(scaled) or _all_normal(scaled + (w == 0.0)):
-            return scaled
+        if (top := _normal_top(scaled)) is None:
+            top = _normal_top(scaled + (w == 0.0))
+        if top is not None:
+            return scaled, top
     return None
 
 
@@ -84,27 +91,31 @@ def joint_lst_limit(
     raises it too.  Classes whose frequencies are all zero contribute 1.
 
     omega may be a grid of N vectors, one per row (shape (N, n)): every row
-    is evaluated with the bits of a call of its own, and a grid raises the
-    first bad row's error of as_omega, then of the scaling.
+    is evaluated with the bits of a call of its own.  A grid that the one
+    scaling test refuses is evaluated row by row, so the first bad row
+    raises the error it raises alone.
     """
     partition.require_spec(spec)
     try:
         w = np.asarray(omega, dtype=float)
-    except ValueError:  # rows of unequal length: as_omega raises the first bad one's error
-        w = as_omega(omega, spec.n)
-    if (scaled := _scaled_at_once(w, partition.fraction_power(tail.beta))) is None:  # refusals take the checked path
+    except ValueError:  # rows of unequal length: evaluated row by row below
+        if not isinstance(omega, (list, tuple)):
+            raise
+        w = omega
+    at_once = _scaled_at_once(w, partition.fraction_power(tail.beta)) if isinstance(w, np.ndarray) else None
+    if at_once is None:  # refused: the checked path, where a grid's rows are evaluated one by one
+        if not isinstance(w, np.ndarray) or (w.ndim == 2 and len(w)):
+            rows = [joint_lst_limit(spec, partition, tail, row) for row in w]
+            return LimitLst(np.array([r.value for r in rows]), np.array([r.factor_values for r in rows]))
         scaled = _scaled_frequency(as_omega(w, spec.n), partition.fractions, tail.beta, "in the limit", "fraction_{}")
+        at_once = scaled, np.maximum.reduce(scaled)
+    scaled, top = at_once
     layout = partition.layout
     # class k's factor: its prefactor, at its end, then its other nodes in order
-    if scaled.ndim > 1:  # a grid, node-major inside
-        sums = _front_sums(partition.front_matrix, spec.phat, scaled)
-        f = _class_factors(tail.stable_model, partition.class_rates, scaled.T, sums.T)[0]
-        class_values = np.multiply.reduceat(f[layout.order], layout.starts)
-        return LimitLst(_assembled(np.multiply.reduce(class_values), "limit"), class_values.T)
-    sums = partition.front_matrix @ (spec.phat * scaled)
-    f = _class_factors(tail.stable_model, partition.class_rates, scaled, sums)[0]
+    f = _class_factors(tail.stable_model, partition.class_rates, scaled, top)[0]
     class_values = np.multiply.reduceat(f[layout.order], layout.starts)
-    return LimitLst(_assembled(math.prod(class_values.tolist()), "limit"), class_values)
+    value = _assembled(np.multiply.reduce(class_values), "limit")
+    return LimitLst(value, class_values if scaled.ndim == 1 else class_values.T)
 
 
 # perfbench/tracing.py spans calls to singular_limit by name

@@ -185,30 +185,22 @@ class ClassLayout(_Rebuilt):
     """Where the factor formula (exact._class_factors) reads, for nodes cut
     into intervals, the classes: read-only 0-based arrays built once.
 
-    ends holds each class's last node and inner every other node, both
-    increasing.  kappa is a reverse running sum within each class: row k of
-    kappa_at lists the inner nodes of the k-th class that has any, last
-    first, padded with n - 1; kappa_from, kappa_at + 1 with the pad 0, reads
-    ClassRates.kappa_weights * front sums, whose entry 0 is 0, and kappa_back
-    is each inner node's position in that array, flattened.  The formula
-    takes one slope per entry of slope_at = (inner, inner, ends), at phat_at
-    = phat[slope_at]: from each root to the front sum at sum_at, the next
-    node's (delta_hat), then its own (delta), and from each class end's
-    frequency to 0 (sum_at is n there, a zero after the n front sums).  Its
-    factors come in the order (inner, ends); order lists, as positions in
-    that order, each class's end, then its other nodes, and starts where
-    each class begins in order.
+    front is the front matrix restricted to same-class pairs, ends holds
+    each class's last node and inner every other node, both increasing, and
+    starts where each class begins.  The formula reads y =
+    ClassRates.sum_matrix @ omega, every front sum and then every kappa, in
+    node order (a class end's kappa is 0): row 0 of sum_at gives each
+    node's numerator sum, the next node's front sum (delta_hat) at an inner
+    node and its own zero kappa at a class end, and row 1 its own front sum
+    (delta).  Its factors come in node order; order lists each class's end,
+    then its other nodes.
     """
 
     phat: np.ndarray
     ends: np.ndarray
+    front: np.ndarray = field(repr=False)
     inner: np.ndarray = field(init=False)
-    kappa_at: np.ndarray = field(init=False)
-    kappa_back: np.ndarray = field(init=False)
-    kappa_from: np.ndarray = field(init=False)
-    slope_at: np.ndarray = field(init=False)
     sum_at: np.ndarray = field(init=False)
-    phat_at: np.ndarray = field(init=False)
     order: np.ndarray = field(init=False)
     starts: np.ndarray = field(init=False)
 
@@ -216,93 +208,106 @@ class ClassLayout(_Rebuilt):
         n, ends = len(self.phat), np.array(self.ends)
         last = ends.tolist()
         firsts = [0, *(b + 1 for b in last[:-1])]
-        inner = np.delete(np.arange(n), ends)
-        rows = [range(b - 1, a - 1, -1) for a, b in zip(firsts, last) if b > a]
-        width = max(map(len, rows), default=0)
-        kappa_at = np.full((len(rows), width), n - 1)
-        for k, row in enumerate(rows):
-            kappa_at[k, : len(row)] = row
-        kappa_back = [k * width + c for k, row in enumerate(rows) for c in reversed(range(len(row)))]
-        positions = np.empty(n, dtype=int)  # node -> its position in (inner, ends)
-        positions[np.concatenate((inner, ends))] = np.arange(n)
-        slope_at = np.concatenate((inner, inner, ends))
+        node = np.arange(n)
+        numerator = node + 1
+        numerator[ends] = n + ends
         _derive(
             self,
             phat=self.phat,
             ends=ends,
-            inner=inner,
-            kappa_at=kappa_at,
-            kappa_back=np.array(kappa_back, dtype=int),
-            kappa_from=(kappa_at + 1) % n,  # the pad n - 1, never an inner node, to 0
-            slope_at=slope_at,
-            sum_at=np.concatenate((inner + 1, inner, np.full(len(last), n))),
-            phat_at=self.phat[slope_at],
-            order=positions[[i for a, b in zip(firsts, last) for i in (b, *range(a, b))]],
+            front=self.front,
+            inner=np.delete(node, ends),
+            sum_at=np.array([numerator, node]),
+            order=np.array([i for a, b in zip(firsts, last) for i in (b, *range(a, b))]),
             starts=np.array(firsts),
         )
+
+
+def _aligned_columns(a: np.ndarray) -> np.ndarray:
+    """A copy of a in column-major order whose data start on a 64-byte
+    boundary.  There BLAS's matrix-vector product measured up to twice as
+    quick as for a row-major or unaligned copy at n = 50 to 100, with the
+    same bits: they do not depend on the address."""
+    buf = np.empty(a.size + 7)
+    start = (-buf.ctypes.data // 8) % 8
+    out = buf[start : start + a.size].reshape(a.shape, order="F")
+    out[...] = a
+    return out
+
+
+# every entry of ClassRates.sum_matrix @ omega, and of x**2 kappa, stays below it
+# where the frequencies pass the rates' max_frequency: far enough below the float
+# range that the sums and the factors built from them stay finite
+_BIG = 2.0**1000
 
 
 @dataclass(frozen=True, eq=False)
 class ClassRates(_Rebuilt):
     """What the factor formula reads of rates r on a ClassLayout, built once per
     network and u or per partition.  rise: first_rise of r/phat over
-    layout.inner, refused when the formula is called, never when built.
-    kappa_weights[l]: r_l/phat_l - r_{l+1}/phat_{l+1}, after a leading 0.
-    r_at: r[layout.slope_at]; and columns, the arrays a grid reads (r, phat,
-    r_at and phat_at) as columns of shape (k, 1), on first read."""
+    layout.inner, refused when the formula is called, never when built.  On
+    first read: sum_matrix, max_frequency, and columns, the arrays a grid
+    reads (r and phat) as columns of shape (n, 1)."""
 
     layout: ClassLayout
     r: np.ndarray
     rise: int = field(init=False)
-    kappa_weights: np.ndarray = field(init=False)
-    r_at: np.ndarray = field(init=False)
     _quadratic: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        layout, ratios = self.layout, self.r / self.layout.phat
-        weights = np.concatenate(((0.0,), ratios[:-1] - ratios[1:]))
-        rise = first_rise(ratios, layout.inner)
-        _derive(self, r=self.r, kappa_weights=weights, r_at=self.r[layout.slope_at], rise=rise)
+        _derive(self, r=self.r, rise=first_rise(self.r / self.layout.phat, self.layout.inner))
 
     @cached_property
     def columns(self) -> tuple:
-        return tuple(x[:, None] for x in (self.r, self.layout.phat, self.r_at, self.layout.phat_at))
+        return self.r[:, None], self.layout.phat[:, None]
 
-    def quadratic_terms(self, a: float) -> tuple[np.ndarray, ...]:
-        """What the closed-form factors of phi(s) = a s**2 read, read-only and kept per a.
+    @cached_property
+    def sum_matrix(self) -> np.ndarray:
+        """G = [F diag(phat); K], read-only, of shape (2n, n): G @ omega is
+        every front sum, then every kappa, in node order.
 
-        At the inner nodes x = 2 sqrt(a) phat / r, so that (x kappa) x is
-        4 a phat**2 kappa / r**2 with no rate squared, and v = r / (2 a
-        phat); at the class ends e = r / (a phat).  at reads, for the factor
-        order (inner, ends), the front sums of the numerators, then of the
-        denominators: an inner node's next node's, then its own; a class
-        end's own in both rows (phat times its frequency), of which the
-        numerator takes none."""
+        F is layout.front.  Row j of K is the kappa of node j's factor as a
+        linear form in omega: the sum over the later nodes l of its class of
+        (r_{l-1}/phat_{l-1} - r_l/phat_l) times row l of F diag(phat), a
+        reverse running sum within each class, and 0 at each class end."""
+        layout = self.layout
+        front = layout.front * layout.phat
+        ratios = self.r / layout.phat
+        weighted = (ratios[:-1] - ratios[1:])[:, None] * front[1:]  # row l - 1: node l's term
+        kappa = np.zeros_like(front)
+        for a, b in zip(layout.starts.tolist(), layout.ends.tolist()):
+            kappa[a:b] = weighted[a:b][::-1].cumsum(axis=0)[::-1]
+        matrix = _aligned_columns(np.concatenate((front, kappa)))
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def max_frequency(self) -> float:
+        """The largest frequency below which every entry of sum_matrix @ omega stays below 2**1000."""
+        return _BIG / float(np.abs(self.sum_matrix).sum(axis=1).max())
+
+    def quadratic_terms(self, a: float) -> tuple:
+        """What the closed-form factors of phi(s) = a s**2 read, kept per a.
+
+        In node order and read-only, x = 2 sqrt(a) phat / r, so that (x
+        kappa) x is 4 a phat**2 kappa / r**2 with no rate squared, and v =
+        r / (2 a phat); x is 0 at the class ends, whose kappa is 0.  Then
+        the frequency below which every entry of sum_matrix @ omega, and
+        every x**2 kappa, stays below 2**1000."""
         if a not in self._quadratic:
             layout = self.layout
-            inner, ends = layout.inner, layout.ends
             lean = layout.phat / self.r
-            terms = (
-                2.0 * math.sqrt(a) * lean[inner],
-                0.5 / (a * lean[inner]),
-                1.0 / (a * lean[ends]),
-                np.array([np.concatenate((inner + 1, ends)), np.concatenate((inner, ends))]),
-            )
-            for t in terms:
-                t.setflags(write=False)
-            self._quadratic[a] = terms
+            x = 2.0 * math.sqrt(a) * lean
+            x[layout.ends] = 0.0
+            v = 0.5 / (a * lean)
+            x.setflags(write=False)
+            v.setflags(write=False)
+            rows = np.abs(self.sum_matrix).sum(axis=1)  # |each entry| per unit of the largest frequency
+            kappa_rows = rows[lean.size :]
+            with np.errstate(over="ignore"):  # inf: every call checks its entries
+                np.maximum(kappa_rows, kappa_rows * x * x, out=kappa_rows)  # (x kappa) x, as the factors take it
+            self._quadratic[a] = x, v, _BIG / float(rows.max())
         return self._quadratic[a]
-
-    def kappas(self, sums: np.ndarray) -> np.ndarray:
-        """kappa of each inner node: reverse running sums of kappa_weights * sums in each class.
-
-        sums holds a front sum per node, or for a grid a column of them per
-        vector (shape (n, N)), which gives a column of kappas per vector."""
-        layout = self.layout
-        if sums.ndim == 1:
-            return (self.kappa_weights * sums)[layout.kappa_from].cumsum(axis=1).ravel()[layout.kappa_back]
-        terms = (self.kappa_weights[:, None] * sums)[layout.kappa_from].cumsum(axis=1)
-        return terms.reshape(-1, sums.shape[1])[layout.kappa_back]
 
 
 @dataclass(frozen=True)
@@ -359,7 +364,7 @@ class NetworkSpec(_Rebuilt):
         coeffs, exps = np.array(padded).transpose(2, 0, 1).copy()
         _derive(
             self, rates=rates, phat=phat, parent=parent, front_matrix=front_matrix,
-            rate_coeffs=coeffs, rate_exps=exps, layout=ClassLayout(phat, [n - 1]),
+            rate_coeffs=coeffs, rate_exps=exps, layout=ClassLayout(phat, [n - 1], front_matrix),
         )
 
     @property

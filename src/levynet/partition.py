@@ -76,11 +76,11 @@ class RateClassPartition(_Rebuilt):
                 )
         class_of = tuple(k for k, c in enumerate(classes, start=1) for _ in c)
         fractions = spec.rate_coeffs[:, 0] / [refs[k - 1].leading[0] for k in class_of]
-        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes])
+        front_matrix = np.where(np.equal.outer(class_of, class_of), spec.front_matrix, 0.0)
+        layout = ClassLayout(spec.phat, [members[-1] - 1 for members in classes], front_matrix)
         _derive(
             self, reference_rates=refs, classes=classes, fractions=fractions, class_of=class_of, layout=layout,
-            front_matrix=np.where(np.equal.outer(class_of, class_of), spec.front_matrix, 0.0),
-            class_rates=ClassRates(layout, fractions),
+            front_matrix=front_matrix, class_rates=ClassRates(layout, fractions),
         )
 
     @property

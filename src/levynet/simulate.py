@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ScalingRangeError, StructuralError
+from .errors import ConfigError, LevynetError, ScalingRangeError, StructuralError
 from .exact import _scaled_frequency, as_omega, joint_lst_exact
 from .limit import joint_lst_limit
 from .models import HEAVY, LevyModel, TailPair, check_integer, check_positive
@@ -256,14 +256,16 @@ def convergence_study(
     a nonzero frequency whose scaled value overflows or underflows below the
     normal float range raises ScalingRangeError, naming the node and u (or
     the limit).  The limit and each u's exact column are one call over the
-    grid of omegas.  When `sim` is given, an empirical column at the same
-    scaled frequencies is added (seed offset by the u index).  A spec that
-    is not the partition's network raises StructuralError.
+    grid of omegas; where one raises, the rows are evaluated one by one, so
+    the first bad row raises the error it raises alone.  When `sim` is
+    given, an empirical column at the same scaled frequencies is added (seed
+    offset by the u index).  A spec that is not the partition's network
+    raises StructuralError.
     """
     partition.require_spec(spec)
     tail = model.tail_pair(regime)
+    limit_vals = np.atleast_1d(joint_lst_limit(spec, partition, tail, omegas).value).tolist()
     omegas = np.atleast_2d(as_omega(omegas, spec.n))  # one vector is a grid of one row
-    limit_vals = joint_lst_limit(spec, partition, tail, omegas).value.tolist()
 
     rows = []
     for iu, u in enumerate(u_list):
@@ -272,8 +274,14 @@ def convergence_study(
         if sim is not None:
             cfg = replace(sim, u=u, seed=sim.seed + iu)
             samples = simulate_workload(spec, model, cfg)
-        scaled = _scaled_frequency(omegas, r, tail.beta, f"at u = {u:g}", "r_{}(u)")
-        exacts = joint_lst_exact(spec, model, scaled, u).value.tolist()
+        where = f"at u = {u:g}"
+        try:
+            scaled = _scaled_frequency(omegas, r, tail.beta, where, "r_{}(u)")
+            exacts = joint_lst_exact(spec, model, scaled, u).value.tolist()
+        except LevynetError:  # each row alone, so that the first bad row raises its own error
+            for w in omegas:
+                joint_lst_exact(spec, model, _scaled_frequency(w, r, tail.beta, where, "r_{}(u)"), u)
+            raise
         estimates = empirical_lst(samples, scaled) if samples is not None else [None] * len(omegas)
         for w, lim, exact, est in zip(omegas, limit_vals, exacts, estimates):
             row = {

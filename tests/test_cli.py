@@ -825,7 +825,7 @@ SHIPPED_OUTPUT = (
     ("figure1.run.json", "validate", 0, "b0214817f79756cf70588e084f0121a70614c99dcfdd71dbaafd42671f9f1ac5"),
     ("figure1.run.json", "structure", 0, "4cf3765b6cccf9aa41efd8a63311ed38d59f10de6fdce3f8d4c53adc7f83aa7f"),
     ("figure1.run.json", "lst-exact --u 4", 0, "841217a7fd02dda27eb665974a84136ff50082e547a283f594b7f7856e658e46"),
-    ("figure1.run.json", "lst-exact --u 4 --diagnostics", 0, "973fe33cf47628eb60ea2842c3d12b15f0a645355c38b8927ebe28f3c61c799a"),
+    ("figure1.run.json", "lst-exact --u 4 --diagnostics", 0, "9f83a8479c569f0e255ca45d3cab3a99ce50cef558ca4fbd63e10f57fdcb7a70"),
     ("figure1.run.json", "lst-limit", 0, "21c6f4731031a8bc64d76c6426024aa4d1073a962917c4f2651b12016c4af437"),
     ("figure1.run.json", "sweep", 0, "4805eea4b2282c0d7dfdd4f3e9c6c2bb844b5317e6490b48dae7ad6386a64c2d"),
     ("figure1.run.json", "validate --u 1.2", 1, "34aead1560e12779516155729153216b2318a833f2fbd2d83a10a54c17ff7706"),

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from levynet import (
 )
 from levynet.errors import ScalingRangeError
 from levynet.models import HEAVY
-from levynet.exact import _front_sums, _psi_inverse
+from levynet.exact import _psi_inverse
 from levynet.network import ClassLayout, ClassRates, NetworkSpec, build_network
 from levynet.roots import invert_increasing
 
@@ -66,7 +67,9 @@ def test_psi_negative_rejected():
 def closed_form_root(a: float, r: np.ndarray, ph: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The exact transform's root of r s + a ph**2 s**2 = x, elementwise: the
     inner nodes of one class, with a last node appended to end it."""
-    rates = ClassRates(ClassLayout(np.append(ph, 1.0), [len(ph)]), np.append(r, 1.0))
+    k = len(ph) + 1
+    layout = ClassLayout(np.append(ph, 1.0), [len(ph)], np.broadcast_to(0.0, (k, k)))  # the root reads no front
+    rates = ClassRates(layout, np.append(r, 1.0))
     return exact._quadratic_root(rates, a, x)
 
 
@@ -141,21 +144,21 @@ def test_quadratic_factors_match_the_slope_ratios_at_high_precision():
                 rates = ClassRates(layout, r)
                 w = base * min(scale, 1e80) * rng.uniform(0.05, 2.5, n) * 10.0 ** rng.uniform(-3, 3, n)
                 w[rng.random(n) < 0.2] = 0.0
-                sums = _front_sums(spec.front_matrix if layout is spec.layout else part.front_matrix, spec.phat, w)
-                got, kap, _ = exact._class_factors(Brownian(2.0 * a), rates, w, sums)
+                got, y, _ = exact._class_factors(Brownian(2.0 * a), rates, w, w.max())
+                sums, kap = y[:n], y[n:][layout.inner]
                 roots = exact._quadratic_root(rates, a, kap)
                 with mp.workdps(50):
-                    ma, want = mp.mpf(a), []
+                    ma, want = mp.mpf(a), {}  # node -> factor
                     for i, j in enumerate(layout.inner.tolist()):
                         rj, pj, kj = mp.mpf(r[j]), mp.mpf(spec.phat[j]), mp.mpf(kap[i])
                         root = 2 * kj / (rj + mp.sqrt(rj**2 + 4 * ma * pj**2 * kj))
                         assert abs(roots[i] - root) <= 1e-14 * root, (n, scale)
                         slope = lambda s: rj + pj * ma * (pj * root + mp.mpf(s))  # noqa: E731
-                        want.append(slope(sums[j + 1]) / slope(sums[j]))
+                        want[j] = slope(sums[j + 1]) / slope(sums[j])
                     for j in layout.ends.tolist():
                         rj, pj = mp.mpf(r[j]), mp.mpf(spec.phat[j])
-                        want.append(rj / (rj + pj * ma * pj * mp.mpf(w[j])))
-                    for g, h in zip(got.tolist(), want):
+                        want[j] = rj / (rj + pj * ma * pj * mp.mpf(w[j]))
+                    for g, h in zip(got.tolist(), (want[j] for j in range(n))):
                         assert abs(g - h) <= 1e-14 * h, (n, scale)
 
 
@@ -165,6 +168,43 @@ BENCHMARK_TREES = [
     (100, 3, "random_tree"),
     (50, 0, "singleton_class_tree"),
 ]
+
+
+def _defining_sums(layout, r, w):
+    """Every front sum, then every kappa, in node order, as exact rationals of
+    their definitions from the floats phat, r and w: s_j the sum of phat_l w_l
+    over the within-class front of j, and the kappa of node j the sum over
+    the later nodes l of its class of (r_{l-1}/phat_{l-1} - r_l/phat_l) s_l,
+    0 at a class end."""
+    ph, r, w = ([Fraction(v) for v in a.tolist()] for a in (layout.phat, r, w))
+    sums = [sum((ph[l] * w[l] for l in np.flatnonzero(row).tolist()), Fraction(0)) for row in layout.front]
+    kap, ends = [Fraction(0)] * len(ph), set(layout.ends.tolist())
+    for j in reversed(range(len(ph) - 1)):  # a suffix sum within each class
+        if j not in ends:
+            kap[j] = (r[j] / ph[j] - r[j + 1] / ph[j + 1]) * sums[j + 1] + kap[j + 1]
+    return sums + kap
+
+
+@pytest.mark.parametrize("tree", BENCHMARK_TREES, ids=str)
+def test_the_fused_product_matches_the_defining_sums(tree):
+    # one matrix-vector product gives every front sum and every kappa: on the
+    # benchmark trees, whose rates span 20 decades at u = 2, against exact
+    # rational sums, on one class and on the rate classes, for a vector and
+    # for each row of a grid
+    spec = _benchmark_tree(*tree)
+    rng = np.random.default_rng(607)
+    grid = rng.uniform(0.05, 2.5, (3, spec.n)) * 10.0 ** rng.uniform(-3, 3, (3, spec.n))
+    grid[1, rng.random(spec.n) < 0.3] = 0.0
+    worst = 0.0
+    for rates in (spec.class_rates(2.0), partition_rates(spec).class_rates):
+        rows = exact._sums(rates, grid, grid.max(), rates.max_frequency).T
+        assert np.array_equal(exact._sums(rates, grid[0], grid[0].max(), rates.max_frequency), rows[0])
+        for w, got in zip(grid, rows):
+            for g, want in zip(got.tolist(), _defining_sums(rates.layout, rates.r, w)):
+                assert (g == 0.0) == (want == 0)
+                if want:
+                    worst = max(worst, abs(Fraction(g) / want - 1))
+    assert worst <= 1e-15, float(worst)
 
 
 @pytest.mark.parametrize("tree", BENCHMARK_TREES, ids=str)
@@ -462,11 +502,19 @@ def test_rate_arrays_are_built_once_per_u_and_the_limit_builds_none(monkeypatch)
     power = part.fraction_power(tail.beta)
     assert count(lambda: [joint_lst_limit(spec, part, tail, w) for w in ws]) == (0, 0, 0)
     assert part.fraction_power(tail.beta) is power and not power.flags.writeable
-    # the closed form's coefficients: once per ClassRates and quadratic coefficient a
-    rates = spec.class_rates(2.0)
+    # the matrix G of the front sums and kappa and its range bound: once per
+    # ClassRates; the closed form's coefficients: once per ClassRates and
+    # quadratic coefficient a
+    rates, limit_rates = spec.class_rates(2.0), part.class_rates
+    matrices = rates.sum_matrix, limit_rates.sum_matrix
+    bounds = rates.max_frequency, limit_rates.max_frequency
     terms = rates.quadratic_terms(0.65)
     assert count(lambda: [joint_lst_exact(spec, Brownian(1.3), w, 2.0) for w in ws]) == (0, 0, 0)
-    assert rates.quadratic_terms(0.65) is terms and not any(t.flags.writeable for t in terms)
+    assert count(lambda: joint_lst_limit(spec, part, tail, ws)) == (0, 0, 0)
+    assert rates.sum_matrix is matrices[0] and limit_rates.sum_matrix is matrices[1]
+    assert (rates.max_frequency, limit_rates.max_frequency) == bounds
+    assert matrices[0].shape == (2 * spec.n, spec.n) and not any(g.flags.writeable for g in matrices)
+    assert rates.quadratic_terms(0.65) is terms and not any(t.flags.writeable for t in terms[:2])
     assert rates.quadratic_terms(0.5) is not terms
 
 
@@ -504,6 +552,57 @@ def test_rates_outside_the_float_range_are_refused():
     with pytest.raises(ScalingRangeError, match="^service rates leave the float range at u = 1e\\+200: 0 to 0$"):
         joint_lst_exact(tiny, Brownian(1.0), [0.5, 0.5], 1e200)
     assert 0.0 < joint_lst_exact(spec, Brownian(1.0), [0.5, 0.5], 1e60).value <= 1.0
+
+
+def test_front_sums_and_kappa_outside_the_float_range_are_refused(figure1_spec):
+    # figure 1 at u = 1e100: every rate is a float, but at omega = 1e10 r(u)
+    # kappa_2 = (r_1 - r_2/phat_2) s_2 + ... passes 1e400; the transforms
+    # refuse it naming the node, with no RuntimeWarning, where a nan factor
+    # used to be refused as a transform value outside (0, 1]
+    spec, u = figure1_spec, 1e100
+    w = 1e10 * spec.rate_vector(u)
+    message = "^kappa_2 of node 1 leaves the float range: frequencies up to 1e\\+211, rates 1e\\+100 to 1e\\+201$"
+    for evaluate in (
+        lambda: joint_lst_exact(spec, Brownian(1.0), w, u),
+        lambda: joint_lst_exact(spec, CenteredGamma(2.0, 1.5), w, u),
+        lambda: joint_lst_exact(spec, Brownian(1.0), [w * 1e-200, w], u),  # the first bad row raises
+        lambda: kappa(spec, w, 1, u),
+    ):
+        with pytest.raises(ScalingRangeError, match=message):
+            evaluate()
+    # the closed form also needs D**2 / r**2 = 1 + 4 a phat**2 kappa / r**2 in range:
+    # at rates of 1e-200 and frequencies of 1e120 it is 1e320, though kappa is 1e-80
+    tandem = tandem_spec([RateFunction.monomial(2.0, 2.0), RateFunction.monomial(1.0, 2.0)])
+    lost = "^4 a phat\\*\\*2 kappa_2 / r\\*\\*2 of node 1 leaves the float range: frequencies up to 1e\\+120, "
+    with pytest.raises(ScalingRangeError, match=lost):
+        joint_lst_exact(tandem, Brownian(1.0), [1e120, 1e120], 1e-100)
+    assert 0.0 < joint_lst_exact(tandem, Brownian(1.0), [1e100, 1e100], 1e-100).value < 1e-299
+    # where the one comparison refuses a grid whose entries are in range, the
+    # checked product gives the same bits
+    for rates, grid in (
+        (spec.class_rates(u), np.array([w * 1e-200, w * 1e-120])),
+        (tandem.class_rates(1e-100), np.full((2, 2), 1e100)),
+    ):
+        for omega in (grid, grid[1]):
+            assert np.array_equal(exact._sums(rates, omega, omega.max(), 0.0), exact._sums(rates, omega, 0.0, 1.0))
+
+
+def test_a_class_end_numerator_is_its_rate():
+    # a class end's kappa, root and delta_hat are 0, so the formula takes its
+    # numerator slope as r + ph * S(0, 0): it is r for every family, because
+    # S(0, 0) = phi'(0) = 0 for a centered input, and _secant gives that 0
+    from values import INPUTS
+
+    zero = np.zeros((2, 3))
+    families = [*INPUTS.values(), CompoundPoisson(1.0, ExponentialJob(2.0)), StableSum(((1.01, 0.3), (1.99, 0.2)))]
+    for model in families:
+        assert not model._secant(zero, zero).any(), model
+    # so the prefactor of a one-node network, r / slope(0, w), is the
+    # single-queue value r / (r + S(phat w, 0) phat)
+    spec = tandem_spec([RateFunction.monomial(1.5, 1.0)])
+    for model in families:
+        ev = joint_lst_exact(spec, model, [0.8], 2.0)
+        assert ev.value == ev.prefactor == 3.0 / (3.0 + float(model.laplace_exponent_secant(0.8, 0.0)))
 
 
 def test_one_evaluation_makes_one_secant_call_and_no_argument_check(monkeypatch):
@@ -552,7 +651,7 @@ def test_lazy_diagnostics_equal_eager_recomputation():
     w = np.random.default_rng(5).uniform(0.05, 2.5, spec.n)
     ev = joint_lst_exact(spec, model, w, 2.0)
     r, ph = spec.rate_vector(2.0)[:-1], spec.phat[:-1]
-    sums = spec.front_matrix @ (spec.phat * w)
+    sums = (spec.class_rates(2.0).sum_matrix @ w)[: spec.n]
     s3 = np.concatenate((ev.phi_at_kappa, sums[:-1] / ph, sums[1:] / ph))
     psi3 = np.tile(r, 3) * s3 + model.laplace_exponent(np.tile(ph, 3) * s3)
     root_psi, psi_delta, psi_delta_hat = np.split(psi3, 3)
@@ -739,3 +838,32 @@ def test_a_grid_raises_the_error_its_bad_row_raises_alone():
     # the exact transform scales nothing: there that row is a value like any other
     lost = bad_rows["lost scaling"][0]
     assert exact_at(np.array([*good[:2], lost, good[3]])).value[2] == exact_at(lost).value
+
+
+def test_bad_rows_of_two_kinds_raise_the_first_bad_rows_error():
+    # row 0 loses a frequency to the limit's scaling and row 1 is negative:
+    # the limit and the limit sweep raise row 0's ScalingRangeError, as a call
+    # per row would
+    from levynet import convergence_study
+
+    rng = np.random.default_rng(457)
+    spec = random_spec(rng, 9)
+    part, model = partition_rates(spec), StableSum(((1.5, 0.7),))
+    limit_at = lambda w: joint_lst_limit(spec, part, model.tail_pair(HEAVY), w)
+    good = rng.uniform(0.1, 2.0, spec.n)
+    lost, negative = good.copy(), good.copy()
+    lost[4], negative[5] = 1e-310, -0.5
+    want = _error(limit_at, lost)
+    assert want[0] is ScalingRangeError and want != _error(limit_at, negative)
+    for grid in ([lost, negative], np.array([lost, negative])):
+        assert _error(limit_at, grid) == want
+        assert _error(lambda w: convergence_study(spec, part, model, HEAVY, w, [2.0]), grid) == want
+    # at a u, row 0 meets the rate ordering's rise and row 1 a lost scaling:
+    # the sweep raises row 0's StructuralError
+    rising = tandem_spec([RateFunction.monomial(1.0, 1.0), RateFunction(((0.9, 1.0), (5.0, 0.0)))])
+    rows = [[1.0, 1.0], [3e-300, 3e-300]]
+    sweep = lambda w: convergence_study(rising, partition_rates(rising), Brownian(1.0), HEAVY, w, [1e-10])
+    with pytest.raises(ScalingRangeError, match="^scaled frequency of node 1 underflows"):
+        sweep(rows[1:])
+    with pytest.raises(StructuralError, match="^r/phat rises from node 1 to node 2"):
+        sweep(rows)

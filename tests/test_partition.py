@@ -20,7 +20,7 @@ from levynet import (
     partition_rates,
     starred_sets,
 )
-from levynet.network import ClassLayout, first_rise
+from levynet.network import ClassLayout, ClassRates, first_rise
 
 from conftest import CONFIGS, random_spec, rescaled_reference, seeded_and_shipped_specs, tandem_spec
 
@@ -95,7 +95,7 @@ def _assert_derived_partition(spec, part):
     assert part.class_of == tuple(class_of)
     same_class = np.equal.outer(class_of, class_of)
     assert np.array_equal(part.front_matrix, np.where(same_class, spec.front_matrix, 0.0))
-    fresh = ClassLayout(spec.phat, [c[-1] - 1 for c in part.classes])
+    fresh = ClassLayout(spec.phat, [c[-1] - 1 for c in part.classes], np.where(same_class, spec.front_matrix, 0.0))
     for name, value in vars(fresh).items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(getattr(part.layout, name), value), name
@@ -115,6 +115,7 @@ def test_spec_and_partition_round_trip_through_pickle_and_deepcopy():
     for spec in seeded_and_shipped_specs(43):
         part = partition_rates(spec)
         spec.class_rates(2.0), part.fraction_power(2.0), part.class_rates.quadratic_terms(0.5)  # fill the memos
+        assert "sum_matrix" in vars(part.class_rates)
         for again_spec, again_part in (pickle.loads(pickle.dumps((spec, part))), copy.deepcopy((spec, part))):
             assert again_spec == spec and hash(again_spec) == hash(spec) and again_spec.parent == spec.parent
             assert again_part == part and hash(again_part) == hash(part) and again_part.spec is again_spec
@@ -126,7 +127,7 @@ def test_spec_and_partition_round_trip_through_pickle_and_deepcopy():
             # a copy is rebuilt from its inputs: every array is read-only, as on
             # construction, and the memos start empty
             assert again_spec._memo == (None, None) and not again_part._fraction_powers
-            assert not again_part.class_rates._quadratic
+            assert not again_part.class_rates._quadratic and "sum_matrix" not in vars(again_part.class_rates)
             copies = (again_spec, again_spec.routing, again_spec.layout, again_part, again_part.layout)
             for obj in (*copies, again_part.class_rates, again_spec.class_rates(2.0)):
                 for name, value in vars(obj).items():
@@ -228,17 +229,26 @@ def _layout_from_classes(classes, phat):
     n = len(phat)
     ends = [c[-1] - 1 for c in classes]
     inner = [i - 1 for c in classes for i in c[:-1]]
-    position = {node: k for k, node in enumerate(inner + ends)}
-    slope_at = inner + inner + ends
     return dict(
         ends=ends,
         inner=inner,
-        slope_at=slope_at,
-        sum_at=[i + 1 for i in inner] + inner + [n] * len(ends),
-        phat_at=[phat[i] for i in slope_at],
-        order=[position[i - 1] for c in classes for i in (c[-1], *c[:-1])],
+        sum_at=[[n + j if j in ends else j + 1 for j in range(n)], list(range(n))],
+        order=[i - 1 for c in classes for i in (c[-1], *c[:-1])],
         starts=[c[0] - 1 for c in classes],
     )
+
+
+def _sum_matrix_from_classes(classes, front, phat, r):
+    """G restated: the rows of front * phat, then for each node the sum, from
+    its class's end back to the next node, of (r_{l-1}/phat_{l-1} - r_l/phat_l)
+    times row l of front * phat, one term at a time; 0 at a class end."""
+    rows = front * phat
+    kappa = np.zeros_like(rows)
+    for c in classes:
+        for j in range(c[0] - 1, c[-1] - 1):
+            for l in range(c[-1] - 1, j, -1):
+                kappa[j] = kappa[j] + (r[l - 1] / phat[l - 1] - r[l] / phat[l]) * rows[l]
+    return np.concatenate((rows, kappa))
 
 
 def _layout_specs():
@@ -251,21 +261,27 @@ def _layout_specs():
 def test_class_layouts_are_read_only_and_restate_the_classes():
     for spec in _layout_specs():
         part = partition_rates(spec)
-        for lay, classes in ((spec.layout, (tuple(range(1, spec.n + 1)),)), (part.layout, part.classes)):
+        one_class = (tuple(range(1, spec.n + 1)),)
+        for lay, classes, r, front in (
+            (spec.layout, one_class, spec.rate_vector(2.0), spec.front_matrix),
+            (part.layout, part.classes, part.fractions, part.front_matrix),
+        ):
+            assert lay.front is front
             want = _layout_from_classes(classes, spec.phat)
-            fresh = ClassLayout(spec.phat, want["ends"])
+            fresh = ClassLayout(spec.phat, want["ends"], lay.front)
             for name, value in want.items():
                 assert getattr(lay, name).tolist() == value, name
-            for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
+            for name in ("ends", "inner", "front", "sum_at", "order", "starts"):
                 stored = getattr(lay, name)
                 assert not stored.flags.writeable, name
                 assert np.array_equal(stored, getattr(fresh, name)), name
-            # kappa_at: each class's inner nodes, last first, padded with n - 1;
-            # kappa_back finds every inner node in it
-            rows = [[i - 1 for i in reversed(c[:-1])] for c in classes if len(c) > 1]
-            width = max(map(len, rows), default=0)
-            assert lay.kappa_at.tolist() == [row + [spec.n - 1] * (width - len(row)) for row in rows]
-            assert lay.kappa_at.ravel()[lay.kappa_back].tolist() == want["inner"]
+            # G: the front sums, then each node's kappa as a reverse running
+            # sum within its class, built once per ClassRates, read-only
+            rates = ClassRates(lay, r)
+            matrix = rates.sum_matrix
+            assert np.array_equal(matrix, _sum_matrix_from_classes(classes, lay.front, spec.phat, r))
+            assert rates.sum_matrix is matrix and not matrix.flags.writeable
+            assert not matrix[spec.n + lay.ends].any()
 
 
 def test_class_layouts_are_built_once(monkeypatch):
@@ -285,7 +301,7 @@ def test_class_layouts_are_built_once(monkeypatch):
     rescaled = rescaled_reference(part, 1, 2.5)
     joint_lst_limit(spec, rescaled, TailPair(2.0, 0.7), w)
     assert len(built) == 1
-    for name in ("ends", "inner", "kappa_at", "kappa_back", "slope_at", "sum_at", "phat_at", "order", "starts"):
+    for name in ("ends", "inner", "front", "sum_at", "order", "starts"):
         assert np.array_equal(getattr(rescaled.layout, name), getattr(part.layout, name)), name
     # and every other derived field as a fresh derivation would
     _assert_derived_partition(spec, rescaled)

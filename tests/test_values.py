@@ -73,8 +73,10 @@ def test_the_summary_gives_each_family_its_changed_groups_and_largest_change():
         "tree 0 gamma (a point changed between a value and a refusal)",
         f"tree 1 brownian (largest relative change {2.0**-52:.3g})",
     ]
+    # 0.25 (1 + 2**-50) is 4 ulps above 0.25; 0.5 (1 - 2**-52) is 2 below 0.5 and
+    # 0.125 (1 + 2**-52) one above 0.125
     assert family_summary(stored, fresh) == [
-        f"brownian: 2 of 3 groups changed, largest relative change {2.0**-50:.3g}",
+        f"brownian: 2 of 3 groups changed, largest relative change {2.0**-50:.3g}, largest 4 ulp",
         "gamma: 2 of 3 groups changed, 2 with a digest or a refusal changed",
         "stable1.5: 0 of 1 groups changed",
     ]

@@ -13,8 +13,8 @@ on purpose, run
 
 and list each changed group in CHANGES.md.  Without --write it prints the
 groups that differ from the file, then one line per input family: its
-groups that changed out of its total and the largest relative change.  It
-writes nothing.
+groups that changed out of its total, the largest relative change and the
+largest change in ulps.  It writes nothing.
 """
 
 from __future__ import annotations
@@ -106,15 +106,22 @@ def compute() -> dict:
     return {"environment": DIGEST_ENVIRONMENT, "groups": {**transform_values(), **sample_digests()}}
 
 
-def _change(old, new) -> float | str:
-    """The largest relative change between two unequal groups' float entries, or
-    a note where they are not both lists of floats of one length."""
+def _ulps(a: float, b: float) -> int:
+    """How many floats apart a and b, of one sign, are: the difference of their bit patterns."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def _change(old, new) -> tuple[float, int] | str:
+    """The largest relative change and the largest change in ulps between two
+    unequal groups' float entries, or a note where they are not both lists of
+    floats of one length."""
     if not (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)):
         return "a digest, or a group added, removed or resized"
     try:
-        return max(abs(float.fromhex(b) / float.fromhex(a) - 1.0) for a, b in zip(old, new) if a != b)
+        pairs = [(float.fromhex(a), float.fromhex(b)) for a, b in zip(old, new) if a != b]
     except ValueError:  # an entry that is an error name
         return "a point changed between a value and a refusal"
+    return max(abs(b / a - 1.0) for a, b in pairs), max(_ulps(a, b) for a, b in pairs)
 
 
 def changed_groups(stored: dict, fresh: dict) -> list[str]:
@@ -124,13 +131,14 @@ def changed_groups(stored: dict, fresh: dict) -> list[str]:
         old, new = stored.get(key), fresh.get(key)
         if old != new:
             change = _change(old, new)
-            out.append(f"{key} ({change if isinstance(change, str) else f'largest relative change {change:.3g}'})")
+            out.append(f"{key} ({change if isinstance(change, str) else f'largest relative change {change[0]:.3g}'})")
     return out
 
 
 def family_summary(stored: dict, fresh: dict) -> list[str]:
     """One line per input family (the last word of a group's name): its groups
-    that changed out of its total, and the largest relative change among them."""
+    that changed out of its total, and the largest relative change and the
+    largest change in ulps among them."""
     families: dict[str, list] = {}
     for key in sorted(stored.keys() | fresh.keys(), key=lambda k: k.split()[-1]):
         old, new = stored.get(key), fresh.get(key)
@@ -140,7 +148,7 @@ def family_summary(stored: dict, fresh: dict) -> list[str]:
         changed = [c for c in changes if c is not None]
         line = f"{family}: {len(changed)} of {len(changes)} groups changed"
         if rel := [c for c in changed if not isinstance(c, str)]:
-            line += f", largest relative change {max(rel):.3g}"
+            line += f", largest relative change {max(c[0] for c in rel):.3g}, largest {max(c[1] for c in rel)} ulp"
         if notes := len(changed) - len(rel):
             line += f", {notes} with a digest or a refusal changed"
         lines.append(line)
