@@ -41,7 +41,7 @@ gather reads x[idx] as for a single vector; the front sums and kappa are
 one matrix-vector product per row (one matrix-matrix product would be
 quicker but round differently), and the products run left to right, so
 each row gets the bits of a call of its own.  Newton, where it is needed,
-still solves one root per entry.
+still solves one root per entry.  A grid raises by the grid rule (_first_bad_row).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ScalingRangeError, SingularFactorError, StructuralError
+from .errors import LevynetError, ScalingRangeError, SingularFactorError, StructuralError
 from .network import _BIG, ClassRates, NetworkSpec
 from .models import LevyModel
 from .roots import invert_increasing
@@ -60,35 +60,40 @@ from .roots import invert_increasing
 _TINY = np.finfo(float).tiny
 
 
-def as_omega(omega, n: int) -> np.ndarray:
-    """Validate a frequency vector: length n, finite, componentwise >= 0.
+def _first_bad_row(evaluate, omega, *args):
+    """evaluate(omega, *args) under the grid rule: a grid of frequency
+    vectors, one per row, raises the error its first bad row raises alone.
 
-    A grid of N >= 1 vectors, one per row (shape (N, n)), is checked at once;
-    where it fails, each row is checked in turn, so that the first bad row
-    raises the error it raises alone.
-    """
-    return _omega_and_top(omega, n)[0]
-
-
-def _omega_and_top(omega, n: int) -> tuple[np.ndarray, float]:
-    """as_omega's array and its largest entry, from the one max that the check reads."""
+    Where evaluate raises LevynetError or ValueError on a grid (2-D, or a
+    list of rows of unequal length), it is called on each row in turn, and
+    if no row raises, the grid's own error is raised.  So every check is
+    written for one vector, and on a grid it only has to fail somewhere."""
     try:
-        w = np.asarray(omega, dtype=float)
-    except ValueError:  # rows of unequal length: each is checked, so the first bad one raises
-        if not isinstance(omega, (list, tuple)):
-            raise
-        w = np.array([as_omega(row, n) for row in omega])
-        return w, np.maximum.reduce(w, axis=None)
-    if w.ndim == 2:
-        if not (len(w) and w.shape[1] == n and 0.0 <= np.minimum.reduce(w, axis=None)
-                and (top := np.maximum.reduce(w, axis=None)) < math.inf):  # nan fails a comparison
-            for row in w:
-                as_omega(row, n)
+        return evaluate(omega, *args)
+    except (LevynetError, ValueError):
+        try:
+            rows = omega if np.ndim(omega) == 2 else ()
+        except ValueError:  # rows of unequal length
+            rows = omega
+        for row in rows:
+            evaluate(row, *args)
+        raise
+
+
+def as_omega(omega, n: int) -> tuple[np.ndarray, float]:
+    """A frequency vector, checked (length n, finite, componentwise >= 0),
+    as an array, and its largest entry, from the one max the check reads.
+
+    A grid of N >= 1 vectors, one per row (shape (N, n)), is checked as a
+    whole; the callers raise its errors by the grid rule (_first_bad_row).
+    """
+    w = np.asarray(omega, dtype=float)  # a ragged list raises ValueError
+    if w.shape != (n,) and (w.shape[1:] != (n,) or not len(w)):
+        if w.shape == (0, n):
             raise ValueError(f"frequency grid needs at least one row, got shape {w.shape}")
-        return w, top
-    if w.shape != (n,):
         raise ValueError(f"frequency vector must have length {n}, got shape {w.shape}")
-    if not 0.0 <= np.minimum.reduce(w) <= (top := np.maximum.reduce(w)) < math.inf:  # nan fails each comparison
+    # nan fails each comparison
+    if not 0.0 <= np.minimum.reduce(w, axis=None) <= (top := np.maximum.reduce(w, axis=None)) < math.inf:
         if not np.isfinite(w).all():
             raise ValueError("frequency vector has non-finite entries")
         raise ValueError("frequency vector must be componentwise nonnegative")
@@ -108,10 +113,10 @@ def _scaled_frequency(w: np.ndarray, base: np.ndarray, beta: float, where: str, 
     transforms are scaled.  A nonzero entry that overflows, or underflows
     below the normal float range (to 0 or to a subnormal, which keeps few
     digits), raises ScalingRangeError naming the node, where it is scaled
-    ("at u = 10", "in the limit") and the base (name, with {} for the node).
-    For a grid w of shape (N, n) it names the first such entry in row
-    order.  The check reads a min and a max unless an entry is 0 or out of
-    range."""
+    ("at u = 10", "in the limit") and the base (name, with {} for the node);
+    a grid w of shape (N, n) is scaled as a whole and raises by the grid
+    rule (_first_bad_row).  The check reads a min and a max unless an entry
+    is 0 or out of range."""
     factor = base**beta
     scaled = w * factor
     if _normal_top(scaled) is not None:
@@ -179,7 +184,7 @@ def _sums(rates: ClassRates, w: np.ndarray, top: float, max_frequency: float, x:
     ScalingRangeError naming the node.  A grid w of N rows gives a column
     per row (shape (2n, N)), each from the matrix-vector product of its own
     row, which has the bits of a call of its own (a matrix-matrix product
-    would round differently), and the first bad row raises."""
+    would round differently); it raises by the grid rule (_first_bad_row)."""
     g = rates.sum_matrix
     if top < max_frequency:
         return g.dot(w) if w.ndim == 1 else (g @ w[..., None])[..., 0].T
@@ -204,14 +209,19 @@ def kappa(spec: NetworkSpec, omega, j: int, u: float) -> float | np.ndarray:
     The sum over nodes l > j of (r_{l-1}/phat_{l-1} - r_l/phat_l) times the
     front sum of l, as the transform computes it (ClassRates.sum_matrix).
     Under the rate ordering every term is nonnegative, so the result is >=
-    0.  A grid of N vectors gives an array of N.
+    0.  A grid of N vectors gives an array of N, by the grid rule
+    (_first_bad_row).
     """
     n = spec.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"kappa index {j} outside 1..{n-1}")
-    w, top = _omega_and_top(omega, n)
+    return _first_bad_row(_kappa, omega, spec, j, u)
+
+
+def _kappa(omega, spec: NetworkSpec, j: int, u: float) -> float | np.ndarray:
+    w, top = as_omega(omega, spec.n)
     rates = spec.class_rates(u)
-    k = _sums(rates, w, top, rates.max_frequency)[n + j - 1]
+    k = _sums(rates, w, top, rates.max_frequency)[spec.n + j - 1]
     return k if k.ndim else float(k)
 
 
@@ -226,23 +236,27 @@ class LstEvaluation:
     do the roots where the evaluation took none (_roots is None).  The
     evaluation of a grid of N vectors gives every field and diagnostic a
     leading axis of N: value, prefactor and max_root_residual are arrays of
-    N, the others have a row per vector.
+    N, the others have a row per vector, read from what _class_factors
+    returned, node-major (.T is a no-op on a vector).
     """
 
     value: float | np.ndarray
-    prefactor: float | np.ndarray
-    kappa: np.ndarray
-    factor_values: np.ndarray
     model: LevyModel = field(repr=False)
     rates: ClassRates = field(repr=False)
-    front_sums: np.ndarray = field(repr=False)
+    _factors: np.ndarray = field(repr=False)
+    _y: np.ndarray = field(repr=False)
     _roots: np.ndarray | None = field(repr=False)
+
+    prefactor = property(lambda self: self._factors[-1] if self._factors.ndim > 1 else float(self._factors[-1]))
+    kappa = property(lambda self: self._y[len(self._factors) : -1].T)
+    factor_values = property(lambda self: self._factors[:-1].T)
+    front_sums = property(lambda self: self._y[: len(self._factors)].T)
 
     @cached_property
     def phi_at_kappa(self) -> np.ndarray:
         """Newton's roots, kept from the evaluation, or where phi(s) = a s**2 the closed form on first read."""
         if self._roots is not None:
-            return self._roots
+            return self._roots.T
         return _quadratic_root(self.rates, self.model.quadratic, self.kappa)
 
     @cached_property
@@ -327,16 +341,15 @@ def _class_factors(model: LevyModel, rates: ClassRates, w: np.ndarray, top: floa
 def _assembled(value: np.float64 | np.ndarray, what: str) -> float | np.ndarray:
     """A product of factors, or for a grid an array of them, clamped to 1.
 
-    A value outside (0, 1] by more than rounding raises SingularFactorError,
-    for a grid the first such.
+    A value outside (0, 1] by more than rounding raises SingularFactorError.
     """
     if value.ndim:
         bad = ~((value > 0.0) & (value <= 1.0 + 1e-9))  # nan fails both
-        if bad.any():
-            _assembled(value[np.argmax(bad)], what)
-        return np.minimum(value, 1.0)
+        if not bad.any():
+            return np.minimum(value, 1.0)
+        value = value[np.argmax(bad)]  # raised below; the caller's grid rule picks the row
     value = float(value)
-    if not math.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
+    if not 0.0 < value <= 1.0 + 1e-9:  # nan fails
         raise SingularFactorError(f"assembled {what} value {value} outside (0, 1]")
     return min(value, 1.0)
 
@@ -354,17 +367,15 @@ def joint_lst_exact(spec: NetworkSpec, model: LevyModel, omega, u: float) -> Lst
 
     omega may be a grid of N vectors, one per row (shape (N, n)): the call
     then evaluates every row with the bits of a call of its own, and every
-    field of the result gains a leading axis of N.  A grid raises the error
-    its first bad row raises alone, where as_omega, the rate ordering or the
-    float range refuses it, in that order of checks; the ordering is a
-    property of the network at u.
+    field of the result gains a leading axis of N.  A grid raises by the
+    grid rule (_first_bad_row).
     """
-    w, top = _omega_and_top(omega, spec.n)
+    return _first_bad_row(_exact, omega, spec, model, u)
+
+
+def _exact(omega, spec: NetworkSpec, model: LevyModel, u: float) -> LstEvaluation:
+    w, top = as_omega(omega, spec.n)
     rates = spec.class_rates(u)
     factors, y, roots = _class_factors(model, rates, w, top)
-    n = spec.n
     value = _assembled(np.multiply.reduce(factors[rates.layout.order]), "transform")
-    if w.ndim > 1:  # node-major inside
-        roots = roots if roots is None else roots.T
-        return LstEvaluation(value, factors[-1], y[n:-1].T, factors[:-1].T, model, rates, y[:n].T, roots)
-    return LstEvaluation(value, float(factors[-1]), y[n:-1], factors[:-1], model, rates, y[:n], roots)
+    return LstEvaluation(value, model, rates, factors, y, roots)

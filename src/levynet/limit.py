@@ -29,7 +29,7 @@ matrix is built on the first call.  A positive omega, or grid, is scaled by
 one multiply and a min/max test, and one with zero entries by one more,
 unless an entry is refused; that test's max is the one the product's range
 check compares.  No diagnostic is computed.  A grid of N frequency vectors,
-one per row, is one call, as in exact.py.
+one per row, is one call, as in exact.py, and raises by the same grid rule.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _assembled, _class_factors, _normal_top, _scaled_frequency, as_omega
+from .exact import _assembled, _class_factors, _first_bad_row, _normal_top, _scaled_frequency, as_omega
 from .models import TailPair
 from .network import NetworkSpec
 from .partition import RateClassPartition, starred_sets  # starred_sets: perfbench/tracing.py counts calls through it
@@ -56,27 +56,6 @@ class LimitLst:
     factor_values: np.ndarray
 
 
-def _scaled_at_once(w: np.ndarray, power: np.ndarray | None) -> tuple[np.ndarray, float] | None:
-    """w * power and its largest entry, for a vector, or a grid of rows, of n
-    frequencies >= 0 and finite, whose nonzero entries all scale to normal
-    floats; else None.
-
-    power is the partition's fraction_power, in (0, 1].  Where every product
-    is a normal float that takes a min and a max of them; where not (zero
-    entries, or a refusal), a min and a max again with 1 added where w is 0,
-    which a negative, nan or infinite entry fails as before, and whose max
-    bounds the largest entry."""
-    if power is None:
-        return None
-    if w.shape == power.shape or (w.ndim == 2 and len(w) and w.shape[1] == power.size):
-        scaled = w * power
-        if (top := _normal_top(scaled)) is None:
-            top = _normal_top(scaled + (w == 0.0))
-        if top is not None:
-            return scaled, top
-    return None
-
-
 def joint_lst_limit(
     spec: NetworkSpec, partition: RateClassPartition, tail: TailPair, omega
 ) -> LimitLst:
@@ -91,31 +70,29 @@ def joint_lst_limit(
     raises it too.  Classes whose frequencies are all zero contribute 1.
 
     omega may be a grid of N vectors, one per row (shape (N, n)): every row
-    is evaluated with the bits of a call of its own.  A grid that the one
-    scaling test refuses is evaluated row by row, so the first bad row
-    raises the error it raises alone.
+    is evaluated with the bits of a call of its own, and a grid raises by
+    the grid rule (exact._first_bad_row).
     """
     partition.require_spec(spec)
-    try:
-        w = np.asarray(omega, dtype=float)
-    except ValueError:  # rows of unequal length: evaluated row by row below
-        if not isinstance(omega, (list, tuple)):
-            raise
-        w = omega
-    at_once = _scaled_at_once(w, partition.fraction_power(tail.beta)) if isinstance(w, np.ndarray) else None
-    if at_once is None:  # refused: the checked path, where a grid's rows are evaluated one by one
-        if not isinstance(w, np.ndarray) or (w.ndim == 2 and len(w)):
-            rows = [joint_lst_limit(spec, partition, tail, row) for row in w]
-            return LimitLst(np.array([r.value for r in rows]), np.array([r.factor_values for r in rows]))
-        scaled = _scaled_frequency(as_omega(w, spec.n), partition.fractions, tail.beta, "in the limit", "fraction_{}")
-        at_once = scaled, np.maximum.reduce(scaled)
-    scaled, top = at_once
+    return _first_bad_row(_limit, omega, spec, partition, tail)
+
+
+def _limit(omega, spec: NetworkSpec, partition: RateClassPartition, tail: TailPair) -> LimitLst:
+    w = np.asarray(omega, dtype=float)  # a ragged list raises ValueError
+    power, top = partition.fraction_power(tail.beta), None
+    if power is not None and (w.shape == power.shape or (w.ndim == 2 and len(w) and w.shape[1] == power.size)):
+        # power is in (0, 1]; the second test adds 1 where w is 0, which a bad entry fails as before
+        scaled = w * power
+        top = _normal_top(scaled) or _normal_top(scaled + (w == 0.0))
+    if top is None:  # refused: the checked path
+        w = as_omega(w, spec.n)[0]
+        scaled = _scaled_frequency(w, partition.fractions, tail.beta, "in the limit", "fraction_{}")
+        top = np.maximum.reduce(scaled, axis=None)
     layout = partition.layout
     # class k's factor: its prefactor, at its end, then its other nodes in order
     f = _class_factors(tail.stable_model, partition.class_rates, scaled, top)[0]
     class_values = np.multiply.reduceat(f[layout.order], layout.starts)
-    value = _assembled(np.multiply.reduce(class_values), "limit")
-    return LimitLst(value, class_values if scaled.ndim == 1 else class_values.T)
+    return LimitLst(_assembled(np.multiply.reduce(class_values), "limit"), class_values.T)
 
 
 # perfbench/tracing.py spans calls to singular_limit by name

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, LevynetError, ScalingRangeError, StructuralError
-from .exact import _scaled_frequency, as_omega, joint_lst_exact
+from .errors import ConfigError, ScalingRangeError, StructuralError
+from .exact import _first_bad_row, _scaled_frequency, as_omega, joint_lst_exact
 from .limit import joint_lst_limit
 from .models import HEAVY, LevyModel, TailPair, check_integer, check_positive
 from .network import NetworkSpec
@@ -81,11 +81,12 @@ def default_horizon(spec: NetworkSpec, model: LevyModel, u: float) -> float:
     supremum after T decays exponentially and T = 50 tau = 50 max(phat)^2
     coeff / min(r)^2.  With alpha < 2 the jumps have a power tail and that
     chance is about (tau / T)**(alpha - 1) / Gamma(2 - alpha), so T = tau *
-    1e-4**(-1 / (alpha - 1)) keeps it near 1e-4.
+    1e-4**(-1 / (alpha - 1)) keeps it near 1e-4.  The rates at u obey the
+    one range rule (NetworkSpec.class_rates), else ScalingRangeError.
     """
     tail = model.tail_pair(HEAVY)
     try:  # Python floats: a power past the float range raises OverflowError
-        tau = _relaxation_time(tail, float(np.max(spec.phat)), float(np.min(spec.rate_vector(u))))
+        tau = _relaxation_time(tail, float(np.max(spec.phat)), float(np.min(spec.class_rates(u).r)))
         horizon = 50.0 * tau if tail.alpha == 2.0 else tau * _LATE_SUPREMUM ** -tail.beta
     except OverflowError:
         horizon = math.inf
@@ -189,7 +190,7 @@ def empirical_lst(samples: np.ndarray, omegas) -> list[EmpiricalLst]:
         raise ValueError("need a 2-d sample array with at least two replications")
     out = []
     for omega in omegas:
-        w = as_omega(omega, samples.shape[1])
+        w = as_omega(omega, samples.shape[1])[0]
         vals = np.exp(-(samples @ w))
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
@@ -209,7 +210,7 @@ def horizon_diagnostic(
     reflects only the mass beyond T.  Each omega is checked by exact.as_omega
     before any path is drawn.
     """
-    omegas = [as_omega(w, spec.n) for w in omegas]
+    omegas = [as_omega(w, spec.n)[0] for w in omegas]
     r, horizon, floor = path_scales(spec, model, cfg)
 
     def draw(rng, m):
@@ -256,8 +257,9 @@ def convergence_study(
     a nonzero frequency whose scaled value overflows or underflows below the
     normal float range raises ScalingRangeError, naming the node and u (or
     the limit).  The limit and each u's exact column are one call over the
-    grid of omegas; where one raises, the rows are evaluated one by one, so
-    the first bad row raises the error it raises alone.  When `sim` is
+    grid of omegas, the scaling included, and each raises by the grid rule
+    (exact._first_bad_row): a row's scaling and exact call are evaluated
+    together, so a row's error beats any later row's.  When `sim` is
     given, an empirical column at the same scaled frequencies is added (seed
     offset by the u index).  A spec that is not the partition's network
     raises StructuralError.
@@ -265,7 +267,7 @@ def convergence_study(
     partition.require_spec(spec)
     tail = model.tail_pair(regime)
     limit_vals = np.atleast_1d(joint_lst_limit(spec, partition, tail, omegas).value).tolist()
-    omegas = np.atleast_2d(as_omega(omegas, spec.n))  # one vector is a grid of one row
+    omegas = np.atleast_2d(as_omega(omegas, spec.n)[0])  # one vector is a grid of one row
 
     rows = []
     for iu, u in enumerate(u_list):
@@ -274,16 +276,14 @@ def convergence_study(
         if sim is not None:
             cfg = replace(sim, u=u, seed=sim.seed + iu)
             samples = simulate_workload(spec, model, cfg)
-        where = f"at u = {u:g}"
-        try:
-            scaled = _scaled_frequency(omegas, r, tail.beta, where, "r_{}(u)")
-            exacts = joint_lst_exact(spec, model, scaled, u).value.tolist()
-        except LevynetError:  # each row alone, so that the first bad row raises its own error
-            for w in omegas:
-                joint_lst_exact(spec, model, _scaled_frequency(w, r, tail.beta, where, "r_{}(u)"), u)
-            raise
+
+        def exact_at(w):  # one row or the grid: its scaling, then its exact transform
+            scaled = _scaled_frequency(w, r, tail.beta, f"at u = {u:g}", "r_{}(u)")
+            return scaled, joint_lst_exact(spec, model, scaled, u).value
+
+        scaled, exacts = _first_bad_row(exact_at, omegas)
         estimates = empirical_lst(samples, scaled) if samples is not None else [None] * len(omegas)
-        for w, lim, exact, est in zip(omegas, limit_vals, exacts, estimates):
+        for w, lim, exact, est in zip(omegas, limit_vals, exacts.tolist(), estimates):
             row = {
                 "u": float(u),
                 "omega": w,

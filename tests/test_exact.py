@@ -840,7 +840,7 @@ def test_a_grid_raises_the_error_its_bad_row_raises_alone():
     assert exact_at(np.array([*good[:2], lost, good[3]])).value[2] == exact_at(lost).value
 
 
-def test_bad_rows_of_two_kinds_raise_the_first_bad_rows_error():
+def test_bad_rows_of_two_kinds_raise_the_first_bad_rows_error(figure1_spec):
     # row 0 loses a frequency to the limit's scaling and row 1 is negative:
     # the limit and the limit sweep raise row 0's ScalingRangeError, as a call
     # per row would
@@ -867,3 +867,18 @@ def test_bad_rows_of_two_kinds_raise_the_first_bad_rows_error():
         sweep(rows[1:])
     with pytest.raises(StructuralError, match="^r/phat rises from node 1 to node 2"):
         sweep(rows)
+    # on figure 1 at u = 1e100, row 0 takes kappa_2 past the float range and
+    # row 1 is negative: the exact transform, closed form or Newton, and kappa
+    # raise row 0's ScalingRangeError
+    u = 1e100
+    big, negative = 1e10 * figure1_spec.class_rates(u).r, np.ones(figure1_spec.n)
+    negative[2] = -1.0
+    for evaluate in (
+        lambda w: joint_lst_exact(figure1_spec, Brownian(1.0), w, u),
+        lambda w: joint_lst_exact(figure1_spec, CenteredGamma(2.0, 1.5), w, u),
+        lambda w: kappa(figure1_spec, w, 1, u),
+    ):
+        want = _error(evaluate, big)
+        assert want[0] is ScalingRangeError and want[1].startswith("kappa_2 of node 1 leaves the float range: ")
+        for grid in ([big, negative], np.array([big, negative])):
+            assert _error(evaluate, grid) == want

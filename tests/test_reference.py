@@ -113,6 +113,17 @@ def test_exact_near_removable_points(model):
                 assert got == pytest.approx(want, rel=1e-15), (w2, sign * t)
 
 
+def test_exact_gamma_at_tiny_rates():
+    """Rates 2e-200 and 1e-200 (u = 1e-100): Newton starts at x / r, about
+    115 decades above the root, where psi's first step cancels to 0 and the
+    next one from 0 returns to the start; the bracket ends the cycle."""
+    spec = tandem_spec([RateFunction.monomial(2.0, 2.0), RateFunction.monomial(1.0, 2.0)])
+    model, u = CenteredGamma(2.0, 1.5), 1e-100
+    for f in (1e30, 1e60, 1e100):
+        got = joint_lst_exact(spec, model, [f, f], u).value
+        assert got == pytest.approx(reference.exact_lst(spec, model, [f, f], u), rel=1e-12), f
+
+
 def _singleton_class_tree(rng, n):
     """A seeded tree whose leading exponents fall strictly: every node is a class."""
     spec = random_spec(rng, n)

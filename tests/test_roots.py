@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from levynet import RootFindingError
+from levynet import CenteredGamma, RootFindingError
 from levynet.roots import invert_increasing
 
 
@@ -65,3 +65,17 @@ def test_a_step_that_no_longer_moves_s_ends_at_the_looser_tolerance():
     with pytest.raises(RootFindingError, match="^Newton iteration stopped with residual"):
         invert_increasing(f, 0.5, counted, 1.0)
     assert len(steps) < 100
+
+
+def test_a_step_thrown_out_of_the_bracket_takes_the_geometric_mean():
+    # psi(s) = r s + phi(s) for centered gamma input at r = 2e-200: from
+    # x / r = 5e29 the Newton step cancels to 0 and from 0 it returns to
+    # 5e29, a cycle; each step below the chord bound x s / psi(s) takes the
+    # geometric mean of the bracket instead
+    model, r, x = CenteredGamma(2.0, 1.5), 2e-200, 1e-170
+    f = lambda s: r * s + float(model.laplace_exponent(s))
+    df = lambda s: r + float(model.laplace_exponent_deriv(s))
+    start = x / r
+    assert start - (f(start) - x) / df(start) == 0.0  # the first step cancels
+    s = invert_increasing(f, x, df, start)
+    assert f(s) == pytest.approx(x, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,15 @@ def test_default_horizon_past_the_float_range_is_value_error(brownian_tandem, al
     for spec in (brownian_tandem[0], slow):
         with pytest.raises(ValueError, match=f"default horizon overflows at alpha = {alpha}"):
             default_horizon(spec, StableSum(((alpha, 0.5),)), 1.0)
+
+
+def test_default_horizon_reads_the_rates_by_the_one_range_rule(figure1_spec):
+    # at u = 1e160 a rate of figure 1 overflows: the horizon refuses u as the
+    # sampler does, with no numpy warning and no subnormal horizon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScalingRangeError, match=r"^service rates leave the float range at u = 1e\+160: "):
+            default_horizon(figure1_spec, Brownian(1.0), 1e160)
 
 
 def test_large_omega_estimates_atom_at_zero():
